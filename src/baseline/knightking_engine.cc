@@ -284,15 +284,15 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
                "use_edge_weights requires a weighted graph");
   FM_CHECK_MSG(!(spec.use_edge_weights && node2vec),
                "weighted node2vec is not supported");
-  std::unique_ptr<VertexAliasTables> alias_storage;
-  if (spec.use_edge_weights) {
-    alias_storage = std::make_unique<VertexAliasTables>(graph_);
-  }
-  const VertexAliasTables* alias = alias_storage.get();
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
   ThreadPool* pool = single_thread ? &single_pool : options_.pool;
+  std::unique_ptr<VertexAliasTables> alias_storage;
+  if (spec.use_edge_weights) {
+    alias_storage = std::make_unique<VertexAliasTables>(graph_, *pool);
+  }
+  const VertexAliasTables* alias = alias_storage.get();
 
   // The ring executor only runs on the per-walker-seeded xorshift path, and
   // never under the cache simulator (prefetch hints are not simulated, so the

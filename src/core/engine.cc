@@ -165,7 +165,7 @@ WalkResult FlashMobEngine::RunImpl(
     FM_CHECK_MSG(v < n, "start vertex out of range");
   }
   if (spec.use_edge_weights && alias_tables_ == nullptr) {
-    alias_tables_ = std::make_unique<VertexAliasTables>(graph_);
+    alias_tables_ = std::make_unique<VertexAliasTables>(graph_, *options_.pool);
   }
   const VertexAliasTables* alias =
       spec.use_edge_weights ? alias_tables_.get() : nullptr;

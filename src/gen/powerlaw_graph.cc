@@ -32,11 +32,15 @@ CsrGraph GeneratePowerLawGraph(const PowerLawConfig& config) {
   std::vector<float> weights(config.random_weights ? total_edges : 0);
 
   // Degree-proportional target sampling: a uniform position in [0, total_edges) maps
-  // to a vertex with probability proportional to its degree.
+  // to a vertex with probability proportional to its degree. One RNG stream per
+  // chunk of vertices, seeded by the chunk's index rather than by the worker that
+  // happens to run it, so the graph depends only on the seed and the pool size.
   ThreadPool& pool = ThreadPool::Global();
-  pool.ParallelChunks(n, [&](uint64_t begin, uint64_t end, uint32_t worker) {
-    XorShiftRng rng(DeriveSeed(config.seed, 0x50574C00ULL + worker));
-    for (Vid v = static_cast<Vid>(begin); v < static_cast<Vid>(end); ++v) {
+  const uint64_t chunks = pool.thread_count();
+  pool.ParallelFor(chunks, [&](uint64_t chunk, uint32_t) {
+    XorShiftRng rng(DeriveSeed(config.seed, 0x50574C00ULL + chunk));
+    const Vid end = static_cast<Vid>(n * (chunk + 1) / chunks);
+    for (Vid v = static_cast<Vid>(n * chunk / chunks); v < end; ++v) {
       Eid out = offsets[v];
       for (Degree d = 0; d < degrees[v]; ++d) {
         Vid target;

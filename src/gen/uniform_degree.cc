@@ -19,17 +19,22 @@ CsrGraph GenerateUniformDegreeGraph(Vid num_vertices, Degree degree, uint64_t se
     offsets[v] = static_cast<Eid>(v) * degree;
   }
   std::vector<Vid> edges(offsets.back());
-  ThreadPool::Global().ParallelChunks(
-      num_vertices, [&](uint64_t begin, uint64_t end, uint32_t worker) {
-        XorShiftRng rng(DeriveSeed(seed, 0x554E4900ULL + worker));
-        for (Vid v = static_cast<Vid>(begin); v < static_cast<Vid>(end); ++v) {
-          Eid out = offsets[v];
-          for (Degree i = 0; i < degree; ++i) {
-            edges[out + i] = static_cast<Vid>(rng.NextBounded(target_universe));
-          }
-          std::sort(edges.begin() + out, edges.begin() + out + degree);
-        }
-      });
+  // One RNG stream per chunk, seeded by the chunk's index rather than by the
+  // worker that happens to run it (a worker running two chunks would repeat its
+  // stream), so the graph depends only on the seed and the pool size.
+  ThreadPool& pool = ThreadPool::Global();
+  const uint64_t chunks = pool.thread_count();
+  pool.ParallelFor(chunks, [&](uint64_t chunk, uint32_t) {
+    XorShiftRng rng(DeriveSeed(seed, 0x554E4900ULL + chunk));
+    const Vid end = static_cast<Vid>(num_vertices * (chunk + 1) / chunks);
+    for (Vid v = static_cast<Vid>(num_vertices * chunk / chunks); v < end; ++v) {
+      Eid out = offsets[v];
+      for (Degree i = 0; i < degree; ++i) {
+        edges[out + i] = static_cast<Vid>(rng.NextBounded(target_universe));
+      }
+      std::sort(edges.begin() + out, edges.begin() + out + degree);
+    }
+  });
   return CsrGraph(std::move(offsets), std::move(edges));
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/graph/csr_graph.h"
+#include "src/util/thread_pool.h"
 
 namespace fm {
 
@@ -21,8 +22,12 @@ struct DegreeSortedGraph {
 };
 
 // Stable counting sort by descending out-degree; adjacency targets are relabelled and
-// re-sorted ascending.
-DegreeSortedGraph DegreeSort(const CsrGraph& graph);
+// re-sorted ascending. Runs on `pool` (per-chunk degree histograms, then an
+// edge-balanced rebuild); the result is bit-identical for every pool size. Must
+// not be called from inside a job of `pool`: ThreadPool::ParallelFor is not
+// reentrant.
+DegreeSortedGraph DegreeSort(const CsrGraph& graph,
+                             ThreadPool& pool = ThreadPool::Global());
 
 // True when degrees are non-increasing in VID order (the engine's input contract).
 bool IsDegreeSorted(const CsrGraph& graph);

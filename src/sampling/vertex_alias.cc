@@ -1,24 +1,26 @@
 #include "src/sampling/vertex_alias.h"
 
+#include <vector>
+
+#include "src/graph/edge_ranges.h"
 #include "src/util/logging.h"
-#include "src/util/thread_pool.h"
 
 namespace fm {
 
-VertexAliasTables::VertexAliasTables(const CsrGraph& graph) {
+VertexAliasTables::VertexAliasTables(const CsrGraph& graph, ThreadPool& pool) {
   FM_CHECK_MSG(graph.weighted(), "VertexAliasTables requires a weighted graph");
   Eid m = graph.num_edges();
-  prob_.resize(m);
-  alias_.resize(m);
+  prob_.Allocate(m);
+  alias_.Allocate(m);
 
-  ThreadPool::Global().ParallelChunks(
-      graph.num_vertices(), [&](uint64_t begin, uint64_t end, uint32_t) {
+  ParallelForEdgeRanges(
+      pool, graph.offsets(), [&](Vid begin, Vid end, uint32_t) {
         // Vose's algorithm per adjacency list (see sampling/alias_table.cc for the
-        // standalone variant); scratch reused across the chunk's vertices.
+        // standalone variant); scratch reused across the range's vertices.
         std::vector<double> scaled;
         std::vector<uint32_t> small;
         std::vector<uint32_t> large;
-        for (Vid v = static_cast<Vid>(begin); v < static_cast<Vid>(end); ++v) {
+        for (Vid v = begin; v < end; ++v) {
           Eid base = graph.edge_begin(v);
           Degree deg = graph.degree(v);
           if (deg == 0) {

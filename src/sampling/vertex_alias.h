@@ -10,18 +10,22 @@
 #define SRC_SAMPLING_VERTEX_ALIAS_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/graph/csr_graph.h"
+#include "src/util/aligned_buffer.h"
 #include "src/util/sync.h"
+#include "src/util/thread_pool.h"
 #include "src/util/types.h"
 
 namespace fm {
 
 class VertexAliasTables {
  public:
-  // Builds tables for every vertex of `graph` (which must be weighted); O(|E|).
-  explicit VertexAliasTables(const CsrGraph& graph);
+  // Builds tables for every vertex of `graph` (which must be weighted); O(|E|),
+  // split by edges over `pool`. The tables do not depend on the pool size. Must
+  // not be called from inside a job of `pool` (ParallelFor is not reentrant).
+  VertexAliasTables(const CsrGraph& graph, ThreadPool& pool);
 
   // Draws a neighbor index of v (0..degree-1) with probability proportional to its
   // edge weight. v must have degree >= 1.
@@ -68,14 +72,20 @@ class VertexAliasTables {
     return graph.edges()[pick];
   }
 
+  // The flat tables, indexed like the CSR edge array.
+  std::span<const float> prob() const { return {prob_.data(), prob_.size()}; }
+  std::span<const uint32_t> alias() const { return {alias_.data(), alias_.size()}; }
+
   uint64_t table_bytes() const {
     return prob_.size() * (sizeof(float) + sizeof(uint32_t));
   }
 
  private:
-  // Flat arrays parallel to the CSR edge array.
-  std::vector<float> prob_;
-  std::vector<uint32_t> alias_;  // neighbor index within the same adjacency list
+  // Flat arrays parallel to the CSR edge array. Left uninitialized until the
+  // build writes every entry, so the pages are first touched by the workers
+  // in parallel rather than zero-filled on the calling thread.
+  AlignedBuffer<float> prob_;
+  AlignedBuffer<uint32_t> alias_;  // neighbor index within the same adjacency list
 };
 
 }  // namespace fm

@@ -4,12 +4,217 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "src/gen/powerlaw_graph.h"
+#include "src/graph/edge_ranges.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace fm {
 namespace {
+
+// The serial algorithm DegreeSort replaced, kept as the bit-exact reference: a
+// forward-scan counting sort by descending degree, then a vertex-by-vertex CSR
+// rebuild that sorts each relabelled list (with its weights) by target.
+DegreeSortedGraph ReferenceDegreeSort(const CsrGraph& graph) {
+  Vid n = graph.num_vertices();
+  DegreeSortedGraph result;
+  result.new_to_old.resize(n);
+  result.old_to_new.resize(n);
+  if (n == 0) {
+    result.graph = CsrGraph({0}, {});
+    return result;
+  }
+  Degree max_deg = graph.MaxDegree();
+  std::vector<Eid> counts(static_cast<size_t>(max_deg) + 2, 0);
+  for (Vid v = 0; v < n; ++v) {
+    ++counts[graph.degree(v)];
+  }
+  Eid slot = 0;
+  for (size_t d = max_deg + 1; d-- > 0;) {
+    Eid c = counts[d];
+    counts[d] = slot;
+    slot += c;
+  }
+  for (Vid v = 0; v < n; ++v) {
+    Vid pos = static_cast<Vid>(counts[graph.degree(v)]++);
+    result.new_to_old[pos] = v;
+    result.old_to_new[v] = pos;
+  }
+  std::vector<Eid> offsets(static_cast<size_t>(n) + 1, 0);
+  for (Vid nv = 0; nv < n; ++nv) {
+    offsets[nv + 1] = offsets[nv] + graph.degree(result.new_to_old[nv]);
+  }
+  std::vector<Vid> edges(offsets.back());
+  std::vector<float> weights(graph.weighted() ? offsets.back() : 0);
+  for (Vid nv = 0; nv < n; ++nv) {
+    Vid old_v = result.new_to_old[nv];
+    Eid write = offsets[nv];
+    auto nbrs = graph.neighbors(old_v);
+    if (!graph.weighted()) {
+      for (Vid old_target : nbrs) {
+        edges[write++] = result.old_to_new[old_target];
+      }
+      std::sort(edges.begin() + offsets[nv], edges.begin() + write);
+      continue;
+    }
+    auto wts = graph.neighbor_weights(old_v);
+    std::vector<std::pair<Vid, float>> pairs(nbrs.size());
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      pairs[i] = {result.old_to_new[nbrs[i]], wts[i]};
+    }
+    std::sort(pairs.begin(), pairs.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [target, weight] : pairs) {
+      edges[write] = target;
+      weights[write] = weight;
+      ++write;
+    }
+  }
+  result.graph = CsrGraph(std::move(offsets), std::move(edges), std::move(weights));
+  return result;
+}
+
+// Builds a CSR straight from per-vertex adjacency lists, unsorted and with
+// duplicates kept as given (GraphBuilder would sort or merge them).
+CsrGraph FromLists(const std::vector<std::vector<std::pair<Vid, float>>>& lists,
+                   bool weighted) {
+  std::vector<Eid> offsets{0};
+  std::vector<Vid> edges;
+  std::vector<float> weights;
+  for (const auto& list : lists) {
+    for (const auto& [target, weight] : list) {
+      edges.push_back(target);
+      if (weighted) {
+        weights.push_back(weight);
+      }
+    }
+    offsets.push_back(edges.size());
+  }
+  return CsrGraph(std::move(offsets), std::move(edges), std::move(weights));
+}
+
+// Random lists over n vertices: degree skewed toward 0..3 with a few up to
+// `max_degree`, targets drawn from `target_range` vertices so duplicates are
+// common, and a distinct weight on every edge.
+std::vector<std::vector<std::pair<Vid, float>>> RandomLists(
+    Vid n, Degree max_degree, Vid target_range, uint64_t seed) {
+  XorShiftRng rng(seed);
+  std::vector<std::vector<std::pair<Vid, float>>> lists(n);
+  float weight = 1.0f;
+  for (auto& list : lists) {
+    Degree d = rng.NextBounded(8) == 0
+                   ? static_cast<Degree>(rng.NextBounded(max_degree + 1))
+                   : static_cast<Degree>(rng.NextBounded(4));
+    for (Degree i = 0; i < d; ++i) {
+      list.emplace_back(static_cast<Vid>(rng.NextBounded(target_range)), weight);
+      weight += 0.25f;
+    }
+  }
+  return lists;
+}
+
+// DegreeSort on pools of 1, 2, 3 and 8 threads must reproduce the serial
+// reference bit for bit: offsets, edges, weights and both mappings.
+void ExpectMatchesReference(const CsrGraph& g) {
+  DegreeSortedGraph want = ReferenceDegreeSort(g);
+  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    DegreeSortedGraph got = DegreeSort(g, pool);
+    EXPECT_TRUE(std::ranges::equal(got.graph.offsets(), want.graph.offsets()));
+    EXPECT_TRUE(std::ranges::equal(got.graph.edges(), want.graph.edges()));
+    EXPECT_EQ(got.graph.weighted(), want.graph.weighted());
+    EXPECT_TRUE(std::ranges::equal(got.graph.weights(), want.graph.weights()));
+    EXPECT_EQ(got.new_to_old, want.new_to_old);
+    EXPECT_EQ(got.old_to_new, want.old_to_new);
+  }
+}
+
+TEST(DegreeSortTest, ParallelMatchesSerialOnShuffledPowerLaw) {
+  // 50k vertices: every equal-degree run spans all chunks at every pool size.
+  PowerLawConfig config;
+  config.degrees.num_vertices = 50000;
+  config.degrees.avg_degree = 8;
+  config.shuffle_labels = true;
+  ExpectMatchesReference(GeneratePowerLawGraph(config));
+}
+
+TEST(DegreeSortTest, ParallelMatchesSerialWithDuplicateWeightedTargets) {
+  // Targets from only 16 vertices, so most lists repeat a target with a
+  // different weight; the tie order after the re-sort must not move.
+  ExpectMatchesReference(FromLists(RandomLists(3000, 60, 16, 7), true));
+}
+
+TEST(DegreeSortTest, ParallelMatchesSerialWithTrailingZeroDegrees) {
+  auto lists = RandomLists(2000, 40, 2000, 11);
+  lists.resize(2600);  // 600 isolated vertices at the end
+  ExpectMatchesReference(FromLists(lists, false));
+  ExpectMatchesReference(FromLists(lists, true));
+}
+
+TEST(DegreeSortTest, ParallelMatchesSerialWithDominantHub) {
+  // Vertex 777 holds more than half of all edges.
+  auto lists = RandomLists(2000, 10, 2000, 13);
+  Eid others = 0;
+  for (const auto& list : lists) {
+    others += list.size();
+  }
+  lists[777].clear();
+  for (Eid i = 0; i <= others; ++i) {
+    lists[777].emplace_back(static_cast<Vid>((i * 7919) % 2000),
+                            1.0f + static_cast<float>(i));
+  }
+  ExpectMatchesReference(FromLists(lists, false));
+  ExpectMatchesReference(FromLists(lists, true));
+}
+
+TEST(DegreeSortTest, ParallelMatchesSerialWithFewerVerticesThanThreads) {
+  ExpectMatchesReference(FromLists({{{0, 1.0f}}}, false));
+  ExpectMatchesReference(FromLists({{{2, 1.0f}, {1, 2.0f}}, {}, {{0, 3.0f}}}, true));
+  ExpectMatchesReference(SmallGraph());
+}
+
+// Every range is non-empty, the ranges tile [0, n) in order, and none holds
+// more than its share of degree + 1 cost by more than one vertex's cost.
+TEST(EdgeRangesTest, TileVerticesAndBalanceCost) {
+  PowerLawConfig config;
+  config.degrees.num_vertices = 20000;
+  config.degrees.avg_degree = 8;
+  CsrGraph g = GeneratePowerLawGraph(config);  // degree-sorted: hubs first
+  ASSERT_TRUE(IsDegreeSorted(g));
+  for (uint32_t threads : {1u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    std::vector<std::vector<std::pair<Vid, Vid>>> per_worker(threads);
+    ParallelForEdgeRanges(pool, g.offsets(), [&](Vid begin, Vid end, uint32_t worker) {
+      per_worker[worker].emplace_back(begin, end);
+    });
+    std::vector<std::pair<Vid, Vid>> ranges;
+    for (const auto& list : per_worker) {
+      ranges.insert(ranges.end(), list.begin(), list.end());
+    }
+    std::sort(ranges.begin(), ranges.end());
+    ASSERT_FALSE(ranges.empty());
+    const uint64_t total = g.num_edges() + g.num_vertices();
+    const uint64_t share = total / ranges.size() + 1;
+    Vid next = 0;
+    for (auto [begin, end] : ranges) {
+      EXPECT_EQ(begin, next);
+      EXPECT_LT(begin, end);
+      uint64_t cost = g.offsets()[end] - g.offsets()[begin] + (end - begin);
+      EXPECT_LE(cost, share + g.MaxDegree() + 1);
+      next = end;
+    }
+    EXPECT_EQ(next, g.num_vertices());
+  }
+}
+
+TEST(EdgeRangesTest, EmptyGraphRunsNothing) {
+  ThreadPool pool(4);
+  std::vector<Eid> offsets{0};
+  ParallelForEdgeRanges(pool, offsets, [](Vid, Vid, uint32_t) { FAIL(); });
+}
 
 TEST(DegreeSortTest, ProducesDescendingDegrees) {
   PowerLawConfig config;

@@ -124,7 +124,7 @@ void CheckFirstOrderOracle(const CsrGraph& g, SamplePolicy policy,
   PartitionPlan plan = PartitionPlan::BuildUniform(g, 1, policy);
   std::unique_ptr<VertexAliasTables> alias;
   if (weighted) {
-    alias = std::make_unique<VertexAliasTables>(g);
+    alias = std::make_unique<VertexAliasTables>(g, ThreadPool::Global());
   }
   for (Vid v = 0; v < g.num_vertices(); ++v) {
     ASSERT_GE(g.degree(v), 2u);

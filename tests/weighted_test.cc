@@ -2,10 +2,12 @@
 // per-vertex alias tables, and weighted first-order walks across all engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "src/baseline/knightking_engine.h"
 #include "src/core/engine.h"
+#include "src/gen/powerlaw_graph.h"
 #include "src/graph/degree_sort.h"
 #include "src/graph/edge_io.h"
 #include "src/cachesim/mem_hook.h"
@@ -129,7 +131,7 @@ TEST(WeightedDegreeSortTest, WeightsSurviveRelabelling) {
 
 TEST(VertexAliasTest, MatchesWeightDistribution) {
   CsrGraph g = WeightedFan();
-  VertexAliasTables alias(g);
+  VertexAliasTables alias(g, ThreadPool::Global());
   XorShiftRng rng(5);
   NullMemHook hook;
   const uint64_t draws = 1 << 18;
@@ -142,9 +144,29 @@ TEST(VertexAliasTest, MatchesWeightDistribution) {
   EXPECT_TRUE(ChiSquareTestPasses(observed, expected));
 }
 
+TEST(VertexAliasTest, TablesIndependentOfPoolSize) {
+  // Degree-sorted, so the hubs sit at the front where vertex-count chunks
+  // would pile up; the edge-balanced ranges must not change a single entry.
+  PowerLawConfig config;
+  config.degrees.num_vertices = 20000;
+  config.degrees.avg_degree = 12;
+  config.random_weights = true;
+  CsrGraph g = GeneratePowerLawGraph(config);
+  ASSERT_TRUE(g.weighted());
+  ThreadPool serial(1);
+  VertexAliasTables want(g, serial);
+  for (uint32_t threads : {3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    VertexAliasTables got(g, pool);
+    EXPECT_TRUE(std::ranges::equal(got.prob(), want.prob()));
+    EXPECT_TRUE(std::ranges::equal(got.alias(), want.alias()));
+  }
+}
+
 TEST(VertexAliasTest, RequiresWeightedGraph) {
   CsrGraph g = SmallGraph();
-  EXPECT_DEATH(VertexAliasTables tables(g), "weighted");
+  EXPECT_DEATH(VertexAliasTables tables(g, ThreadPool::Global()), "weighted");
 }
 
 class WeightedWalkTest : public ::testing::TestWithParam<SamplePolicy> {};
