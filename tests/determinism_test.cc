@@ -209,6 +209,103 @@ TEST(DeterminismTest, AutoDepthMatchesItsResolvedPin) {
   EXPECT_EQ(autod.path_hash, pinned.path_hash);
 }
 
+// FNV-1a over the per-vertex visit counts.
+uint64_t VisitHash(const std::vector<uint64_t>& counts) {
+  uint64_t h = 1469598103934665603ULL;
+  for (uint64_t c : counts) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// BuildGraph's shape with a positive float weight on every edge.
+CsrGraph BuildWeightedGraph() {
+  const Vid n = 2048;
+  GraphBuilder b(n);
+  XorShiftRng rng(123);
+  for (Vid v = 0; v < n; ++v) {
+    Degree deg = 1 + static_cast<Degree>(rng.NextBounded(1 + v % 16));
+    for (Degree i = 0; i < deg; ++i) {
+      Vid t = static_cast<Vid>(rng.NextBounded(n));
+      if (t == v) {
+        t = (t + 1) % n;
+      }
+      b.AddEdge(v, t, 0.25f + static_cast<float>(rng.NextBounded(16)));
+    }
+  }
+  return DegreeSort(b.Build()).graph;
+}
+
+struct GoldenCase {
+  const char* name;
+  WalkAlgorithm algorithm;
+  double stop_probability;
+  bool weighted;
+  uint64_t dram_budget_bytes;  // 0 = one episode
+  uint64_t path_hash;
+  uint64_t visit_hash;
+};
+
+// Walk hashes pinned across commits: a change that only restructures the
+// shuffle or the sample stage must leave every walk bit-identical, so these
+// constants may change only with a deliberate change to the walk itself.
+// Engine defaults otherwise; the plan config is pinned as in RunWith.
+// 180000 bytes hold 3000 walkers of 12-step paths, so the multi-episode case
+// runs 8192 walkers in three episodes.
+TEST(DeterminismTest, GoldenWalkHashesAcrossCommits) {
+  const GoldenCase cases[] = {
+      {"deepwalk_stop0", WalkAlgorithm::kDeepWalk, 0.0, false, 0,
+       0x329b4172b78d6be0ULL, 0xd2eec4a0d7fcef7bULL},
+      {"deepwalk_stop15", WalkAlgorithm::kDeepWalk, 0.15, false, 0,
+       0x3fee471cfa00111eULL, 0xd8eacfad514249efULL},
+      {"node2vec_stop0", WalkAlgorithm::kNode2Vec, 0.0, false, 0,
+       0xbc326036324ad295ULL, 0xa7f6534fb1fc1b5bULL},
+      {"node2vec_stop15", WalkAlgorithm::kNode2Vec, 0.15, false, 0,
+       0x33684ea67157dce9ULL, 0x391b34894b39657aULL},
+      {"metropolis_stop0", WalkAlgorithm::kMetropolisHastings, 0.0, false, 0,
+       0x3a56a96884faf749ULL, 0x6d29ef657c0ee1ebULL},
+      {"metropolis_stop15", WalkAlgorithm::kMetropolisHastings, 0.15, false, 0,
+       0xb42fbd631846b87cULL, 0x79700fd5c809f8efULL},
+      {"weighted_deepwalk", WalkAlgorithm::kDeepWalk, 0.0, true, 0,
+       0xf2ff7d229513c4b7ULL, 0x9344421c83244647ULL},
+      {"multi_episode_deepwalk_stop15", WalkAlgorithm::kDeepWalk, 0.15, false,
+       180000, 0x4e0be1a7dbb718fbULL, 0x53d85358877a24c1ULL},
+  };
+  const CsrGraph plain = BuildGraph();
+  const CsrGraph weighted = BuildWeightedGraph();
+  ASSERT_TRUE(weighted.weighted());
+  for (const GoldenCase& c : cases) {
+    const CsrGraph& g = c.weighted ? weighted : plain;
+    ThreadPool pool(3);
+    EngineOptions options;
+    options.pool = &pool;
+    options.plan.threads_sharing_l3 = 4;
+    options.dram_budget_bytes = c.dram_budget_bytes;
+    WalkSpec spec;
+    spec.algorithm = c.algorithm;
+    spec.steps = 12;
+    spec.num_walkers = 4 * g.num_vertices();
+    spec.seed = 11;
+    spec.stop_probability = c.stop_probability;
+    spec.keep_paths = true;
+    spec.use_edge_weights = c.weighted;
+    if (c.algorithm == WalkAlgorithm::kNode2Vec) {
+      spec.node2vec = {0.5, 2.0};
+    }
+    FlashMobEngine engine(g, options);
+    WalkResult result = engine.Run(spec);
+    if (c.dram_budget_bytes != 0) {
+      EXPECT_EQ(result.stats.episodes, 3u) << c.name;
+    }
+    EXPECT_EQ(PathSetHash(result.paths), c.path_hash)
+        << c.name << ": path hash 0x" << std::hex << PathSetHash(result.paths);
+    EXPECT_EQ(VisitHash(result.visit_counts), c.visit_hash)
+        << c.name << ": visit hash 0x" << std::hex
+        << VisitHash(result.visit_counts);
+  }
+}
+
 TEST(DeterminismTest, RepeatedRunsWithSamePoolAreIdentical) {
   // Same engine, same spec, run twice: episode state (presample cursors, RNG
   // derivation) must reset completely between runs.
