@@ -6,8 +6,6 @@
 //   FM_STEPS    walk length per walker                     (default 24)
 //   FM_ROUNDS   walkers = FM_ROUNDS * |V|                  (default 1)
 //   FM_THREADS  worker threads                             (default: all cores)
-//   FM_SHUFFLE  shuffle backend: direct | binned | auto    (default auto)
-//   FM_INTERLEAVE  sample-stage ring depth: 1..64 | auto   (default auto)
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
@@ -161,39 +159,11 @@ inline WalkSpec PerfSpec(const CsrGraph& graph,
   return spec;
 }
 
-// FM_SHUFFLE env knob; exits loudly on a bad value so CI typos cannot
-// silently fall back to the default backend.
-inline ShuffleBackendKind BenchShuffleBackend() {
-  const std::string name = EnvString("FM_SHUFFLE", "auto");
-  ShuffleBackendKind kind = ShuffleBackendKind::kAuto;
-  if (!ParseShuffleBackendName(name, &kind)) {
-    std::fprintf(stderr, "bad FM_SHUFFLE value: %s (want direct|binned|auto)\n",
-                 name.c_str());
-    std::exit(2);
-  }
-  return kind;
-}
-
-// FM_INTERLEAVE env knob (sample-stage ring depth; "auto" resolves from cache
-// geometry); exits loudly on a bad value, mirroring BenchShuffleBackend.
-inline uint32_t BenchInterleaveDepth() {
-  const std::string name = EnvString("FM_INTERLEAVE", "auto");
-  uint32_t depth = kInterleaveDepthAuto;
-  if (!ParseInterleaveDepth(name, &depth)) {
-    std::fprintf(stderr, "bad FM_INTERLEAVE value: %s (want 1..%u or auto)\n",
-                 name.c_str(), kMaxInterleaveDepth);
-    std::exit(2);
-  }
-  return depth;
-}
-
 inline EngineOptions PerfEngineOptions() {
   EngineOptions options;
   options.count_visits = false;
   options.cost_model = &BenchCostModel();
   options.plan.cache = DetectCacheInfo();
-  options.shuffle_backend = BenchShuffleBackend();
-  options.interleave_depth = BenchInterleaveDepth();
   return options;
 }
 

@@ -3,16 +3,13 @@
 // (a) Per-step DeepWalk time: KnightKing on toy graphs sized into L1/L2/L3, then on
 //     the YT and YH stand-ins; FlashMob on YT and YH. The paper's claim: FlashMob on
 //     the biggest graph matches KnightKing's speed on an L2-resident toy graph.
-//     With FM_SHUFFLE=auto (default) the FlashMob rows also run once per shuffle
-//     backend (fig1a/flashmob-direct, fig1a/flashmob-binned) so the trajectory
-//     tracks the propagation-blocking crossover honestly — including configs
-//     where the direct path wins because the walker array is LLC-resident.
 // (b) Per-step cache-miss breakdown (software cache simulator standing in for perf;
-//     see DESIGN.md §3) for both engines on YT and YH, plus the shuffle-stage
-//     attribution per backend (fig1b/flashmob/shuffle-*). FM_FIG1_SIM_WALKERS
-//     overrides the instrumented walker count — set it above ~5.2M so the
-//     walker array exceeds the simulated 19.75MB LLC, the regime binned
-//     shuffling targets.
+//     see DESIGN.md §3) for both engines on YT and YH, plus the shuffle stage's
+//     share (fig1b/flashmob/shuffle). FM_FIG1_SIM_WALKERS overrides the
+//     instrumented walker count — above ~5.2M the walker array exceeds the
+//     simulated 19.75MB LLC.
+// (c) KnightKing's step-interleaving ring at depths {1,4,8,16} next to
+//     FlashMob's sequential sample stage.
 #include "bench/bench_util.h"
 
 namespace fm {
@@ -39,106 +36,62 @@ double KnightKingPerStep(const CsrGraph& g, const char* point,
   return ns;
 }
 
-struct FlashMobRun {
-  double ns = 0;          // whole-pipeline ns/step
-  double shuffle_ns = 0;  // scatter + gather ns/step
-  std::string backend;    // concrete backend that ran
-};
-
-FlashMobRun FlashMobPerStep(const CsrGraph& g, const char* point,
-                            BenchTrajectory* traj, const char* series,
-                            ShuffleBackendKind backend) {
+double FlashMobPerStep(const CsrGraph& g, const char* point,
+                       BenchTrajectory* traj) {
   EngineOptions options = PerfEngineOptions();
-  options.shuffle_backend = backend;
   options.collect_counters = traj != nullptr;
   FlashMobEngine engine(g, options);
   WalkResult result = engine.Run(PaddedSpec(g));
   const WalkStats& stats = result.stats;
-  FlashMobRun run;
-  run.ns = stats.PerStepNs();
-  run.shuffle_ns = stats.total_steps == 0
-                       ? 0
-                       : stats.times.shuffle_s * 1e9 /
-                             static_cast<double>(stats.total_steps);
-  run.backend = stats.shuffle_backend;
   if (traj != nullptr) {
+    const double shuffle_ns = stats.total_steps == 0
+                                  ? 0
+                                  : stats.times.shuffle_s * 1e9 /
+                                        static_cast<double>(stats.total_steps);
     traj->set_backend(stats.perf_backend);
-    traj->Add(series, point, run.ns, "ns/step");
-    const std::string shuffle_series = std::string(series) + "/shuffle";
-    traj->Add(shuffle_series, point, run.shuffle_ns, "ns/step");
-    traj->AddCounters(std::string(series) + "/" + point,
+    traj->Add("fig1a/flashmob", point, stats.PerStepNs(), "ns/step");
+    const std::string shuffle_series = "fig1a/flashmob/shuffle";
+    traj->Add(shuffle_series, point, shuffle_ns, "ns/step");
+    traj->AddCounters(std::string("fig1a/flashmob/") + point,
                       stats.counters.Total());
     CounterSample shuffle_counters = stats.counters.scatter;
     shuffle_counters += stats.counters.gather;
     traj->AddCounters(shuffle_series + "/" + point, shuffle_counters);
   }
-  return run;
+  return stats.PerStepNs();
 }
 
-// Interleave depth sweep (fig1c series): both engines at ring depths
-// {1,4,8,16} plus "auto", on one dataset. The FlashMob rows carry hardware
-// counter samples (IPC / LLC-misses-per-step deltas when the perf backend is
-// live); the printout flags the auto model's pick against the measured
-// winner, mirroring the shuffle duet's honesty contract.
+// Interleave depth sweep (fig1c series): KnightKing's ring at depths
+// {1,4,8,16} on one dataset, next to FlashMob's sequential sample stage (its
+// only path, recorded as d1 with hardware counter samples).
 void InterleaveSweep(const CsrGraph& g, const char* point,
                      BenchTrajectory* traj) {
-  const InterleavePlan auto_plan =
-      BuildInterleavePlan(kInterleaveDepthAuto, DetectCacheInfo());
-  std::printf("\n  interleave depth sweep on %s (%s):\n", point,
-              auto_plan.Describe().c_str());
-  struct Row {
-    const char* label;
-    uint32_t depth;  // kInterleaveDepthAuto = resolve from cache geometry
-  } rows[] = {{"d1", 1}, {"d4", 4}, {"d8", 8}, {"d16", 16},
-              {"auto", kInterleaveDepthAuto}};
-  double best_ns = 0;
-  uint32_t best_depth = 0;
-  for (const Row& row : rows) {
-    EngineOptions options = PerfEngineOptions();
-    options.interleave_depth = row.depth;
-    options.collect_counters = traj != nullptr;
-    FlashMobEngine engine(g, options);
-    WalkResult result = engine.Run(PaddedSpec(g));
-    const double fm_ns = result.stats.PerStepNs();
-    const uint32_t resolved = result.stats.interleave_depth;
-
+  std::printf("\n  interleave depth sweep on %s:\n", point);
+  EngineOptions options = PerfEngineOptions();
+  options.collect_counters = traj != nullptr;
+  FlashMobEngine engine(g, options);
+  WalkResult result = engine.Run(PaddedSpec(g));
+  const double fm_ns = result.stats.PerStepNs();
+  std::printf("    flashmob (sequential)  %8.1f ns/step\n", fm_ns);
+  if (traj != nullptr) {
+    const std::string pt = std::string(point) + "/d1";
+    traj->Add("fig1c/flashmob-interleave", pt, fm_ns, "ns/step");
+    traj->AddCounters("fig1c/flashmob-interleave/" + pt,
+                      result.stats.counters.Total());
+  }
+  for (uint32_t depth : {1u, 4u, 8u, 16u}) {
     BaselineOptions base;
     base.count_visits = false;
     base.use_mersenne = false;  // the per-walker-stream path the ring needs
-    base.interleave_depth = row.depth == kInterleaveDepthAuto
-                                ? auto_plan.depth
-                                : row.depth;
+    base.interleave_depth = depth;
     KnightKingEngine knk(g, base);
     const double knk_ns = knk.Run(PaddedSpec(g)).stats.PerStepNs();
-
-    std::printf("    %-5s (depth %2u)  flashmob=%8.1f  knightking=%8.1f "
-                "ns/step\n",
-                row.label, resolved, fm_ns, knk_ns);
+    std::printf("    knightking depth %2u   %8.1f ns/step\n", depth, knk_ns);
     if (traj != nullptr) {
-      const std::string pt = std::string(point) + "/" + row.label;
-      traj->Add("fig1c/flashmob-interleave", pt, fm_ns, "ns/step");
-      traj->Add("fig1c/knightking-interleave", pt, knk_ns, "ns/step");
-      traj->AddCounters("fig1c/flashmob-interleave/" + pt,
-                        result.stats.counters.Total());
+      traj->Add("fig1c/knightking-interleave",
+                std::string(point) + "/d" + std::to_string(depth), knk_ns,
+                "ns/step");
     }
-    // Winner over the pinned depths only; the auto row re-measures one of
-    // them and would double-count timing noise.
-    if (row.depth != kInterleaveDepthAuto &&
-        (best_depth == 0 || fm_ns < best_ns)) {
-      best_ns = fm_ns;
-      best_depth = row.depth;
-    }
-  }
-  std::printf("    plan pick: depth %u, measured winner: depth %u%s\n",
-              auto_plan.depth, best_depth,
-              auto_plan.depth == best_depth
-                  ? ""
-                  : "  [auto missed the measured winner on this config]");
-  if (traj != nullptr) {
-    traj->Add("fig1c/plan", std::string(point) + "/picked",
-              static_cast<double>(auto_plan.depth), "depth");
-    traj->Add("fig1c/plan", std::string(point) + "/winner",
-              static_cast<double>(best_depth), "depth");
   }
 }
 
@@ -184,61 +137,23 @@ void MissBreakdown(const char* name, const CsrGraph& g, BenchTrajectory* traj) {
   print("FlashMob", "fig1b/flashmob", fm_sim.counters(),
         fm_run.stats.total_steps);
 
-  // Shuffle-stage attribution per backend: each backend replays its real
-  // access pattern through the simulator (WalkStats::sim_shuffle), so the two
-  // runs are directly comparable. fm_run already covered one backend; run the
-  // other.
-  EngineOptions other_options = PerfEngineOptions();
-  other_options.shuffle_backend = fm_run.stats.shuffle_backend == "direct"
-                                      ? ShuffleBackendKind::kBinned
-                                      : ShuffleBackendKind::kDirect;
-  CacheHierarchy other_sim;
-  FlashMobEngine other_engine(g, other_options);
-  WalkResult other_run = other_engine.RunInstrumented(spec, &other_sim);
-
-  auto shuffle_print = [&](const WalkResult& run) {
-    const CacheCounters& c = run.stats.sim_shuffle;
-    const uint64_t steps =
-        run.stats.total_steps == 0 ? 1 : run.stats.total_steps;
-    std::printf(
-        "  FlashMob shuffle [%-6s] %-4s  L1=%7.2f  L2=%6.3f  L3=%6.3f  "
-        "(misses/step)\n",
-        run.stats.shuffle_backend.c_str(), name,
-        static_cast<double>(c.misses[0]) / steps,
-        static_cast<double>(c.misses[1]) / steps,
-        static_cast<double>(c.misses[2]) / steps);
-    if (traj != nullptr) {
-      const char* levels[3] = {"L1", "L2", "L3"};
-      for (int l = 0; l < 3; ++l) {
-        traj->Add("fig1b/flashmob/shuffle-" + run.stats.shuffle_backend,
-                  std::string(name) + "/" + levels[l],
-                  static_cast<double>(c.misses[l]) / steps,
-                  "sim-misses/step");
-      }
-    }
-  };
-  shuffle_print(fm_run);
-  shuffle_print(other_run);
-
-  const WalkResult& direct_run =
-      fm_run.stats.shuffle_backend == "direct" ? fm_run : other_run;
-  const WalkResult& binned_run =
-      fm_run.stats.shuffle_backend == "direct" ? other_run : fm_run;
+  // Shuffle-stage share: the shuffle replays its real access pattern
+  // through the simulator (WalkStats::sim_shuffle).
+  const CacheCounters& c = fm_run.stats.sim_shuffle;
   const uint64_t steps =
       fm_run.stats.total_steps == 0 ? 1 : fm_run.stats.total_steps;
-  const double direct_llc =
-      static_cast<double>(direct_run.stats.sim_shuffle.misses[2]) / steps;
-  const double binned_llc =
-      static_cast<double>(binned_run.stats.sim_shuffle.misses[2]) / steps;
-  const uint64_t walker_bytes =
-      static_cast<uint64_t>(spec.num_walkers) * sizeof(Vid);
-  std::printf(
-      "  shuffle LLC misses/step: direct=%.3f binned=%.3f -> %s wins "
-      "(walker array %s %s the sim LLC; engine's pick: %s)\n",
-      direct_llc, binned_llc, binned_llc < direct_llc ? "binned" : "direct",
-      HumanBytes(walker_bytes).c_str(),
-      walker_bytes > PaperCacheInfo().l3_bytes ? "exceeds" : "fits in",
-      fm_run.stats.shuffle_backend.c_str());
+  std::printf("  FlashMob shuffle %-4s  L1=%7.2f  L2=%6.3f  L3=%6.3f  "
+              "(misses/step)\n",
+              name, static_cast<double>(c.misses[0]) / steps,
+              static_cast<double>(c.misses[1]) / steps,
+              static_cast<double>(c.misses[2]) / steps);
+  if (traj != nullptr) {
+    const char* levels[3] = {"L1", "L2", "L3"};
+    for (int l = 0; l < 3; ++l) {
+      traj->Add("fig1b/flashmob/shuffle", std::string(name) + "/" + levels[l],
+                static_cast<double>(c.misses[l]) / steps, "sim-misses/step");
+    }
+  }
 }
 
 }  // namespace
@@ -271,48 +186,14 @@ int main(int argc, char** argv) {
               HumanBytes(yt.CsrBytes()).c_str(), KnightKingPerStep(yt, "YT", tp));
   std::printf("  KnightKing  %-7s (%7s CSR): %8.1f ns/step\n", "YH",
               HumanBytes(yh.CsrBytes()).c_str(), KnightKingPerStep(yh, "YH", tp));
-  FlashMobRun yt_run =
-      FlashMobPerStep(yt, "YT", tp, "fig1a/flashmob", BenchShuffleBackend());
-  std::printf("  FlashMob    %-7s (%7s CSR): %8.1f ns/step  [shuffle=%s]\n",
-              "YT", HumanBytes(yt.CsrBytes()).c_str(), yt_run.ns,
-              yt_run.backend.c_str());
-  FlashMobRun yh_run =
-      FlashMobPerStep(yh, "YH", tp, "fig1a/flashmob", BenchShuffleBackend());
-  std::printf("  FlashMob    %-7s (%7s CSR): %8.1f ns/step  [shuffle=%s]\n",
-              "YH", HumanBytes(yh.CsrBytes()).c_str(), yh_run.ns,
-              yh_run.backend.c_str());
+  std::printf("  FlashMob    %-7s (%7s CSR): %8.1f ns/step\n", "YT",
+              HumanBytes(yt.CsrBytes()).c_str(),
+              FlashMobPerStep(yt, "YT", tp));
+  std::printf("  FlashMob    %-7s (%7s CSR): %8.1f ns/step\n", "YH",
+              HumanBytes(yh.CsrBytes()).c_str(),
+              FlashMobPerStep(yh, "YH", tp));
   std::printf(
       "\npaper: FlashMob on the 58GB YH graph ~= KnightKing on a 600KB (L2) toy\n");
-
-  // Backend duet: both shuffle paths on each dataset, flagging where the
-  // direct path wins (expected whenever the walker array stays LLC-resident —
-  // binned pays an extra pass over the record arena). Skipped when FM_SHUFFLE
-  // pins a backend: the pin means "measure exactly this one".
-  if (EnvString("FM_SHUFFLE", "auto") == "auto") {
-    std::printf("\n  shuffle backend duet (scatter+gather ns/step):\n");
-    struct Duet {
-      const char* name;
-      const CsrGraph* graph;
-      const FlashMobRun* auto_run;
-    } duets[] = {{"YT", &yt, &yt_run}, {"YH", &yh, &yh_run}};
-    for (const Duet& d : duets) {
-      FlashMobRun direct = FlashMobPerStep(*d.graph, d.name, tp,
-                                           "fig1a/flashmob-direct",
-                                           ShuffleBackendKind::kDirect);
-      FlashMobRun binned = FlashMobPerStep(*d.graph, d.name, tp,
-                                           "fig1a/flashmob-binned",
-                                           ShuffleBackendKind::kBinned);
-      const char* winner =
-          binned.shuffle_ns < direct.shuffle_ns ? "binned" : "direct";
-      std::printf("    %-4s direct=%8.1f  binned=%8.1f  winner=%-6s  auto "
-                  "picked %s%s\n",
-                  d.name, direct.shuffle_ns, binned.shuffle_ns, winner,
-                  d.auto_run->backend.c_str(),
-                  d.auto_run->backend == winner
-                      ? ""
-                      : "  [auto missed the measured winner on this config]");
-    }
-  }
 
   PrintHeader("Figure 1c: step-interleaving depth sweep (DeepWalk)");
   InterleaveSweep(yt, "YT", tp);

@@ -1,30 +1,18 @@
 // Google-benchmark microbenchmarks for the core kernels: RNGs (the §5.2 xorshift*
 // vs Mersenne Twister ablation), edge samplers, shuffle passes, and the PS/DS
 // sample kernels on an L2-sized VP.
-//
-// Besides the google-benchmark suite, the binary runs a direct-vs-binned
-// shuffle sweep across walker counts straddling the LLC and prints the
-// measured winner next to the ShufflePlan recommendation. --metrics-json=FILE
-// writes the sweep as fm-bench-trajectory-v1 (flags peeled before
-// benchmark::Initialize so the two argument grammars coexist).
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/core/metrics.h"
 #include "src/core/presample.h"
 #include "src/core/sample_stage.h"
 #include "src/core/shuffle.h"
 #include "src/gen/uniform_degree.h"
 #include "src/sampling/alias_table.h"
 #include "src/sampling/cdf_sampler.h"
-#include "src/util/cache_info.h"
-#include "src/util/env.h"
 #include "src/util/rng.h"
-#include "src/util/timer.h"
+#include "src/util/thread_pool.h"
 
 namespace fm {
 namespace {
@@ -94,38 +82,7 @@ void BM_SampleKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleKernel)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// range(0) = interleave depth. Same setup as BM_SampleKernel's DS leg, run
-// through the ring executor — the depth sweep shows the fill-buffer knee.
-void BM_SampleKernelInterleaved(benchmark::State& state) {
-  const uint32_t depth = static_cast<uint32_t>(state.range(0));
-  Vid vertices = 1 << 13;
-  Degree degree = 16;
-  CsrGraph g = GenerateUniformDegreeGraph(vertices, degree, 1, vertices);
-  PartitionPlan plan = PartitionPlan::BuildUniform(g, 1, SamplePolicy::kDS);
-  PresampleBuffers buffers(g, plan);
-  Wid walkers = vertices * degree;
-  std::vector<Vid> sw(walkers);
-  XorShiftRng init(1);
-  for (auto& w : sw) {
-    w = static_cast<Vid>(init.NextBounded(vertices));
-  }
-  NullMemHook hook;
-  uint64_t chunk_seed = 2;
-  for (auto _ : state) {
-    SampleVpFirstOrderInterleaved(g, 0, plan.vp(0), &buffers, sw.data(),
-                                  walkers, 0.0, nullptr, chunk_seed++, depth,
-                                  hook);
-  }
-  state.SetItemsProcessed(state.iterations() * walkers);
-}
-BENCHMARK(BM_SampleKernelInterleaved)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-// range(0) = partitions, range(1) = 0 direct / 1 binned.
+// range(0) = partitions.
 void BM_ShuffleRoundTrip(benchmark::State& state) {
   Vid vertices = 1 << 16;
   CsrGraph g = GenerateUniformDegreeGraph(vertices, 4, 1);
@@ -134,15 +91,7 @@ void BM_ShuffleRoundTrip(benchmark::State& state) {
                                   SamplePolicy::kDS);
   ThreadPool pool(0);
   Wid walkers = 1 << 20;
-  ShufflePlan sp =
-      BuildShufflePlan(plan, g, walkers, DetectCacheInfo(), pool.thread_count());
-  ShuffleConfig config;
-  config.kind = state.range(1) == 0 ? ShuffleBackendKind::kDirect
-                                    : ShuffleBackendKind::kBinned;
-  config.shuffle_plan = &sp;
-  Shuffler shuffler(&plan, &pool, config);
-  ShuffleArena arena;
-  shuffler.AttachArena(&arena);
+  Shuffler shuffler(&plan, &pool);
   std::vector<Vid> w(walkers), sw(walkers), w_next(walkers);
   XorShiftRng rng(3);
   for (auto& x : w) {
@@ -159,149 +108,9 @@ void BM_ShuffleRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * walkers);
 }
-BENCHMARK(BM_ShuffleRoundTrip)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({2048, 0})
-    ->Args({2048, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// --- direct-vs-binned sweep ---------------------------------------------------
-
-struct SweepTiming {
-  double scatter_ns = 0;     // per walker
-  double round_trip_ns = 0;  // per walker
-};
-
-SweepTiming TimeBackend(const PartitionPlan& plan, ThreadPool* pool,
-                        const ShufflePlan& sp, ShuffleBackendKind kind,
-                        const std::vector<Vid>& w, std::vector<Vid>* sw,
-                        std::vector<Vid>* w_next) {
-  ShuffleConfig config;
-  config.kind = kind;
-  config.shuffle_plan = &sp;
-  Shuffler shuffler(&plan, pool, config);
-  ShuffleArena arena;
-  shuffler.AttachArena(&arena);
-  const Wid n = static_cast<Wid>(w.size());
-  SweepTiming best;
-  shuffler.Scatter(w.data(), nullptr, n, sw->data(), nullptr);  // warm-up
-  const int kIters = 3;
-  for (int it = 0; it < kIters; ++it) {
-    Timer timer;
-    shuffler.Scatter(w.data(), nullptr, n, sw->data(), nullptr);
-    const double scatter_s = timer.Lap();
-    const Status st = shuffler.Gather(w.data(), n, sw->data(), w_next->data(),
-                                      nullptr, nullptr);
-    FM_CHECK_MSG(st.ok(), st.message());
-    const double total_s = scatter_s + timer.Lap();
-    const double scatter_ns = scatter_s * 1e9 / static_cast<double>(n);
-    const double total_ns = total_s * 1e9 / static_cast<double>(n);
-    if (it == 0 || scatter_ns < best.scatter_ns) {
-      best.scatter_ns = scatter_ns;
-    }
-    if (it == 0 || total_ns < best.round_trip_ns) {
-      best.round_trip_ns = total_ns;
-    }
-  }
-  return best;
-}
-
-// Direct vs binned at walker counts straddling the LLC (~5.2M Vids on the
-// paper geometry), at a fan-out whose cursor table fits L2 and one that
-// spills it. Prints the measured winner next to the ShufflePlan pick; both
-// land in the trajectory under shuffle/{scatter,roundtrip}/{direct,binned}.
-void RunShuffleSweep(BenchTrajectory* traj) {
-  const double scale = EnvDouble("FM_SCALE", 1.0);
-  const Vid vertices =
-      std::max<Vid>(1 << 12, static_cast<Vid>((1 << 20) * scale));
-  CsrGraph g = GenerateUniformDegreeGraph(vertices, 8, 7);
-  ThreadPool pool(0);
-  const CacheInfo& cache = DetectCacheInfo();
-  std::printf("\nshuffle sweep: direct vs binned (ns/walker, best of 3; LLC=%s)\n",
-              HumanBytes(cache.l3_bytes).c_str());
-  std::printf("  %-22s %10s | scatter %8s %8s | roundtrip %8s %8s | %s\n",
-              "config", "walkers", "direct", "binned", "direct", "binned",
-              "winner vs plan pick");
-  for (uint32_t partitions : {2048u, 8192u}) {
-    PartitionPlan plan =
-        PartitionPlan::BuildUniform(g, partitions, SamplePolicy::kDS);
-    for (uint64_t base : {1ull << 21, 1ull << 23, 1ull << 24}) {
-      const Wid n = std::max<Wid>(1 << 14, static_cast<Wid>(base * scale));
-      std::vector<Vid> w(n), sw(n), w_next(n);
-      XorShiftRng rng(11);
-      for (auto& x : w) {
-        x = static_cast<Vid>(rng.NextBounded(g.num_vertices()));
-      }
-      ShufflePlan sp = BuildShufflePlan(plan, g, n, cache, pool.thread_count());
-      SweepTiming direct = TimeBackend(plan, &pool, sp,
-                                       ShuffleBackendKind::kDirect, w, &sw,
-                                       &w_next);
-      SweepTiming binned = TimeBackend(plan, &pool, sp,
-                                       ShuffleBackendKind::kBinned, w, &sw,
-                                       &w_next);
-      const char* winner =
-          binned.round_trip_ns < direct.round_trip_ns ? "binned" : "direct";
-      const char* pick = ShuffleBackendName(sp.recommended);
-      char config[64];
-      std::snprintf(config, sizeof(config), "vps=%u bins=%u", plan.num_vps(),
-                    sp.num_bins());
-      std::printf("  %-22s %10llu | scatter %8.2f %8.2f | roundtrip %8.2f "
-                  "%8.2f | %s, plan picked %s%s\n",
-                  config, static_cast<unsigned long long>(n), direct.scatter_ns,
-                  binned.scatter_ns, direct.round_trip_ns, binned.round_trip_ns,
-                  winner, pick,
-                  std::strcmp(winner, pick) == 0 ? "" : " [mismatch]");
-      if (traj != nullptr) {
-        char point[96];
-        std::snprintf(point, sizeof(point), "p%u/w%llu", partitions,
-                      static_cast<unsigned long long>(n));
-        traj->Add("shuffle/scatter/direct", point, direct.scatter_ns,
-                  "ns/walker");
-        traj->Add("shuffle/scatter/binned", point, binned.scatter_ns,
-                  "ns/walker");
-        traj->Add("shuffle/roundtrip/direct", point, direct.round_trip_ns,
-                  "ns/walker");
-        traj->Add("shuffle/roundtrip/binned", point, binned.round_trip_ns,
-                  "ns/walker");
-      }
-    }
-  }
-}
+BENCHMARK(BM_ShuffleRoundTrip)->Arg(64)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace fm
 
-int main(int argc, char** argv) {
-  // Peel the fm flags before google-benchmark sees (and rejects) them.
-  std::string metrics_path;
-  std::vector<char*> bench_argv;
-  const char* metrics_prefix = "--metrics-json=";
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], metrics_prefix, std::strlen(metrics_prefix)) ==
-        0) {
-      metrics_path = argv[i] + std::strlen(metrics_prefix);
-    } else {
-      bench_argv.push_back(argv[i]);
-    }
-  }
-  int bench_argc = static_cast<int>(bench_argv.size());
-  benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  fm::BenchTrajectory traj("micro_kernels");
-  fm::RunShuffleSweep(metrics_path.empty() ? nullptr : &traj);
-  if (!metrics_path.empty()) {
-    if (!traj.WriteJson(metrics_path)) {
-      std::fprintf(stderr, "error: cannot write %s\n", metrics_path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote bench trajectory to %s\n",
-                 metrics_path.c_str());
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -308,7 +308,7 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   result.stats.walker_density =
       static_cast<double>(walkers) / std::max<double>(1.0, static_cast<double>(m));
   result.stats.episodes = 1;
-  result.stats.interleave_depth = depth;
+  last_depth_ = depth;
   if (options_.count_visits) {
     result.visit_counts.assign(n, 0);  // fmlint:allow(visit-counts-mut) baseline engine fills its own result
   }
@@ -390,8 +390,9 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
     result.stats.total_steps += walkers;
   }
   result.stats.times.sample_s = walk_timer.Elapsed();
+  last_prefetch_ = {};
   for (const InterleaveStats& shard : prefetch_shards) {
-    result.stats.prefetch += shard;
+    last_prefetch_ += shard;
   }
 
   if (options_.count_visits) {

@@ -9,6 +9,7 @@
 
 #include "src/cachesim/hierarchy.h"
 #include "src/core/engine.h"  // WalkResult / WalkStats
+#include "src/core/interleave.h"
 #include "src/graph/csr_graph.h"
 #include "src/util/thread_pool.h"
 
@@ -35,12 +36,19 @@ class KnightKingEngine {
   // Single-threaded run with every access fed through `sim` (Table 5 / Fig 1b).
   WalkResult RunInstrumented(const WalkSpec& spec, CacheHierarchy* sim);
 
+  // Ring depth the last run executed with (1 = sequential: the Mersenne path
+  // and instrumented runs) and the software prefetches it issued.
+  uint32_t last_depth() const { return last_depth_; }
+  const InterleaveStats& last_prefetch() const { return last_prefetch_; }
+
  private:
   template <typename Rng, typename Hook>
   WalkResult RunImpl(const WalkSpec& spec, Hook& hook, bool single_thread);
 
   const CsrGraph& graph_;
   BaselineOptions options_;
+  uint32_t last_depth_ = 1;
+  InterleaveStats last_prefetch_;
 };
 
 }  // namespace fm

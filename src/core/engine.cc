@@ -19,9 +19,8 @@ namespace fm {
 namespace {
 
 // Streaming-pass model for placement under instrumentation: every cache line
-// of the array is touched exactly once. (The shuffle stage itself is no longer
-// modeled this way — each backend replays its real access pattern through
-// Shuffler::SimulateScatter/SimulateGather.)
+// of the array is touched exactly once. (The shuffle stage replays its real
+// access pattern through Shuffler::SimulateScatter/SimulateGather instead.)
 void TouchStreaming(CacheHierarchy* sim, const void* data, size_t bytes) {
   uint64_t addr = reinterpret_cast<uint64_t>(data);
   for (uint64_t off = 0; off < bytes; off += kCacheLineBytes) {
@@ -228,31 +227,7 @@ WalkResult FlashMobEngine::RunImpl(
   EngineTelemetry tm = EngineTelemetry::Make();
 
   Timer other_timer;
-  // Shuffle backend: geometry and the auto recommendation come from the
-  // ShufflePlan computed against the same cache model as the partition plan.
-  const ShufflePlan shuffle_plan =
-      BuildShufflePlan(*plan_, graph_, std::min(total_walkers, episode_cap),
-                       options_.plan.cache, pool->thread_count());
-  // Sample-stage interleave depth: resolved once per Run against the same
-  // cache geometry (auto = fill-buffer model). The cache simulation models the
-  // demand-access pattern only — prefetch hints are not simulated — so
-  // instrumented runs pin the ring to depth 1 to keep sim results comparable.
-  const InterleavePlan interleave_plan =
-      BuildInterleavePlan(options_.interleave_depth, options_.plan.cache);
-  const uint32_t ring_depth = Hook::kEnabled ? 1 : interleave_plan.depth;
-  result.stats.interleave_depth = ring_depth;
-  result.stats.interleave_auto = interleave_plan.from_auto;
-  ShuffleConfig shuffle_config;
-  shuffle_config.kind = options_.shuffle_backend;
-  shuffle_config.shuffle_plan = &shuffle_plan;
-  // The shuffle's scatter/gather destination prefetch rides the same knob:
-  // depth 1 (sequential sampling) also turns the look-ahead off.
-  shuffle_config.prefetch_lookahead = ring_depth <= 1 ? 0 : ring_depth;
-  Shuffler shuffler(&*plan_, pool, shuffle_config);
-  result.stats.shuffle_backend = shuffler.backend_name();
-  // Per-worker prefetch-issue shards, folded once per VP task (never inside
-  // the ring) and merged into WalkStats at the end of the run.
-  std::vector<InterleaveStats> prefetch_shards(pool->thread_count());
+  Shuffler shuffler(&*plan_, pool);
   PresampleBuffers presample(graph_, *plan_);
   StepKernel<Hook> kernel(graph_, spec, *plan_, &presample, alias);
   const uint32_t num_vps = plan_->num_vps();
@@ -293,7 +268,6 @@ WalkResult FlashMobEngine::RunImpl(
     // ---- place: walker storage + initial positions ---------------------------
     other_timer.Start();
     WalkerState state(graph_, spec, w);
-    shuffler.AttachArena(state.shuffle_arena());
     for (WalkObserver* sink : sinks) {
       sink->OnEpisodeBegin(episode, w, base_walker);
     }
@@ -331,8 +305,8 @@ WalkResult FlashMobEngine::RunImpl(
             shuffler.dead_count());
         state.AfterScatter(aux);
         if constexpr (Hook::kEnabled) {
-          // Replay the backend's real access pattern (count pass, buffer
-          // appends / direct scatter, SW writes) through the hierarchy.
+          // Replay the real access pattern (count pass, scatter, SW writes)
+          // through the hierarchy.
           CacheHierarchy* sim = hook.sim();
           const CacheCounters before = sim->counters();
           shuffler.SimulateScatter(
@@ -347,8 +321,6 @@ WalkResult FlashMobEngine::RunImpl(
         scatter_s = shuffle_timer.Elapsed();
       }
       result.stats.times.shuffle_s += scatter_s;
-      result.stats.prefetch.shuffle +=
-          shuffler.last_scatter_stats().prefetch_issues;
       tm.scatter_ns.Add(SecondsToNs(scatter_s));
       const CounterSample scatter_counters = perf_delta();
       result.stats.counters.scatter += scatter_counters;
@@ -380,7 +352,7 @@ WalkResult FlashMobEngine::RunImpl(
           kernel.SampleVp(static_cast<uint32_t>(vp_i), sw + begin,
                           sw_prev != nullptr ? sw_prev + begin : nullptr,
                           end - begin, spec.stop_probability, chunk_seed,
-                          ring_depth, hook, &prefetch_shards[worker]);
+                          hook);
           std::span<const Vid> chunk(sw + begin, end - begin);
           for (WalkObserver* sink : sinks) {
             sink->OnSampleChunk(step, static_cast<uint32_t>(vp_i), chunk,
@@ -440,8 +412,6 @@ WalkResult FlashMobEngine::RunImpl(
           gather_s = gather_timer.Elapsed();
         }
         result.stats.times.shuffle_s += gather_s;
-        result.stats.prefetch.shuffle +=
-            shuffler.last_gather_stats().prefetch_issues;
         tm.gather_ns.Add(SecondsToNs(gather_s));
         gather_counters = perf_delta();
         result.stats.counters.gather += gather_counters;
@@ -472,11 +442,8 @@ WalkResult FlashMobEngine::RunImpl(
         const ShuffleOpStats& sstats = shuffler.last_scatter_stats();
         rec.scatter_pass1_s = sstats.pass1_s;
         rec.scatter_pass2_s = sstats.pass2_s;
-        rec.flushed_lines = sstats.flushed_lines;
         if (!identity_free) {
-          const ShuffleOpStats& gstats = shuffler.last_gather_stats();
-          rec.gather_pass1_s = gstats.pass1_s;
-          rec.gather_pass2_s = gstats.pass2_s;
+          rec.gather_pass2_s = shuffler.last_gather_stats().pass2_s;
         }
         rec.live_walkers = live_walkers;
         rec.vp_walkers.resize(num_vps);
@@ -510,23 +477,6 @@ WalkResult FlashMobEngine::RunImpl(
   }
 
   other_timer.Start();
-  for (const InterleaveStats& shard : prefetch_shards) {
-    result.stats.prefetch += shard;
-  }
-  // Interleave prefetch counters: per-worker shards were already folded into
-  // WalkStats above; publish the identical run totals so the JSONL tail agrees
-  // with fm-metrics-v1 to the digit.
-  {
-    auto& reg = telemetry::TelemetryRegistry::Get();
-    reg.CounterRef("fm.interleave.prefetch_offsets_total")
-        .Add(result.stats.prefetch.offsets);
-    reg.CounterRef("fm.interleave.prefetch_alias_total")
-        .Add(result.stats.prefetch.alias);
-    reg.CounterRef("fm.interleave.prefetch_edges_total")
-        .Add(result.stats.prefetch.edges);
-    reg.CounterRef("fm.interleave.prefetch_shuffle_total")
-        .Add(result.stats.prefetch.shuffle);
-  }
   tm.live_walkers.Set(0);  // every walker is retired once the loop exits
   for (WalkObserver* sink : sinks) {
     sink->OnRunEnd();

@@ -25,7 +25,6 @@
 
 #include "src/cachesim/hierarchy.h"
 #include "src/core/cost_model.h"
-#include "src/core/interleave.h"
 #include "src/core/partition_plan.h"
 #include "src/core/path_set.h"
 #include "src/core/walk_spec.h"
@@ -55,14 +54,11 @@ struct StepStageRecord {
   double scatter_s = 0;
   double sample_s = 0;
   double gather_s = 0;          // 0 in identity-free mode (no reverse shuffle)
-  // Shuffle-backend pass breakdown of scatter_s/gather_s (ShuffleOpStats):
-  // pass 1 is the count(+bin) pass, pass 2 the scatter / replay; flushed_lines
-  // counts the binned backend's full-cache-line buffer flushes (0 for direct).
+  // Shuffle pass breakdown of scatter_s/gather_s (ShuffleOpStats): pass 1 is
+  // the scatter's counting pass, pass 2 the scatter / the gather's replay.
   double scatter_pass1_s = 0;
   double scatter_pass2_s = 0;
-  double gather_pass1_s = 0;
   double gather_pass2_s = 0;
-  uint64_t flushed_lines = 0;
   Wid live_walkers = 0;         // walkers the sample stage moved this step
   std::vector<Wid> vp_walkers;  // walkers per VP chunk this step
   // Hardware-counter deltas per stage, summed over all participating threads
@@ -105,19 +101,6 @@ struct WalkStats {
   StageCounters counters;
   std::string perf_backend;
 
-  // Name of the shuffle backend that ran ("direct"/"binned"; "" for engines
-  // without a shuffle stage). kAuto is resolved before the first step, so
-  // this always names a concrete backend.
-  std::string shuffle_backend;
-
-  // Step-interleaving (src/core/interleave.h): the concrete ring depth the
-  // sample stage ran with (1 = sequential; auto is resolved before the first
-  // step), whether it came from the cache-geometry model, and the software
-  // prefetches issued by request type across the whole run.
-  uint32_t interleave_depth = 1;
-  bool interleave_auto = false;
-  InterleaveStats prefetch;
-
   // Simulated-cache counter deltas attributed to the shuffle stage (scatter +
   // gather replays); only populated by RunInstrumented.
   CacheCounters sim_shuffle;
@@ -153,16 +136,6 @@ struct EngineOptions {
   // never a failure. Adds a few syscalls per stage boundary; leave off for
   // pure speed benchmarking.
   bool collect_counters = false;
-  // Shuffle backend selection (--shuffle=direct|binned|auto). kAuto defers to
-  // the ShufflePlan recommendation computed next to the partition plan.
-  ShuffleBackendKind shuffle_backend = ShuffleBackendKind::kAuto;
-  // Sample-stage ring size (--interleave=auto|N): in-flight walkers per worker
-  // with software prefetch between them. kInterleaveDepthAuto (0) resolves
-  // from plan.cache geometry (BuildInterleavePlan); 1 disables interleaving.
-  // Walks are bit-identical at every depth — per-walker RNG streams make the
-  // knob a pure performance choice. The same resolved depth also drives the
-  // shuffle backends' scatter/gather prefetch look-ahead.
-  uint32_t interleave_depth = kInterleaveDepthAuto;
   // Optional live heartbeat (src/util/trace.h). Driven from the engine's
   // per-step barrier on the calling thread — no extra thread, one call per
   // step. Must outlive Run.

@@ -1,30 +1,26 @@
-// Step-interleaving ring executor with software prefetch (ROADMAP item 2; the
-// ThunderRW-style latency-hiding arc, PAPERS.md).
+// Step-interleaving ring executor with software prefetch (the ThunderRW-style
+// latency-hiding arc, PAPERS.md), used by the walker-centric KnightKing
+// baseline.
 //
-// FlashMob's sorting pipeline makes the *shuffle* sequential, but the sample
-// stage still chases one random vertex at a time: whenever a VP spills cache,
-// every offset/edge read is a dependent DRAM miss. The fix is classic memory-
-// level parallelism: each worker keeps a ring of G in-flight walkers, issues a
-// software prefetch for walker i+k's next cell (its CSR offset pair, alias-
-// table row, or adjacency span — stage-typed requests) while finishing walker
-// i, and completes each sample when its slot comes back around. With G chosen
-// against the core's fill-buffer budget, the G independent misses overlap and
-// the stage runs at bandwidth instead of latency.
+// A walker-centric engine chases one random vertex at a time across the whole
+// graph, so every offset/edge read is a dependent DRAM miss. The fix is
+// classic memory-level parallelism: each worker keeps a ring of G in-flight
+// walkers, issues a software prefetch for walker i+k's next cell (its CSR
+// offset pair, alias-table row, or adjacency span — stage-typed requests)
+// while finishing walker i, and completes each sample when its slot comes back
+// around. FlashMob's sample stage does not use it: its VPs are sized to be
+// cache-resident, which leaves prefetch no latency to hide (DESIGN.md §5c).
 //
 // Determinism invariant (the whole reason this file can exist): every walker
-// draws from its own RNG stream, indexed by the walker's position inside its
-// chunk — never by ring slot. Slot assignment varies with depth (early deaths
-// free slots out of order), walker index does not, so walks are bit-identical
-// across interleave depths and thread counts. Order-sensitive work (the PS
-// buffers' per-vertex cursors) runs at slot-*init* time, which the driver
-// performs in strictly increasing walker order at every depth.
+// draws from its own RNG stream, indexed by the walker's position — never by
+// ring slot (WalkerSeed, src/util/rng.h). Slot assignment varies with depth
+// (early deaths free slots out of order), walker index does not, so walks are
+// bit-identical across interleave depths and thread counts.
 #ifndef SRC_CORE_INTERLEAVE_H_
 #define SRC_CORE_INTERLEAVE_H_
 
 #include <cstdint>
-#include <string>
 
-#include "src/util/cache_info.h"
 #include "src/util/rng.h"
 #include "src/util/sync.h"
 #include "src/util/types.h"
@@ -37,137 +33,40 @@ namespace fm {
 // buffers saturate far earlier).
 inline constexpr uint32_t kMaxInterleaveDepth = 64;
 
-// EngineOptions::interleave_depth sentinel: resolve from cache geometry.
-inline constexpr uint32_t kInterleaveDepthAuto = 0;
-
-// Per-core demand-miss capacity (line fill buffers): 10 on every Intel core
-// from Sandy Bridge through Ice Lake, 12+ on recent AMD. The auto model only
-// needs the order of magnitude.
-inline constexpr uint32_t kLineFillBuffers = 10;
-
-// Software-prefetch issue counts by request type, accumulated per kernel call
-// and surfaced through WalkStats / fm-metrics-v1. Counting happens in local
+// Software-prefetch issue counts by request type. Counting happens in local
 // (stack) instances and is folded in once per chunk, so the hot loops never
 // touch shared memory for bookkeeping.
 struct InterleaveStats {
   uint64_t offsets = 0;  // CSR offset pairs (the walker's VP cell)
   uint64_t alias = 0;    // alias-table rows (weighted draws)
   uint64_t edges = 0;    // adjacency cells (the sampled edge span)
-  uint64_t shuffle = 0;  // scatter/gather destination cursor lines
 
-  uint64_t Total() const { return offsets + alias + edges + shuffle; }
+  uint64_t Total() const { return offsets + alias + edges; }
 
   InterleaveStats& operator+=(const InterleaveStats& o) {
     offsets += o.offsets;
     alias += o.alias;
     edges += o.edges;
-    shuffle += o.shuffle;
     return *this;
   }
 };
 
 // Read prefetch with full temporal locality — the fetched line is consumed
 // within G slots. A hint only: issuing (or skipping) a prefetch never changes
-// an architectural result, which is what lets the oracle suite demand bitwise
+// an architectural result, which is what lets the tests demand bitwise
 // equality across depths.
 FM_HOT_PATH inline void PrefetchRead(const void* p) {
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-}
-
-// Write prefetch (requests the line in exclusive state, saving the RFO when
-// the store lands): the shuffle scatter's destination look-ahead.
-FM_HOT_PATH inline void PrefetchWrite(void* p) {
-  __builtin_prefetch(p, /*rw=*/1, /*locality=*/3);
-}
-
-// Per-walker RNG stream: walker `i` of a chunk seeded with `chunk_seed` always
-// draws from this stream, at every interleave depth and thread count. The
-// chunk seed itself is already (episode, step, vp)-indexed by the engine.
-inline uint64_t WalkerSeed(uint64_t chunk_seed, Wid i) {
-  return DeriveSeed(chunk_seed, i);
-}
-
-// Resolved interleave configuration, built once per Run next to the
-// ShufflePlan and reported through WalkStats (fm-metrics-v1 `interleave`).
-struct InterleavePlan {
-  uint32_t depth = 1;        // concrete ring size; 1 = sequential
-  uint32_t requested = 0;    // the knob value (0 = auto)
-  bool from_auto = false;    // depth came from the cache-geometry model
-
-  std::string Describe() const {
-    return "interleave depth=" + std::to_string(depth) +
-           (from_auto ? " (auto: fill-buffer bound)" : " (pinned)");
-  }
-};
-
-// Depth model (mirrors BuildShufflePlan's role for the shuffle): the ring
-// cannot usefully keep more lines in flight than the core has fill buffers,
-// so start from that budget minus two buffers reserved for the sequential SW
-// stream the kernel reads/writes alongside. The ring's own slot state must
-// stay L1-resident next to that stream; with ~64B slots this only binds on
-// exotic tiny-L1 configs, but the guard keeps the model honest. The result is
-// rounded down to a power of two so depth sweeps {1,4,8,16} bracket it.
-inline InterleavePlan BuildInterleavePlan(uint32_t requested,
-                                          const CacheInfo& cache) {
-  InterleavePlan plan;
-  plan.requested = requested;
-  if (requested != 0) {
-    plan.depth = requested < kMaxInterleaveDepth ? requested
-                                                 : kMaxInterleaveDepth;
-    return plan;
-  }
-  plan.from_auto = true;
-  uint32_t depth = kLineFillBuffers - 2;
-  const uint32_t slot_budget_bytes = 64;  // conservative per-slot ring state
-  uint32_t l1_cap = static_cast<uint32_t>(
-      cache.l1_bytes / (4 * static_cast<uint64_t>(slot_budget_bytes)));
-  if (l1_cap > 0 && depth > l1_cap) {
-    depth = l1_cap;
-  }
-  uint32_t pow2 = 1;
-  while (pow2 * 2 <= depth) {
-    pow2 *= 2;
-  }
-  plan.depth = pow2;
-  return plan;
-}
-
-// Parses the --interleave / FM_INTERLEAVE knob: "auto" or a depth in
-// [1, kMaxInterleaveDepth]. Returns false (leaving *depth untouched) on
-// anything else so callers can fail loudly.
-inline bool ParseInterleaveDepth(const std::string& name, uint32_t* depth) {
-  if (name == "auto") {
-    *depth = kInterleaveDepthAuto;
-    return true;
-  }
-  if (name.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : name) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    if (value > kMaxInterleaveDepth) {
-      return false;
-    }
-  }
-  if (value == 0) {
-    return false;
-  }
-  *depth = static_cast<uint32_t>(value);
-  return true;
 }
 
 // Runs `count` walkers through a ring of `depth` in-flight slots.
 //
 // Ops contract:
 //   bool Init(uint32_t slot, Wid i)   claim walker i into `slot`: perform the
-//                                     order-sensitive work (RNG seeding, PS
-//                                     pops) and issue the first prefetch.
-//                                     Returns false when the walker completed
-//                                     immediately (PS draw, instant death).
+//                                     order-sensitive work (RNG seeding) and
+//                                     issue the first prefetch. Returns false
+//                                     when the walker completed immediately
+//                                     (instant death).
 //   bool Advance(uint32_t slot)       run the slot's next pipeline stage (the
 //                                     prefetched line is now near). Returns
 //                                     false when the walker is done.

@@ -126,39 +126,9 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
   AppendKey(&out, "walker_density");
   out += NumberToJson(stats.walker_density);
   out += ',';
-  AppendKey(&out, "shuffle_backend");
-  AppendEscaped(&out, stats.shuffle_backend);
-  out += ',';
   AppendKey(&out, "per_step_ns");
   out += NumberToJson(stats.PerStepNs());
   out += ',';
-  // Step-interleaving: the ring depth the sample stage ran with and the
-  // software prefetches issued per request type (src/core/interleave.h).
-  AppendKey(&out, "interleave");
-  out += '{';
-  AppendKey(&out, "depth");
-  out += std::to_string(stats.interleave_depth);
-  out += ',';
-  AppendKey(&out, "auto");
-  out += stats.interleave_auto ? "true" : "false";
-  out += ',';
-  AppendKey(&out, "prefetch");
-  out += '{';
-  AppendKey(&out, "offsets");
-  out += std::to_string(stats.prefetch.offsets);
-  out += ',';
-  AppendKey(&out, "alias");
-  out += std::to_string(stats.prefetch.alias);
-  out += ',';
-  AppendKey(&out, "edges");
-  out += std::to_string(stats.prefetch.edges);
-  out += ',';
-  AppendKey(&out, "shuffle");
-  out += std::to_string(stats.prefetch.shuffle);
-  out += ',';
-  AppendKey(&out, "total");
-  out += std::to_string(stats.prefetch.Total());
-  out += "}},";
   AppendKey(&out, "seconds");
   out += '{';
   AppendKey(&out, "sample");
@@ -257,14 +227,8 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
     AppendKey(&out, "scatter_pass2_s");
     out += NumberToJson(rec.scatter_pass2_s);
     out += ',';
-    AppendKey(&out, "gather_pass1_s");
-    out += NumberToJson(rec.gather_pass1_s);
-    out += ',';
     AppendKey(&out, "gather_pass2_s");
     out += NumberToJson(rec.gather_pass2_s);
-    out += ',';
-    AppendKey(&out, "flushed_lines");
-    out += std::to_string(rec.flushed_lines);
     out += ',';
     AppendKey(&out, "live_walkers");
     out += std::to_string(rec.live_walkers);

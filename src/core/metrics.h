@@ -3,11 +3,9 @@
 //
 // Two schemas, both stable and versioned (DESIGN.md "Observability"):
 //
-//   fm-metrics-v1          one walk run: meta + run totals (including the
-//                          resolved interleave depth and per-stage software-
-//                          prefetch issue counts) + per-stage counter totals +
-//                          per-VP-cache-class attribution + one entry per
-//                          (episode, step). Emitted by
+//   fm-metrics-v1          one walk run: meta + run totals + per-stage
+//                          counter totals + per-VP-cache-class attribution +
+//                          one entry per (episode, step). Emitted by
 //                          `fmwalk --metrics-json=FILE`.
 //   fm-bench-trajectory-v1 named scalar series from a bench binary (the
 //                          BENCH_*.json trajectory files), optionally with

@@ -311,112 +311,4 @@ std::string PartitionPlan::Describe() const {
   return out.str();
 }
 
-// -- shuffle backend planning -------------------------------------------------
-
-const char* ShuffleBackendName(ShuffleBackendKind kind) {
-  switch (kind) {
-    case ShuffleBackendKind::kAuto:
-      return "auto";
-    case ShuffleBackendKind::kDirect:
-      return "direct";
-    case ShuffleBackendKind::kBinned:
-      return "binned";
-  }
-  return "unknown";
-}
-
-bool ParseShuffleBackendName(const std::string& name,
-                             ShuffleBackendKind* kind) {
-  if (name == "auto") {
-    *kind = ShuffleBackendKind::kAuto;
-  } else if (name == "direct") {
-    *kind = ShuffleBackendKind::kDirect;
-  } else if (name == "binned") {
-    *kind = ShuffleBackendKind::kBinned;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-std::string ShufflePlan::Describe() const {
-  std::ostringstream out;
-  out << "shuffle-plan: bins=" << num_bins()
-      << " buffer_records=" << buffer_records
-      << " expected_walkers=" << expected_walkers
-      << " recommended=" << ShuffleBackendName(recommended);
-  return out.str();
-}
-
-ShufflePlan BuildShufflePlan(const PartitionPlan& plan, const CsrGraph& graph,
-                             Wid expected_walkers, const CacheInfo& cache,
-                             uint32_t num_workers) {
-  ShufflePlan sp;
-  sp.expected_walkers = expected_walkers;
-  const uint32_t num_vps = plan.num_vps();
-  FM_CHECK(num_vps > 0);
-
-  // Expected walkers per VP scale with its edge span (walkers land on vertices
-  // proportionally to degree once the walk mixes — same density model as the
-  // MCKP costing).
-  const double density =
-      static_cast<double>(expected_walkers) /
-      static_cast<double>(std::max<Eid>(graph.num_edges(), 1));
-
-  // A bin's pass-2 working set is its record segment (streamed) plus its SW
-  // destination span (resident): ~2 Vids per walker. Target half the private
-  // L2 so the sampled-aux variant (4 Vids per walker) still fits whole.
-  const uint64_t target_bytes =
-      std::max<uint64_t>(cache.l2_bytes / 2, 4 * kCacheLineBytes);
-  const double bytes_per_walker = 4.0 * sizeof(Vid);
-
-  sp.bin_first_vp.clear();
-  sp.bin_first_vp.push_back(0);
-  double acc_walkers = 0;
-  for (uint32_t vp = 0; vp < num_vps; ++vp) {
-    const Eid span_begin = plan.vp(vp).edge_begin;
-    const Eid span_end =
-        vp + 1 < num_vps ? plan.vp(vp + 1).edge_begin : graph.num_edges();
-    const double vp_walkers =
-        density * static_cast<double>(span_end - span_begin);
-    if (acc_walkers > 0 &&
-        (acc_walkers + vp_walkers) * bytes_per_walker >
-            static_cast<double>(target_bytes)) {
-      sp.bin_first_vp.push_back(vp);
-      acc_walkers = 0;
-    }
-    acc_walkers += vp_walkers;
-  }
-  sp.bin_first_vp.push_back(num_vps);
-
-  // Write-combining buffers: every worker keeps one buffer per bin, so cap
-  // the aggregate footprint (walker + aux streams) at a quarter of the LLC —
-  // past that the buffers themselves start fighting the arrays they exist to
-  // protect.
-  sp.buffer_records = 2 * kCacheLineBytes / sizeof(Vid);  // 32 records
-  const uint32_t min_records = kCacheLineBytes / sizeof(Vid);
-  const uint64_t workers = std::max<uint32_t>(num_workers, 1);
-  while (sp.buffer_records > min_records &&
-         workers * (sp.num_bins() + 1) * sp.buffer_records * 2 * sizeof(Vid) >
-             cache.l3_bytes / 4) {
-    sp.buffer_records = min_records;
-  }
-
-  // Crossover: binned pays an extra pass over the record arena, so it only
-  // wins once the direct path actually thrashes — the walker array must
-  // exceed the LLC (otherwise everything is resident anyway) and the per-VP
-  // destination cursors + open lines must spill the private L2 (the regime
-  // the two-level internal shuffle was built for).
-  const uint64_t walker_bytes = expected_walkers * sizeof(Vid);
-  const uint64_t fanout_bytes = static_cast<uint64_t>(num_vps + 1) *
-                                (cache.line_bytes + sizeof(Wid));
-  const bool walkers_exceed_llc = walker_bytes > cache.l3_bytes;
-  const bool fanout_spills_l2 =
-      plan.has_internal_shuffle() || fanout_bytes > cache.l2_bytes / 2;
-  sp.recommended = walkers_exceed_llc && fanout_spills_l2 && sp.num_bins() > 1
-                       ? ShuffleBackendKind::kBinned
-                       : ShuffleBackendKind::kDirect;
-  return sp;
-}
-
 }  // namespace fm

@@ -134,56 +134,6 @@ class PartitionPlan {
   std::vector<PartitionGroup> groups_;
 };
 
-// -- shuffle backend planning -------------------------------------------------
-
-// Which Shuffler implementation regroups W into SW each step.
-enum class ShuffleBackendKind : uint8_t {
-  kAuto = 0,    // resolved to ShufflePlan::recommended by the engine
-  kDirect = 1,  // counting scatter straight into SW (the bit-exact oracle)
-  kBinned = 2,  // propagation-blocking: radix-bin into cache-sized segments
-};
-
-const char* ShuffleBackendName(ShuffleBackendKind kind);
-
-// Parses "auto" / "direct" / "binned"; returns false on anything else.
-bool ParseShuffleBackendName(const std::string& name, ShuffleBackendKind* kind);
-
-// Geometry of the binned shuffle backend, computed next to the MCKP plan from
-// the same cache model. Bins are contiguous VP ranges sized so one bin's
-// records plus its SW destination span stay resident in a private L2 during
-// the segment scatter (pass 2); the per-(worker, bin) write-combining buffers
-// of pass 1 are whole multiples of the cache line so full buffers flush as
-// complete lines (streaming stores where available).
-struct ShufflePlan {
-  // Bin b covers VPs [bin_first_vp[b], bin_first_vp[b+1]); size num_bins()+1,
-  // strictly increasing, last entry == num_vps. The dead bin (terminated
-  // walkers) is implicit and trails the last VP bin.
-  std::vector<uint32_t> bin_first_vp;
-  // Per-(worker, bin) write-combining buffer capacity in records; a multiple
-  // of the Vids-per-cache-line count.
-  uint32_t buffer_records = 32;
-  Wid expected_walkers = 0;
-  // What `--shuffle=auto` should run, from the crossover model below.
-  ShuffleBackendKind recommended = ShuffleBackendKind::kDirect;
-
-  uint32_t num_bins() const {
-    return bin_first_vp.empty()
-               ? 0
-               : static_cast<uint32_t>(bin_first_vp.size() - 1);
-  }
-  std::string Describe() const;
-};
-
-// Builds the bin tiling and buffer geometry for `plan` at the given expected
-// episode walker count. Recommends kBinned only where the direct path's
-// fan-out working set (one open destination line plus one cursor per VP)
-// spills the private L2 AND the walker array itself exceeds the LLC — below
-// that crossover the direct scatter is already cache-resident and the binned
-// backend's extra pass over the record arena only adds traffic.
-ShufflePlan BuildShufflePlan(const PartitionPlan& plan, const CsrGraph& graph,
-                             Wid expected_walkers, const CacheInfo& cache,
-                             uint32_t num_workers);
-
 }  // namespace fm
 
 #endif  // SRC_CORE_PARTITION_PLAN_H_

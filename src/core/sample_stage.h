@@ -7,13 +7,9 @@
 // the cache space to edge data").
 //
 // RNG-indexing invariant: every walker draws from its own stream, seeded from
-// (chunk_seed, walker-index-within-chunk) — see src/core/interleave.h. That
-// makes each walker's draw sequence independent of processing order, so the
-// sequential kernels below and their ring-interleaved counterparts (the
-// *Interleaved variants, which overlap G walkers with software prefetch)
-// produce bit-identical walks at every interleave depth and thread count. The
-// sequential kernels double as the oracle the interleave tests compare
-// against.
+// (chunk_seed, walker-index-within-chunk) — WalkerSeed in src/util/rng.h. That
+// makes each walker's draw sequence independent of processing order, so walks
+// are bit-identical at every thread count.
 //
 // Kernels are templated on a memory hook (cachesim/mem_hook.h): NullMemHook
 // compiles away; CacheSimHook drives the Table 5 / Fig 1b cache simulation.
@@ -21,7 +17,6 @@
 #define SRC_CORE_SAMPLE_STAGE_H_
 
 #include "src/cachesim/mem_hook.h"
-#include "src/core/interleave.h"
 #include "src/core/presample.h"
 #include "src/graph/csr_graph.h"
 #include "src/sampling/rejection.h"
@@ -113,150 +108,6 @@ FM_HOT_PATH void SampleVpFirstOrder(const CsrGraph& graph, uint32_t vp_index,
   }
 }
 
-// Ring ops for first-order sampling (src/core/interleave.h driver). Stage
-// machine per walker: prefetch the CSR offset pair at Init, the alias row (if
-// weighted) after the degree is known, the picked edge cell last. PS chunks
-// complete entirely at Init — pre-sampled consumption is already a sequential
-// buffer scan (that is the whole point of PS), and its per-vertex cursors are
-// the order-sensitive state the Init ordering guarantee exists for.
-template <typename Rng, typename Hook>
-struct FirstOrderRing {
-  const CsrGraph& graph;
-  uint32_t vp_index;
-  const VertexPartition& vp;
-  PresampleBuffers* presample;
-  Vid* walkers;
-  double stop_probability;
-  const VertexAliasTables* alias;
-  uint64_t chunk_seed;
-  Hook& hook;
-  InterleaveStats stats;
-
-  FirstOrderRing(const CsrGraph& graph_in, uint32_t vp_index_in,
-                 const VertexPartition& vp_in, PresampleBuffers* presample_in,
-                 Vid* walkers_in, double stop_probability_in,
-                 const VertexAliasTables* alias_in, uint64_t chunk_seed_in,
-                 Hook& hook_in)
-      : graph(graph_in),
-        vp_index(vp_index_in),
-        vp(vp_in),
-        presample(presample_in),
-        walkers(walkers_in),
-        stop_probability(stop_probability_in),
-        alias(alias_in),
-        chunk_seed(chunk_seed_in),
-        hook(hook_in) {}
-
-  enum : uint8_t { kStageOffsets, kStageAlias, kStageEdge };
-  struct Slot {
-    Rng rng{0};  // re-seeded per walker at Init
-    Wid i = 0;
-    Vid v = 0;
-    Eid begin = 0;
-    Eid pick = 0;
-    Degree deg = 0;
-    uint8_t stage = kStageOffsets;
-  };
-  Slot slots[kMaxInterleaveDepth];
-
-  FM_HOT_PATH bool Finish(Slot& s, Vid next) {
-    if (stop_probability > 0 && s.rng.NextDouble() < stop_probability) {
-      next = kInvalidVid;
-    }
-    walkers[s.i] = next;
-    hook.Store(walkers + s.i, sizeof(Vid));
-    return false;
-  }
-
-  FM_HOT_PATH bool Init(uint32_t slot, Wid i) {
-    Slot& s = slots[slot];
-    s.i = i;
-    hook.Load(walkers + i, sizeof(Vid));
-    s.v = walkers[i];
-    s.rng.Seed(WalkerSeed(chunk_seed, i));
-    if (vp.policy == SamplePolicy::kPS) {
-      return Finish(
-          s, presample->Next(graph, vp_index, vp, s.v, alias, s.rng, hook));
-    }
-    if (vp.uniform_degree && alias == nullptr) {
-      // Fast path: the edge address is pure arithmetic, so the one prefetch
-      // that matters (the edge cell) can issue immediately at Init.
-      Degree deg = vp.degree;
-      if (deg == 0) {
-        return Finish(s, s.v);
-      }
-      Eid base = vp.edge_begin + static_cast<Eid>(s.v - vp.begin) * deg;
-      s.pick = base + (deg == 1 ? 0 : s.rng.NextBounded(deg));
-      PrefetchRead(graph.edges().data() + s.pick);
-      ++stats.edges;
-      s.stage = kStageEdge;
-      return true;
-    }
-    PrefetchRead(graph.offsets().data() + s.v);
-    ++stats.offsets;
-    s.stage = kStageOffsets;
-    return true;
-  }
-
-  FM_HOT_PATH bool Advance(uint32_t slot) {
-    Slot& s = slots[slot];
-    const Vid* edges = graph.edges().data();
-    const Eid* offsets = graph.offsets().data();
-    switch (s.stage) {
-      case kStageOffsets: {
-        hook.Load(offsets + s.v, 2 * sizeof(Eid));
-        s.begin = offsets[s.v];
-        s.deg = static_cast<Degree>(offsets[s.v + 1] - s.begin);
-        if (s.deg == 0) {
-          return Finish(s, s.v);
-        }
-        if (alias != nullptr) {
-          s.pick = alias->PickSlot(s.begin, s.deg, s.rng);
-          PrefetchRead(alias->RowAddr(s.pick));
-          ++stats.alias;
-          s.stage = kStageAlias;
-          return true;
-        }
-        s.pick = s.begin + s.rng.NextBounded(s.deg);
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        s.stage = kStageEdge;
-        return true;
-      }
-      case kStageAlias: {
-        Degree idx = alias->ResolveSlot(s.begin, s.pick, s.rng, hook);
-        s.pick = s.begin + idx;
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        s.stage = kStageEdge;
-        return true;
-      }
-      default: {
-        hook.Load(edges + s.pick, sizeof(Vid));
-        return Finish(s, edges[s.pick]);
-      }
-    }
-  }
-};
-
-// Interleaved counterpart of SampleVpFirstOrder: same draws per walker, same
-// results at every depth; `depth` <= 1 runs the plain sequential loop.
-template <typename Hook, typename Rng = XorShiftRng>
-FM_HOT_PATH void SampleVpFirstOrderInterleaved(
-    const CsrGraph& graph, uint32_t vp_index, const VertexPartition& vp,
-    PresampleBuffers* presample, Vid* walkers, Wid count,
-    double stop_probability, const VertexAliasTables* alias,
-    uint64_t chunk_seed, uint32_t depth, Hook& hook,
-    InterleaveStats* stats = nullptr) {
-  FirstOrderRing<Rng, Hook> ring{graph,    vp_index,         vp,
-                                 presample, walkers,          stop_probability,
-                                 alias,     chunk_seed,       hook};
-  RunInterleavedRing(depth, count, ring);
-  if (stats != nullptr) {
-    *stats += ring.stats;
-  }
-}
-
 // Metropolis-Hastings sampling over one VP's walker chunk: propose a uniform
 // neighbor, accept with min(1, d(v)/d(u)). The acceptance check reads the
 // candidate's degree, which may live outside the VP — the same (milder) locality
@@ -294,116 +145,6 @@ FM_HOT_PATH void SampleVpMetropolis(const CsrGraph& graph, Vid* walkers,
     }
     walkers[i] = next;
     hook.Store(walkers + i, sizeof(Vid));
-  }
-}
-
-// Ring ops for Metropolis-Hastings: offsets -> proposed edge -> candidate's
-// offset pair (the degree read that may leave the VP — exactly the access
-// prefetching helps most).
-template <typename Rng, typename Hook>
-struct MetropolisRing {
-  const CsrGraph& graph;
-  Vid* walkers;
-  double stop_probability;
-  uint64_t chunk_seed;
-  Hook& hook;
-  InterleaveStats stats;
-
-  MetropolisRing(const CsrGraph& graph_in, Vid* walkers_in,
-                 double stop_probability_in, uint64_t chunk_seed_in,
-                 Hook& hook_in)
-      : graph(graph_in),
-        walkers(walkers_in),
-        stop_probability(stop_probability_in),
-        chunk_seed(chunk_seed_in),
-        hook(hook_in) {}
-
-  enum : uint8_t { kStageOffsets, kStageEdge, kStageCandDeg };
-  struct Slot {
-    Rng rng{0};  // re-seeded per walker at Init
-    Wid i = 0;
-    Vid v = 0;
-    Vid candidate = 0;
-    Eid begin = 0;
-    Eid pick = 0;
-    Degree deg = 0;
-    uint8_t stage = kStageOffsets;
-  };
-  Slot slots[kMaxInterleaveDepth];
-
-  FM_HOT_PATH bool Finish(Slot& s, Vid next) {
-    if (stop_probability > 0 && s.rng.NextDouble() < stop_probability) {
-      next = kInvalidVid;
-    }
-    walkers[s.i] = next;
-    hook.Store(walkers + s.i, sizeof(Vid));
-    return false;
-  }
-
-  FM_HOT_PATH bool Init(uint32_t slot, Wid i) {
-    Slot& s = slots[slot];
-    s.i = i;
-    hook.Load(walkers + i, sizeof(Vid));
-    s.v = walkers[i];
-    s.rng.Seed(WalkerSeed(chunk_seed, i));
-    PrefetchRead(graph.offsets().data() + s.v);
-    ++stats.offsets;
-    s.stage = kStageOffsets;
-    return true;
-  }
-
-  FM_HOT_PATH bool Advance(uint32_t slot) {
-    Slot& s = slots[slot];
-    const Vid* edges = graph.edges().data();
-    const Eid* offsets = graph.offsets().data();
-    switch (s.stage) {
-      case kStageOffsets: {
-        hook.Load(offsets + s.v, 2 * sizeof(Eid));
-        s.begin = offsets[s.v];
-        s.deg = static_cast<Degree>(offsets[s.v + 1] - s.begin);
-        if (s.deg == 0) {
-          return Finish(s, s.v);
-        }
-        s.pick = s.begin + s.rng.NextBounded(s.deg);
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        s.stage = kStageEdge;
-        return true;
-      }
-      case kStageEdge: {
-        hook.Load(edges + s.pick, sizeof(Vid));
-        s.candidate = edges[s.pick];
-        PrefetchRead(offsets + s.candidate);
-        ++stats.offsets;
-        s.stage = kStageCandDeg;
-        return true;
-      }
-      default: {
-        hook.Load(offsets + s.candidate, 2 * sizeof(Eid));
-        Degree cand_deg = static_cast<Degree>(offsets[s.candidate + 1] -
-                                              offsets[s.candidate]);
-        Vid next = s.v;
-        if (cand_deg <= s.deg ||
-            s.rng.NextDouble() * static_cast<double>(cand_deg) <
-                static_cast<double>(s.deg)) {
-          next = s.candidate;
-        }
-        return Finish(s, next);
-      }
-    }
-  }
-};
-
-template <typename Hook, typename Rng = XorShiftRng>
-FM_HOT_PATH void SampleVpMetropolisInterleaved(
-    const CsrGraph& graph, Vid* walkers, Wid count, double stop_probability,
-    uint64_t chunk_seed, uint32_t depth, Hook& hook,
-    InterleaveStats* stats = nullptr) {
-  MetropolisRing<Rng, Hook> ring{graph, walkers, stop_probability, chunk_seed,
-                                 hook};
-  RunInterleavedRing(depth, count, ring);
-  if (stats != nullptr) {
-    *stats += ring.stats;
   }
 }
 
@@ -476,142 +217,6 @@ FM_HOT_PATH void SampleVpNode2Vec(const CsrGraph& graph,
     }
     walkers[i] = next;
     hook.Store(walkers + i, sizeof(Vid));
-  }
-}
-
-// Ring ops for node2vec: offsets -> candidate edge, then the rejection loop
-// runs inline with a re-prefetch per retry (each rejected candidate picks a
-// fresh edge cell, so the next retry's read gets its own distance). The
-// connectivity binary search stays inline — its probe addresses are
-// data-dependent at every level, which prefetching cannot help.
-template <typename Rng, typename Hook>
-struct Node2VecRing {
-  const CsrGraph& graph;
-  const Node2VecParams& params;
-  Vid* walkers;
-  Vid* prevs;
-  double stop_probability;
-  bool update_prevs;
-  uint64_t chunk_seed;
-  double bound;
-  Hook& hook;
-  InterleaveStats stats;
-
-  Node2VecRing(const CsrGraph& graph_in, const Node2VecParams& params_in,
-               Vid* walkers_in, Vid* prevs_in, double stop_probability_in,
-               bool update_prevs_in, uint64_t chunk_seed_in, double bound_in,
-               Hook& hook_in)
-      : graph(graph_in),
-        params(params_in),
-        walkers(walkers_in),
-        prevs(prevs_in),
-        stop_probability(stop_probability_in),
-        update_prevs(update_prevs_in),
-        chunk_seed(chunk_seed_in),
-        bound(bound_in),
-        hook(hook_in) {}
-
-  enum : uint8_t { kStageOffsets, kStageFirstEdge, kStageCandidate };
-  struct Slot {
-    Rng rng{0};  // re-seeded per walker at Init
-    Wid i = 0;
-    Vid cur = 0;
-    Vid prev = 0;
-    Eid begin = 0;
-    Eid pick = 0;
-    Degree deg = 0;
-    uint8_t stage = kStageOffsets;
-  };
-  Slot slots[kMaxInterleaveDepth];
-
-  FM_HOT_PATH bool Finish(Slot& s, Vid next) {
-    if (stop_probability > 0 && s.rng.NextDouble() < stop_probability) {
-      next = kInvalidVid;
-    }
-    if (update_prevs) {
-      prevs[s.i] = s.cur;
-      hook.Store(prevs + s.i, sizeof(Vid));
-    }
-    walkers[s.i] = next;
-    hook.Store(walkers + s.i, sizeof(Vid));
-    return false;
-  }
-
-  FM_HOT_PATH bool Init(uint32_t slot, Wid i) {
-    Slot& s = slots[slot];
-    s.i = i;
-    hook.Load(walkers + i, sizeof(Vid));
-    hook.Load(prevs + i, sizeof(Vid));
-    s.cur = walkers[i];
-    s.prev = prevs[i];
-    s.rng.Seed(WalkerSeed(chunk_seed, i));
-    PrefetchRead(graph.offsets().data() + s.cur);
-    ++stats.offsets;
-    s.stage = kStageOffsets;
-    return true;
-  }
-
-  FM_HOT_PATH bool Advance(uint32_t slot) {
-    Slot& s = slots[slot];
-    const Vid* edges = graph.edges().data();
-    const Eid* offsets = graph.offsets().data();
-    switch (s.stage) {
-      case kStageOffsets: {
-        hook.Load(offsets + s.cur, 2 * sizeof(Eid));
-        s.begin = offsets[s.cur];
-        s.deg = static_cast<Degree>(offsets[s.cur + 1] - s.begin);
-        if (s.deg == 0) {
-          return Finish(s, s.cur);
-        }
-        s.pick = s.begin + s.rng.NextBounded(s.deg);
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        s.stage = s.prev == kInvalidVid ? kStageFirstEdge : kStageCandidate;
-        return true;
-      }
-      case kStageFirstEdge: {
-        hook.Load(edges + s.pick, sizeof(Vid));
-        return Finish(s, edges[s.pick]);
-      }
-      default: {
-        hook.Load(edges + s.pick, sizeof(Vid));
-        Vid candidate = edges[s.pick];
-        double w;
-        if (candidate == s.prev) {
-          // div: node2vec bias weights 1/p and 1/q; see the sequential kernel.
-          w = 1.0 / params.p;
-        } else if (HasEdgeHooked(graph, s.prev, candidate, hook)) {
-          w = 1.0;
-        } else {
-          // div: see the 1/p justification above.
-          w = 1.0 / params.q;
-        }
-        if (s.rng.NextDouble() * bound < w) {
-          return Finish(s, candidate);
-        }
-        s.pick = s.begin + s.rng.NextBounded(s.deg);
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        return true;
-      }
-    }
-  }
-};
-
-template <typename Hook, typename Rng = XorShiftRng>
-FM_HOT_PATH void SampleVpNode2VecInterleaved(
-    const CsrGraph& graph, const VertexPartition& /*vp*/,
-    const Node2VecParams& params, Vid* walkers, Vid* prevs, Wid count,
-    double stop_probability, bool update_prevs, uint64_t chunk_seed,
-    uint32_t depth, Hook& hook, InterleaveStats* stats = nullptr) {
-  // div: reciprocal bound hoisted once per chunk, as in the sequential kernel.
-  double bound = std::max({1.0, 1.0 / params.p, 1.0 / params.q});
-  Node2VecRing<Rng, Hook> ring{graph,          params,     walkers, prevs,
-                               stop_probability, update_prevs, chunk_seed,
-                               bound,          hook};
-  RunInterleavedRing(depth, count, ring);
-  if (stats != nullptr) {
-    *stats += ring.stats;
   }
 }
 

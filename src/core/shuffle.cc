@@ -1,47 +1,17 @@
 #include "src/core/shuffle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <sstream>
 
-#include "src/core/interleave.h"
 #include "src/util/logging.h"
 #include "src/util/sync.h"
 #include "src/util/telemetry.h"
 #include "src/util/timer.h"
 #include "src/util/trace.h"
 
-// Streaming (non-temporal) stores for the binned backend's full-line buffer
-// flushes. Disabled under sanitizers: TSan/ASan/MSan cannot see through the
-// intrinsics, and the plain-memcpy fallback exercises the identical protocol
-// with visible stores.
-#if defined(__SSE2__)
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define FM_SHUFFLE_STREAM 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define FM_SHUFFLE_STREAM 0
-#else
-#define FM_SHUFFLE_STREAM 1
-#endif
-#else
-#define FM_SHUFFLE_STREAM 1
-#endif
-#else
-#define FM_SHUFFLE_STREAM 0
-#endif
-
-#if FM_SHUFFLE_STREAM
-#include <emmintrin.h>
-#endif
-
 namespace fm {
 namespace {
-
-constexpr uint32_t kVidsPerLine =
-    static_cast<uint32_t>(kCacheLineBytes / sizeof(Vid));
 
 // Chunk boundaries: chunk c of n over k chunks.
 inline Wid ChunkBegin(Wid n, uint32_t chunks, uint32_t c) {
@@ -66,22 +36,12 @@ FM_HOT_PATH void CountChunkScan(const PartitionPlan* plan, uint32_t num_vps,
   }
 }
 
-// Pass-2 kernel (direct path): counting scatter of one chunk of W into SW.
-// `lookahead` > 0 prefetches walker j+k's destination while writing walker
-// j's: the per-bin cursors advance sequentially, so the line behind the
-// *current* cursor is (or immediately precedes) the true target line — a pure
-// hint, the layout is identical either way. Returns the prefetches issued.
-FM_HOT_PATH uint64_t ScatterChunkScan(const PartitionPlan* plan,
-                                      uint32_t num_vps, const Vid* w,
-                                      const Vid* aux, Wid begin, Wid end,
-                                      Wid* offs, const Wid* vp_offsets, Vid* sw,
-                                      Vid* sw_aux, uint32_t lookahead) {
-  uint64_t issued = 0;
+// Pass-2 kernel (one-level path): counting scatter of one chunk of W into SW.
+FM_HOT_PATH void ScatterChunkScan(const PartitionPlan* plan, uint32_t num_vps,
+                                  const Vid* w, const Vid* aux, Wid begin,
+                                  Wid end, Wid* offs, const Wid* vp_offsets,
+                                  Vid* sw, Vid* sw_aux) {
   for (Wid j = begin; j < end; ++j) {
-    if (lookahead != 0 && j + lookahead < end) {
-      PrefetchWrite(sw + offs[BinOfWalker(plan, num_vps, w[j + lookahead])]);
-      ++issued;
-    }
     uint32_t bin = BinOfWalker(plan, num_vps, w[j]);
     Wid p = offs[bin]++;
     FM_DCHECK_LT(p, vp_offsets[bin + 1]);
@@ -90,7 +50,6 @@ FM_HOT_PATH uint64_t ScatterChunkScan(const PartitionPlan* plan,
       sw_aux[p] = aux[j];
     }
   }
-  return issued;
 }
 
 // Outer-pass kernel (two-level path): scatter one chunk of W by outer bin into
@@ -114,7 +73,7 @@ FM_HOT_PATH void OuterScatterChunkScan(const PartitionPlan* plan,
 
 // Inner-pass kernel (two-level path): stable in-bin counting scatter by VP.
 // Scanning the intermediate chunk in order preserves (chunk, scan) order per
-// VP, matching the direct layout.
+// VP, matching the one-level layout.
 FM_HOT_PATH void InnerScatterGroupScan(const PartitionPlan* plan,
                                        uint32_t vp_base, uint32_t vp_count,
                                        Wid begin, Wid end, Wid* offs,
@@ -137,22 +96,12 @@ FM_HOT_PATH void InnerScatterGroupScan(const PartitionPlan* plan,
 // Gather kernel: replay one chunk's counting offsets, pulling each walker's
 // post-step value out of SW back into walker order. `consumed` is the debug
 // bijectivity witness (null in release builds).
-FM_HOT_PATH uint64_t GatherChunkScan(const PartitionPlan* plan,
-                                     uint32_t num_vps, const Vid* w_prev,
-                                     Wid begin, Wid end, Wid* offs, Wid n,
-                                     const Vid* sw, const Vid* sw_aux,
-                                     Vid* w_next, Vid* aux_next,
-                                     [[maybe_unused]] uint8_t* consumed,
-                                     uint32_t lookahead) {
-  uint64_t issued = 0;
+FM_HOT_PATH void GatherChunkScan(const PartitionPlan* plan, uint32_t num_vps,
+                                 const Vid* w_prev, Wid begin, Wid end,
+                                 Wid* offs, Wid n, const Vid* sw,
+                                 const Vid* sw_aux, Vid* w_next, Vid* aux_next,
+                                 [[maybe_unused]] uint8_t* consumed) {
   for (Wid j = begin; j < end; ++j) {
-    if (lookahead != 0 && j + lookahead < end) {
-      // Same cursor-line approximation as the scatter look-ahead, but a read:
-      // the replay pulls sw[p] back into walker order.
-      PrefetchRead(sw +
-                   offs[BinOfWalker(plan, num_vps, w_prev[j + lookahead])]);
-      ++issued;
-    }
     Wid p = offs[BinOfWalker(plan, num_vps, w_prev[j])]++;
     FM_DCHECK_LT(p, n);
 #ifndef NDEBUG
@@ -164,188 +113,48 @@ FM_HOT_PATH uint64_t GatherChunkScan(const PartitionPlan* plan,
       aux_next[j] = sw_aux[p];
     }
   }
-  return issued;
 }
 
-// -- binned-backend kernels ---------------------------------------------------
+// Shuffle-stage telemetry, published once per Scatter/Gather op (never inside
+// the scan loops). Instruments are process-wide so one lookup serves every
+// Shuffler; deliberately leaked references into the leaked registry.
+struct ShuffleTelemetry {
+  telemetry::Counter& pass1_ns;
+  telemetry::Counter& pass2_ns;
+  telemetry::Counter& scatter_ops;
+  telemetry::Counter& gather_ops;
 
-// Flushes `count` Vids (whole cache lines, both pointers line-aligned) from a
-// write-combining buffer into the record arena. With SSE2 this bypasses the
-// cache entirely (non-temporal stores) — the arena is written once and read
-// once, so caching it would only evict the walker arrays.
-FM_HOT_PATH inline void StreamLines(Vid* dst, const Vid* src, uint32_t count) {
-#if FM_SHUFFLE_STREAM
-  __m128i* d = reinterpret_cast<__m128i*>(dst);
-  const __m128i* s = reinterpret_cast<const __m128i*>(src);
-  const uint32_t vecs = count >> 2;  // 4 Vids per 16-byte store
-  for (uint32_t i = 0; i < vecs; ++i) {
-    _mm_stream_si128(d + i, _mm_load_si128(s + i));
+  static ShuffleTelemetry& Get() {
+    auto& reg = telemetry::TelemetryRegistry::Get();
+    static ShuffleTelemetry tm{
+        reg.CounterRef("fm.shuffle.pass1_ns_total"),
+        reg.CounterRef("fm.shuffle.pass2_ns_total"),
+        reg.CounterRef("fm.shuffle.scatter_ops_total"),
+        reg.CounterRef("fm.shuffle.gather_ops_total"),
+    };
+    return tm;
   }
-#else
-  std::memcpy(dst, src, count * sizeof(Vid));
-#endif
-}
 
-// Orders the chunk's non-temporal stores before the ParallelFor join releases
-// the segment regions to pass-2 readers.
-FM_HOT_PATH inline void StreamFence() {
-#if FM_SHUFFLE_STREAM
-  _mm_sfence();
-#endif
-}
-
-// Binned pass-1 kernel: scan one chunk of W in order, appending each walker
-// (and optionally its aux attribute) to its destination bin's write-combining
-// buffer; full buffers flush to the (chunk, bin) arena region as whole cache
-// lines. The scan order of appends within a (chunk, bin) region is exactly
-// the W-scan order, which pass 2 relies on.
-FM_HOT_PATH void BinChunkScan(const PartitionPlan* plan,
-                              const uint32_t* vp_to_bin, uint32_t num_vps,
-                              const Vid* w, const Vid* aux, Wid begin, Wid end,
-                              Vid* bufs, Vid* aux_bufs, uint32_t cap,
-                              uint32_t num_bins_total, uint32_t* fill,
-                              Wid* cursor, Vid* records, Vid* aux_records) {
-  for (Wid j = begin; j < end; ++j) {
-    const Vid v = w[j];
-    const uint32_t b = vp_to_bin[BinOfWalker(plan, num_vps, v)];
-    Vid* buf = bufs + static_cast<size_t>(b) * cap;
-    uint32_t f = fill[b];
-    buf[f] = v;
-    if (aux != nullptr) {
-      aux_bufs[static_cast<size_t>(b) * cap + f] = aux[j];
-    }
-    if (++f == cap) {
-      StreamLines(records + cursor[b], buf, cap);
-      if (aux != nullptr) {
-        StreamLines(aux_records + cursor[b],
-                    aux_bufs + static_cast<size_t>(b) * cap, cap);
-      }
-      cursor[b] += cap;
-      f = 0;
-    }
-    fill[b] = f;
+  void Publish(const ShuffleOpStats& stats) {
+    pass1_ns.Add(stats.pass1_s <= 0
+                     ? 0
+                     : static_cast<uint64_t>(stats.pass1_s * 1e9));
+    pass2_ns.Add(stats.pass2_s <= 0
+                     ? 0
+                     : static_cast<uint64_t>(stats.pass2_s * 1e9));
   }
-  // Drain: each (chunk, bin) region's unaligned tail is written exactly once,
-  // with plain stores, after all its full-line flushes.
-  for (uint32_t b = 0; b < num_bins_total; ++b) {
-    const uint32_t f = fill[b];
-    if (f != 0) {
-      std::memcpy(records + cursor[b], bufs + static_cast<size_t>(b) * cap,
-                  f * sizeof(Vid));
-      if (aux != nullptr) {
-        std::memcpy(aux_records + cursor[b],
-                    aux_bufs + static_cast<size_t>(b) * cap, f * sizeof(Vid));
-      }
-      cursor[b] += f;
-      fill[b] = 0;
-    }
-  }
-  StreamFence();
-}
-
-// Binned pass-2 kernel: counting scatter of one cache-resident (chunk, bin)
-// record segment into its SW range. Records are in W-scan order, and `offs`
-// starts from the same per-(chunk, vp) table the direct path uses, so the
-// resulting layout is bit-identical to the direct scatter.
-FM_HOT_PATH uint64_t SegmentScatterScan(const PartitionPlan* plan,
-                                        uint32_t num_vps, uint32_t vp_lo,
-                                        const Vid* rec, const Vid* aux_rec,
-                                        Wid len, Wid* offs,
-                                        const Wid* vp_offsets, Vid* sw,
-                                        Vid* sw_aux, uint32_t lookahead) {
-  uint64_t issued = 0;
-  for (Wid i = 0; i < len; ++i) {
-    if (lookahead != 0 && i + lookahead < len) {
-      PrefetchWrite(
-          sw + offs[BinOfWalker(plan, num_vps, rec[i + lookahead]) - vp_lo]);
-      ++issued;
-    }
-    const Vid v = rec[i];
-    const uint32_t vp = BinOfWalker(plan, num_vps, v);
-    FM_DCHECK_GE(vp, vp_lo);
-    Wid p = offs[vp - vp_lo]++;
-    FM_DCHECK_LT(p, vp_offsets[vp + 1]);
-    sw[p] = v;
-    if (aux_rec != nullptr) {
-      sw_aux[p] = aux_rec[i];
-    }
-  }
-  return issued;
-}
-
-// Binned gather phase A: replay one (chunk, bin) segment's counting offsets
-// against the (sample-updated) SW and stage each walker's new value next to
-// its record slot. All SW reads stay inside the bin's cache-resident span.
-FM_HOT_PATH uint64_t GatherSegmentScan(const PartitionPlan* plan,
-                                       uint32_t num_vps, uint32_t vp_lo,
-                                       const Vid* rec, Wid len, Wid* offs,
-                                       Wid n, const Vid* sw, const Vid* sw_aux,
-                                       Vid* values, Vid* aux_values,
-                                       [[maybe_unused]] uint8_t* consumed,
-                                       uint32_t lookahead) {
-  uint64_t issued = 0;
-  for (Wid i = 0; i < len; ++i) {
-    if (lookahead != 0 && i + lookahead < len) {
-      PrefetchRead(
-          sw + offs[BinOfWalker(plan, num_vps, rec[i + lookahead]) - vp_lo]);
-      ++issued;
-    }
-    const uint32_t vp = BinOfWalker(plan, num_vps, rec[i]);
-    FM_DCHECK_GE(vp, vp_lo);
-    Wid p = offs[vp - vp_lo]++;
-    FM_DCHECK_LT(p, n);
-#ifndef NDEBUG
-    FM_DCHECK_MSG(consumed[p] == 0, "SW slot " << p << " replayed twice");
-    consumed[p] = 1;
-#endif
-    values[i] = sw[p];
-    if (sw_aux != nullptr) {
-      aux_values[i] = sw_aux[p];
-    }
-  }
-  return issued;
-}
-
-// Binned gather phase B: re-scan one chunk of W_prev in order, consuming each
-// walker's staged value from its bin's region cursor — the same append order
-// pass 1 produced, so walker j gets exactly its own SW slot's value.
-FM_HOT_PATH uint64_t GatherMergeScan(const PartitionPlan* plan,
-                                     const uint32_t* vp_to_bin,
-                                     uint32_t num_vps, const Vid* w_prev,
-                                     Wid begin, Wid end, Wid* cursor,
-                                     const Vid* values, const Vid* aux_values,
-                                     Vid* w_next, Vid* aux_next,
-                                     uint32_t lookahead) {
-  uint64_t issued = 0;
-  for (Wid j = begin; j < end; ++j) {
-    if (lookahead != 0 && j + lookahead < end) {
-      PrefetchRead(
-          values +
-          cursor[vp_to_bin[BinOfWalker(plan, num_vps, w_prev[j + lookahead])]]);
-      ++issued;
-    }
-    const uint32_t b = vp_to_bin[BinOfWalker(plan, num_vps, w_prev[j])];
-    const Wid p = cursor[b]++;
-    w_next[j] = values[p];
-    if (aux_values != nullptr) {
-      aux_next[j] = aux_values[p];
-    }
-  }
-  return issued;
-}
+};
 
 }  // namespace
 
-// -- ShuffleBackend (shared counting state) -----------------------------------
-
-ShuffleBackend::ShuffleBackend(const PartitionPlan* plan, ThreadPool* pool)
+Shuffler::Shuffler(const PartitionPlan* plan, ThreadPool* pool)
     : plan_(plan), pool_(pool), num_vps_(plan->num_vps()) {
   num_chunks_ = pool_->thread_count();
   starts_.resize(static_cast<size_t>(num_chunks_) * (num_vps_ + 1));
   vp_offsets_.resize(num_vps_ + 2);
 }
 
-void ShuffleBackend::CountAndPrefix(const Vid* w, Wid n) {
+void Shuffler::CountAndPrefix(const Vid* w, Wid n) {
   size_t row = num_vps_ + 1;
   std::fill(starts_.begin(), starts_.end(), 0);
   pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
@@ -385,230 +194,183 @@ void ShuffleBackend::CountAndPrefix(const Vid* w, Wid n) {
   scattered_n_ = n;
 }
 
-// -- direct backend -----------------------------------------------------------
-
-namespace {
-
-// The historical counting-scatter path (plus the §4.4 two-level escalation):
-// the bit-exact oracle every other backend must match.
-class DirectShuffleBackend : public ShuffleBackend {
- public:
-  using ShuffleBackend::ShuffleBackend;
-
-  void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-               Vid* sw_aux) override {
-    Timer timer;
-    CountAndPrefix(w, n);
-    scatter_stats_.pass1_s = timer.Lap();
-    uint64_t issued = 0;
-    if (plan_->has_internal_shuffle()) {
-      // Two-level escalation: no look-ahead (the outer pass streams and the
-      // inner pass is already cache-resident per group).
-      ScatterTwoLevel(w, aux, n, sw, sw_aux);
-    } else {
-      issued = ScatterDirect(w, aux, n, sw, sw_aux);
-    }
-    scatter_stats_.pass2_s = timer.Lap();
-    scatter_stats_.flushed_lines = 0;
-    scatter_stats_.prefetch_issues = issued;
-  }
-
-  [[nodiscard]] Status Gather(const Vid* w_prev, Wid n, const Vid* sw,
-                              Vid* w_next, const Vid* sw_aux,
-                              Vid* aux_next) override {
-    if (n != scattered_n_) {
-      std::ostringstream msg;
-      msg << "Gather must replay the exact Scatter input: got " << n
-          << " walkers, scattered " << scattered_n_;
-      return Status::FailedPrecondition(msg.str());
-    }
-    Timer timer;
-    size_t row = num_vps_ + 1;
-#ifndef NDEBUG
-    // Bijectivity witness: every SW slot must be consumed exactly once. Distinct
-    // slots mean the writes below are race-free iff the replay is a permutation; a
-    // corrupted replay trips the check (or TSan, which reports it first).
-    std::vector<uint8_t> consumed(n, 0);
-#endif
-    std::atomic<uint64_t> issued{0};
-    pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
-      Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
-      Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-      TraceSpan span("shuffle", "gather_chunk");
-      span.Arg("chunk", c);
-      span.Arg("walkers", end - begin);
-      std::vector<Wid> offs(starts_.begin() + c * row,
-                            starts_.begin() + (c + 1) * row);
-#ifndef NDEBUG
-      uint8_t* consumed_ptr = consumed.data();
-#else
-      uint8_t* consumed_ptr = nullptr;
-#endif
-      const uint64_t chunk_issued =
-          GatherChunkScan(plan_, num_vps_, w_prev, begin, end, offs.data(), n,
-                          sw, sw_aux, w_next, aux_next, consumed_ptr,
-                          prefetch_lookahead_);
-      // relaxed: independent per-chunk counter folds; the ParallelFor join
-      // publishes the total.
-      issued.fetch_add(chunk_issued, std::memory_order_relaxed);
-    });
-    gather_stats_.pass1_s = 0;
-    gather_stats_.pass2_s = timer.Lap();
-    // relaxed: read after the ParallelFor join; no concurrent writers remain.
-    gather_stats_.prefetch_issues = issued.load(std::memory_order_relaxed);
-    return Status::Ok();
-  }
-
-  void SimulateScatter(const Vid* w, const Vid* aux, Wid n, const Vid* sw,
-                       const Vid* sw_aux,
-                       const MemAccessFn& access) const override;
-  void SimulateGather(const Vid* w_prev, Wid n, const Vid* sw,
-                      const Vid* sw_aux, const Vid* w_next,
-                      const Vid* aux_next,
-                      const MemAccessFn& access) const override;
-
-  ShuffleBackendKind kind() const override {
-    return ShuffleBackendKind::kDirect;
-  }
-
-  // Test hook: force the two-level path regardless of the plan.
-  void ScatterTwoLevelAlways(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                             Vid* sw_aux) {
-    CountAndPrefix(w, n);
-    ScatterTwoLevel(w, aux, n, sw, sw_aux);
-  }
-
- private:
-  uint64_t ScatterDirect(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                         Vid* sw_aux) {
-    size_t row = num_vps_ + 1;
-    std::atomic<uint64_t> issued{0};
-    pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
-      Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
-      Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-      TraceSpan span("shuffle", "scatter_chunk");
-      span.Arg("chunk", c);
-      span.Arg("walkers", end - begin);
-      // Working copy so starts_ stays intact for Gather's replay.
-      std::vector<Wid> offs(starts_.begin() + c * row,
-                            starts_.begin() + (c + 1) * row);
-      const uint64_t chunk_issued =
-          ScatterChunkScan(plan_, num_vps_, w, aux, begin, end, offs.data(),
-                           vp_offsets_.data(), sw, sw_aux,
-                           prefetch_lookahead_);
-      // relaxed: independent per-chunk counter folds; the ParallelFor join
-      // publishes the total.
-      issued.fetch_add(chunk_issued, std::memory_order_relaxed);
-    });
-    // relaxed: read after the ParallelFor join; no concurrent writers remain.
-    return issued.load(std::memory_order_relaxed);
-  }
-
-  void ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
+void Shuffler::Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw,
                        Vid* sw_aux) {
-    // Outer pass: scatter by outer bin into the intermediate array. Outer-bin chunk
-    // starts derive from VP-granularity starts because each bin covers a contiguous
-    // VP range.
-    inter_.resize(n);
-    if (aux != nullptr) {
-      inter_aux_.resize(n);
+  Timer timer;
+  CountAndPrefix(w, n);
+  scatter_stats_.pass1_s = timer.Lap();
+  if (plan_->has_internal_shuffle()) {
+    ScatterTwoLevel(w, aux, n, sw, sw_aux);
+  } else {
+    ScatterOneLevel(w, aux, n, sw, sw_aux);
+  }
+  scatter_stats_.pass2_s = timer.Lap();
+  ShuffleTelemetry& tm = ShuffleTelemetry::Get();
+  tm.Publish(scatter_stats_);
+  tm.scatter_ops.Add(1);
+}
+
+Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
+                        const Vid* sw_aux, Vid* aux_next) {
+  if (n != scattered_n_) {
+    std::ostringstream msg;
+    msg << "Gather must replay the exact Scatter input: got " << n
+        << " walkers, scattered " << scattered_n_;
+    return Status::FailedPrecondition(msg.str());
+  }
+  Timer timer;
+  size_t row = num_vps_ + 1;
+#ifndef NDEBUG
+  // Bijectivity witness: every SW slot must be consumed exactly once. Distinct
+  // slots mean the writes below are race-free iff the replay is a permutation; a
+  // corrupted replay trips the check (or TSan, which reports it first).
+  std::vector<uint8_t> consumed(n, 0);
+  uint8_t* consumed_ptr = consumed.data();
+#else
+  uint8_t* consumed_ptr = nullptr;
+#endif
+  pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
+    Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
+    Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
+    TraceSpan span("shuffle", "gather_chunk");
+    span.Arg("chunk", c);
+    span.Arg("walkers", end - begin);
+    std::vector<Wid> offs(starts_.begin() + c * row,
+                          starts_.begin() + (c + 1) * row);
+    GatherChunkScan(plan_, num_vps_, w_prev, begin, end, offs.data(), n, sw,
+                    sw_aux, w_next, aux_next, consumed_ptr);
+  });
+  gather_stats_.pass1_s = 0;
+  gather_stats_.pass2_s = timer.Lap();
+  ShuffleTelemetry& tm = ShuffleTelemetry::Get();
+  tm.Publish(gather_stats_);
+  tm.gather_ops.Add(1);
+  return Status::Ok();
+}
+
+void Shuffler::ScatterTwoLevelForTest(const Vid* w, const Vid* aux, Wid n,
+                                      Vid* sw, Vid* sw_aux) {
+  CountAndPrefix(w, n);
+  ScatterTwoLevel(w, aux, n, sw, sw_aux);
+}
+
+void Shuffler::ScatterOneLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
+                               Vid* sw_aux) {
+  size_t row = num_vps_ + 1;
+  pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
+    Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
+    Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
+    TraceSpan span("shuffle", "scatter_chunk");
+    span.Arg("chunk", c);
+    span.Arg("walkers", end - begin);
+    // Working copy so starts_ stays intact for Gather's replay.
+    std::vector<Wid> offs(starts_.begin() + c * row,
+                          starts_.begin() + (c + 1) * row);
+    ScatterChunkScan(plan_, num_vps_, w, aux, begin, end, offs.data(),
+                     vp_offsets_.data(), sw, sw_aux);
+  });
+}
+
+void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
+                               Vid* sw_aux) {
+  // Outer pass: scatter by outer bin into the intermediate array. Outer-bin chunk
+  // starts derive from VP-granularity starts because each bin covers a contiguous
+  // VP range.
+  inter_.resize(n);
+  if (aux != nullptr) {
+    inter_aux_.resize(n);
+  }
+  size_t row = num_vps_ + 1;
+  uint32_t num_bins = plan_->num_outer_bins();
+
+  // bin_first_vp[b] = plan VP index starting bin b; dead bin maps past the end.
+  std::vector<uint32_t> bin_first_vp(num_bins + 1);
+  for (const PartitionGroup& g : plan_->groups()) {
+    if (g.internal_shuffle) {
+      bin_first_vp[g.outer_bin_base] = g.vp_base;
+    } else {
+      for (uint32_t i = 0; i < g.vp_count; ++i) {
+        bin_first_vp[g.outer_bin_base + i] = g.vp_base + i;
+      }
     }
-    size_t row = num_vps_ + 1;
-    uint32_t num_bins = plan_->num_outer_bins();
+  }
+  bin_first_vp[num_bins] = num_vps_;  // dead bin
 
-    // bin_first_vp[b] = plan VP index starting bin b; dead bin maps past the end.
-    std::vector<uint32_t> bin_first_vp(num_bins + 1);
-    for (const PartitionGroup& g : plan_->groups()) {
-      if (g.internal_shuffle) {
-        bin_first_vp[g.outer_bin_base] = g.vp_base;
-      } else {
-        for (uint32_t i = 0; i < g.vp_count; ++i) {
-          bin_first_vp[g.outer_bin_base + i] = g.vp_base + i;
-        }
+  pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
+    Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
+    Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
+    TraceSpan span("shuffle", "scatter_outer_chunk");
+    span.Arg("chunk", c);
+    span.Arg("walkers", end - begin);
+    // Per-(chunk, bin) start = bin base + walkers of earlier chunks in this bin.
+    // Earlier chunks' contribution per bin = sum over member VPs of
+    // (starts_[c][vp] - vp_offsets_[vp]), since starts_[c][vp] already accumulates
+    // earlier chunks at VP granularity.
+    std::vector<Wid> cursor(num_bins + 1);
+    for (uint32_t b = 0; b <= num_bins; ++b) {
+      uint32_t vp_lo = bin_first_vp[b];
+      uint32_t vp_hi = (b == num_bins) ? num_vps_ + 1 : bin_first_vp[b + 1];
+      Wid bin_base = vp_offsets_[vp_lo];
+      Wid earlier = 0;
+      for (uint32_t vp = vp_lo; vp < vp_hi; ++vp) {
+        earlier += starts_[c * row + vp] - vp_offsets_[vp];
       }
+      cursor[b] = bin_base + earlier;
     }
-    bin_first_vp[num_bins] = num_vps_;  // dead bin
+    OuterScatterChunkScan(plan_, num_bins, w, aux, begin, end, cursor.data(),
+                          scattered_n_, inter_.data(),
+                          aux != nullptr ? inter_aux_.data() : nullptr);
+  });
 
-    pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
-      Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
-      Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-      TraceSpan span("shuffle", "scatter_outer_chunk");
-      span.Arg("chunk", c);
-      span.Arg("walkers", end - begin);
-      // Per-(chunk, bin) start = bin base + walkers of earlier chunks in this bin.
-      // Earlier chunks' contribution per bin = sum over member VPs of
-      // (starts_[c][vp] - vp_offsets_[vp]), since starts_[c][vp] already accumulates
-      // earlier chunks at VP granularity.
-      std::vector<Wid> cursor(num_bins + 1);
-      for (uint32_t b = 0; b <= num_bins; ++b) {
-        uint32_t vp_lo = bin_first_vp[b];
-        uint32_t vp_hi = (b == num_bins) ? num_vps_ + 1 : bin_first_vp[b + 1];
-        Wid bin_base = vp_offsets_[vp_lo];
-        Wid earlier = 0;
-        for (uint32_t vp = vp_lo; vp < vp_hi; ++vp) {
-          earlier += starts_[c * row + vp] - vp_offsets_[vp];
-        }
-        cursor[b] = bin_base + earlier;
-      }
-      OuterScatterChunkScan(plan_, num_bins, w, aux, begin, end, cursor.data(),
-                            scattered_n_, inter_.data(),
-                            aux != nullptr ? inter_aux_.data() : nullptr);
-    });
-
-    // Inner pass: internal-shuffle bins get a counting scatter from the intermediate
-    // chunk into SW; single-VP bins copy through. Parallel over groups.
-    const auto& groups = plan_->groups();
-    pool_->ParallelFor(groups.size() + 1, [&](uint64_t gi, uint32_t) {
-      TraceSpan span("shuffle", "scatter_inner_group");
-      span.Arg("group", gi);
-      if (gi == groups.size()) {
-        // Dead bin: copy through.
-        Wid begin = vp_offsets_[num_vps_];
-        Wid end = vp_offsets_[num_vps_ + 1];
-        if (end > begin) {
-          std::memcpy(sw + begin, inter_.data() + begin,
-                      (end - begin) * sizeof(Vid));
-          if (aux != nullptr) {
-            std::memcpy(sw_aux + begin, inter_aux_.data() + begin,
-                        (end - begin) * sizeof(Vid));
-          }
-        }
-        return;
-      }
-      const PartitionGroup& g = groups[gi];
-      Wid begin = vp_offsets_[g.vp_base];
-      Wid end = vp_offsets_[g.vp_base + g.vp_count];
-      if (end == begin) {
-        return;
-      }
-      if (!g.internal_shuffle) {
+  // Inner pass: internal-shuffle bins get a counting scatter from the intermediate
+  // chunk into SW; single-VP bins copy through. Parallel over groups.
+  const auto& groups = plan_->groups();
+  pool_->ParallelFor(groups.size() + 1, [&](uint64_t gi, uint32_t) {
+    TraceSpan span("shuffle", "scatter_inner_group");
+    span.Arg("group", gi);
+    if (gi == groups.size()) {
+      // Dead bin: copy through.
+      Wid begin = vp_offsets_[num_vps_];
+      Wid end = vp_offsets_[num_vps_ + 1];
+      if (end > begin) {
         std::memcpy(sw + begin, inter_.data() + begin,
                     (end - begin) * sizeof(Vid));
         if (aux != nullptr) {
           std::memcpy(sw_aux + begin, inter_aux_.data() + begin,
                       (end - begin) * sizeof(Vid));
         }
-        return;
       }
-      std::vector<Wid> offs(g.vp_count);
-      for (uint32_t i = 0; i < g.vp_count; ++i) {
-        offs[i] = vp_offsets_[g.vp_base + i];
+      return;
+    }
+    const PartitionGroup& g = groups[gi];
+    Wid begin = vp_offsets_[g.vp_base];
+    Wid end = vp_offsets_[g.vp_base + g.vp_count];
+    if (end == begin) {
+      return;
+    }
+    if (!g.internal_shuffle) {
+      std::memcpy(sw + begin, inter_.data() + begin,
+                  (end - begin) * sizeof(Vid));
+      if (aux != nullptr) {
+        std::memcpy(sw_aux + begin, inter_aux_.data() + begin,
+                    (end - begin) * sizeof(Vid));
       }
-      InnerScatterGroupScan(plan_, g.vp_base, g.vp_count, begin, end,
-                            offs.data(), vp_offsets_.data(), inter_.data(),
-                            aux != nullptr ? inter_aux_.data() : nullptr, sw,
-                            sw_aux);
-    });
-  }
+      return;
+    }
+    std::vector<Wid> offs(g.vp_count);
+    for (uint32_t i = 0; i < g.vp_count; ++i) {
+      offs[i] = vp_offsets_[g.vp_base + i];
+    }
+    InnerScatterGroupScan(plan_, g.vp_base, g.vp_count, begin, end,
+                          offs.data(), vp_offsets_.data(), inter_.data(),
+                          aux != nullptr ? inter_aux_.data() : nullptr, sw,
+                          sw_aux);
+  });
+}
 
-  // Scratch for the two-level path.
-  std::vector<Vid> inter_;
-  std::vector<Vid> inter_aux_;
-};
-
-void DirectShuffleBackend::SimulateScatter(const Vid* w, const Vid* aux, Wid n,
-                                           const Vid* sw, const Vid* sw_aux,
-                                           const MemAccessFn& access) const {
+void Shuffler::SimulateScatter(const Vid* w, const Vid* aux, Wid n,
+                               const Vid* sw, const Vid* sw_aux,
+                               const MemAccessFn& access) const {
   FM_CHECK_MSG(n == scattered_n_, "simulate after the matching Scatter");
   const size_t row = num_vps_ + 1;
   // Count pass: sequential W read plus one resident counter bump per walker
@@ -695,11 +457,10 @@ void DirectShuffleBackend::SimulateScatter(const Vid* w, const Vid* aux, Wid n,
   }
 }
 
-void DirectShuffleBackend::SimulateGather(const Vid* w_prev, Wid n,
-                                          const Vid* sw, const Vid* sw_aux,
-                                          const Vid* w_next,
-                                          const Vid* aux_next,
-                                          const MemAccessFn& access) const {
+void Shuffler::SimulateGather(const Vid* w_prev, Wid n, const Vid* sw,
+                              const Vid* sw_aux, const Vid* w_next,
+                              const Vid* aux_next,
+                              const MemAccessFn& access) const {
   FM_CHECK_MSG(n == scattered_n_, "simulate after the matching Scatter");
   const size_t row = num_vps_ + 1;
   for (uint32_t c = 0; c < num_chunks_; ++c) {
@@ -720,478 +481,6 @@ void DirectShuffleBackend::SimulateGather(const Vid* w_prev, Wid n,
       }
     }
   }
-}
-
-// -- binned backend -----------------------------------------------------------
-
-// Propagation-blocking backend: pass 1 radix-bins walkers into per-chunk
-// arena segments through per-(worker, bin) write-combining buffers, pass 2
-// scatters each cache-resident segment into SW. Bins cover contiguous VP
-// ranges (ShufflePlan), so re-deriving a record's VP inside its segment is
-// the same two-shift arithmetic as everywhere else.
-class BinnedShuffleBackend : public ShuffleBackend {
- public:
-  BinnedShuffleBackend(const PartitionPlan* plan, ThreadPool* pool,
-                       const ShufflePlan& sp)
-      : ShuffleBackend(plan, pool), bin_first_vp_(sp.bin_first_vp) {
-    FM_CHECK_MSG(!bin_first_vp_.empty() && bin_first_vp_.front() == 0 &&
-                     bin_first_vp_.back() == num_vps_,
-                 "ShufflePlan bins must tile the plan's VPs");
-    for (size_t b = 1; b < bin_first_vp_.size(); ++b) {
-      FM_CHECK(bin_first_vp_[b - 1] < bin_first_vp_[b]);
-    }
-    num_bins_ = static_cast<uint32_t>(bin_first_vp_.size() - 1);
-    // Buffer capacity: whole cache lines, at least one.
-    buffer_records_ = std::max(
-        kVidsPerLine, sp.buffer_records / kVidsPerLine * kVidsPerLine);
-    vp_to_bin_.resize(num_vps_ + 1);
-    for (uint32_t b = 0; b < num_bins_; ++b) {
-      for (uint32_t vp = bin_first_vp_[b]; vp < bin_first_vp_[b + 1]; ++vp) {
-        vp_to_bin_[vp] = b;
-      }
-    }
-    vp_to_bin_[num_vps_] = num_bins_;  // trailing dead bin
-    const size_t bstride = num_bins_ + 1;
-    // Per-worker buffer blocks are whole cache lines, so workers never share
-    // a line; the fill rows are padded to a line for the same reason.
-    buffers_.Allocate(static_cast<size_t>(num_chunks_) * bstride *
-                      buffer_records_);
-    aux_buffers_.Allocate(static_cast<size_t>(num_chunks_) * bstride *
-                          buffer_records_);
-    fill_stride_ = (bstride + kVidsPerLine - 1) & ~size_t{kVidsPerLine - 1};
-    fills_.resize(static_cast<size_t>(num_chunks_) * fill_stride_);
-    region_start_.resize(static_cast<size_t>(num_chunks_) * bstride + 1);
-    region_len_.resize(static_cast<size_t>(num_chunks_) * bstride);
-  }
-
-  void AttachArena(ShuffleArena* arena) override { arena_ = arena; }
-
-  void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-               Vid* sw_aux) override {
-    FM_CHECK_MSG(arena_ != nullptr,
-                 "binned shuffle requires AttachArena() before Scatter");
-    Timer timer;
-    have_aux_ = aux != nullptr;
-    CountAndPrefix(w, n);
-    PrepareRegions();
-    records_ = arena_vids_ > 0 ? arena_->EnsureRecords(arena_vids_) : nullptr;
-    aux_records_ = (aux != nullptr && arena_vids_ > 0)
-                       ? arena_->EnsureAuxRecords(arena_vids_)
-                       : nullptr;
-
-    const size_t bstride = num_bins_ + 1;
-    pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t worker) {
-      const Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
-      const Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-      TraceSpan span("shuffle", "bin_chunk");
-      span.Arg("chunk", c);
-      span.Arg("walkers", end - begin);
-      uint32_t* fill = &fills_[worker * fill_stride_];
-      std::fill(fill, fill + bstride, 0u);
-      std::vector<Wid> cursor(region_start_.begin() + c * bstride,
-                              region_start_.begin() + (c + 1) * bstride + 1);
-      Vid* bufs =
-          buffers_.data() + static_cast<size_t>(worker) * bstride *
-                                buffer_records_;
-      Vid* aux_bufs =
-          aux != nullptr ? aux_buffers_.data() + static_cast<size_t>(worker) *
-                                                     bstride * buffer_records_
-                         : nullptr;
-      BinChunkScan(plan_, vp_to_bin_.data(), num_vps_, w, aux, begin, end,
-                   bufs, aux_bufs, buffer_records_,
-                   static_cast<uint32_t>(bstride), fill, cursor.data(),
-                   records_, aux_records_);
-    });
-    scatter_stats_.pass1_s = timer.Lap();
-
-    std::atomic<uint64_t> issued{0};
-    pool_->ParallelFor(bstride, [&](uint64_t b, uint32_t) {
-      TraceSpan span("shuffle", "segment_scatter");
-      span.Arg("bin", b);
-      const uint64_t bin_issued = ScatterBin(static_cast<uint32_t>(b), sw,
-                                             sw_aux);
-      // relaxed: independent per-bin counter folds; the ParallelFor join
-      // publishes the total.
-      issued.fetch_add(bin_issued, std::memory_order_relaxed);
-    });
-    scatter_stats_.pass2_s = timer.Lap();
-    scatter_stats_.flushed_lines = pending_flushed_lines_;
-    // relaxed: read after the ParallelFor join; no concurrent writers remain.
-    scatter_stats_.prefetch_issues = issued.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] Status Gather(const Vid* w_prev, Wid n, const Vid* sw,
-                              Vid* w_next, const Vid* sw_aux,
-                              Vid* aux_next) override {
-    if (n != scattered_n_) {
-      std::ostringstream msg;
-      msg << "Gather must replay the exact Scatter input: got " << n
-          << " walkers, scattered " << scattered_n_;
-      return Status::FailedPrecondition(msg.str());
-    }
-    Timer timer;
-    values_ = arena_vids_ > 0 ? arena_->EnsureValues(arena_vids_) : nullptr;
-    aux_values_ = (sw_aux != nullptr && arena_vids_ > 0)
-                      ? arena_->EnsureAuxValues(arena_vids_)
-                      : nullptr;
-#ifndef NDEBUG
-    std::vector<uint8_t> consumed(n, 0);
-    uint8_t* consumed_ptr = consumed.data();
-#else
-    uint8_t* consumed_ptr = nullptr;
-#endif
-    const size_t bstride = num_bins_ + 1;
-    std::atomic<uint64_t> issued{0};
-    // Phase A, parallel over bins: replay each segment's counting offsets and
-    // stage the sampled values record-adjacent. SW reads stay in the bin's
-    // cache-resident span; writes go to disjoint regions.
-    pool_->ParallelFor(bstride, [&](uint64_t b, uint32_t) {
-      TraceSpan span("shuffle", "gather_segment");
-      span.Arg("bin", b);
-      const uint64_t bin_issued =
-          GatherBin(static_cast<uint32_t>(b), n, sw, sw_aux, consumed_ptr);
-      // relaxed: independent per-bin counter folds; the ParallelFor join
-      // publishes the total.
-      issued.fetch_add(bin_issued, std::memory_order_relaxed);
-    });
-    gather_stats_.pass1_s = timer.Lap();
-
-    // Phase B, parallel over chunks: re-scan W_prev in order, consuming each
-    // bin's staged values sequentially — the append order of pass 1.
-    pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
-      const Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
-      const Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-      TraceSpan span("shuffle", "gather_merge");
-      span.Arg("chunk", c);
-      span.Arg("walkers", end - begin);
-      std::vector<Wid> cursor(region_start_.begin() + c * bstride,
-                              region_start_.begin() + (c + 1) * bstride + 1);
-      const uint64_t chunk_issued =
-          GatherMergeScan(plan_, vp_to_bin_.data(), num_vps_, w_prev, begin,
-                          end, cursor.data(), values_, aux_values_, w_next,
-                          aux_next, prefetch_lookahead_);
-      // relaxed: independent per-chunk counter folds; the ParallelFor join
-      // publishes the total.
-      issued.fetch_add(chunk_issued, std::memory_order_relaxed);
-    });
-    gather_stats_.pass2_s = timer.Lap();
-    // relaxed: read after the ParallelFor join; no concurrent writers remain.
-    gather_stats_.prefetch_issues = issued.load(std::memory_order_relaxed);
-    return Status::Ok();
-  }
-
-  void SimulateScatter(const Vid* w, const Vid* aux, Wid n, const Vid* sw,
-                       const Vid* sw_aux,
-                       const MemAccessFn& access) const override {
-    FM_CHECK_MSG(n == scattered_n_, "simulate after the matching Scatter");
-    const size_t bstride = num_bins_ + 1;
-    // Pass 1: sequential W read, one write-combining slot touch per walker;
-    // full-line flushes are non-temporal and bypass the hierarchy (that is
-    // the point of the protocol), so they contribute no accesses.
-    std::vector<uint32_t> fill(bstride, 0);
-    for (uint32_t c = 0; c < num_chunks_; ++c) {
-      const Wid begin = ChunkBegin(n, num_chunks_, c);
-      const Wid end = ChunkBegin(n, num_chunks_, c + 1);
-      std::fill(fill.begin(), fill.end(), 0u);
-      for (Wid j = begin; j < end; ++j) {
-        access(&w[j], sizeof(Vid));
-        const uint32_t b = vp_to_bin_[BinOfWalker(plan_, num_vps_, w[j])];
-        uint32_t f = fill[b];
-        access(&buffers_.data()[(static_cast<size_t>(c) * bstride +
-                                 static_cast<size_t>(b)) *
-                                    buffer_records_ +
-                                f],
-               sizeof(Vid));
-        if (aux != nullptr) {
-          access(&aux[j], sizeof(Vid));
-        }
-        fill[b] = (f + 1 == buffer_records_) ? 0 : f + 1;
-      }
-    }
-    // Pass 2: stream each segment's records back (they were written around
-    // the cache, so these are cold reads) and scatter into the resident SW
-    // span.
-    for (uint32_t b = 0; b <= num_bins_; ++b) {
-      const uint32_t vp_lo = b == num_bins_ ? num_vps_ : bin_first_vp_[b];
-      for (uint32_t c = 0; c < num_chunks_; ++c) {
-        const Wid rbegin = region_start_[c * bstride + b];
-        const Wid len = region_len_[c * bstride + b];
-        std::vector<Wid> offs = SegmentOffsets(b, c);
-        for (Wid i = 0; i < len; ++i) {
-          access(&records_[rbegin + i], sizeof(Vid));
-          const uint32_t vp = BinOfWalker(plan_, num_vps_, records_[rbegin + i]);
-          const Wid p = offs[vp - vp_lo]++;
-          access(&offs[vp - vp_lo], sizeof(Wid));
-          access(&sw[p], sizeof(Vid));
-          if (aux != nullptr) {
-            access(&aux_records_[rbegin + i], sizeof(Vid));
-            access(&sw_aux[p], sizeof(Vid));
-          }
-        }
-      }
-    }
-  }
-
-  void SimulateGather(const Vid* w_prev, Wid n, const Vid* sw,
-                      const Vid* sw_aux, const Vid* w_next,
-                      const Vid* aux_next,
-                      const MemAccessFn& access) const override {
-    FM_CHECK_MSG(n == scattered_n_, "simulate after the matching Scatter");
-    const size_t bstride = num_bins_ + 1;
-    // Phase A: per-segment record re-read, resident SW fetch, staged-value
-    // write.
-    for (uint32_t b = 0; b <= num_bins_; ++b) {
-      const uint32_t vp_lo = b == num_bins_ ? num_vps_ : bin_first_vp_[b];
-      for (uint32_t c = 0; c < num_chunks_; ++c) {
-        const Wid rbegin = region_start_[c * bstride + b];
-        const Wid len = region_len_[c * bstride + b];
-        std::vector<Wid> offs = SegmentOffsets(b, c);
-        for (Wid i = 0; i < len; ++i) {
-          access(&records_[rbegin + i], sizeof(Vid));
-          const uint32_t vp = BinOfWalker(plan_, num_vps_, records_[rbegin + i]);
-          const Wid p = offs[vp - vp_lo]++;
-          access(&offs[vp - vp_lo], sizeof(Wid));
-          access(&sw[p], sizeof(Vid));
-          access(&values_[rbegin + i], sizeof(Vid));
-          if (sw_aux != nullptr) {
-            access(&sw_aux[p], sizeof(Vid));
-          }
-        }
-      }
-    }
-    // Phase B: walker-order merge.
-    std::vector<Wid> cursor(bstride);
-    for (uint32_t c = 0; c < num_chunks_; ++c) {
-      const Wid begin = ChunkBegin(n, num_chunks_, c);
-      const Wid end = ChunkBegin(n, num_chunks_, c + 1);
-      for (uint32_t b = 0; b < bstride; ++b) {
-        cursor[b] = region_start_[c * bstride + b];
-      }
-      for (Wid j = begin; j < end; ++j) {
-        access(&w_prev[j], sizeof(Vid));
-        const uint32_t b = vp_to_bin_[BinOfWalker(plan_, num_vps_, w_prev[j])];
-        const Wid p = cursor[b]++;
-        access(&cursor[b], sizeof(Wid));
-        access(&values_[p], sizeof(Vid));
-        access(&w_next[j], sizeof(Vid));
-        if (aux_next != nullptr) {
-          access(&aux_next[j], sizeof(Vid));
-        }
-      }
-    }
-  }
-
-  ShuffleBackendKind kind() const override {
-    return ShuffleBackendKind::kBinned;
-  }
-
- private:
-  // Per-(chunk, bin) arena regions: contiguous in chunk-major order, each
-  // rounded up to whole cache lines so every region start is line-aligned and
-  // full-buffer flushes never straddle a region boundary.
-  void PrepareRegions() {
-    const size_t bstride = num_bins_ + 1;
-    Wid total = 0;
-    uint64_t full_flushes = 0;
-    for (uint32_t c = 0; c < num_chunks_; ++c) {
-      for (uint32_t b = 0; b <= num_bins_; ++b) {
-        const uint32_t vp_lo = b == num_bins_ ? num_vps_ : bin_first_vp_[b];
-        const uint32_t vp_hi =
-            b == num_bins_ ? num_vps_ + 1 : bin_first_vp_[b + 1];
-        Wid len = 0;
-        for (uint32_t vp = vp_lo; vp < vp_hi; ++vp) {
-          len += ChunkVpCount(c, vp);
-        }
-        region_start_[c * bstride + b] = total;
-        region_len_[c * bstride + b] = len;
-        full_flushes += len / buffer_records_;
-        total += (len + kVidsPerLine - 1) & ~static_cast<Wid>(kVidsPerLine - 1);
-      }
-    }
-    region_start_.back() = total;
-    arena_vids_ = total;
-    pending_flushed_lines_ =
-        full_flushes * (buffer_records_ / kVidsPerLine) * (have_aux_ ? 2 : 1);
-  }
-
-  // Counting-scatter offsets of bin b's member VPs for chunk c, straight from
-  // the shared per-(chunk, vp) table — the direct path's exact offsets.
-  std::vector<Wid> SegmentOffsets(uint32_t b, uint32_t c) const {
-    const size_t row = num_vps_ + 1;
-    const uint32_t vp_lo = b == num_bins_ ? num_vps_ : bin_first_vp_[b];
-    const uint32_t vp_hi = b == num_bins_ ? num_vps_ + 1 : bin_first_vp_[b + 1];
-    std::vector<Wid> offs(vp_hi - vp_lo);
-    for (uint32_t i = 0; i < vp_hi - vp_lo; ++i) {
-      offs[i] = starts_[c * row + vp_lo + i];
-    }
-    return offs;
-  }
-
-  uint64_t ScatterBin(uint32_t b, Vid* sw, Vid* sw_aux) {
-    const size_t bstride = num_bins_ + 1;
-    const uint32_t vp_lo = b == num_bins_ ? num_vps_ : bin_first_vp_[b];
-    uint64_t issued = 0;
-    for (uint32_t c = 0; c < num_chunks_; ++c) {
-      const Wid rbegin = region_start_[c * bstride + b];
-      const Wid len = region_len_[c * bstride + b];
-      if (len == 0) {
-        continue;
-      }
-      std::vector<Wid> offs = SegmentOffsets(b, c);
-      issued += SegmentScatterScan(plan_, num_vps_, vp_lo, records_ + rbegin,
-                                   have_aux_ ? aux_records_ + rbegin : nullptr,
-                                   len, offs.data(), vp_offsets_.data(), sw,
-                                   sw_aux, prefetch_lookahead_);
-    }
-    return issued;
-  }
-
-  uint64_t GatherBin(uint32_t b, Wid n, const Vid* sw, const Vid* sw_aux,
-                     uint8_t* consumed) {
-    const size_t bstride = num_bins_ + 1;
-    const uint32_t vp_lo = b == num_bins_ ? num_vps_ : bin_first_vp_[b];
-    uint64_t issued = 0;
-    for (uint32_t c = 0; c < num_chunks_; ++c) {
-      const Wid rbegin = region_start_[c * bstride + b];
-      const Wid len = region_len_[c * bstride + b];
-      if (len == 0) {
-        continue;
-      }
-      std::vector<Wid> offs = SegmentOffsets(b, c);
-      issued += GatherSegmentScan(
-          plan_, num_vps_, vp_lo, records_ + rbegin, len, offs.data(), n, sw,
-          sw_aux, values_ + rbegin,
-          aux_values_ != nullptr ? aux_values_ + rbegin : nullptr, consumed,
-          prefetch_lookahead_);
-    }
-    return issued;
-  }
-
-  std::vector<uint32_t> bin_first_vp_;
-  uint32_t num_bins_ = 0;
-  uint32_t buffer_records_ = 0;
-  std::vector<uint32_t> vp_to_bin_;
-
-  // Per-(worker, bin) write-combining buffers (walker + aux streams) and
-  // their fill counts; reset at the start of every chunk scan.
-  AlignedBuffer<Vid> buffers_;
-  AlignedBuffer<Vid> aux_buffers_;
-  size_t fill_stride_ = 0;
-  std::vector<uint32_t> fills_;
-
-  // Per-(chunk, bin) arena regions of the last Scatter; Gather replays them.
-  std::vector<Wid> region_start_;
-  std::vector<Wid> region_len_;
-  Wid arena_vids_ = 0;
-  uint64_t pending_flushed_lines_ = 0;
-  bool have_aux_ = false;
-
-  ShuffleArena* arena_ = nullptr;
-  Vid* records_ = nullptr;
-  Vid* aux_records_ = nullptr;
-  Vid* values_ = nullptr;
-  Vid* aux_values_ = nullptr;
-};
-
-std::unique_ptr<ShuffleBackend> MakeBackend(const PartitionPlan* plan,
-                                            ThreadPool* pool,
-                                            const ShuffleConfig& config) {
-  ShuffleBackendKind kind = config.kind;
-  if (kind == ShuffleBackendKind::kAuto) {
-    kind = config.shuffle_plan != nullptr ? config.shuffle_plan->recommended
-                                          : ShuffleBackendKind::kDirect;
-  }
-  std::unique_ptr<ShuffleBackend> backend;
-  if (kind == ShuffleBackendKind::kBinned) {
-    FM_CHECK_MSG(config.shuffle_plan != nullptr,
-                 "binned shuffle requires a ShufflePlan");
-    backend = std::make_unique<BinnedShuffleBackend>(plan, pool,
-                                                     *config.shuffle_plan);
-  } else {
-    backend = std::make_unique<DirectShuffleBackend>(plan, pool);
-  }
-  backend->set_prefetch_lookahead(config.prefetch_lookahead);
-  return backend;
-}
-
-}  // namespace
-
-// -- Shuffler facade ----------------------------------------------------------
-
-Shuffler::Shuffler(const PartitionPlan* plan, ThreadPool* pool)
-    : Shuffler(plan, pool, ShuffleConfig{}) {}
-
-Shuffler::Shuffler(const PartitionPlan* plan, ThreadPool* pool,
-                   const ShuffleConfig& config)
-    : backend_(MakeBackend(plan, pool, config)) {}
-
-Shuffler::~Shuffler() = default;
-
-namespace {
-
-// Shuffle-stage telemetry, published once per Scatter/Gather op (never inside
-// the scan loops). Instruments are process-wide so one lookup serves every
-// Shuffler; deliberately leaked references into the leaked registry.
-struct ShuffleTelemetry {
-  telemetry::Counter& pass1_ns;
-  telemetry::Counter& pass2_ns;
-  telemetry::Counter& flushed_lines;
-  telemetry::Counter& prefetch_issues;
-  telemetry::Counter& scatter_ops;
-  telemetry::Counter& gather_ops;
-
-  static ShuffleTelemetry& Get() {
-    auto& reg = telemetry::TelemetryRegistry::Get();
-    static ShuffleTelemetry tm{
-        reg.CounterRef("fm.shuffle.pass1_ns_total"),
-        reg.CounterRef("fm.shuffle.pass2_ns_total"),
-        reg.CounterRef("fm.shuffle.flushed_lines_total"),
-        reg.CounterRef("fm.shuffle.prefetch_issues_total"),
-        reg.CounterRef("fm.shuffle.scatter_ops_total"),
-        reg.CounterRef("fm.shuffle.gather_ops_total"),
-    };
-    return tm;
-  }
-
-  void Publish(const ShuffleOpStats& stats) {
-    pass1_ns.Add(stats.pass1_s <= 0
-                     ? 0
-                     : static_cast<uint64_t>(stats.pass1_s * 1e9));
-    pass2_ns.Add(stats.pass2_s <= 0
-                     ? 0
-                     : static_cast<uint64_t>(stats.pass2_s * 1e9));
-    flushed_lines.Add(stats.flushed_lines);
-    prefetch_issues.Add(stats.prefetch_issues);
-  }
-};
-
-}  // namespace
-
-void Shuffler::Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                       Vid* sw_aux) {
-  backend_->Scatter(w, aux, n, sw, sw_aux);
-  ShuffleTelemetry& tm = ShuffleTelemetry::Get();
-  tm.Publish(backend_->last_scatter_stats());
-  tm.scatter_ops.Add(1);
-}
-
-Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
-                        const Vid* sw_aux, Vid* aux_next) {
-  Status status = backend_->Gather(w_prev, n, sw, w_next, sw_aux, aux_next);
-  if (status.ok()) {
-    ShuffleTelemetry& tm = ShuffleTelemetry::Get();
-    tm.Publish(backend_->last_gather_stats());
-    tm.gather_ops.Add(1);
-  }
-  return status;
-}
-
-void Shuffler::ScatterTwoLevelForTest(const Vid* w, const Vid* aux, Wid n,
-                                      Vid* sw, Vid* sw_aux) {
-  auto* direct = dynamic_cast<DirectShuffleBackend*>(backend_.get());
-  FM_CHECK_MSG(direct != nullptr,
-               "ScatterTwoLevelForTest requires the direct backend");
-  direct->ScatterTwoLevelAlways(w, aux, n, sw, sw_aux);
 }
 
 }  // namespace fm

@@ -1,195 +1,51 @@
-// Walker-to-partition shuffle (§4.3) behind a pluggable ShuffleBackend.
+// Walker-to-partition shuffle (§4.3).
 //
 // Between walk steps, the walker array W_i (walker order) is regrouped into SW_i
-// (partition order). Two backends produce the identical layout:
-//
-//  * direct  — the two-pass counting shuffle: pass 1 counts walkers per
-//    destination partition per thread chunk, pass 2 scatters after a prefix sum
-//    (escalating to the two-level outer/inner path of §4.4 when the plan has
-//    internal-shuffle groups). This is the bit-exact oracle.
-//  * binned  — propagation blocking: pass 1 radix-bins walkers into cache-sized
-//    segments through per-(worker, bin) write-combining buffers (full buffers
-//    flush to the record arena as whole cache lines, via streaming stores where
-//    available); pass 2 scatters each cache-resident segment into its final SW
-//    range with all destinations fitting in L2. Bin geometry comes from the
-//    ShufflePlan computed in partition_plan.{h,cc}.
+// (partition order) by a two-pass counting shuffle: pass 1 counts walkers per
+// destination partition per thread chunk, pass 2 scatters after a prefix sum,
+// escalating to the two-level outer/inner path of §4.4 when the plan has
+// internal-shuffle groups.
 //
 // Within each partition, SW preserves the W-scan order — this implicit ordering
 // is what lets the engine recover walker identities without storing
 // <walker, vertex> pairs: after the sample stage overwrites SW in place,
 // Gather() re-scans W_i, replays the same counting offsets, and writes each
 // walker's new location back to its walker-order slot in W_{i+1} ("Compact
-// walker state storage"). Both backends replay the same offsets — the binned
-// backend through its segment structure — so the invariant is
-// backend-independent, which the equivalence tests assert bit-for-bit.
-//
-// The ShuffleBackend seam is deliberately narrow (Scatter/Gather/Simulate*)
-// so NUMA-partitioned or disk-block-aware shuffles are one new subclass.
+// walker state storage").
 #ifndef SRC_CORE_SHUFFLE_H_
 #define SRC_CORE_SHUFFLE_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/core/partition_plan.h"
-#include "src/util/aligned_buffer.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
 #include "src/util/types.h"
 
 namespace fm {
 
-// Scratch memory for the binned backend's record segments and gather values.
-// Owned by WalkerState (it already owns every other per-episode array) and
-// attached to the Shuffler per episode, so backends never allocate on the hot
-// path; buffers grow monotonically and their contents are undefined after
-// growth.
-class ShuffleArena {
- public:
-  Vid* EnsureRecords(size_t vids) { return Ensure(&records_, vids); }
-  Vid* EnsureAuxRecords(size_t vids) { return Ensure(&aux_records_, vids); }
-  Vid* EnsureValues(size_t vids) { return Ensure(&values_, vids); }
-  Vid* EnsureAuxValues(size_t vids) { return Ensure(&aux_values_, vids); }
-
-  size_t capacity_vids() const {
-    return records_.size() + aux_records_.size() + values_.size() +
-           aux_values_.size();
-  }
-
- private:
-  static Vid* Ensure(AlignedBuffer<Vid>* buf, size_t vids) {
-    if (buf->size() < vids) {
-      buf->Allocate(vids);
-    }
-    return buf->data();
-  }
-
-  AlignedBuffer<Vid> records_;
-  AlignedBuffer<Vid> aux_records_;
-  AlignedBuffer<Vid> values_;
-  AlignedBuffer<Vid> aux_values_;
-};
-
 // Per-operation stage breakdown, refreshed by every Scatter/Gather call.
 struct ShuffleOpStats {
-  // Scatter: record-binning pass / Gather: segment value fetch. 0 for direct.
+  // Scatter: the counting pass (+ prefix sum). 0 for Gather.
   double pass1_s = 0;
-  // Scatter: counting scatter into SW / Gather: walker-order replay or merge.
+  // Scatter: the scatter into SW / Gather: the walker-order replay.
   double pass2_s = 0;
-  // Full cache lines flushed through the write-combining buffers (binned
-  // scatter pass 1; counts the aux stream too). 0 for direct.
-  uint64_t flushed_lines = 0;
-  // Software prefetches issued by the scatter/gather look-ahead
-  // (ShuffleConfig::prefetch_lookahead). 0 when the look-ahead is off.
-  uint64_t prefetch_issues = 0;
 };
 
 // Callback receiving one memory access of a simulated replay (address and
 // byte count); the engine feeds these into the cachesim hierarchy.
 using MemAccessFn = std::function<void(const void* addr, uint32_t bytes)>;
 
-// One shuffle implementation. Holds the counting state shared by every
-// backend: the per-(chunk, vp) offset table that defines the canonical SW
-// layout and that Gather replays.
-class ShuffleBackend {
- public:
-  ShuffleBackend(const PartitionPlan* plan, ThreadPool* pool);
-  virtual ~ShuffleBackend() = default;
-
-  virtual void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                       Vid* sw_aux) = 0;
-  [[nodiscard]] virtual Status Gather(const Vid* w_prev, Wid n, const Vid* sw,
-                                      Vid* w_next, const Vid* sw_aux,
-                                      Vid* aux_next) = 0;
-
-  // Replays the access pattern of the last Scatter/Gather (same inputs)
-  // through `access` for deterministic cache simulation. Serial; does not
-  // mutate shuffle state.
-  virtual void SimulateScatter(const Vid* w, const Vid* aux, Wid n,
-                               const Vid* sw, const Vid* sw_aux,
-                               const MemAccessFn& access) const = 0;
-  virtual void SimulateGather(const Vid* w_prev, Wid n, const Vid* sw,
-                              const Vid* sw_aux, const Vid* w_next,
-                              const Vid* aux_next,
-                              const MemAccessFn& access) const = 0;
-
-  virtual ShuffleBackendKind kind() const = 0;
-  const char* name() const { return ShuffleBackendName(kind()); }
-
-  virtual void AttachArena(ShuffleArena* /*arena*/) {}
-
-  // Destination look-ahead distance (ShuffleConfig::prefetch_lookahead);
-  // applied by the next Scatter/Gather. 0 = off.
-  void set_prefetch_lookahead(uint32_t k) { prefetch_lookahead_ = k; }
-  uint32_t prefetch_lookahead() const { return prefetch_lookahead_; }
-
-  const std::vector<Wid>& vp_offsets() const { return vp_offsets_; }
-  Wid dead_count() const {
-    return vp_offsets_.back() - vp_offsets_[vp_offsets_.size() - 2];
-  }
-  Wid scattered_n() const { return scattered_n_; }
-  const ShuffleOpStats& last_scatter_stats() const { return scatter_stats_; }
-  const ShuffleOpStats& last_gather_stats() const { return gather_stats_; }
-
- protected:
-  // Pass 1 + prefix sum: fills starts_ and vp_offsets_ for input w[0..n).
-  void CountAndPrefix(const Vid* w, Wid n);
-
-  // Walkers of (chunk c, vp) in the last CountAndPrefix; vp == num_vps_ is the
-  // dead bin.
-  Wid ChunkVpCount(uint32_t c, uint32_t vp) const {
-    const size_t row = num_vps_ + 1;
-    const Wid next = (c + 1 < num_chunks_) ? starts_[(c + 1) * row + vp]
-                                           : vp_offsets_[vp + 1];
-    return next - starts_[c * row + vp];
-  }
-
-  const PartitionPlan* plan_;
-  ThreadPool* pool_;
-  uint32_t num_vps_;
-  uint32_t num_chunks_;
-  uint32_t prefetch_lookahead_ = 0;
-  Wid scattered_n_ = 0;
-
-  // starts_[chunk * (num_vps_+1) + vp] = first SW slot for that (chunk, vp) pair.
-  std::vector<Wid> starts_;
-  std::vector<Wid> vp_offsets_;
-  ShuffleOpStats scatter_stats_;
-  ShuffleOpStats gather_stats_;
-};
-
-// Backend selection for a Shuffler. kAuto with a ShufflePlan runs its
-// recommendation; kAuto without one falls back to direct.
-struct ShuffleConfig {
-  ShuffleBackendKind kind = ShuffleBackendKind::kDirect;
-  // Required for kBinned (and consulted by kAuto); must outlive the Shuffler.
-  const ShufflePlan* shuffle_plan = nullptr;
-  // Scatter/gather destination look-ahead (walkers): while handling walker j,
-  // prefetch the destination cursor line for walker j+k. The destination
-  // cursors advance sequentially per bin, so the line prefetched through the
-  // *current* cursor is the true target's line (or its predecessor) — a pure
-  // hint that never changes the layout. 0 disables. The engine sets this from
-  // the resolved interleave depth (src/core/interleave.h).
-  uint32_t prefetch_lookahead = 0;
-};
-
 class Shuffler {
  public:
-  // Direct backend — the historical constructor, kept so call sites that only
-  // ever want the oracle path stay unchanged.
   Shuffler(const PartitionPlan* plan, ThreadPool* pool);
-  Shuffler(const PartitionPlan* plan, ThreadPool* pool,
-           const ShuffleConfig& config);
-  ~Shuffler();
 
   // Scatters w[0..n) into sw[0..n), grouped by vertex partition (dead walkers —
   // value kInvalidVid — go to a trailing dead bin). `aux`/`sw_aux` optionally carry
   // a second per-walker attribute through the same permutation (node2vec's previous
   // vertex). After Scatter, vp_offsets()[i]..vp_offsets()[i+1] is partition i's
-  // chunk.
-  // Out-of-line (shuffle.cc): delegates to the backend, then publishes the
-  // op's pass timings / flushed-line / prefetch-issue stats to telemetry.
+  // chunk. Publishes the op's pass timings to telemetry.
   void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw, Vid* sw_aux);
 
   // Replays the permutation from w_prev (the array Scatter consumed): writes
@@ -200,43 +56,55 @@ class Shuffler {
   [[nodiscard]] Status Gather(const Vid* w_prev, Wid n, const Vid* sw,
                               Vid* w_next, const Vid* sw_aux, Vid* aux_next);
 
+  // Replays the access pattern of the last Scatter/Gather (same inputs)
+  // through `access` for deterministic cache simulation. Serial; does not
+  // mutate shuffle state.
   void SimulateScatter(const Vid* w, const Vid* aux, Wid n, const Vid* sw,
-                       const Vid* sw_aux, const MemAccessFn& access) const {
-    backend_->SimulateScatter(w, aux, n, sw, sw_aux, access);
-  }
+                       const Vid* sw_aux, const MemAccessFn& access) const;
   void SimulateGather(const Vid* w_prev, Wid n, const Vid* sw,
                       const Vid* sw_aux, const Vid* w_next,
-                      const Vid* aux_next, const MemAccessFn& access) const {
-    backend_->SimulateGather(w_prev, n, sw, sw_aux, w_next, aux_next, access);
-  }
-
-  // Binned backends scatter through an externally owned arena; a no-op for
-  // direct. Must be called before Scatter when the backend is binned.
-  void AttachArena(ShuffleArena* arena) { backend_->AttachArena(arena); }
+                      const Vid* aux_next, const MemAccessFn& access) const;
 
   // Partition chunk boundaries in SW: size num_vps + 2 (entry num_vps is the dead
   // bin start; entry num_vps+1 == n).
-  const std::vector<Wid>& vp_offsets() const { return backend_->vp_offsets(); }
+  const std::vector<Wid>& vp_offsets() const { return vp_offsets_; }
 
-  Wid dead_count() const { return backend_->dead_count(); }
+  Wid dead_count() const {
+    return vp_offsets_.back() - vp_offsets_[vp_offsets_.size() - 2];
+  }
 
-  ShuffleBackendKind backend_kind() const { return backend_->kind(); }
-  const char* backend_name() const { return backend_->name(); }
-  const ShuffleOpStats& last_scatter_stats() const {
-    return backend_->last_scatter_stats();
-  }
-  const ShuffleOpStats& last_gather_stats() const {
-    return backend_->last_gather_stats();
-  }
+  const ShuffleOpStats& last_scatter_stats() const { return scatter_stats_; }
+  const ShuffleOpStats& last_gather_stats() const { return gather_stats_; }
 
   // Exposed for tests: scatter via the explicit two-level path (outer bins then
   // in-bin counting) regardless of plan.has_internal_shuffle(); must produce the
-  // same layout as the direct path. Direct backend only.
+  // same layout as the one-level path.
   void ScatterTwoLevelForTest(const Vid* w, const Vid* aux, Wid n, Vid* sw,
                               Vid* sw_aux);
 
  private:
-  std::unique_ptr<ShuffleBackend> backend_;
+  // Pass 1 + prefix sum: fills starts_ and vp_offsets_ for input w[0..n).
+  void CountAndPrefix(const Vid* w, Wid n);
+  void ScatterOneLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
+                       Vid* sw_aux);
+  void ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
+                       Vid* sw_aux);
+
+  const PartitionPlan* plan_;
+  ThreadPool* pool_;
+  uint32_t num_vps_;
+  uint32_t num_chunks_;
+  Wid scattered_n_ = 0;
+
+  // starts_[chunk * (num_vps_+1) + vp] = first SW slot for that (chunk, vp) pair.
+  std::vector<Wid> starts_;
+  std::vector<Wid> vp_offsets_;
+  ShuffleOpStats scatter_stats_;
+  ShuffleOpStats gather_stats_;
+
+  // Scratch for the two-level path.
+  std::vector<Vid> inter_;
+  std::vector<Vid> inter_aux_;
 };
 
 }  // namespace fm

@@ -33,49 +33,25 @@ class StepKernel {
 
   // Moves `vp_index`'s walker chunk one step in place. `prevs` is the
   // predecessor stream chunk (node2vec only; ignored otherwise). Walker i of
-  // the chunk draws from its own stream seeded by (chunk_seed, i), so the
-  // result is independent of `depth` (the sample-stage interleave ring size;
-  // <= 1 runs the plain sequential kernels, which are the bit-exact oracle for
-  // the ring variants). `stats`, when non-null, accumulates the ring's
-  // prefetch-issue counts.
+  // the chunk draws from its own stream seeded by (chunk_seed, i).
   FM_HOT_PATH void SampleVp(uint32_t vp_index, Vid* walkers, Vid* prevs,
                             Wid count, double stop_probability,
-                            uint64_t chunk_seed, uint32_t depth, Hook& hook,
-                            InterleaveStats* stats = nullptr) const {
+                            uint64_t chunk_seed, Hook& hook) const {
     const VertexPartition& vp = plan_.vp(vp_index);
     switch (spec_.algorithm) {
       case WalkAlgorithm::kNode2Vec:
-        if (depth <= 1) {
-          SampleVpNode2Vec(graph_, vp, spec_.node2vec, walkers, prevs, count,
-                           stop_probability,
-                           /*update_prevs=*/!spec_.track_identity, chunk_seed,
-                           hook);
-        } else {
-          SampleVpNode2VecInterleaved(
-              graph_, vp, spec_.node2vec, walkers, prevs, count,
-              stop_probability, /*update_prevs=*/!spec_.track_identity,
-              chunk_seed, depth, hook, stats);
-        }
+        SampleVpNode2Vec(graph_, vp, spec_.node2vec, walkers, prevs, count,
+                         stop_probability,
+                         /*update_prevs=*/!spec_.track_identity, chunk_seed,
+                         hook);
         break;
       case WalkAlgorithm::kMetropolisHastings:
-        if (depth <= 1) {
-          SampleVpMetropolis(graph_, walkers, count, stop_probability,
-                             chunk_seed, hook);
-        } else {
-          SampleVpMetropolisInterleaved(graph_, walkers, count,
-                                        stop_probability, chunk_seed, depth,
-                                        hook, stats);
-        }
+        SampleVpMetropolis(graph_, walkers, count, stop_probability,
+                           chunk_seed, hook);
         break;
       case WalkAlgorithm::kDeepWalk:
-        if (depth <= 1) {
-          SampleVpFirstOrder(graph_, vp_index, vp, presample_, walkers, count,
-                             stop_probability, alias_, chunk_seed, hook);
-        } else {
-          SampleVpFirstOrderInterleaved(graph_, vp_index, vp, presample_,
-                                        walkers, count, stop_probability,
-                                        alias_, chunk_seed, depth, hook, stats);
-        }
+        SampleVpFirstOrder(graph_, vp_index, vp, presample_, walkers, count,
+                           stop_probability, alias_, chunk_seed, hook);
         break;
     }
   }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/core/path_set.h"
-#include "src/core/shuffle.h"
 #include "src/core/walk_spec.h"
 #include "src/util/types.h"
 
@@ -82,11 +81,6 @@ class WalkerState {
   // Moves the episode's path rows out (keep_paths mode only).
   PathSet TakePaths();
 
-  // Scratch arena for the binned shuffle backend's record segments — owned
-  // here with the rest of the episode's buffers, attached to the Shuffler by
-  // the engine (Shuffler::AttachArena), unused by the direct backend.
-  ShuffleArena* shuffle_arena() { return &shuffle_arena_; }
-
  private:
   const CsrGraph& graph_;
   const WalkSpec& spec_;
@@ -98,7 +92,6 @@ class WalkerState {
   std::vector<Vid> rot_a_, rot_b_, rot_c_;
   std::vector<Vid> sw_;
   std::vector<Vid> sw_prev_;
-  ShuffleArena shuffle_arena_;
 
   Vid* w_cur_ = nullptr;
   Vid* w_prev_ = nullptr;    // W_{i-1} (node2vec predecessor source)

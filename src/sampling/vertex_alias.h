@@ -39,8 +39,8 @@ class VertexAliasTables {
     return rng.NextDouble() < prob_[begin + slot] ? slot : alias_[begin + slot];
   }
 
-  // Two-phase variant of SampleIndex for the interleaved ring kernels
-  // (src/core/interleave.h): PickSlot makes the first draw and returns the
+  // Two-phase variant of SampleIndex for the KnightKing baseline's interleaved
+  // ring (src/core/interleave.h): PickSlot makes the first draw and returns the
   // absolute table index so the caller can prefetch RowAddr(index), and
   // ResolveSlot makes the second draw against the (now near) row. Calling
   // PickSlot + ResolveSlot consumes the RNG exactly like one SampleIndex

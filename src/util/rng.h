@@ -91,6 +91,13 @@ class MersenneRng {
 // Derives an independent per-thread / per-task seed from a base seed.
 uint64_t DeriveSeed(uint64_t base, uint64_t stream);
 
+// Per-walker RNG stream: walker `i` of a chunk seeded with `chunk_seed` always
+// draws from this stream, whatever the thread count or processing order. The
+// chunk seed itself is already (episode, step, vp)-indexed by the engine.
+inline uint64_t WalkerSeed(uint64_t chunk_seed, uint64_t i) {
+  return DeriveSeed(chunk_seed, i);
+}
+
 }  // namespace fm
 
 #endif  // SRC_UTIL_RNG_H_

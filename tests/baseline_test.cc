@@ -55,7 +55,7 @@ TEST(KnightKingTest, Node2VecValid) {
 
 // The xorshift path seeds one RNG stream per (step, global walker), so the
 // ring executor must reproduce the sequential walk bit-for-bit at every
-// interleave depth — the baseline counterpart of the FlashMob oracle suite.
+// interleave depth.
 TEST(KnightKingTest, InterleavedMatchesSequentialExactly) {
   CsrGraph g = SkewedGraph(1500);
   WalkSpec spec = SmallSpec(3000, 8, 17);
@@ -67,11 +67,12 @@ TEST(KnightKingTest, InterleavedMatchesSequentialExactly) {
   for (uint32_t depth : {4u, 8u, 16u}) {
     BaselineOptions opts = base;
     opts.interleave_depth = depth;
-    WalkResult ring = KnightKingEngine(g, opts).Run(spec);
-    EXPECT_EQ(ring.stats.interleave_depth, depth);
+    KnightKingEngine engine(g, opts);
+    WalkResult ring = engine.Run(spec);
+    EXPECT_EQ(engine.last_depth(), depth);
     ASSERT_TRUE(ring.paths.SameAs(sequential.paths)) << "depth " << depth;
     EXPECT_EQ(ring.visit_counts, sequential.visit_counts) << "depth " << depth;
-    EXPECT_GT(ring.stats.prefetch.Total(), 0u) << "depth " << depth;
+    EXPECT_GT(engine.last_prefetch().Total(), 0u) << "depth " << depth;
   }
 }
 
@@ -127,9 +128,10 @@ TEST(KnightKingTest, MersennePathIgnoresInterleaveDepth) {
   WalkResult sequential = KnightKingEngine(g, base).Run(spec);
   BaselineOptions opts = base;
   opts.interleave_depth = 8;
-  WalkResult rerun = KnightKingEngine(g, opts).Run(spec);
-  EXPECT_EQ(rerun.stats.interleave_depth, 1u);
-  EXPECT_EQ(rerun.stats.prefetch.Total(), 0u);
+  KnightKingEngine engine(g, opts);
+  WalkResult rerun = engine.Run(spec);
+  EXPECT_EQ(engine.last_depth(), 1u);
+  EXPECT_EQ(engine.last_prefetch().Total(), 0u);
   ASSERT_TRUE(rerun.paths.SameAs(sequential.paths));
 }
 

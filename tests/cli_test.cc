@@ -2,6 +2,8 @@
 // by CMake).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -102,6 +104,9 @@ TEST_F(CliTest, MetricsJsonSmoke) {
     EXPECT_TRUE(step.Has("scatter_s"));
     EXPECT_TRUE(step.Has("sample_s"));
     EXPECT_TRUE(step.Has("gather_s"));
+    EXPECT_TRUE(step.Has("scatter_pass1_s"));
+    EXPECT_TRUE(step.Has("scatter_pass2_s"));
+    EXPECT_TRUE(step.Has("gather_pass2_s"));
     EXPECT_TRUE(step.At("counters").Has("scatter"));
     EXPECT_TRUE(step.At("counters").At("sample").Has("llc_misses"));
   }
@@ -111,46 +116,6 @@ TEST_F(CliTest, MetricsJsonSmoke) {
     share += cls.Num("walker_step_share");
   }
   EXPECT_NEAR(share, 1.0, 1e-4);  // %.6g rounding per class
-}
-
-TEST_F(CliTest, ShuffleBackendSelection) {
-  // Every --shuffle value runs, the pinned backend lands in the metrics, and
-  // paths are identical across backends (the bit-identical layout guarantee,
-  // observed end to end).
-  auto out_direct = dir_ / "direct.txt";
-  auto out_binned = dir_ / "binned.txt";
-  for (const char* backend : {"direct", "binned", "auto"}) {
-    auto metrics = dir_ / (std::string(backend) + ".json");
-    auto walks = std::string(backend) == "direct" ? out_direct : out_binned;
-    int rc = Run("--graph=" + (dir_ / "edges.txt").string() +
-                 " --steps=4 --rounds=2 --shuffle=" + backend +
-                 " --out=" + walks.string() +
-                 " --metrics-json=" + metrics.string());
-    ASSERT_EQ(rc, 0) << backend;
-    std::ifstream in(metrics);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    fm::json::Value doc = fm::json::ParseJson(
-        text.substr(0, text.find_last_not_of('\n') + 1));
-    std::string ran = doc.At("run").Str("shuffle_backend");
-    if (std::string(backend) == "auto") {
-      EXPECT_TRUE(ran == "direct" || ran == "binned") << ran;
-    } else {
-      EXPECT_EQ(ran, backend);
-    }
-    for (const auto& step : doc.At("steps").array) {
-      EXPECT_TRUE(step.Has("scatter_pass1_s"));
-      EXPECT_TRUE(step.Has("flushed_lines"));
-    }
-  }
-  // Same seed, different backend: identical walks.
-  std::ifstream a(out_direct), b(out_binned);
-  std::string direct_paths((std::istreambuf_iterator<char>(a)),
-                           std::istreambuf_iterator<char>());
-  std::string binned_paths((std::istreambuf_iterator<char>(b)),
-                           std::istreambuf_iterator<char>());
-  ASSERT_FALSE(direct_paths.empty());
-  EXPECT_EQ(direct_paths, binned_paths);
 }
 
 TEST_F(CliTest, TelemetryJsonlAgreesWithMetricsAndFmmonSummarizes) {
@@ -224,7 +189,39 @@ TEST_F(CliTest, RejectsBadUsage) {
   EXPECT_NE(Run("--graph=a --csr=b"), 0);       // both inputs
   EXPECT_NE(Run("--graph=a --algo=simrank"), 0);  // unknown algo
   EXPECT_NE(Run("--graph=" + (dir_ / "missing.txt").string()), 0);
-  EXPECT_NE(Run("--graph=a --shuffle=bogus"), 0);  // unknown backend
+  EXPECT_NE(Run("--graph=a --no-such-flag"), 0);  // unknown argument
+}
+
+TEST_F(CliTest, UnusableInputIsAOneLineError) {
+  // Inputs the engine would reject with a fatal check: fmwalk must exit 1
+  // with one "error: ..." line instead of aborting.
+  std::ofstream(dir_ / "empty.txt").close();
+  std::ofstream unweighted(dir_ / "unweighted.txt");
+  for (int v = 0; v < 50; ++v) {
+    unweighted << v << ' ' << (v + 1) % 50 << '\n';
+  }
+  unweighted.close();
+  const std::string cases[] = {
+      "--graph=" + (dir_ / "empty.txt").string(),
+      "--graph=" + (dir_ / "unweighted.txt").string() + " --weighted",
+      "--graph=" + (dir_ / "edges.txt").string() + " --weighted --algo=node2vec",
+  };
+  const fs::path err = dir_ / "stderr.txt";
+  for (const std::string& args : cases) {
+    int rc = std::system((std::string(FMWALK_PATH) + " " + args + " 2>" +
+                          err.string())
+                             .c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << args;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << args;
+    std::ifstream in(err);
+    std::vector<std::string> errors;
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("error: ", 0) == 0) {
+        errors.push_back(line);
+      }
+    }
+    EXPECT_EQ(errors.size(), 1u) << args;
+  }
 }
 
 }  // namespace

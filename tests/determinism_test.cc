@@ -70,14 +70,10 @@ struct RunDigest {
 };
 
 RunDigest RunWith(const CsrGraph& g, uint32_t threads, WalkAlgorithm algorithm,
-                  double stop_probability,
-                  ShuffleBackendKind backend = ShuffleBackendKind::kAuto,
-                  uint32_t interleave_depth = kInterleaveDepthAuto) {
+                  double stop_probability) {
   ThreadPool pool(threads);
   EngineOptions options;
   options.pool = &pool;
-  options.shuffle_backend = backend;
-  options.interleave_depth = interleave_depth;
   // Pin the plan config: threads_sharing_l3 feeds the planner's cache-level
   // classification, and the engine would otherwise default it to the pool
   // size, changing the plan (and hence the RNG stream layout) across runs.
@@ -131,83 +127,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(algo) +
              (std::get<1>(info.param) == 0.0 ? "_stop0" : "_stop15");
     });
-
-TEST_P(DeterminismTest, BinnedShuffleMatchesDirectAcrossThreadCounts) {
-  // The shuffle backend must be invisible to walk content: the binned path
-  // reproduces the direct SW layout bit-for-bit, so paths and visit counts —
-  // node2vec's predecessor stream included — must hash identically across
-  // backends at every thread count.
-  auto [algorithm, stop] = GetParam();
-  CsrGraph g = BuildGraph();
-  uint32_t hw = std::max(2u, std::thread::hardware_concurrency());
-  RunDigest reference =
-      RunWith(g, 1, algorithm, stop, ShuffleBackendKind::kDirect);
-  ASSERT_NE(reference.path_hash, 0u);
-  for (uint32_t threads : {1u, 4u, hw}) {
-    RunDigest binned =
-        RunWith(g, threads, algorithm, stop, ShuffleBackendKind::kBinned);
-    EXPECT_EQ(binned.path_hash, reference.path_hash)
-        << "binned PathSet diverged from direct at threads=" << threads;
-    EXPECT_EQ(binned.counts, reference.counts)
-        << "binned visit counts diverged from direct at threads=" << threads;
-  }
-}
-
-TEST_P(DeterminismTest, InterleaveDepthInvisibleAcrossThreadsAndBackends) {
-  // The ring executor must be a pure scheduling change: the same walk, bit
-  // for bit, at every interleave depth — including when combined with the
-  // other two execution axes (thread count, shuffle backend). Every walker
-  // draws from a stream indexed by its chunk position, so depth only changes
-  // *when* a draw happens, never *which* stream it comes from.
-  auto [algorithm, stop] = GetParam();
-  CsrGraph g = BuildGraph();
-  uint32_t hw = std::max(2u, std::thread::hardware_concurrency());
-  RunDigest reference =
-      RunWith(g, 1, algorithm, stop, ShuffleBackendKind::kDirect, 1);
-  ASSERT_NE(reference.path_hash, 0u);
-  for (uint32_t depth : {4u, 8u, 16u}) {
-    for (uint32_t threads : {1u, hw}) {
-      for (ShuffleBackendKind backend :
-           {ShuffleBackendKind::kDirect, ShuffleBackendKind::kBinned}) {
-        RunDigest digest = RunWith(g, threads, algorithm, stop, backend, depth);
-        EXPECT_EQ(digest.path_hash, reference.path_hash)
-            << "PathSet diverged at depth=" << depth << " threads=" << threads
-            << " backend=" << (backend == ShuffleBackendKind::kDirect
-                                   ? "direct"
-                                   : "binned");
-        EXPECT_EQ(digest.counts, reference.counts)
-            << "visit counts diverged at depth=" << depth
-            << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(DeterminismTest, WalkerIndexedSeedingSurvivesSlotChurn) {
-  // Regression for the RNG-indexing invariant: with a high stop probability,
-  // walkers die mid-ring constantly and slot assignment at depth 16 bears no
-  // resemblance to walker order. If streams were seeded by ring slot (the
-  // tempting bug), the reuse pattern would scramble draws and these hashes
-  // would diverge; walker-indexed seeding keeps them bit-identical.
-  CsrGraph g = BuildGraph();
-  RunDigest sequential = RunWith(g, 2, WalkAlgorithm::kDeepWalk, 0.5,
-                                 ShuffleBackendKind::kAuto, 1);
-  RunDigest ring = RunWith(g, 2, WalkAlgorithm::kDeepWalk, 0.5,
-                           ShuffleBackendKind::kAuto, 16);
-  EXPECT_EQ(ring.path_hash, sequential.path_hash);
-  EXPECT_EQ(ring.counts, sequential.counts);
-}
-
-TEST(DeterminismTest, AutoDepthMatchesItsResolvedPin) {
-  // "auto" is only a depth picker: whatever it resolves to must already be in
-  // the bit-identical family, so auto == depth-1 == any pinned depth.
-  CsrGraph g = BuildGraph();
-  RunDigest pinned = RunWith(g, 3, WalkAlgorithm::kDeepWalk, 0.1,
-                             ShuffleBackendKind::kAuto, 1);
-  RunDigest autod = RunWith(g, 3, WalkAlgorithm::kDeepWalk, 0.1,
-                            ShuffleBackendKind::kAuto, kInterleaveDepthAuto);
-  EXPECT_EQ(autod.path_hash, pinned.path_hash);
-}
 
 // FNV-1a over the per-vertex visit counts.
 uint64_t VisitHash(const std::vector<uint64_t>& counts) {

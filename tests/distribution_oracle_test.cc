@@ -10,13 +10,6 @@
 // bounds the chance that the *fixed* sampled stream trips the test by luck; it
 // did not for the seeds recorded here, and any code change that skews the
 // distribution beyond noise moves the statistic by orders of magnitude.
-//
-// Every oracle additionally runs through the interleaved ring executor at
-// depths {1, 4, 16} (src/core/interleave.h) and asserts the outputs are
-// *bit-identical* to the sequential kernel — the per-walker RNG streams make
-// interleave depth a pure performance knob, so one chi-square verdict covers
-// every depth. Depth 1 exercises the ring's sequential degenerate path, which
-// pins the ring stage machines draw-for-draw to the plain kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +17,6 @@
 #include <vector>
 
 #include "src/core/algorithms/node2vec.h"
-#include "src/core/interleave.h"
 #include "src/core/presample.h"
 #include "src/core/sample_stage.h"
 #include "src/graph/degree_sort.h"
@@ -39,10 +31,6 @@ namespace {
 
 constexpr Wid kDraws = 1 << 15;
 constexpr double kSignificance = 0.001;
-
-// Ring depths every oracle is replayed at; results must match the sequential
-// kernel bitwise at each of them.
-constexpr uint32_t kOracleDepths[] = {1, 4, 16};
 
 // Deterministic mixed-degree test graph: degrees spread 2..12 so the oracle
 // exercises short and long adjacency lists (and, sorted descending, a mix of
@@ -91,34 +79,22 @@ std::vector<double> FirstOrderProbs(const CsrGraph& g, Vid v, bool weighted) {
   return probs;
 }
 
-// One first-order kernel step for kDraws walkers parked on v. depth == 0 runs
-// the plain sequential kernel; depth >= 1 runs the ring executor. A fresh
-// PresampleBuffers per call keeps PS runs comparable: consumption order is
-// walker order at every depth (ring inits are monotone), and a refill draws
-// from the triggering walker's RNG stream, so identical consumption sequences
-// produce identical draws.
+// One first-order kernel step for kDraws walkers parked on v, with fresh
+// PresampleBuffers.
 std::vector<Vid> RunFirstOrderStep(const CsrGraph& g, const PartitionPlan& plan,
                                    const VertexAliasTables* alias, Vid v,
-                                   double stop_probability, uint64_t chunk_seed,
-                                   uint32_t depth) {
+                                   double stop_probability,
+                                   uint64_t chunk_seed) {
   PresampleBuffers buffers(g, plan);
   std::vector<Vid> walkers(kDraws, v);
   NullMemHook hook;
-  if (depth == 0) {
-    SampleVpFirstOrder(g, 0, plan.vp(0), &buffers, walkers.data(), kDraws,
-                       stop_probability, alias, chunk_seed, hook);
-  } else {
-    SampleVpFirstOrderInterleaved(g, 0, plan.vp(0), &buffers, walkers.data(),
-                                  kDraws, stop_probability, alias, chunk_seed,
-                                  depth, hook);
-  }
+  SampleVpFirstOrder(g, 0, plan.vp(0), &buffers, walkers.data(), kDraws,
+                     stop_probability, alias, chunk_seed, hook);
   return walkers;
 }
 
 // Runs one first-order kernel step for kDraws walkers parked on each vertex in
-// turn, asserts the ring executor reproduces the sequential kernel bitwise at
-// every oracle depth, and chi-squares the next-hop histogram against the exact
-// distribution.
+// turn and chi-squares the next-hop histogram against the exact distribution.
 void CheckFirstOrderOracle(const CsrGraph& g, SamplePolicy policy,
                            bool weighted, uint64_t seed) {
   PartitionPlan plan = PartitionPlan::BuildUniform(g, 1, policy);
@@ -130,13 +106,7 @@ void CheckFirstOrderOracle(const CsrGraph& g, SamplePolicy policy,
     ASSERT_GE(g.degree(v), 2u);
     const uint64_t chunk_seed = DeriveSeed(seed, v);
     std::vector<Vid> walkers =
-        RunFirstOrderStep(g, plan, alias.get(), v, 0.0, chunk_seed, 0);
-    for (uint32_t depth : kOracleDepths) {
-      std::vector<Vid> ring =
-          RunFirstOrderStep(g, plan, alias.get(), v, 0.0, chunk_seed, depth);
-      ASSERT_EQ(ring, walkers)
-          << "interleave depth " << depth << " diverged at vertex " << v;
-    }
+        RunFirstOrderStep(g, plan, alias.get(), v, 0.0, chunk_seed);
     std::vector<uint64_t> counts(g.num_vertices(), 0);
     for (Vid next : walkers) {
       ASSERT_TRUE(g.HasEdge(v, next)) << "invalid hop " << v << "->" << next;
@@ -211,9 +181,7 @@ TEST(DistributionOracleTest, Node2VecMatchesExactTransitionProbs) {
   // Second-order rejection sampler against the exact Grover-Leskovec
   // distribution, across contrasting (p, q) regimes and several (prev, cur)
   // edges. prev must be a real predecessor so the 1/p return weight and the
-  // connectivity-check 1.0 weight both get exercised. The rejection loop makes
-  // a variable number of draws per walker, so the depth sweep also proves the
-  // ring replays retries draw-for-draw.
+  // connectivity-check 1.0 weight both get exercised.
   CsrGraph g = OracleGraph(false);
   PartitionPlan plan = PartitionPlan::BuildUniform(g, 1, SamplePolicy::kDS);
   NullMemHook hook;
@@ -228,18 +196,6 @@ TEST(DistributionOracleTest, Node2VecMatchesExactTransitionProbs) {
       std::vector<Vid> prevs(kDraws, prev);
       SampleVpNode2Vec(g, plan.vp(0), params, walkers.data(), prevs.data(),
                        kDraws, 0.0, /*update_prevs=*/false, chunk_seed, hook);
-      for (uint32_t depth : kOracleDepths) {
-        std::vector<Vid> ring_walkers(kDraws, cur);
-        std::vector<Vid> ring_prevs(kDraws, prev);
-        SampleVpNode2VecInterleaved(g, plan.vp(0), params, ring_walkers.data(),
-                                    ring_prevs.data(), kDraws, 0.0,
-                                    /*update_prevs=*/false, chunk_seed, depth,
-                                    hook);
-        ASSERT_EQ(ring_walkers, walkers)
-            << "interleave depth " << depth << " diverged (p=" << params.p
-            << " q=" << params.q << " prev=" << prev << ")";
-        ASSERT_EQ(ring_prevs, prevs);
-      }
       std::vector<uint64_t> counts(g.num_vertices(), 0);
       for (Vid next : walkers) {
         ASSERT_TRUE(g.HasEdge(cur, next));
@@ -266,9 +222,6 @@ TEST(DistributionOracleTest, MetropolisHastingsMatchesAcceptanceProbs) {
   // rejection keeps the walker at v. Exact next-hop distribution:
   //   P(u) = (1/d(v)) * min(1, d(v)/d(u))   for each neighbor u
   //   P(v) = 1 - sum_u P(u)                 (the rejection mass)
-  // The acceptance draw is short-circuited when d(v) >= d(u) (no RNG
-  // consumed), so depth-identical results also pin the ring's replication of
-  // the conditional-draw pattern — the "identical accept decisions" oracle.
   CsrGraph g = OracleGraph(false);
   NullMemHook hook;
   for (Vid v = 0; v < g.num_vertices(); ++v) {
@@ -284,13 +237,6 @@ TEST(DistributionOracleTest, MetropolisHastingsMatchesAcceptanceProbs) {
     const uint64_t chunk_seed = DeriveSeed(31, v);
     std::vector<Vid> walkers(kDraws, v);
     SampleVpMetropolis(g, walkers.data(), kDraws, 0.0, chunk_seed, hook);
-    for (uint32_t depth : kOracleDepths) {
-      std::vector<Vid> ring(kDraws, v);
-      SampleVpMetropolisInterleaved(g, ring.data(), kDraws, 0.0, chunk_seed,
-                                    depth, hook);
-      ASSERT_EQ(ring, walkers)
-          << "interleave depth " << depth << " diverged at vertex " << v;
-    }
     std::vector<uint64_t> counts(g.num_vertices(), 0);
     for (Vid next : walkers) {
       ASSERT_TRUE(next == v || g.HasEdge(v, next));
@@ -318,21 +264,14 @@ TEST(DistributionOracleTest, MetropolisHastingsMatchesAcceptanceProbs) {
 TEST(DistributionOracleTest, StopProbabilityBucketsAsBernoulli) {
   // With stop probability s, the next-hop distribution becomes:
   // kInvalidVid with mass s, neighbor u with mass (1-s)/d(v). One more exact
-  // oracle the engine's PPR-style termination must satisfy. Early deaths free
-  // ring slots out of order, so this is also the oracle that stresses the
-  // ring's refill path at every depth.
+  // oracle the engine's PPR-style termination must satisfy.
   CsrGraph g = OracleGraph(false);
   PartitionPlan plan = PartitionPlan::BuildUniform(g, 1, SamplePolicy::kDS);
   const double s = 0.15;
   const uint64_t chunk_seed = 41;
   const Vid v = 3;
   std::vector<Vid> walkers =
-      RunFirstOrderStep(g, plan, nullptr, v, s, chunk_seed, 0);
-  for (uint32_t depth : kOracleDepths) {
-    std::vector<Vid> ring =
-        RunFirstOrderStep(g, plan, nullptr, v, s, chunk_seed, depth);
-    ASSERT_EQ(ring, walkers) << "interleave depth " << depth << " diverged";
-  }
+      RunFirstOrderStep(g, plan, nullptr, v, s, chunk_seed);
   auto nbrs = g.neighbors(v);
   std::vector<uint64_t> counts(g.num_vertices(), 0);
   uint64_t stopped = 0;

@@ -144,68 +144,6 @@ TEST(PartitionPlanTest, DescribeMentionsEveryGroup) {
   EXPECT_NE(desc.find("vps="), std::string::npos);
 }
 
-TEST(ShufflePlanTest, BinsTileVpsExactly) {
-  CsrGraph g = SkewedGraph(50000);
-  PartitionPlan plan = PartitionPlan::BuildUniform(g, 64, SamplePolicy::kDS);
-  ShufflePlan sp = BuildShufflePlan(plan, g, 1 << 20, CacheInfo{}, 4);
-  ASSERT_GE(sp.bin_first_vp.size(), 2u);
-  EXPECT_EQ(sp.bin_first_vp.front(), 0u);
-  EXPECT_EQ(sp.bin_first_vp.back(), plan.num_vps());
-  for (size_t i = 1; i < sp.bin_first_vp.size(); ++i) {
-    EXPECT_LT(sp.bin_first_vp[i - 1], sp.bin_first_vp[i]) << i;
-  }
-  // Buffers hold whole cache lines (the full-line flush protocol needs it).
-  const uint32_t vids_per_line = kCacheLineBytes / sizeof(Vid);
-  EXPECT_GE(sp.buffer_records, vids_per_line);
-  EXPECT_EQ(sp.buffer_records % vids_per_line, 0u);
-  std::string desc = sp.Describe();
-  EXPECT_NE(desc.find("bins="), std::string::npos);
-  EXPECT_NE(desc.find("recommended="), std::string::npos);
-}
-
-TEST(ShufflePlanTest, MoreWalkersMeanMoreBins) {
-  // Bin working sets target half of L2, so geometry must refine as density
-  // grows — a constant bin count would let segments outgrow the cache.
-  CsrGraph g = SkewedGraph(50000);
-  PartitionPlan plan = PartitionPlan::BuildUniform(g, 256, SamplePolicy::kDS);
-  ShufflePlan sparse = BuildShufflePlan(plan, g, 1 << 12, CacheInfo{}, 4);
-  ShufflePlan dense = BuildShufflePlan(plan, g, 1 << 24, CacheInfo{}, 4);
-  EXPECT_GE(dense.num_bins(), sparse.num_bins());
-  EXPECT_GT(dense.num_bins(), 1u);
-}
-
-TEST(ShufflePlanTest, RecommendationCrossover) {
-  CsrGraph g = SkewedGraph(50000);
-  PartitionPlan plan = PartitionPlan::BuildUniform(g, 64, SamplePolicy::kDS);
-  // Paper cache, few walkers: the whole walker array is LLC-resident, the
-  // direct path cannot thrash, binned's extra arena pass would only add work.
-  EXPECT_EQ(BuildShufflePlan(plan, g, 1000, CacheInfo{}, 4).recommended,
-            ShuffleBackendKind::kDirect);
-  // Shrunken cache, many walkers: the array spills the LLC and the per-VP
-  // cursors + open destination lines spill L2 — the propagation-blocking
-  // regime.
-  CacheInfo tiny;
-  tiny.l2_bytes = 4096;
-  tiny.l3_bytes = 16384;
-  ShufflePlan sp = BuildShufflePlan(plan, g, 100000, tiny, 4);
-  EXPECT_GT(sp.num_bins(), 1u);
-  EXPECT_EQ(sp.recommended, ShuffleBackendKind::kBinned);
-}
-
-TEST(ShufflePlanTest, BackendNamesParseAndPrint) {
-  ShuffleBackendKind kind = ShuffleBackendKind::kAuto;
-  EXPECT_TRUE(ParseShuffleBackendName("direct", &kind));
-  EXPECT_EQ(kind, ShuffleBackendKind::kDirect);
-  EXPECT_TRUE(ParseShuffleBackendName("binned", &kind));
-  EXPECT_EQ(kind, ShuffleBackendKind::kBinned);
-  EXPECT_TRUE(ParseShuffleBackendName("auto", &kind));
-  EXPECT_EQ(kind, ShuffleBackendKind::kAuto);
-  EXPECT_FALSE(ParseShuffleBackendName("bogus", &kind));
-  EXPECT_STREQ(ShuffleBackendName(ShuffleBackendKind::kDirect), "direct");
-  EXPECT_STREQ(ShuffleBackendName(ShuffleBackendKind::kBinned), "binned");
-  EXPECT_STREQ(ShuffleBackendName(ShuffleBackendKind::kAuto), "auto");
-}
-
 TEST(PartitionPlanTest, GroupSizesArePowerOfTwoExceptLast) {
   CsrGraph g = SkewedGraph(33000);  // not a power of two
   AnalyticCostModel model;

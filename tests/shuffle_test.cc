@@ -33,23 +33,6 @@ std::vector<Vid> RandomWalkers(Wid count, Vid n, uint64_t seed,
   return w;
 }
 
-// A hand-built bin tiling (independent of BuildShufflePlan's geometry
-// heuristics) so the equivalence tests exercise arbitrary bin cuts, including
-// degenerate single-vp bins.
-ShufflePlan ManualShufflePlan(const PartitionPlan& plan, uint32_t bins,
-                              uint32_t buffer_records = 32) {
-  ShufflePlan sp;
-  const uint32_t nv = plan.num_vps();
-  bins = std::min(bins, nv);
-  for (uint32_t b = 0; b < bins; ++b) {
-    sp.bin_first_vp.push_back(b * nv / bins);
-  }
-  sp.bin_first_vp.push_back(nv);
-  sp.buffer_records = buffer_records;
-  sp.recommended = ShuffleBackendKind::kBinned;
-  return sp;
-}
-
 class ShuffleTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
@@ -58,21 +41,9 @@ class ShuffleTest : public ::testing::TestWithParam<uint32_t> {
     pool_ = std::make_unique<ThreadPool>(3);
   }
 
-  std::unique_ptr<Shuffler> MakeBinned(const ShufflePlan* sp,
-                                       ThreadPool* pool = nullptr) {
-    ShuffleConfig config;
-    config.kind = ShuffleBackendKind::kBinned;
-    config.shuffle_plan = sp;
-    auto shuffler = std::make_unique<Shuffler>(
-        &plan_, pool != nullptr ? pool : pool_.get(), config);
-    shuffler->AttachArena(&arena_);
-    return shuffler;
-  }
-
   CsrGraph graph_;
   PartitionPlan plan_;
   std::unique_ptr<ThreadPool> pool_;
-  ShuffleArena arena_;
 };
 
 TEST_P(ShuffleTest, ScatterIsGroupedPermutation) {
@@ -191,8 +162,8 @@ TEST_P(ShuffleTest, DeadWalkersParkInDeadBin) {
   EXPECT_EQ(w_next, w);
 }
 
-TEST_P(ShuffleTest, TwoLevelLayoutMatchesDirect) {
-  Shuffler direct(&plan_, pool_.get());
+TEST_P(ShuffleTest, TwoLevelLayoutMatchesOneLevel) {
+  Shuffler one_level(&plan_, pool_.get());
   Shuffler two_level(&plan_, pool_.get());
   const Wid n = 25000;
   auto w = RandomWalkers(n, graph_.num_vertices(), 7, 0.05);
@@ -201,130 +172,37 @@ TEST_P(ShuffleTest, TwoLevelLayoutMatchesDirect) {
     aux[j] = static_cast<Vid>(j * 2654435761u);
   }
   std::vector<Vid> sw_a(n), aux_a(n), sw_b(n), aux_b(n);
-  direct.Scatter(w.data(), aux.data(), n, sw_a.data(), aux_a.data());
+  one_level.Scatter(w.data(), aux.data(), n, sw_a.data(), aux_a.data());
   two_level.ScatterTwoLevelForTest(w.data(), aux.data(), n, sw_b.data(),
                                    aux_b.data());
   EXPECT_EQ(sw_a, sw_b);
   EXPECT_EQ(aux_a, aux_b);
 }
 
-TEST_P(ShuffleTest, BinnedLayoutIsBitIdenticalToDirect) {
-  // The acceptance bar of the backend seam: the binned path must reproduce the
-  // direct layout bit-for-bit — SW, aux, vp_offsets, dead count — across bin
-  // tilings and buffer capacities (including tiny buffers that force many
-  // partial-line drains).
-  Shuffler direct(&plan_, pool_.get());
-  const Wid n = 40000;
-  auto w = RandomWalkers(n, graph_.num_vertices(), 9, /*dead_fraction=*/0.1);
-  std::vector<Vid> aux(n);
-  for (Wid j = 0; j < n; ++j) {
-    aux[j] = static_cast<Vid>(j * 2654435761u);
-  }
-  std::vector<Vid> sw_a(n), aux_a(n);
-  direct.Scatter(w.data(), aux.data(), n, sw_a.data(), aux_a.data());
-
-  for (uint32_t bins : {1u, 3u, plan_.num_vps()}) {
-    for (uint32_t buffer_records : {16u, 32u, 128u}) {
-      ShufflePlan sp = ManualShufflePlan(plan_, bins, buffer_records);
-      auto binned = MakeBinned(&sp);
-      ASSERT_EQ(binned->backend_kind(), ShuffleBackendKind::kBinned);
-      std::vector<Vid> sw_b(n), aux_b(n);
-      binned->Scatter(w.data(), aux.data(), n, sw_b.data(), aux_b.data());
-      ASSERT_EQ(sw_b, sw_a) << "bins=" << bins << " cap=" << buffer_records;
-      ASSERT_EQ(aux_b, aux_a) << "bins=" << bins << " cap=" << buffer_records;
-      ASSERT_EQ(binned->vp_offsets(), direct.vp_offsets());
-      ASSERT_EQ(binned->dead_count(), direct.dead_count());
-      if (bins > 1 && buffer_records <= 32) {
-        EXPECT_GT(binned->last_scatter_stats().flushed_lines, 0u);
-      }
-    }
-  }
-}
-
-TEST_P(ShuffleTest, BinnedGatherRoundTripMatchesDirect) {
-  Shuffler direct(&plan_, pool_.get());
-  ShufflePlan sp = ManualShufflePlan(plan_, 4);
-  auto binned = MakeBinned(&sp);
-  const Wid n = 30000;
-  auto w = RandomWalkers(n, graph_.num_vertices(), 10, /*dead_fraction=*/0.2);
-
-  std::vector<Vid> sw_a(n), sw_b(n);
-  direct.Scatter(w.data(), nullptr, n, sw_a.data(), nullptr);
-  binned->Scatter(w.data(), nullptr, n, sw_b.data(), nullptr);
-  ASSERT_EQ(sw_b, sw_a);
-  // "Sample" both SWs identically, then both gathers must route the same
-  // updated value to the same walker slot.
-  for (Wid p = 0; p < n; ++p) {
-    if (sw_a[p] != kInvalidVid) {
-      sw_a[p] = sw_a[p] * 2 + 1;
-      sw_b[p] = sw_b[p] * 2 + 1;
-    }
-  }
-  std::vector<Vid> next_a(n), next_b(n);
-  ASSERT_TRUE(
-      direct.Gather(w.data(), n, sw_a.data(), next_a.data(), nullptr, nullptr)
-          .ok());
-  ASSERT_TRUE(
-      binned->Gather(w.data(), n, sw_b.data(), next_b.data(), nullptr, nullptr)
-          .ok());
-  EXPECT_EQ(next_b, next_a);
-  for (Wid j = 0; j < n; ++j) {
-    ASSERT_EQ(next_b[j], w[j] == kInvalidVid ? kInvalidVid : w[j] * 2 + 1) << j;
-  }
-}
-
-TEST_P(ShuffleTest, BinnedArenaIsReusedAcrossCalls) {
-  ShufflePlan sp = ManualShufflePlan(plan_, 4);
-  auto binned = MakeBinned(&sp);
-  auto w_big = RandomWalkers(40000, graph_.num_vertices(), 11);
-  std::vector<Vid> sw(40000), w_next(40000);
-  binned->Scatter(w_big.data(), nullptr, 40000, sw.data(), nullptr);
-  ASSERT_TRUE(binned
-                  ->Gather(w_big.data(), 40000, sw.data(), w_next.data(),
-                           nullptr, nullptr)
-                  .ok());
-  const size_t cap_after_big = arena_.capacity_vids();
-  EXPECT_GT(cap_after_big, 0u);
-  // A smaller episode through the same arena must not grow it, and the round
-  // trip must still be exact.
-  auto w_small = RandomWalkers(5000, graph_.num_vertices(), 12);
-  binned->Scatter(w_small.data(), nullptr, 5000, sw.data(), nullptr);
-  ASSERT_TRUE(binned
-                  ->Gather(w_small.data(), 5000, sw.data(), w_next.data(),
-                           nullptr, nullptr)
-                  .ok());
-  EXPECT_EQ(std::vector<Vid>(w_next.begin(), w_next.begin() + 5000), w_small);
-  EXPECT_EQ(arena_.capacity_vids(), cap_after_big);
-}
-
 TEST_P(ShuffleTest, GatherWalkerCountMismatchIsAnError) {
   // A gather over a different walker count than the last scatter cannot be a
-  // bijection; both backends must report it as a structured error (not abort —
-  // the engine turns it into a crash with context, library callers may not).
+  // bijection; it must come back as a structured error (not abort — the
+  // engine turns it into a crash with context, library callers may not).
   const Wid n = 10000;
   auto w = RandomWalkers(n, graph_.num_vertices(), 13);
   std::vector<Vid> sw(n), w_next(n);
 
-  Shuffler direct(&plan_, pool_.get());
-  direct.Scatter(w.data(), nullptr, n, sw.data(), nullptr);
-  Status st =
-      direct.Gather(w.data(), n - 1, sw.data(), w_next.data(), nullptr, nullptr);
+  Shuffler shuffler(&plan_, pool_.get());
+  shuffler.Scatter(w.data(), nullptr, n, sw.data(), nullptr);
+  Status st = shuffler.Gather(w.data(), n - 1, sw.data(), w_next.data(),
+                              nullptr, nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(st.message().find("9999"), std::string::npos) << st.message();
   EXPECT_NE(st.message().find("10000"), std::string::npos) << st.message();
-
-  ShufflePlan sp = ManualShufflePlan(plan_, 2);
-  auto binned = MakeBinned(&sp);
-  binned->Scatter(w.data(), nullptr, n, sw.data(), nullptr);
-  st = binned->Gather(w.data(), n + 1, sw.data(), w_next.data(), nullptr,
-                      nullptr);
+  st = shuffler.Gather(w.data(), n + 1, sw.data(), w_next.data(), nullptr,
+                       nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  // The failed gather must not have poisoned the shuffle state: the correct
+  // The failed gathers must not have poisoned the shuffle state: the correct
   // replay still works.
   ASSERT_TRUE(
-      binned->Gather(w.data(), n, sw.data(), w_next.data(), nullptr, nullptr)
+      shuffler.Gather(w.data(), n, sw.data(), w_next.data(), nullptr, nullptr)
           .ok());
   EXPECT_EQ(w_next, w);
 }
@@ -335,31 +213,23 @@ TEST_P(ShuffleTest, SimulatedReplayTouchesOnlyKnownArrays) {
   const Wid n = 20000;
   auto w = RandomWalkers(n, graph_.num_vertices(), 14, 0.1);
   std::vector<Vid> sw(n), w_next(n);
-  ShufflePlan sp = ManualShufflePlan(plan_, 3);
-  for (ShuffleBackendKind kind :
-       {ShuffleBackendKind::kDirect, ShuffleBackendKind::kBinned}) {
-    ShuffleConfig config;
-    config.kind = kind;
-    config.shuffle_plan = &sp;
-    Shuffler shuffler(&plan_, pool_.get(), config);
-    shuffler.AttachArena(&arena_);
-    shuffler.Scatter(w.data(), nullptr, n, sw.data(), nullptr);
-    uint64_t accesses = 0;
-    auto count = [&accesses](const void* p, uint32_t bytes) {
-      ASSERT_NE(p, nullptr);
-      ASSERT_GT(bytes, 0u);
-      ++accesses;
-    };
-    shuffler.SimulateScatter(w.data(), nullptr, n, sw.data(), nullptr, count);
-    EXPECT_GE(accesses, static_cast<uint64_t>(n)) << ShuffleBackendName(kind);
-    ASSERT_TRUE(
-        shuffler.Gather(w.data(), n, sw.data(), w_next.data(), nullptr, nullptr)
-            .ok());
-    accesses = 0;
-    shuffler.SimulateGather(w.data(), n, sw.data(), nullptr, w_next.data(),
-                            nullptr, count);
-    EXPECT_GE(accesses, static_cast<uint64_t>(n)) << ShuffleBackendName(kind);
-  }
+  Shuffler shuffler(&plan_, pool_.get());
+  shuffler.Scatter(w.data(), nullptr, n, sw.data(), nullptr);
+  uint64_t accesses = 0;
+  auto count = [&accesses](const void* p, uint32_t bytes) {
+    ASSERT_NE(p, nullptr);
+    ASSERT_GT(bytes, 0u);
+    ++accesses;
+  };
+  shuffler.SimulateScatter(w.data(), nullptr, n, sw.data(), nullptr, count);
+  EXPECT_GE(accesses, static_cast<uint64_t>(n));
+  ASSERT_TRUE(
+      shuffler.Gather(w.data(), n, sw.data(), w_next.data(), nullptr, nullptr)
+          .ok());
+  accesses = 0;
+  shuffler.SimulateGather(w.data(), n, sw.data(), nullptr, w_next.data(),
+                          nullptr, count);
+  EXPECT_GE(accesses, static_cast<uint64_t>(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(FanoutSweep, ShuffleTest,
@@ -396,51 +266,6 @@ TEST(ShuffleInternalGroupTest, RoundTripWithInternalShuffle) {
   EXPECT_EQ(w_next, w);
 }
 
-TEST(ShuffleInternalGroupTest, BinnedMatchesDirectOnInternalShufflePlan) {
-  // The binned backend replaces the two-level path wholesale — it must still
-  // produce the identical layout on plans that would have used it.
-  CsrGraph g = TestGraph(60000);
-  AnalyticCostModel model;
-  PartitionPlan::Config config;
-  config.num_groups = 32;
-  config.max_partitions = 36;
-  PartitionPlan plan =
-      PartitionPlan::BuildOptimized(g, g.num_vertices() * 8, model, config);
-  if (!plan.has_internal_shuffle()) {
-    GTEST_SKIP() << "cost model chose no internal shuffle on this instance";
-  }
-  ThreadPool pool(3);
-  const Wid n = 50000;
-  auto w = RandomWalkers(n, g.num_vertices(), 15, 0.05);
-  std::vector<Vid> aux(n);
-  for (Wid j = 0; j < n; ++j) {
-    aux[j] = static_cast<Vid>(j);
-  }
-  std::vector<Vid> sw_a(n), aux_a(n), sw_b(n), aux_b(n);
-  Shuffler direct(&plan, &pool);
-  direct.Scatter(w.data(), aux.data(), n, sw_a.data(), aux_a.data());
-
-  ShufflePlan sp = BuildShufflePlan(plan, g, n, CacheInfo{}, 3);
-  ShuffleConfig cfg;
-  cfg.kind = ShuffleBackendKind::kBinned;
-  cfg.shuffle_plan = &sp;
-  Shuffler binned(&plan, &pool, cfg);
-  ShuffleArena arena;
-  binned.AttachArena(&arena);
-  binned.Scatter(w.data(), aux.data(), n, sw_b.data(), aux_b.data());
-  EXPECT_EQ(sw_b, sw_a);
-  EXPECT_EQ(aux_b, aux_a);
-  std::vector<Vid> next_a(n), next_b(n);
-  ASSERT_TRUE(
-      direct.Gather(w.data(), n, sw_a.data(), next_a.data(), nullptr, nullptr)
-          .ok());
-  ASSERT_TRUE(
-      binned.Gather(w.data(), n, sw_b.data(), next_b.data(), nullptr, nullptr)
-          .ok());
-  EXPECT_EQ(next_a, w);
-  EXPECT_EQ(next_b, w);
-}
-
 TEST(ShuffleEdgeCaseTest, EmptyAndSingleWalker) {
   CsrGraph g = TestGraph(1000);
   PartitionPlan plan = PartitionPlan::BuildUniform(g, 8, SamplePolicy::kDS);
@@ -456,49 +281,6 @@ TEST(ShuffleEdgeCaseTest, EmptyAndSingleWalker) {
       shuffler.Gather(w.data(), 1, sw.data(), w_next.data(), nullptr, nullptr)
           .ok());
   EXPECT_EQ(w_next[0], 42u);
-}
-
-TEST(ShuffleEdgeCaseTest, BinnedEmptyAndSingleWalker) {
-  CsrGraph g = TestGraph(1000);
-  PartitionPlan plan = PartitionPlan::BuildUniform(g, 8, SamplePolicy::kDS);
-  ThreadPool pool(2);
-  ShufflePlan sp;
-  sp.bin_first_vp = {0, plan.num_vps() / 2, plan.num_vps()};
-  sp.buffer_records = 16;
-  ShuffleConfig cfg;
-  cfg.kind = ShuffleBackendKind::kBinned;
-  cfg.shuffle_plan = &sp;
-  Shuffler shuffler(&plan, &pool, cfg);
-  ShuffleArena arena;
-  shuffler.AttachArena(&arena);
-  shuffler.Scatter(nullptr, nullptr, 0, nullptr, nullptr);
-  EXPECT_EQ(shuffler.vp_offsets().back(), 0u);
-
-  std::vector<Vid> w{42}, sw(1), w_next(1);
-  shuffler.Scatter(w.data(), nullptr, 1, sw.data(), nullptr);
-  EXPECT_EQ(sw[0], 42u);
-  ASSERT_TRUE(
-      shuffler.Gather(w.data(), 1, sw.data(), w_next.data(), nullptr, nullptr)
-          .ok());
-  EXPECT_EQ(w_next[0], 42u);
-}
-
-TEST(ShuffleAutoTest, AutoResolvesToConcreteBackend) {
-  CsrGraph g = TestGraph(5000);
-  PartitionPlan plan = PartitionPlan::BuildUniform(g, 16, SamplePolicy::kDS);
-  ThreadPool pool(2);
-  // Auto without a plan: direct.
-  ShuffleConfig bare;
-  bare.kind = ShuffleBackendKind::kAuto;
-  Shuffler fallback(&plan, &pool, bare);
-  EXPECT_EQ(fallback.backend_kind(), ShuffleBackendKind::kDirect);
-  // Auto with a plan: whatever the plan recommends.
-  ShufflePlan sp = BuildShufflePlan(plan, g, 1 << 16, CacheInfo{}, 2);
-  ShuffleConfig cfg;
-  cfg.kind = ShuffleBackendKind::kAuto;
-  cfg.shuffle_plan = &sp;
-  Shuffler auto_shuffler(&plan, &pool, cfg);
-  EXPECT_EQ(auto_shuffler.backend_kind(), sp.recommended);
 }
 
 }  // namespace

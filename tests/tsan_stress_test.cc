@@ -334,91 +334,6 @@ TEST(TsanStressTest, ShardedCounterMergeAcrossThreadCounts) {
   }
 }
 
-TEST_F(ShuffleDeterminismTest, BinnedRoundTripMatchesDirectUnderThreads) {
-  // The binned backend's pass 1 has every worker appending into its own
-  // (worker, bin) write-combining buffers and flushing into per-(chunk, bin)
-  // arena regions — all disjoint by construction, which is exactly what TSan
-  // should confirm under dense schedules. Correctness bar: bit-identical SW to
-  // direct at the same chunk count, identical round trip at every count.
-  const Wid n = 60000;
-  auto w = StressWalkers(n, graph_.num_vertices(), 0xD00D, 0.1);
-  std::vector<Vid> aux(n);
-  for (Wid j = 0; j < n; ++j) {
-    aux[j] = static_cast<Vid>(j * 2654435761u);
-  }
-  ShufflePlan sp;  // one bin per vp, minimal buffers: maximal flush churn
-  for (uint32_t vp = 0; vp <= plan_.num_vps(); ++vp) {
-    sp.bin_first_vp.push_back(vp);
-  }
-  sp.buffer_records = 16;
-  ShuffleConfig cfg;
-  cfg.kind = ShuffleBackendKind::kBinned;
-  cfg.shuffle_plan = &sp;
-
-  std::vector<Vid> ref_next;
-  for (uint32_t threads : StressThreadCounts()) {
-    ThreadPool pool(threads);
-    Shuffler direct(&plan_, &pool);
-    Shuffler binned(&plan_, &pool, cfg);
-    ShuffleArena arena;
-    binned.AttachArena(&arena);
-    std::vector<Vid> sw_a(n), aux_a(n), sw_b(n), aux_b(n);
-    direct.Scatter(w.data(), aux.data(), n, sw_a.data(), aux_a.data());
-    binned.Scatter(w.data(), aux.data(), n, sw_b.data(), aux_b.data());
-    ASSERT_EQ(sw_b, sw_a) << threads << " threads";
-    ASSERT_EQ(aux_b, aux_a) << threads << " threads";
-    std::vector<Vid> w_next(n), aux_next(n);
-    ASSERT_TRUE(binned
-                    .Gather(w.data(), n, sw_b.data(), w_next.data(),
-                            aux_b.data(), aux_next.data())
-                    .ok());
-    EXPECT_EQ(w_next, w);
-    EXPECT_EQ(aux_next, aux);
-    if (threads == 1) {
-      ref_next = w_next;
-    } else {
-      ASSERT_EQ(w_next, ref_next) << threads << " threads";
-    }
-  }
-}
-
-TEST_F(ShuffleDeterminismTest, BinnedRepeatedStepsHammerWriteBuffers) {
-  // Engine-pattern reuse: the same binned Shuffler (and arena) across many
-  // steps, with the sample stage rewriting SW in place between the passes.
-  // Small buffers + many bins keep every worker's flush path hot.
-  const Wid n = 30000;
-  ShufflePlan sp;
-  for (uint32_t vp = 0; vp <= plan_.num_vps(); ++vp) {
-    sp.bin_first_vp.push_back(vp);
-  }
-  sp.buffer_records = 16;
-  ShuffleConfig cfg;
-  cfg.kind = ShuffleBackendKind::kBinned;
-  cfg.shuffle_plan = &sp;
-  for (uint32_t threads : StressThreadCounts()) {
-    ThreadPool pool(threads);
-    Shuffler shuffler(&plan_, &pool, cfg);
-    ShuffleArena arena;
-    shuffler.AttachArena(&arena);
-    auto w = StressWalkers(n, graph_.num_vertices(), 0xFEED, 0.0);
-    std::vector<Vid> sw(n), w_next(n);
-    for (int step = 0; step < 10; ++step) {
-      shuffler.Scatter(w.data(), nullptr, n, sw.data(), nullptr);
-      for (Wid p = 0; p < n; ++p) {
-        sw[p] = (sw[p] + 1) % graph_.num_vertices();  // fake sample: v -> v+1
-      }
-      ASSERT_TRUE(shuffler
-                      .Gather(w.data(), n, sw.data(), w_next.data(), nullptr,
-                              nullptr)
-                      .ok());
-      for (Wid j = 0; j < n; ++j) {
-        ASSERT_EQ(w_next[j], (w[j] + 1) % graph_.num_vertices());
-      }
-      w.swap(w_next);
-    }
-  }
-}
-
 TEST_F(ShuffleDeterminismTest, TwoLevelPathMatchesDirectUnderThreads) {
   const Wid n = 40000;
   auto w = StressWalkers(n, graph_.num_vertices(), 0xCAFE, 0.05);
@@ -433,50 +348,39 @@ TEST_F(ShuffleDeterminismTest, TwoLevelPathMatchesDirectUnderThreads) {
   }
 }
 
-// --- interleaved ring executor under concurrency -----------------------------
+// --- full engine runs under concurrency -------------------------------------
 
-TEST(TsanStressTest, InterleavedEngineHammerAcrossThreadCounts) {
-  // Full engine runs with a deep sample-stage ring: every worker keeps 16
-  // walkers in flight, issuing prefetches against shared read-only state (CSR
-  // arrays, alias rows) while writing its disjoint SW region and folding its
-  // local InterleaveStats shard. The ring is per-worker by construction —
-  // TSan's job here is to confirm the stats folds and the prefetch targets
-  // never introduce a cross-worker write. Correctness bar: bit-identical
-  // visit counts across thread counts at depth 16, and between depths.
+TEST(TsanStressTest, EngineHammerAcrossThreadCounts) {
+  // Full engine runs: every worker samples its VPs against shared read-only
+  // state (CSR arrays, PS buffers of its own VPs) while writing its disjoint
+  // SW region, and the shuffle's scatter/gather and the visit-count shards run
+  // between the stages. node2vec adds the predecessor stream to the shuffle.
+  // Correctness bar: bit-identical visit counts across thread counts.
   CsrGraph g = StressGraph(4000);
-  WalkSpec spec;
-  spec.steps = 8;
-  spec.num_walkers = 3 * g.num_vertices();
-  spec.seed = 77;
-  spec.stop_probability = 0.2;  // constant mid-ring deaths and refills
-  spec.keep_paths = false;
-
-  std::vector<uint64_t> reference;
-  for (uint32_t threads : StressThreadCounts()) {
-    ThreadPool pool(threads);
-    EngineOptions options;
-    options.pool = &pool;
-    options.plan.threads_sharing_l3 = 4;  // pin the plan across pool sizes
-    options.interleave_depth = 16;
-    FlashMobEngine engine(g, options);
-    WalkResult result = engine.Run(spec);
-    EXPECT_EQ(result.stats.interleave_depth, 16u);
-    EXPECT_GT(result.stats.prefetch.Total(), 0u);
-    if (reference.empty()) {
-      reference = std::move(result.visit_counts);
-    } else {
-      ASSERT_EQ(result.visit_counts, reference) << threads << " threads";
+  for (WalkAlgorithm algorithm :
+       {WalkAlgorithm::kDeepWalk, WalkAlgorithm::kNode2Vec}) {
+    WalkSpec spec;
+    spec.algorithm = algorithm;
+    spec.steps = 8;
+    spec.num_walkers = 3 * g.num_vertices();
+    spec.seed = 77;
+    spec.stop_probability = 0.2;  // dead walkers in every step's shuffle
+    spec.keep_paths = false;
+    std::vector<uint64_t> reference;
+    for (uint32_t threads : StressThreadCounts()) {
+      ThreadPool pool(threads);
+      EngineOptions options;
+      options.pool = &pool;
+      options.plan.threads_sharing_l3 = 4;  // pin the plan across pool sizes
+      FlashMobEngine engine(g, options);
+      WalkResult result = engine.Run(spec);
+      if (reference.empty()) {
+        reference = std::move(result.visit_counts);
+      } else {
+        ASSERT_EQ(result.visit_counts, reference) << threads << " threads";
+      }
     }
   }
-
-  // Depth must be invisible: the deep-ring result equals a sequential run.
-  ThreadPool pool(4);
-  EngineOptions options;
-  options.pool = &pool;
-  options.plan.threads_sharing_l3 = 4;
-  options.interleave_depth = 1;
-  FlashMobEngine engine(g, options);
-  ASSERT_EQ(engine.Run(spec).visit_counts, reference);
 }
 
 // --- telemetry shards under concurrency --------------------------------------

@@ -10,7 +10,9 @@ never mask a regression, and run-to-run jitter has to beat the all-time best
 by the full tolerance before the gate trips.
 
 Keys present only on one side are reported but never fail the gate (benches
-grow new series over time, and scaled-down CI runs may skip points).
+grow new series over time, and scaled-down CI runs may skip points). A
+--filter that leaves no shared key is an error, though: a gate aimed at one
+series must not switch itself off when that series is renamed or removed.
 
 Usage:
   tools/check_bench_trajectory.py [options] CURRENT.json [CURRENT2.json ...]
@@ -20,10 +22,12 @@ Options:
                      root; pass multiple times for several globs)
   --tolerance PCT    max allowed regression in percent (default: 25)
   --filter SUBSTR    only check keys whose "series/point" contains SUBSTR
-                     (e.g. "fig1c/flashmob-interleave" for the overhead gate)
+                     (e.g. "fig1c/flashmob-interleave" for the overhead gate);
+                     exit 2 when no shared key matches
   --table FILE       also write the delta table to FILE (CI artifact)
 
-Exit status: 0 clean, 1 regression past tolerance, 2 usage/schema error.
+Exit status: 0 clean, 1 regression past tolerance, 2 usage/schema error or a
+--filter that matches no shared point.
 """
 
 import argparse
@@ -123,6 +127,10 @@ def main():
     if args.table:
         with open(args.table, "w") as f:
             f.write(table)
+    if args.filter and not shared:
+        print(f"error: --filter {args.filter!r} matches no point present in "
+              "both the run and the history", file=sys.stderr)
+        return 2
     return 1 if regressions else 0
 
 

@@ -665,7 +665,7 @@ class RngStreamRule : public DataFlowRule {
                   "path: " +
                   chain + "]",
               "derive the seed from WalkerSeed(chunk_seed, walker_index) "
-              "(src/core/interleave.h)",
+              "(src/util/rng.h)",
               sink);
     }
   }

@@ -44,13 +44,6 @@
 //                     the dropped-span count; driven from the engine's per-step
 //                     barrier (no extra thread)
 //   --threads=N       worker threads (default: all cores; or FM_THREADS)
-//   --shuffle=K       shuffle backend: direct (two-pass counting), binned
-//                     (propagation-blocking radix bins), or auto (default —
-//                     the ShufflePlan picks per run)
-//   --interleave=D    sample-stage ring depth: in-flight walkers per worker
-//                     with software prefetch between them; "auto" (default)
-//                     resolves from cache geometry, 1 disables. Walks are
-//                     bit-identical at every depth
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -87,8 +80,6 @@ struct Args {
   double progress_interval_s = 10.0;
   bool stats = false;
   bool profile = false;
-  ShuffleBackendKind shuffle = ShuffleBackendKind::kAuto;
-  uint32_t interleave = kInterleaveDepthAuto;
 };
 
 bool ParseFlag(const char* arg, const char* name, std::string* value) {
@@ -109,8 +100,7 @@ int Usage(const char* self) {
                "  [--seed=N] [--out=paths.txt] [--pairs=pairs.txt] [--stats] "
                "[--profile] [--metrics-json=metrics.json]\n"
                "  [--trace-json=trace.json] [--telemetry-jsonl=out.jsonl] "
-               "[--telemetry-interval-ms=N] [--progress[=SECONDS]]\n"
-               "  [--shuffle=direct|binned|auto] [--interleave=auto|N]\n",
+               "[--telemetry-interval-ms=N] [--progress[=SECONDS]]\n",
                self);
   return 2;
 }
@@ -169,16 +159,6 @@ int main(int argc, char** argv) {
       args.stats = true;
     } else if (std::strcmp(a, "--profile") == 0) {
       args.profile = true;
-    } else if (ParseFlag(a, "--shuffle", &value)) {
-      if (!ParseShuffleBackendName(value, &args.shuffle)) {
-        std::fprintf(stderr, "bad --shuffle value: %s\n", value.c_str());
-        return Usage(argv[0]);
-      }
-    } else if (ParseFlag(a, "--interleave", &value)) {
-      if (!ParseInterleaveDepth(value, &args.interleave)) {
-        std::fprintf(stderr, "bad --interleave value: %s\n", value.c_str());
-        return Usage(argv[0]);
-      }
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a);
       return Usage(argv[0]);
@@ -191,6 +171,10 @@ int main(int argc, char** argv) {
   if (args.algo != "deepwalk" && args.algo != "node2vec" && args.algo != "mh") {
     std::fprintf(stderr, "unknown --algo=%s\n", args.algo.c_str());
     return Usage(argv[0]);
+  }
+  if (args.weighted && args.algo != "deepwalk") {
+    std::fprintf(stderr, "error: --weighted supports only --algo=deepwalk\n");
+    return 1;
   }
 
   try {
@@ -220,6 +204,18 @@ int main(int argc, char** argv) {
                  raw.weighted() ? " weighted" : "",
                  raw.memory_mapped() ? " (memory-mapped)" : "",
                  load_timer.Elapsed());
+    // Inputs the engine would reject with a fatal check.
+    const std::string& graph_name =
+        !args.graph_path.empty() ? args.graph_path : args.csr_path;
+    if (raw.num_vertices() == 0) {
+      std::fprintf(stderr, "error: %s holds no vertices\n", graph_name.c_str());
+      return 1;
+    }
+    if (args.weighted && !raw.weighted()) {
+      std::fprintf(stderr, "error: --weighted, but %s has no edge weights\n",
+                   graph_name.c_str());
+      return 1;
+    }
 
     // ---- pre-process (degree sort) ---------------------------------------------
     Timer sort_timer;
@@ -246,8 +242,6 @@ int main(int argc, char** argv) {
     EngineOptions engine_options;
     engine_options.record_step_stats = args.profile || !args.metrics_path.empty();
     engine_options.collect_counters = !args.metrics_path.empty();
-    engine_options.shuffle_backend = args.shuffle;
-    engine_options.interleave_depth = args.interleave;
     ProgressReporter progress(args.progress_interval_s);
     if (args.progress) {
       engine_options.progress = &progress;
@@ -290,12 +284,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "walked %llu steps in %.2fs: %.1f ns/step "
-                 "(sample %.2fs, shuffle %.2fs [%s], other %.2fs, "
+                 "(sample %.2fs, shuffle %.2fs, other %.2fs, "
                  "%u episodes)\n",
                  static_cast<unsigned long long>(result.stats.total_steps),
                  result.stats.times.Total(), result.stats.PerStepNs(),
                  result.stats.times.sample_s, result.stats.times.shuffle_s,
-                 result.stats.shuffle_backend.c_str(),
                  result.stats.times.other_s, result.stats.episodes);
     // Per-step wall-time spread from the telemetry histogram the engine fills
     // at stage barriers — the same source every exporter reads, so this line
