@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "src/fm.h"
@@ -24,23 +23,17 @@ namespace fm {
 // its fm-bench-trajectory-v1 JSON (timing points plus hardware-counter samples
 // where the perf backend is live); --trace-json=FILE records structured spans
 // for the whole run and writes Chrome trace-event / Perfetto JSON on exit (see
-// src/util/trace.h and `fmtrace`); --telemetry-jsonl=FILE appends live
-// fm-telemetry-v1 registry snapshots every --telemetry-interval-ms (default
-// 1000) for `fmmon`. Unknown arguments exit with usage so CI typos fail
-// loudly.
+// src/util/trace.h and `fmtrace`). Unknown arguments exit with usage so CI
+// typos fail loudly.
 struct BenchArgs {
   std::string metrics_path;
   std::string trace_path;
-  std::string telemetry_path;
-  uint32_t telemetry_interval_ms = 1000;
 };
 
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   const char* metrics_prefix = "--metrics-json=";
   const char* trace_prefix = "--trace-json=";
-  const char* telemetry_prefix = "--telemetry-jsonl=";
-  const char* interval_prefix = "--telemetry-interval-ms=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], metrics_prefix, std::strlen(metrics_prefix)) ==
         0) {
@@ -48,39 +41,15 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     } else if (std::strncmp(argv[i], trace_prefix, std::strlen(trace_prefix)) ==
                0) {
       args.trace_path = argv[i] + std::strlen(trace_prefix);
-    } else if (std::strncmp(argv[i], telemetry_prefix,
-                            std::strlen(telemetry_prefix)) == 0) {
-      args.telemetry_path = argv[i] + std::strlen(telemetry_prefix);
-    } else if (std::strncmp(argv[i], interval_prefix,
-                            std::strlen(interval_prefix)) == 0) {
-      args.telemetry_interval_ms = static_cast<uint32_t>(
-          std::strtoul(argv[i] + std::strlen(interval_prefix), nullptr, 10));
     } else {
       std::fprintf(stderr,
                    "unknown argument: %s (supported: --metrics-json=FILE "
-                   "--trace-json=FILE --telemetry-jsonl=FILE "
-                   "--telemetry-interval-ms=N)\n",
+                   "--trace-json=FILE)\n",
                    argv[i]);
       std::exit(2);
     }
   }
   return args;
-}
-
-// Starts the background registry-snapshot thread when --telemetry-jsonl was
-// given. Returns the writer (inert when the flag is absent); callers let it go
-// out of scope at the end of main (the destructor stops the thread and writes
-// the final cumulative line) or call Stop() explicitly before reading files.
-inline std::unique_ptr<telemetry::TelemetrySnapshotWriter>
-MakeBenchTelemetryWriter(const BenchArgs& args) {
-  auto writer = std::make_unique<telemetry::TelemetrySnapshotWriter>(
-      args.telemetry_path, args.telemetry_interval_ms);
-  if (!args.telemetry_path.empty() && !writer->Start()) {
-    std::fprintf(stderr, "error: cannot write %s\n",
-                 args.telemetry_path.c_str());
-    std::exit(1);
-  }
-  return writer;
 }
 
 // Enables span recording when --trace-json was given. Call before the first

@@ -163,7 +163,6 @@ int main(int argc, char** argv) {
   using namespace fm;
   BenchArgs args = ParseBenchArgs(argc, argv);
   MaybeStartTrace(args);
-  auto telemetry_writer = MakeBenchTelemetryWriter(args);
   BenchTrajectory traj("fig1_highlight");
   BenchTrajectory* tp = args.metrics_path.empty() ? nullptr : &traj;
   PrintHeader("Figure 1a: per-step time highlight (DeepWalk)");

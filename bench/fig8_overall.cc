@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
   using namespace fm;
   BenchArgs args = ParseBenchArgs(argc, argv);
   MaybeStartTrace(args);
-  auto telemetry_writer = MakeBenchTelemetryWriter(args);
   BenchTrajectory traj("fig8_overall");
   BenchTrajectory* tp = args.metrics_path.empty() ? nullptr : &traj;
   PrintHeader("Figure 8a: DeepWalk per-step time");

@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   using namespace fm;
   BenchArgs args = ParseBenchArgs(argc, argv);
   MaybeStartTrace(args);
-  auto telemetry_writer = MakeBenchTelemetryWriter(args);
   PrintHeader("Table 1: Load latency from memory hierarchy levels (ns/load)");
 
   const CacheInfo& info = DetectCacheInfo();

@@ -1,6 +1,7 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "src/core/shuffle.h"
@@ -11,7 +12,6 @@
 #include "src/util/env.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
-#include "src/util/telemetry.h"
 #include "src/util/timer.h"
 #include "src/util/trace.h"
 
@@ -45,33 +45,6 @@ void AccumulateSimDelta(const CacheCounters& before, const CacheCounters& after,
 uint64_t SecondsToNs(double s) {
   return s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9);
 }
-
-// Cached telemetry instruments for the engine's stage barriers. Looked up once
-// per Run (registry lookups take a mutex); published only from the calling
-// thread at barrier points, from the same Timer reads and counters that feed
-// WalkStats — so fm-metrics-v1 output is bit-identical with telemetry wired.
-struct EngineTelemetry {
-  telemetry::Counter& walker_steps;
-  telemetry::Counter& episodes;
-  telemetry::Counter& scatter_ns;
-  telemetry::Counter& sample_ns;
-  telemetry::Counter& gather_ns;
-  telemetry::Gauge& live_walkers;
-  telemetry::Histogram& step_ns;
-
-  static EngineTelemetry Make() {
-    auto& reg = telemetry::TelemetryRegistry::Get();
-    return EngineTelemetry{
-        reg.CounterRef("fm.engine.walker_steps_total"),
-        reg.CounterRef("fm.engine.episodes_total"),
-        reg.CounterRef("fm.engine.scatter_ns_total"),
-        reg.CounterRef("fm.engine.sample_ns_total"),
-        reg.CounterRef("fm.engine.gather_ns_total"),
-        reg.GaugeRef("fm.engine.live_walkers"),
-        reg.HistogramRef("fm.engine.step_ns"),
-    };
-  }
-};
 
 }  // namespace
 
@@ -160,6 +133,10 @@ WalkResult FlashMobEngine::RunImpl(
   FM_CHECK_MSG(!(spec.use_edge_weights &&
                  spec.algorithm != WalkAlgorithm::kDeepWalk),
                "edge weights are only supported for first-order uniform walks");
+  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kNode2Vec ||
+                   (std::isfinite(spec.node2vec.p) && spec.node2vec.p > 0 &&
+                    std::isfinite(spec.node2vec.q) && spec.node2vec.q > 0),
+               "node2vec requires finite p > 0 and q > 0");
   for (Vid v : spec.start_vertices) {
     FM_CHECK_MSG(v < n, "start vertex out of range");
   }
@@ -224,8 +201,6 @@ WalkResult FlashMobEngine::RunImpl(
     return delta;
   };
 
-  EngineTelemetry tm = EngineTelemetry::Make();
-
   Timer other_timer;
   Shuffler shuffler(&*plan_, pool);
   PresampleBuffers presample(graph_, *plan_);
@@ -245,12 +220,11 @@ WalkResult FlashMobEngine::RunImpl(
   run_info.total_walkers = total_walkers;
   run_info.num_workers = pool->thread_count();
   run_info.num_vps = num_vps;
+  run_info.episodes = num_episodes;
   run_info.pool = pool;
+  run_info.stats = &result.stats;
   for (WalkObserver* sink : sinks) {
     sink->OnRunBegin(run_info);
-  }
-  if (options_.progress != nullptr) {
-    options_.progress->OnRunBegin(num_episodes, spec.steps, total_walkers);
   }
   result.stats.times.other_s += other_timer.Elapsed();
 
@@ -321,7 +295,6 @@ WalkResult FlashMobEngine::RunImpl(
         scatter_s = shuffle_timer.Elapsed();
       }
       result.stats.times.shuffle_s += scatter_s;
-      tm.scatter_ns.Add(SecondsToNs(scatter_s));
       const CounterSample scatter_counters = perf_delta();
       result.stats.counters.scatter += scatter_counters;
 
@@ -364,9 +337,6 @@ WalkResult FlashMobEngine::RunImpl(
       }
       result.stats.total_steps += live_walkers;
       result.stats.times.sample_s += sample_s;
-      tm.walker_steps.Add(live_walkers);
-      tm.live_walkers.Set(static_cast<int64_t>(live_walkers));
-      tm.sample_ns.Add(SecondsToNs(sample_s));
       const CounterSample sample_counters = perf_delta();
       result.stats.counters.sample += sample_counters;
 
@@ -412,7 +382,6 @@ WalkResult FlashMobEngine::RunImpl(
           gather_s = gather_timer.Elapsed();
         }
         result.stats.times.shuffle_s += gather_s;
-        tm.gather_ns.Add(SecondsToNs(gather_s));
         gather_counters = perf_delta();
         result.stats.counters.gather += gather_counters;
 
@@ -455,11 +424,12 @@ WalkResult FlashMobEngine::RunImpl(
         rec.gather_counters = gather_counters;
         result.stats.step_records.push_back(std::move(rec));
       }
-      tm.step_ns.Observe(SecondsToNs(scatter_s + sample_s + gather_s));
-      // Heartbeat: every stage above is barrier-synchronized, so this point is
-      // a consistent end-of-step snapshot on the calling thread.
-      if (options_.progress != nullptr) {
-        options_.progress->OnStep(episode, step, live_walkers, live_walkers);
+      result.stats.step_ns.Observe(
+          SecondsToNs(scatter_s + sample_s + gather_s));
+      // Every stage above is barrier-synchronized, so this point is a
+      // consistent end-of-step view of the tally, on the calling thread.
+      for (WalkObserver* sink : sinks) {
+        sink->OnStepEnd(episode, step, live_walkers);
       }
     }
 
@@ -471,21 +441,16 @@ WalkResult FlashMobEngine::RunImpl(
       sink->OnEpisodeEnd(episode);
     }
     ++result.stats.episodes;
-    tm.episodes.Add(1);
     result.stats.times.other_s += other_timer.Elapsed();
     ++episode;
   }
 
   other_timer.Start();
-  tm.live_walkers.Set(0);  // every walker is retired once the loop exits
   for (WalkObserver* sink : sinks) {
     sink->OnRunEnd();
   }
   if (counter.has_value()) {
     result.visit_counts = counter->TakeCounts();
-  }
-  if (options_.progress != nullptr) {
-    options_.progress->OnRunEnd();
   }
   result.stats.times.other_s += other_timer.Elapsed();
   return result;

@@ -31,11 +31,11 @@
 #include "src/graph/csr_graph.h"
 #include "src/sampling/vertex_alias.h"
 #include "src/util/perf_counters.h"
+#include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 
 namespace fm {
 
-class ProgressReporter;
 class WalkObserver;
 
 struct StageTimes {
@@ -82,6 +82,10 @@ struct StageCounters {
   }
 };
 
+// The run's one tally: every run number (fm-metrics-v1, --profile, the
+// --progress heartbeat, fm-telemetry-v1 lines, bench points) is a rendering of
+// it. Scoped to one Run; observers may read it from their serial callbacks
+// (WalkRunInfo::stats) while the run is in flight.
 struct WalkStats {
   uint64_t total_steps = 0;  // walker-steps executed
   StageTimes times;
@@ -94,6 +98,10 @@ struct WalkStats {
 
   // Per-step stage records; empty unless EngineOptions::record_step_stats.
   std::vector<StepStageRecord> step_records;
+
+  // Per-step wall time (scatter + sample + gather) in ns, one sample per
+  // (episode, step) — always kept, unlike step_records.
+  Log2Histogram step_ns;
 
   // Run-total stage counters and the backend that produced them: "perf" when
   // hardware counters were live, "noop" when perf_event_open was unavailable
@@ -136,10 +144,6 @@ struct EngineOptions {
   // never a failure. Adds a few syscalls per stage boundary; leave off for
   // pure speed benchmarking.
   bool collect_counters = false;
-  // Optional live heartbeat (src/util/trace.h). Driven from the engine's
-  // per-step barrier on the calling thread — no extra thread, one call per
-  // step. Must outlive Run.
-  ProgressReporter* progress = nullptr;
 };
 
 class FlashMobEngine {

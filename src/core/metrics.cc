@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "src/util/json.h"
+#include "src/util/logging.h"
+#include "src/util/trace.h"
 
 namespace fm {
 namespace {
@@ -44,6 +46,59 @@ void AppendCounterObject(std::string* out, const CounterSample& c) {
 void AppendKey(std::string* out, const char* key) {
   AppendEscaped(out, key);
   *out += ':';
+}
+
+// One fm-telemetry-v1 line (no trailing newline) rendering `stats` at
+// steady-clock time `t_ns`.
+std::string TelemetryJsonLine(uint64_t t_ns, const WalkStats& stats,
+                              Wid live_walkers) {
+  auto ns = [](double s) {
+    return std::to_string(s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9));
+  };
+  const Log2Histogram& h = stats.step_ns;
+  std::string out;
+  out.reserve(768);
+  out += "{\"schema\":\"fm-telemetry-v1\",\"t_ns\":";
+  out += std::to_string(t_ns);
+  out += ",\"counters\":{\"fm.engine.episodes_total\":";
+  out += std::to_string(stats.episodes);
+  out += ",\"fm.engine.sample_ns_total\":";
+  out += ns(stats.times.sample_s);
+  out += ",\"fm.engine.shuffle_ns_total\":";
+  out += ns(stats.times.shuffle_s);
+  out += ",\"fm.engine.walker_steps_total\":";
+  out += std::to_string(stats.total_steps);
+  out += "},\"gauges\":{\"fm.engine.live_walkers\":";
+  out += std::to_string(live_walkers);
+  out += "},\"histograms\":{\"fm.engine.step_ns\":{\"count\":";
+  out += std::to_string(h.count);
+  out += ",\"sum\":";
+  out += std::to_string(h.sum);
+  out += ",\"p50\":";
+  out += NumberToJson(h.Percentile(50));
+  out += ",\"p90\":";
+  out += NumberToJson(h.Percentile(90));
+  out += ",\"p99\":";
+  out += NumberToJson(h.Percentile(99));
+  out += ",\"p999\":";
+  out += NumberToJson(h.Percentile(99.9));
+  out += ",\"buckets\":{";
+  bool first = true;
+  for (uint32_t b = 0; b < Log2Histogram::kBuckets; ++b) {
+    if (h.buckets[b] == 0) {
+      continue;
+    }
+    if (!first) {
+      out += ',';
+    }
+    first = false;
+    out += '"';
+    out += std::to_string(b);
+    out += "\":";
+    out += std::to_string(h.buckets[b]);
+  }
+  out += "}}}}";
+  return out;
 }
 
 }  // namespace
@@ -247,6 +302,38 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
   }
   out += "]}";
   return out;
+}
+
+TelemetryJsonlObserver::TelemetryJsonlObserver(std::FILE* out,
+                                               uint32_t interval_ms)
+    : out_(out), interval_ns_(uint64_t{interval_ms} * 1000000) {}
+
+void TelemetryJsonlObserver::OnRunBegin(const WalkRunInfo& info) {
+  FM_CHECK_MSG(info.stats != nullptr, "WalkRunInfo carries no run tally");
+  stats_ = info.stats;
+  WriteLine(TraceNowNs(), /*live_walkers=*/0);
+}
+
+void TelemetryJsonlObserver::OnStepEnd(uint64_t /*episode*/,
+                                       uint32_t /*step*/, Wid live_walkers) {
+  const uint64_t now = TraceNowNs();
+  if (now - last_line_ns_ >= interval_ns_) {
+    WriteLine(now, live_walkers);
+  }
+}
+
+void TelemetryJsonlObserver::OnRunEnd() {
+  // Every walker is retired once the run's last episode ends.
+  WriteLine(TraceNowNs(), /*live_walkers=*/0);
+}
+
+void TelemetryJsonlObserver::WriteLine(uint64_t now_ns, Wid live_walkers) {
+  const std::string line = TelemetryJsonLine(now_ns, *stats_, live_walkers);
+  std::fwrite(line.data(), 1, line.size(), out_);
+  std::fputc('\n', out_);
+  std::fflush(out_);
+  last_line_ns_ = now_ns;
+  ++lines_written_;
 }
 
 bool WriteWalkMetricsJson(const std::string& path, const MetricsMeta& meta,

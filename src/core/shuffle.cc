@@ -6,7 +6,6 @@
 
 #include "src/util/logging.h"
 #include "src/util/sync.h"
-#include "src/util/telemetry.h"
 #include "src/util/timer.h"
 #include "src/util/trace.h"
 
@@ -115,36 +114,6 @@ FM_HOT_PATH void GatherChunkScan(const PartitionPlan* plan, uint32_t num_vps,
   }
 }
 
-// Shuffle-stage telemetry, published once per Scatter/Gather op (never inside
-// the scan loops). Instruments are process-wide so one lookup serves every
-// Shuffler; deliberately leaked references into the leaked registry.
-struct ShuffleTelemetry {
-  telemetry::Counter& pass1_ns;
-  telemetry::Counter& pass2_ns;
-  telemetry::Counter& scatter_ops;
-  telemetry::Counter& gather_ops;
-
-  static ShuffleTelemetry& Get() {
-    auto& reg = telemetry::TelemetryRegistry::Get();
-    static ShuffleTelemetry tm{
-        reg.CounterRef("fm.shuffle.pass1_ns_total"),
-        reg.CounterRef("fm.shuffle.pass2_ns_total"),
-        reg.CounterRef("fm.shuffle.scatter_ops_total"),
-        reg.CounterRef("fm.shuffle.gather_ops_total"),
-    };
-    return tm;
-  }
-
-  void Publish(const ShuffleOpStats& stats) {
-    pass1_ns.Add(stats.pass1_s <= 0
-                     ? 0
-                     : static_cast<uint64_t>(stats.pass1_s * 1e9));
-    pass2_ns.Add(stats.pass2_s <= 0
-                     ? 0
-                     : static_cast<uint64_t>(stats.pass2_s * 1e9));
-  }
-};
-
 }  // namespace
 
 Shuffler::Shuffler(const PartitionPlan* plan, ThreadPool* pool)
@@ -205,9 +174,6 @@ void Shuffler::Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw,
     ScatterOneLevel(w, aux, n, sw, sw_aux);
   }
   scatter_stats_.pass2_s = timer.Lap();
-  ShuffleTelemetry& tm = ShuffleTelemetry::Get();
-  tm.Publish(scatter_stats_);
-  tm.scatter_ops.Add(1);
 }
 
 Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
@@ -242,9 +208,6 @@ Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
   });
   gather_stats_.pass1_s = 0;
   gather_stats_.pass2_s = timer.Lap();
-  ShuffleTelemetry& tm = ShuffleTelemetry::Get();
-  tm.Publish(gather_stats_);
-  tm.gather_ops.Add(1);
   return Status::Ok();
 }
 

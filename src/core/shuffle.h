@@ -45,7 +45,7 @@ class Shuffler {
   // value kInvalidVid — go to a trailing dead bin). `aux`/`sw_aux` optionally carry
   // a second per-walker attribute through the same permutation (node2vec's previous
   // vertex). After Scatter, vp_offsets()[i]..vp_offsets()[i+1] is partition i's
-  // chunk. Publishes the op's pass timings to telemetry.
+  // chunk. Records the op's pass timings in last_scatter_stats().
   void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw, Vid* sw_aux);
 
   // Replays the permutation from w_prev (the array Scatter consumed): writes

@@ -16,13 +16,17 @@
 // concurrent invocation covers, and `worker` < WalkRunInfo::num_workers is a
 // stable shard key (ParallelChunks pins chunk i to worker i; sample tasks are
 // dynamically scheduled, so per-worker state must be order-independent).
-// OnRunBegin / OnEpisodeBegin / OnEpisodeEnd / OnRunEnd are serial and
-// happen-before / happen-after all parallel callbacks of their scope; episode
-// merges belong in OnEpisodeEnd. See DESIGN.md "Engine layering".
+// OnRunBegin / OnEpisodeBegin / OnStepEnd / OnEpisodeEnd / OnRunEnd are serial
+// and happen-before / happen-after all parallel callbacks of their scope;
+// episode merges belong in OnEpisodeEnd. The serial callbacks may read the
+// run's tally so far through WalkRunInfo::stats — that is how the live views
+// (ProgressReporter below, the fm-telemetry-v1 writer in metrics.h) render
+// the same numbers the run returns. See DESIGN.md "Engine layering".
 #ifndef SRC_CORE_WALK_OBSERVER_H_
 #define SRC_CORE_WALK_OBSERVER_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <vector>
 
@@ -32,18 +36,22 @@
 namespace fm {
 
 class ThreadPool;
+struct WalkStats;
 
 // Immutable per-run facts handed to every observer before the first episode.
-// `pool` stays valid for the whole run but may only be used from the serial
-// callbacks (it is the engine's own pool — never submit to it from inside a
-// parallel chunk callback).
+// `pool` and `stats` stay valid for the whole run but may only be used from
+// the serial callbacks (`pool` is the engine's own pool — never submit to it
+// from inside a parallel chunk callback; `stats` is updated by the engine
+// between serial callbacks).
 struct WalkRunInfo {
   Vid num_vertices = 0;
   uint32_t steps = 0;
   Wid total_walkers = 0;
   uint32_t num_workers = 1;  // shard-array size for per-thread accumulation
   uint32_t num_vps = 0;
+  uint64_t episodes = 0;  // episodes the run will execute
   ThreadPool* pool = nullptr;
+  const WalkStats* stats = nullptr;  // the run's tally so far
 };
 
 class WalkObserver {
@@ -96,6 +104,15 @@ class WalkObserver {
     (void)begin;
     (void)positions;
     (void)worker;
+  }
+
+  // Serial, at the per-step barrier after `step` of `episode` (every stage
+  // done, its numbers already in WalkRunInfo::stats). `live_walkers` is how
+  // many walkers the step moved.
+  virtual void OnStepEnd(uint64_t episode, uint32_t step, Wid live_walkers) {
+    (void)episode;
+    (void)step;
+    (void)live_walkers;
   }
 
   // Serial merge points.
@@ -164,6 +181,36 @@ class PathSetSink : public WalkObserver {
   uint32_t steps_ = 0;
   PathSet paths_;          // completed episodes
   PathSet episode_paths_;  // episode under construction
+};
+
+// Live heartbeat (`fmwalk --progress[=SECONDS]`) rendered from the run's
+// WalkStats at the engine's per-step barrier — no extra thread. Prints at most
+// once per interval: episode/step position, live walkers, walker-steps/sec,
+// ETA from the step fraction, and the tracer's dropped-span count, plus one
+// final line at run end. interval_s == 0 prints every step.
+class ProgressReporter : public WalkObserver {
+ public:
+  explicit ProgressReporter(double interval_s = 10.0, std::FILE* out = nullptr);
+
+  void OnRunBegin(const WalkRunInfo& info) override;
+  void OnStepEnd(uint64_t episode, uint32_t step, Wid live_walkers) override;
+  void OnRunEnd() override;
+
+  uint64_t lines_printed() const { return lines_printed_; }
+
+ private:
+  void PrintLine(uint64_t episode, uint32_t step, Wid live_walkers,
+                 bool final_line);
+
+  double interval_s_;
+  std::FILE* out_;  // defaults to stderr
+  const WalkStats* stats_ = nullptr;
+  uint64_t total_episodes_ = 0;
+  uint32_t steps_per_episode_ = 0;
+  uint64_t ticks_done_ = 0;
+  uint64_t start_ns_ = 0;
+  uint64_t last_print_ns_ = 0;
+  uint64_t lines_printed_ = 0;
 };
 
 }  // namespace fm

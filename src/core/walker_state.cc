@@ -6,7 +6,6 @@
 #include "src/graph/csr_graph.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
-#include "src/util/telemetry.h"
 #include "src/util/thread_pool.h"
 #include "src/util/trace.h"
 
@@ -122,11 +121,6 @@ void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
   TraceSpan span("engine", "place");
   span.Arg("episode", episode);
   span.Arg("walkers", walkers_);
-  // Placement is the episode's admission barrier: the gauge tracks the
-  // walker population of the episode currently in flight.
-  telemetry::TelemetryRegistry::Get()
-      .GaugeRef("fm.engine.episode_walkers")
-      .Set(static_cast<int64_t>(walkers_));
   const Vid n = graph_.num_vertices();
   const Eid m = graph_.num_edges();
   Vid* w_cur = w_cur_;

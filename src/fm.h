@@ -36,7 +36,6 @@
 #include "src/graph/transpose.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
-#include "src/util/telemetry.h"
 #include "src/util/timer.h"
 #include "src/util/trace.h"
 

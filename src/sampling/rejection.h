@@ -18,6 +18,9 @@
 
 namespace fm {
 
+// Precondition: p and q are finite and > 0. Otherwise the rejection bound
+// below is infinite or a weight is negative, and the accept test never passes
+// (FlashMobEngine::Run checks this before walking).
 struct Node2VecParams {
   double p = 1.0;  // return parameter
   double q = 1.0;  // in-out parameter

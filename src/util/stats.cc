@@ -42,6 +42,35 @@ double Percentile(std::vector<double> values, double p) {
   return values[lo] * (1 - frac) + values[hi] * frac;
 }
 
+double Log2Histogram::Percentile(double p) const {
+  if (count == 0) {
+    return 0.0;
+  }
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(count - 1);
+  uint64_t seen = 0;
+  for (uint32_t b = 0; b < kBuckets; ++b) {
+    const uint64_t c = buckets[b];
+    if (c == 0) {
+      continue;
+    }
+    if (rank < static_cast<double>(seen + c) ||
+        seen + c == count /* last non-empty bucket */) {
+      if (b == 0) {
+        return 0.0;
+      }
+      const double lo = std::exp2(static_cast<double>(b - 1));
+      const double hi = std::exp2(static_cast<double>(b)) - 1.0;
+      const double frac = std::clamp(
+          (rank - static_cast<double>(seen)) / static_cast<double>(c), 0.0,
+          1.0);
+      return lo + frac * (hi - lo);
+    }
+    seen += c;
+  }
+  return 0.0;  // unreachable: count > 0 means some bucket is non-empty
+}
+
 double ChiSquareStatistic(const std::vector<uint64_t>& observed,
                           const std::vector<double>& expected) {
   FM_CHECK(observed.size() == expected.size());

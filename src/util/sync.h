@@ -22,7 +22,6 @@
 #ifndef SRC_UTIL_SYNC_H_
 #define SRC_UTIL_SYNC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -70,13 +69,9 @@
 //
 //   1. Application/observer locks (e.g. PairMeetingObserver::mu_ in
 //      src/apps/simrank.cc) — outermost; taken while no service lock is held.
-//   2. Utility service locks: Tracer::mutex_ (src/util/trace.cc),
-//      ThreadPool::mutex_ (src/util/thread_pool.cc),
-//      TelemetryRegistry::mutex_ and TelemetrySnapshotWriter::mutex_
-//      (src/util/telemetry.{h,cc}), and the telemetry SlotPool mutex. These
-//      are leaves with respect to each other — no code path may hold two of
-//      them at once (the snapshot writer drops its stop-flag lock before
-//      taking the registry lock to snapshot).
+//   2. Utility service locks: Tracer::mutex_ (src/util/trace.cc) and
+//      ThreadPool::mutex_ (src/util/thread_pool.cc). These are leaves with
+//      respect to each other — no code path may hold both at once.
 //   3. g_log_mutex (src/util/logging.cc) — the global leaf; logging may be
 //      called from anywhere, so it must never acquire another lock.
 //
@@ -134,19 +129,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();
-  }
-
-  // Timed wait: releases the mutex for up to timeout_ms milliseconds, then
-  // reacquires it. Returns false on timeout, true if notified (spurious
-  // wakeups also return true — callers loop on their predicate either way).
-  bool WaitFor(Mutex& mu, uint32_t timeout_ms) FM_REQUIRES(mu) {
-    // Same adopt-and-release dance as Wait: the caller's MutexLock stays the
-    // releaser for analysis purposes.
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms));
-    lock.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

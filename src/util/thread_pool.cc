@@ -9,33 +9,9 @@
 
 #include "src/util/env.h"
 #include "src/util/logging.h"
-#include "src/util/telemetry.h"
 #include "src/util/trace.h"
 
 namespace fm {
-namespace {
-
-// Pool telemetry, published on the calling thread around each ParallelFor —
-// outside the job mutex, so no lock nesting with ThreadPool::mutex_. The
-// inflight gauge is the classic queue-depth signal: task count of the job in
-// flight, zero when the pool is idle.
-struct PoolTelemetry {
-  telemetry::Counter& jobs;
-  telemetry::Histogram& job_ns;
-  telemetry::Gauge& inflight;
-
-  static PoolTelemetry& Get() {
-    auto& reg = telemetry::TelemetryRegistry::Get();
-    static PoolTelemetry tm{
-        reg.CounterRef("fm.threadpool.jobs_total"),
-        reg.HistogramRef("fm.threadpool.job_ns"),
-        reg.GaugeRef("fm.threadpool.inflight_tasks"),
-    };
-    return tm;
-  }
-};
-
-}  // namespace
 
 ThreadPool::ThreadPool(uint32_t threads) {
   if (threads == 0) {
@@ -116,16 +92,10 @@ void ThreadPool::ParallelFor(uint64_t tasks,
   if (tasks == 0) {
     return;
   }
-  PoolTelemetry& tm = PoolTelemetry::Get();
-  tm.inflight.Set(static_cast<int64_t>(tasks));
-  const uint64_t job_begin_ns = TraceNowNs();
   if (workers_.empty() || tasks == 1) {
     for (uint64_t t = 0; t < tasks; ++t) {
       body(t, 0);
     }
-    tm.jobs.Add(1);
-    tm.job_ns.Observe(TraceNowNs() - job_begin_ns);
-    tm.inflight.Set(0);
     return;
   }
   {
@@ -148,9 +118,6 @@ void ThreadPool::ParallelFor(uint64_t tasks,
     }
     job_ = nullptr;
   }
-  tm.jobs.Add(1);
-  tm.job_ns.Observe(TraceNowNs() - job_begin_ns);
-  tm.inflight.Set(0);
 }
 
 void ThreadPool::ParallelChunks(

@@ -6,7 +6,6 @@
 #include <fstream>
 
 #include "src/util/json.h"
-#include "src/util/telemetry.h"
 
 namespace fm {
 namespace {
@@ -231,86 +230,6 @@ void TraceSpan::Finish() {
     event.arg_values[i] = arg_values_[i];
   }
   buf_->Push(event);
-}
-
-ProgressReporter::ProgressReporter(double interval_s, std::FILE* out)
-    : interval_s_(interval_s), out_(out != nullptr ? out : stderr) {}
-
-void ProgressReporter::OnRunBegin(uint64_t total_episodes,
-                                  uint32_t steps_per_episode,
-                                  uint64_t total_walkers) {
-  // Single source of truth with the JSONL exporter: progress reads the same
-  // registry cells the engine publishes at its stage barriers.
-  auto& registry = telemetry::TelemetryRegistry::Get();
-  steps_counter_ = &registry.CounterRef("fm.engine.walker_steps_total");
-  live_gauge_ = &registry.GaugeRef("fm.engine.live_walkers");
-  steps_base_ = steps_counter_->Value();
-  total_episodes_ = total_episodes;
-  steps_per_episode_ = steps_per_episode;
-  total_walkers_ = total_walkers;
-  walker_steps_done_ = 0;
-  ticks_done_ = 0;
-  lines_printed_ = 0;
-  start_ns_ = TraceNowNs();
-  last_print_ns_ = start_ns_;
-}
-
-void ProgressReporter::OnStep(uint64_t episode, uint32_t step,
-                              uint64_t live_walkers,
-                              uint64_t walker_steps_delta) {
-  ++ticks_done_;
-  if (steps_counter_ != nullptr) {
-    // Registry-backed: identical to what a concurrent JSONL snapshot reports.
-    walker_steps_done_ = steps_counter_->Value() - steps_base_;
-  } else {
-    // Direct-drive fallback (OnStep without OnRunBegin — tests only).
-    walker_steps_done_ += walker_steps_delta;
-  }
-  uint64_t now = TraceNowNs();
-  if (static_cast<double>(now - last_print_ns_) < interval_s_ * 1e9) {
-    return;
-  }
-  last_print_ns_ = now;
-  const uint64_t live =
-      live_gauge_ != nullptr ? static_cast<uint64_t>(live_gauge_->Value())
-                             : live_walkers;
-  PrintLine(episode, step, live, /*final_line=*/false);
-}
-
-void ProgressReporter::OnRunEnd() {
-  PrintLine(total_episodes_ > 0 ? total_episodes_ - 1 : 0,
-            steps_per_episode_ > 0 ? steps_per_episode_ - 1 : 0,
-            /*live_walkers=*/0, /*final_line=*/true);
-}
-
-void ProgressReporter::PrintLine(uint64_t episode, uint32_t step,
-                                 uint64_t live_walkers, bool final_line) {
-  double elapsed_s =
-      static_cast<double>(TraceNowNs() - start_ns_) / 1e9;
-  double rate = elapsed_s > 0
-                    ? static_cast<double>(walker_steps_done_) / elapsed_s
-                    : 0;
-  uint64_t dropped = Tracer::Get().TotalDropped();
-  if (final_line) {
-    std::fprintf(out_,
-                 "[fm] done: %" PRIu64 " walker-steps in %.1fs "
-                 "(%.2fM steps/s), dropped spans %" PRIu64 "\n",
-                 walker_steps_done_, elapsed_s, rate / 1e6, dropped);
-  } else {
-    uint64_t total_ticks =
-        total_episodes_ * static_cast<uint64_t>(steps_per_episode_);
-    double frac = total_ticks > 0 ? static_cast<double>(ticks_done_) /
-                                        static_cast<double>(total_ticks)
-                                  : 0;
-    double eta_s = frac > 0 ? elapsed_s * (1.0 - frac) / frac : 0;
-    std::fprintf(out_,
-                 "[fm] ep %" PRIu64 "/%" PRIu64 " step %u/%u live %" PRIu64
-                 " %.2fM steps/s ETA %.0fs dropped %" PRIu64 "\n",
-                 episode + 1, total_episodes_, step + 1, steps_per_episode_,
-                 live_walkers, rate / 1e6, eta_s, dropped);
-  }
-  std::fflush(out_);
-  ++lines_printed_;
 }
 
 }  // namespace fm

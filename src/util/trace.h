@@ -1,5 +1,4 @@
-// Structured span tracing with per-thread lock-free ring buffers, plus the
-// step-barrier progress heartbeat.
+// Structured span tracing with per-thread lock-free ring buffers.
 //
 // Design (DESIGN.md §7d):
 //   - Always compiled, off by default. `FM_TRACE_SPAN(cat, name)` costs one
@@ -15,17 +14,11 @@
 //     directly in ui.perfetto.dev or chrome://tracing. Export must only run
 //     while no spans are being recorded (after the run's barriers / joins);
 //     the live-readable parts (event and dropped counts) are relaxed atomics.
-//
-// The ProgressReporter heartbeat is driven from the engine's existing
-// per-step barrier (EngineOptions::progress) so it needs no extra thread: the
-// main thread calls OnStep after each gather and the reporter prints at most
-// once per interval.
 #ifndef SRC_UTIL_TRACE_H_
 #define SRC_UTIL_TRACE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -208,56 +201,6 @@ class TraceSpan {
 // Anonymous scope span; use a named `TraceSpan span(...)` when attaching args.
 #define FM_TRACE_SPAN(category, name) \
   ::fm::TraceSpan FM_TRACE_CONCAT(fm_trace_span_, __LINE__)(category, name)
-
-namespace telemetry {
-class Counter;
-class Gauge;
-}  // namespace telemetry
-
-// Step-barrier progress heartbeat (opt-in via EngineOptions::progress /
-// `fmwalk --progress[=SECONDS]`). The engine's main thread calls OnStep after
-// every per-step barrier; the reporter prints at most once per interval:
-// episode/step position, live walkers, walker-steps/sec, ETA from the step
-// fraction, and the tracer's dropped-span count. interval_s == 0 prints every
-// step (tests, very long steps).
-//
-// Throughput and live-walker values are read from the telemetry registry
-// (fm.engine.walker_steps_total / fm.engine.live_walkers), the same cells the
-// JSONL exporter snapshots — so --progress and --telemetry-jsonl can never
-// disagree about how far a run has gotten.
-class ProgressReporter {
- public:
-  explicit ProgressReporter(double interval_s = 10.0, std::FILE* out = nullptr);
-
-  void OnRunBegin(uint64_t total_episodes, uint32_t steps_per_episode,
-                  uint64_t total_walkers);
-  void OnStep(uint64_t episode, uint32_t step, uint64_t live_walkers,
-              uint64_t walker_steps_delta);
-  void OnRunEnd();
-
-  uint64_t lines_printed() const { return lines_printed_; }
-
- private:
-  void PrintLine(uint64_t episode, uint32_t step, uint64_t live_walkers,
-                 bool final_line);
-
-  double interval_s_;
-  std::FILE* out_;  // defaults to stderr
-  // Registry cells cached at OnRunBegin (lookups are mutex-guarded); the
-  // counter is cumulative across runs, so progress is measured against the
-  // base value captured when this run began.
-  telemetry::Counter* steps_counter_ = nullptr;
-  telemetry::Gauge* live_gauge_ = nullptr;
-  uint64_t steps_base_ = 0;
-  uint64_t total_episodes_ = 0;
-  uint32_t steps_per_episode_ = 0;
-  uint64_t total_walkers_ = 0;
-  uint64_t walker_steps_done_ = 0;
-  uint64_t ticks_done_ = 0;
-  uint64_t start_ns_ = 0;
-  uint64_t last_print_ns_ = 0;
-  uint64_t lines_printed_ = 0;
-};
 
 }  // namespace fm
 

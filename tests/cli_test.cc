@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/json.h"
@@ -42,6 +43,26 @@ class CliTest : public ::testing::Test {
   int Run(const std::string& args) {
     std::string cmd = std::string(FMWALK_PATH) + " " + args + " 2>/dev/null";
     return std::system(cmd.c_str());
+  }
+
+  // Runs fmwalk, expects it to exit with `expected_exit`, and returns the
+  // stderr lines that start with "error: ".
+  std::vector<std::string> ErrorLines(const std::string& args,
+                                      int expected_exit) {
+    const fs::path err = dir_ / "stderr.txt";
+    int rc = std::system((std::string(FMWALK_PATH) + " " + args + " 2>" +
+                          err.string())
+                             .c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << args;
+    EXPECT_EQ(WEXITSTATUS(rc), expected_exit) << args;
+    std::ifstream in(err);
+    std::vector<std::string> errors;
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("error: ", 0) == 0) {
+        errors.push_back(line);
+      }
+    }
+    return errors;
   }
 
   size_t LineCount(const fs::path& p) {
@@ -201,26 +222,54 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
     unweighted << v << ' ' << (v + 1) % 50 << '\n';
   }
   unweighted.close();
+  const std::string edges = "--graph=" + (dir_ / "edges.txt").string();
   const std::string cases[] = {
       "--graph=" + (dir_ / "empty.txt").string(),
       "--graph=" + (dir_ / "unweighted.txt").string() + " --weighted",
-      "--graph=" + (dir_ / "edges.txt").string() + " --weighted --algo=node2vec",
+      edges + " --weighted --algo=node2vec",
+      // node2vec's rejection sampler never accepts with p or q <= 0, so
+      // these would hang the walk.
+      edges + " --algo=node2vec --p=0",
+      edges + " --algo=node2vec --p=-1",
+      edges + " --algo=node2vec --q=0",
+      edges + " --algo=node2vec --q=-1",
+      edges + " --algo=node2vec --p=inf",
+      edges + " --algo=node2vec --q=nan",
+      edges + " --stop=1",
+      edges + " --stop=1.5",
+      edges + " --stop=-0.5",
+      edges + " --telemetry-jsonl=" +
+          (dir_ / "no_such_dir" / "t.jsonl").string(),
   };
-  const fs::path err = dir_ / "stderr.txt";
   for (const std::string& args : cases) {
-    int rc = std::system((std::string(FMWALK_PATH) + " " + args + " 2>" +
-                          err.string())
-                             .c_str());
-    ASSERT_TRUE(WIFEXITED(rc)) << args;
-    EXPECT_EQ(WEXITSTATUS(rc), 1) << args;
-    std::ifstream in(err);
-    std::vector<std::string> errors;
-    for (std::string line; std::getline(in, line);) {
-      if (line.rfind("error: ", 0) == 0) {
-        errors.push_back(line);
-      }
-    }
-    EXPECT_EQ(errors.size(), 1u) << args;
+    EXPECT_EQ(ErrorLines(args, /*expected_exit=*/1).size(), 1u) << args;
+  }
+}
+
+TEST_F(CliTest, MalformedNumberIsAUsageErrorNamingTheFlag) {
+  // Every numeric flag must be one whole number in range; anything else is a
+  // usage error (exit 2) with one error line, never an abort or a wrapped
+  // value.
+  const std::string edges = "--graph=" + (dir_ / "edges.txt").string();
+  const std::pair<std::string, std::string> cases[] = {
+      {"--steps", "abc"},
+      {"--p", "x"},
+      {"--progress", "soon"},
+      {"--telemetry-interval-ms", "fast"},
+      {"--walkers", "99999999999999999999"},
+      {"--seed", "-1x"},
+      {"--seed", "-1"},
+      {"--steps", "4294967296"},
+      {"--rounds", "2 "},
+      {"--q", ""},
+      {"--stop", "0.1.2"},
+  };
+  for (const auto& [flag, value] : cases) {
+    const std::string arg = flag + "=" + value;
+    const std::vector<std::string> errors =
+        ErrorLines(edges + " '" + arg + "'", /*expected_exit=*/2);
+    ASSERT_EQ(errors.size(), 1u) << arg;
+    EXPECT_NE(errors[0].find(flag + "="), std::string::npos) << errors[0];
   }
 }
 

@@ -99,57 +99,6 @@ struct Barrier {
   int woken FM_GUARDED_BY(mu) = 0;
 };
 
-TEST(SyncTest, WaitForTimesOutWhenNobodyNotifies) {
-  Handshake hs;
-  fm::MutexLock lock(hs.mu);
-  // Nobody will ever notify: WaitFor must come back on its own and report
-  // the timeout (false) with the mutex re-held.
-  EXPECT_FALSE(hs.cv.WaitFor(hs.mu, 10));
-  hs.observed = true;  // mutex is held again; annotated write must compile
-  EXPECT_TRUE(hs.observed);
-}
-
-struct TimedHandshake {
-  fm::Mutex mu;
-  fm::CondVar cv;
-  bool parked FM_GUARDED_BY(mu) = false;
-  bool ready FM_GUARDED_BY(mu) = false;
-  bool notified FM_GUARDED_BY(mu) = false;
-};
-
-TEST(SyncTest, WaitForReturnsTrueWhenNotifiedBeforeTimeout) {
-  TimedHandshake hs;
-
-  std::thread waiter([&] {
-    fm::MutexLock lock(hs.mu);
-    hs.parked = true;
-    hs.cv.NotifyAll();
-    // Generous timeout so a slow notifier cannot turn this into a flake;
-    // the loop re-arms against spurious wakeups.
-    bool woke_by_notify = false;
-    while (!hs.ready) {
-      woke_by_notify = hs.cv.WaitFor(hs.mu, 60000);
-    }
-    hs.notified = woke_by_notify;
-  });
-
-  {
-    fm::MutexLock lock(hs.mu);
-    // The waiter sets `parked` and enters WaitFor without dropping the mutex
-    // in between, so acquiring it here with parked==true proves the waiter
-    // is inside the wait — the notify below cannot be lost.
-    while (!hs.parked) {
-      hs.cv.Wait(hs.mu);
-    }
-    hs.ready = true;
-  }
-  hs.cv.NotifyAll();
-  waiter.join();
-
-  fm::MutexLock lock(hs.mu);
-  EXPECT_TRUE(hs.notified);
-}
-
 TEST(SyncTest, NotifyAllWakesEveryWaiter) {
   constexpr int kWaiters = 4;
   Barrier barrier;

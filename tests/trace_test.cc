@@ -15,6 +15,7 @@
 
 #include "src/core/engine.h"
 #include "src/core/algorithms/deepwalk.h"
+#include "src/core/walk_observer.h"
 #include "src/gen/powerlaw_graph.h"
 #include "src/graph/degree_sort.h"
 #include "src/util/json.h"
@@ -168,25 +169,44 @@ TEST_F(TraceTest, ExporterEscapesThreadNamesAndRoundTrips) {
 }
 
 TEST_F(TraceTest, ProgressReporterPrintsAndCounts) {
+  PowerLawConfig config;
+  config.degrees.num_vertices = 1000;
+  config.degrees.avg_degree = 8;
+  DegreeSortedGraph sorted = DegreeSort(GeneratePowerLawGraph(config));
+  EngineOptions options;
+  options.dram_budget_bytes = 1500 * 6 * sizeof(Vid);  // 1500 walkers/episode
+  FlashMobEngine engine(sorted.graph, options);
+  WalkSpec spec = DeepWalkSpec(sorted.graph.num_vertices(), /*steps=*/3);
+  spec.num_walkers = 3000;
+  spec.keep_paths = false;
+
   std::FILE* sink = std::tmpfile();
   ASSERT_NE(sink, nullptr);
   ProgressReporter reporter(/*interval_s=*/0, sink);
-  reporter.OnRunBegin(/*total_episodes=*/2, /*steps_per_episode=*/3,
-                      /*total_walkers=*/100);
-  for (uint64_t ep = 0; ep < 2; ++ep) {
-    for (uint32_t step = 0; step < 3; ++step) {
-      reporter.OnStep(ep, step, 100, 100);
-    }
-  }
-  reporter.OnRunEnd();
+  WalkResult result = engine.Run(spec, {&reporter});
+  ASSERT_EQ(result.stats.episodes, 2u);
   // interval 0 prints every step, plus the final line.
   EXPECT_EQ(reporter.lines_printed(), 7u);
 
   std::rewind(sink);
+  std::vector<std::string> lines;
   char buf[256] = {0};
-  ASSERT_NE(std::fgets(buf, sizeof(buf), sink), nullptr);
-  EXPECT_NE(std::string(buf).find("[fm] ep 1/2 step 1/3"), std::string::npos);
+  while (std::fgets(buf, sizeof(buf), sink) != nullptr) {
+    lines.emplace_back(buf);
+  }
   std::fclose(sink);
+  ASSERT_EQ(lines.size(), 7u);
+  EXPECT_EQ(lines[0].rfind("[fm] ep 1/2 step 1/3 live 1500 ", 0), 0u)
+      << lines[0];
+  EXPECT_EQ(lines[5].rfind("[fm] ep 2/2 step 3/3 live 1500 ", 0), 0u)
+      << lines[5];
+  // The final line renders the run's WalkStats.
+  EXPECT_EQ(lines[6].rfind("[fm] done: " +
+                               std::to_string(result.stats.total_steps) +
+                               " walker-steps",
+                           0),
+            0u)
+      << lines[6];
 }
 
 TEST_F(TraceTest, EngineRunAgreesWithStageSeconds) {
@@ -200,12 +220,13 @@ TEST_F(TraceTest, EngineRunAgreesWithStageSeconds) {
   Tracer::SetThisThreadName("main");
   EngineOptions options;
   options.record_step_stats = true;
-  ProgressReporter progress(/*interval_s=*/1e9, std::tmpfile());
-  options.progress = &progress;
+  std::FILE* progress_out = std::tmpfile();
+  ASSERT_NE(progress_out, nullptr);
+  ProgressReporter progress(/*interval_s=*/1e9, progress_out);
   FlashMobEngine engine(sorted.graph, options);
   WalkSpec spec = DeepWalkSpec(sorted.graph.num_vertices(), /*steps=*/12,
                                /*rounds=*/2);
-  WalkResult result = engine.Run(spec);
+  WalkResult result = engine.Run(spec, {&progress});
   Tracer::Get().Disable();
 
   ASSERT_GT(result.stats.total_steps, 0u);
@@ -245,6 +266,7 @@ TEST_F(TraceTest, EngineRunAgreesWithStageSeconds) {
 
   // The heartbeat saw the run end.
   EXPECT_GE(progress.lines_printed(), 1u);
+  std::fclose(progress_out);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,7 +25,6 @@
 #include "src/gen/powerlaw_graph.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
-#include "src/util/telemetry.h"
 #include "src/util/thread_pool.h"
 #include "src/util/trace.h"
 
@@ -381,75 +379,6 @@ TEST(TsanStressTest, EngineHammerAcrossThreadCounts) {
       }
     }
   }
-}
-
-// --- telemetry shards under concurrency --------------------------------------
-
-// Dense schedules over the telemetry registry: every pool worker hammers a
-// counter and a histogram through the single-writer shard path while the main
-// thread snapshots, renders both exporters, and a snapshot writer appends
-// JSONL lines from its own thread. Folds use relaxed loads over cells the
-// workers write with relaxed stores — TSan confirms the sharding really does
-// keep writers disjoint, and the final fold (after the pool barrier) is exact.
-TEST(TsanStressTest, TelemetryShardsConcurrentUpdateAndSnapshot) {
-  auto& registry = telemetry::TelemetryRegistry::Get();
-  registry.ResetForTest();
-  telemetry::Counter& counter =
-      registry.CounterRef("fm.test.tsan_steps_total");
-  telemetry::Gauge& gauge = registry.GaugeRef("fm.test.tsan_level");
-  telemetry::Histogram& hist = registry.HistogramRef("fm.test.tsan_ns");
-
-  constexpr uint64_t kTasks = 4096;
-  constexpr uint64_t kPerTask = 64;
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    // Live snapshots concurrent with the writers: values may lag but must
-    // never tear, and the renderers must stay parseable mid-run.
-    while (!done.load(std::memory_order_acquire)) {
-      uint64_t folded = counter.Value();
-      EXPECT_LE(folded, kTasks * kPerTask);
-      json::Value doc = json::ParseJson(registry.RenderJsonLine(1));
-      EXPECT_EQ(doc.Str("schema"), "fm-telemetry-v1");
-      registry.RenderPrometheus();
-    }
-  });
-
-  ThreadPool pool(8);
-  pool.ParallelFor(kTasks, [&](uint64_t task, uint32_t) {
-    for (uint64_t i = 0; i < kPerTask; ++i) {
-      counter.Add(1);
-      hist.Observe(task + i);
-    }
-    gauge.Set(static_cast<int64_t>(task));
-  });
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  // The pool barrier ordered every shard store before these folds.
-  EXPECT_EQ(counter.Value(), kTasks * kPerTask);
-  EXPECT_EQ(hist.Snapshot().count, kTasks * kPerTask);
-}
-
-TEST(TsanStressTest, TelemetryWriterThreadConcurrentWithUpdates) {
-  auto& registry = telemetry::TelemetryRegistry::Get();
-  registry.ResetForTest();
-  telemetry::Counter& counter =
-      registry.CounterRef("fm.test.tsan_writer_total");
-
-  const std::string path =
-      ::testing::TempDir() + "/tsan_telemetry_writer.jsonl";
-  telemetry::TelemetrySnapshotWriter writer(path, 1);
-  ASSERT_TRUE(writer.Start());
-
-  ThreadPool pool(8);
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(64, [&](uint64_t, uint32_t) { counter.Add(1); });
-  }
-  writer.Stop();
-
-  EXPECT_EQ(counter.Value(), 50u * 64);
-  EXPECT_GE(writer.lines_written(), 1u);
-  std::remove(path.c_str());
 }
 
 // --- trace ring buffers under concurrency ------------------------------------

@@ -472,40 +472,28 @@ class TelemetryHotPathRule : public HotPathRule {
 
   std::string_view name() const override { return "telemetry-hot-path"; }
   std::string_view description() const override {
-    return "no shared-atomic RMW or mutex-guarded metric updates inside the "
-           "FM_HOT_PATH closure; hot metric updates use per-thread telemetry "
-           "shard stores";
+    return "no shared-atomic RMW inside the FM_HOT_PATH closure; hot metric "
+           "updates accumulate per worker and fold at the stage barrier";
   }
 
  protected:
   void ScanHot(const FunctionInfo& fn, const std::string& chain,
                DiagSink& sink) override {
     // Shared-cell RMWs ping-pong the cache line between workers — exactly the
-    // contention the per-thread shard design (src/util/telemetry.h) exists to
-    // avoid. Single-writer relaxed store/load pairs stay legal.
+    // contention per-worker accumulation (the ShardedVisitCounter pattern)
+    // exists to avoid. Single-writer relaxed store/load pairs stay legal.
     static const std::set<std::string> kAtomicRmw = {
         "fetch_add",  "fetch_sub",
         "fetch_and",  "fetch_or",
         "fetch_xor",  "exchange",
         "compare_exchange_weak", "compare_exchange_strong"};
-    // Registry lookups and renders take TelemetryRegistry::mutex_; cache the
-    // instrument reference at setup instead.
-    static const std::set<std::string> kRegistryCalls = {
-        "CounterRef", "GaugeRef", "HistogramRef", "RenderPrometheus",
-        "RenderJsonLine"};
     for (const CallSite& c : fn.calls) {
       if (kAtomicRmw.count(c.name) != 0) {
         AddOnce(fn.file, c.line,
                 "shared-atomic RMW '" + c.name + "' in hot path", chain,
-                "update a per-thread telemetry shard (telemetry::Counter::Add "
-                "/ Histogram::Observe) and fold at the stage barrier",
-                sink);
-      } else if (kRegistryCalls.count(c.name) != 0) {
-        AddOnce(fn.file, c.line,
-                "mutex-guarded telemetry call '" + c.name + "' in hot path",
-                chain,
-                "look the instrument up at setup and cache the reference; hot "
-                "code touches only its own shard",
+                "accumulate into this worker's own slot (indexed by the "
+                "worker id, as ShardedVisitCounter does) and fold the slots "
+                "at the stage barrier",
                 sink);
       }
     }

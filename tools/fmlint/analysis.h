@@ -19,9 +19,10 @@
 //                      hot-path closure.
 //   hot-path-div       per-element `/` or `%` inside the hot-path closure
 //                      needs an adjacent `div:` justification comment.
-//   telemetry-hot-path no shared-atomic RMW (fetch_add etc.) or mutex-guarded
-//                      telemetry registry calls inside the hot-path closure;
-//                      hot metric updates use per-thread shard stores.
+//   telemetry-hot-path no shared-atomic RMW (fetch_add etc.) inside the
+//                      hot-path closure; hot metric updates accumulate per
+//                      worker and fold at the stage barrier (the
+//                      ShardedVisitCounter pattern).
 //
 // Data-flow-backed families (tools/fmlint/dataflow.h; DESIGN.md §7h):
 //

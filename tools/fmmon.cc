@@ -10,11 +10,11 @@
 //   fmmon --exit-on-eof ...     follow mode, but stop at end-of-file instead
 //                               of polling for growth (tests, post-mortems)
 //
-// The input is what `fmwalk --telemetry-jsonl=F` (or any bench binary with the
-// same flag) appends: one JSON object per line with cumulative counters, gauge
-// levels, and histogram buckets/percentiles. The final line of a completed run
-// always holds the end-of-run values, so `--summary` on a finished file agrees
-// exactly with the run's fm-metrics-v1 output.
+// The input is what `fmwalk --telemetry-jsonl=F` writes: one JSON object per
+// line with cumulative counters, gauge levels, and histogram
+// buckets/percentiles, each a rendering of the run's WalkStats. The final line
+// of a completed run always holds the end-of-run values, so `--summary` on a
+// finished file agrees exactly with the run's fm-metrics-v1 output.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

@@ -32,23 +32,31 @@
 //                     chunks, observer merges) and write Chrome trace-event /
 //                     Perfetto JSON to F — open it in ui.perfetto.dev or feed
 //                     it to `fmtrace`
-//   --telemetry-jsonl=F       append one fm-telemetry-v1 JSON line to F every
-//                     interval while the walk runs (background snapshot
-//                     thread), plus a final line with the end-of-run cumulative
-//                     values; tail it live with `fmmon F` or summarize with
-//                     `fmmon --summary F`
-//   --telemetry-interval-ms=N snapshot interval for --telemetry-jsonl
+//   --telemetry-jsonl=F       write fm-telemetry-v1 JSON lines to F rendered
+//                     from the run's WalkStats: one when the walk begins, at
+//                     most one per interval at the engine's step barriers, and
+//                     one with the end-of-run values; tail it live with
+//                     `fmmon F` or summarize with `fmmon --summary F`
+//   --telemetry-interval-ms=N line interval for --telemetry-jsonl
 //                     (default 1000)
 //   --progress[=SEC]  live heartbeat to stderr every SEC seconds (default 10):
 //                     episode/step position, live walkers, steps/sec, ETA, and
 //                     the dropped-span count; driven from the engine's per-step
 //                     barrier (no extra thread)
 //   --threads=N       worker threads (default: all cores; or FM_THREADS)
+//
+// A malformed number (not the whole value, or out of range) exits 2; a p or q
+// that is not finite and > 0, or a stop probability outside [0, 1), exits 1.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "src/fm.h"
 
@@ -91,6 +99,20 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return false;
 }
 
+// Strict numeric value of flag argument `arg`: the whole value must be one
+// number in T's range (no sign on an unsigned type, no trailing text). Prints
+// one "error:" line naming the flag and returns false otherwise.
+template <typename T>
+bool ParseNumber(const char* arg, const std::string& value, T* out) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "error: %s: not a valid number\n", arg);
+    return false;
+  }
+  return true;
+}
+
 int Usage(const char* self) {
   std::fprintf(stderr,
                "usage: %s --graph=edges.txt | --csr=graph.csr [--mmap] "
@@ -112,6 +134,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     const char* a = argv[i];
+    // Numeric flags: a malformed value is a usage error (exit 2).
+    bool number_ok = true;
     if (ParseFlag(a, "--graph", &value)) {
       args.graph_path = value;
     } else if (ParseFlag(a, "--csr", &value)) {
@@ -123,21 +147,21 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(a, "--algo", &value)) {
       args.algo = value;
     } else if (ParseFlag(a, "--steps", &value)) {
-      args.steps = static_cast<uint32_t>(std::stoul(value));
+      number_ok = ParseNumber(a, value, &args.steps);
     } else if (ParseFlag(a, "--rounds", &value)) {
-      args.rounds = static_cast<uint32_t>(std::stoul(value));
+      number_ok = ParseNumber(a, value, &args.rounds);
     } else if (ParseFlag(a, "--walkers", &value)) {
-      args.walkers = std::stoull(value);
+      number_ok = ParseNumber(a, value, &args.walkers);
     } else if (ParseFlag(a, "--p", &value)) {
-      args.p = std::stod(value);
+      number_ok = ParseNumber(a, value, &args.p);
     } else if (ParseFlag(a, "--q", &value)) {
-      args.q = std::stod(value);
+      number_ok = ParseNumber(a, value, &args.q);
     } else if (std::strcmp(a, "--weighted") == 0) {
       args.weighted = true;
     } else if (ParseFlag(a, "--stop", &value)) {
-      args.stop = std::stod(value);
+      number_ok = ParseNumber(a, value, &args.stop);
     } else if (ParseFlag(a, "--seed", &value)) {
-      args.seed = std::stoull(value);
+      number_ok = ParseNumber(a, value, &args.seed);
     } else if (ParseFlag(a, "--out", &value)) {
       args.out_path = value;
     } else if (ParseFlag(a, "--pairs", &value)) {
@@ -149,12 +173,12 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(a, "--telemetry-jsonl", &value)) {
       args.telemetry_path = value;
     } else if (ParseFlag(a, "--telemetry-interval-ms", &value)) {
-      args.telemetry_interval_ms = static_cast<uint32_t>(std::stoul(value));
+      number_ok = ParseNumber(a, value, &args.telemetry_interval_ms);
     } else if (std::strcmp(a, "--progress") == 0) {
       args.progress = true;
     } else if (ParseFlag(a, "--progress", &value)) {
       args.progress = true;
-      args.progress_interval_s = std::stod(value);
+      number_ok = ParseNumber(a, value, &args.progress_interval_s);
     } else if (std::strcmp(a, "--stats") == 0) {
       args.stats = true;
     } else if (std::strcmp(a, "--profile") == 0) {
@@ -162,6 +186,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a);
       return Usage(argv[0]);
+    }
+    if (!number_ok) {
+      return 2;
     }
   }
   if (args.graph_path.empty() == args.csr_path.empty()) {
@@ -174,6 +201,17 @@ int main(int argc, char** argv) {
   }
   if (args.weighted && args.algo != "deepwalk") {
     std::fprintf(stderr, "error: --weighted supports only --algo=deepwalk\n");
+    return 1;
+  }
+  // node2vec's rejection sampler never accepts with p or q <= 0 (the walk
+  // would hang), and a stop probability outside [0, 1) means nothing.
+  if (!(std::isfinite(args.p) && args.p > 0) ||
+      !(std::isfinite(args.q) && args.q > 0)) {
+    std::fprintf(stderr, "error: --p and --q must be finite and > 0\n");
+    return 1;
+  }
+  if (!(args.stop >= 0 && args.stop < 1)) {
+    std::fprintf(stderr, "error: --stop must be in [0, 1)\n");
     return 1;
   }
 
@@ -242,29 +280,37 @@ int main(int argc, char** argv) {
     EngineOptions engine_options;
     engine_options.record_step_stats = args.profile || !args.metrics_path.empty();
     engine_options.collect_counters = !args.metrics_path.empty();
+    // Live views of the run's WalkStats, rendered at the engine's step
+    // barriers: the heartbeat and the fm-telemetry-v1 lines.
+    std::vector<WalkObserver*> observers;
     ProgressReporter progress(args.progress_interval_s);
     if (args.progress) {
-      engine_options.progress = &progress;
+      observers.push_back(&progress);
     }
-    // Telemetry snapshots cover the walk itself; Stop() before the metrics
-    // JSON is written, so the file's final line and fm-metrics-v1 both hold
-    // the same end-of-run counter values.
-    telemetry::TelemetrySnapshotWriter telemetry_writer(
-        args.telemetry_path, args.telemetry_interval_ms);
-    if (!args.telemetry_path.empty() && !telemetry_writer.Start()) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   args.telemetry_path.c_str());
-      return 1;
+    auto close_file = [](std::FILE* f) { std::fclose(f); };
+    std::unique_ptr<std::FILE, decltype(close_file)> telemetry_file(
+        nullptr, close_file);
+    if (!args.telemetry_path.empty()) {
+      telemetry_file.reset(std::fopen(args.telemetry_path.c_str(), "w"));
+      if (telemetry_file == nullptr) {
+        std::fprintf(stderr, "error: cannot write %s\n",
+                     args.telemetry_path.c_str());
+        return 1;
+      }
+    }
+    TelemetryJsonlObserver telemetry(telemetry_file.get(),
+                                     args.telemetry_interval_ms);
+    if (telemetry_file != nullptr) {
+      observers.push_back(&telemetry);
     }
     FlashMobEngine engine(sorted.graph, engine_options);
-    WalkResult result = engine.Run(spec);
-    telemetry_writer.Stop();
-    if (!args.telemetry_path.empty()) {
+    WalkResult result = engine.Run(spec, observers);
+    if (telemetry_file != nullptr) {
+      telemetry_file.reset();
       std::fprintf(stderr,
-                   "wrote %llu telemetry snapshots to %s — summarize with: "
+                   "wrote %llu telemetry lines to %s — summarize with: "
                    "fmmon --summary %s\n",
-                   static_cast<unsigned long long>(
-                       telemetry_writer.lines_written()),
+                   static_cast<unsigned long long>(telemetry.lines_written()),
                    args.telemetry_path.c_str(), args.telemetry_path.c_str());
     }
     if (!args.trace_path.empty()) {
@@ -290,15 +336,10 @@ int main(int argc, char** argv) {
                  result.stats.times.Total(), result.stats.PerStepNs(),
                  result.stats.times.sample_s, result.stats.times.shuffle_s,
                  result.stats.times.other_s, result.stats.episodes);
-    // Per-step wall-time spread from the telemetry histogram the engine fills
-    // at stage barriers — the same source every exporter reads, so this line
-    // can never disagree with --telemetry-jsonl (stats::Percentile over an
-    // ad-hoc vector of step times would be a second, divergent aggregation).
+    // Per-step wall-time spread from the run's own histogram — the one
+    // --telemetry-jsonl renders, so the two can never disagree.
     {
-      telemetry::HistogramSnapshot step_ns =
-          telemetry::TelemetryRegistry::Get()
-              .HistogramRef("fm.engine.step_ns")
-              .Snapshot();
+      const Log2Histogram& step_ns = result.stats.step_ns;
       if (step_ns.count > 0) {
         std::fprintf(stderr,
                      "per-step wall time: mean %.0f ns, p50 %.0f, p99 %.0f "
