@@ -25,8 +25,8 @@ CsrGraph::CsrGraph(std::vector<Eid> offsets, std::vector<Vid> edges,
   weights_view_ = weights_;
 #ifndef NDEBUG
   // Full O(V+E) well-formedness (monotone offsets, in-range targets) on every
-  // construction in checking builds; release callers invoke CheckValid explicitly
-  // where the input is untrusted (deserialization).
+  // construction in checking builds; untrusted input (the loaders in
+  // edge_io.cc) is validated with a thrown error before it gets here.
   CheckValid();
 #endif
 }

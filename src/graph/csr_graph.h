@@ -97,7 +97,7 @@ class CsrGraph {
   }
 
   // Internal consistency: monotone offsets, edge targets in range. Aborts on
-  // violation (programmer error); used by tests and after deserialization.
+  // violation (programmer error); file input is validated by the loaders.
   void CheckValid() const;
 
  private:

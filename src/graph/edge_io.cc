@@ -1,8 +1,10 @@
 #include "src/graph/edge_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -92,6 +94,41 @@ std::span<const T> MappedSpan(const uint8_t* base, size_t byte_offset,
   return {reinterpret_cast<const T*>(p), count};
 }
 
+// Rejects a payload no CsrGraph may hold: offsets must start at 0, never
+// decrease and end at |E|; every target must name a vertex; every weight must
+// be finite and > 0 (the alias build divides by their sum). Runs before the
+// graph is constructed, in place of CsrGraph::CheckValid, and throws like
+// ParseCsrHeader. The loops accumulate instead of branching, which lets the
+// target and weight scans vectorize.
+void ValidateCsrPayload(std::span<const Eid> offsets, std::span<const Vid> edges,
+                        std::span<const float> weights,
+                        const std::string& path) {
+  unsigned falls = 0;
+  for (size_t i = 1; i < offsets.size(); ++i) {
+    falls |= offsets[i] < offsets[i - 1];
+  }
+  if (offsets.front() != 0 || falls != 0) {
+    ThrowIo("corrupt CSR offsets (not rising from 0)", path);
+  }
+  if (offsets.back() != edges.size()) {
+    ThrowIo("corrupt CSR offsets (last offset is not the edge count)", path);
+  }
+  Vid max_target = 0;
+  for (Vid target : edges) {
+    max_target = std::max(max_target, target);
+  }
+  if (!edges.empty() && max_target >= offsets.size() - 1) {
+    ThrowIo("corrupt CSR edges (target out of vertex range)", path);
+  }
+  unsigned bad_weights = 0;
+  for (float w : weights) {
+    bad_weights |= !(w > 0.0f) | !(w <= std::numeric_limits<float>::max());
+  }
+  if (bad_weights != 0) {
+    ThrowIo("corrupt CSR weights (not finite and > 0)", path);
+  }
+}
+
 }  // namespace
 
 CsrGraph LoadEdgeListText(const std::string& path, const BuildOptions& options) {
@@ -120,9 +157,15 @@ CsrGraph LoadEdgeListText(const std::string& path, const BuildOptions& options) 
                                std::to_string(line_no));
     }
     double weight = 1.0;  // optional third column: edge weight
-    if ((ls >> weight) && !(weight > 0)) {
-      throw std::runtime_error("non-positive edge weight at " + path + ":" +
+    if (!(ls >> std::ws).eof() && !(ls >> weight)) {
+      throw std::runtime_error("malformed edge at " + path + ":" +
                                std::to_string(line_no));
+    }
+    // The weight is stored as a float, so it must be finite and > 0 there.
+    if (!(weight > 0 && weight <= std::numeric_limits<float>::max() &&
+          static_cast<float>(weight) > 0)) {
+      throw std::runtime_error("edge weight not finite and > 0 at " + path +
+                               ":" + std::to_string(line_no));
     }
     builder.AddEdge(static_cast<Vid>(u), static_cast<Vid>(v),
                     static_cast<float>(weight));
@@ -202,9 +245,8 @@ CsrGraph LoadCsrBinary(const std::string& path) {
   if (!in) {
     ThrowIo("truncated CSR file", path);
   }
-  CsrGraph graph(std::move(offsets), std::move(edges), std::move(weights));
-  graph.CheckValid();
-  return graph;
+  ValidateCsrPayload(offsets, edges, weights, path);
+  return CsrGraph(std::move(offsets), std::move(edges), std::move(weights));
 }
 
 CsrGraph LoadCsrBinaryMapped(const std::string& path) {
@@ -225,9 +267,8 @@ CsrGraph LoadCsrBinaryMapped(const std::string& path) {
     weights = MappedSpan<float>(
         base, kCsrHeaderBytes + h.offsets_bytes + h.edges_bytes, h.num_edges);
   }
-  CsrGraph graph(std::move(mapping), offsets, edges, weights);
-  graph.CheckValid();
-  return graph;
+  ValidateCsrPayload(offsets, edges, weights, path);
+  return CsrGraph(std::move(mapping), offsets, edges, weights);
 }
 
 }  // namespace fm

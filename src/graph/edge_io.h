@@ -15,14 +15,17 @@
 
 namespace fm {
 
-// Parses a text edge list into a graph. Throws std::runtime_error on I/O failure or
-// malformed lines.
+// Parses a text edge list into a graph. Throws std::runtime_error on I/O failure,
+// malformed lines, or a weight that is not finite and > 0 as a float.
 CsrGraph LoadEdgeListText(const std::string& path, const BuildOptions& options = {});
 
 // Writes "u v" lines. Throws std::runtime_error on I/O failure.
 void SaveEdgeListText(const CsrGraph& graph, const std::string& path);
 
-// Binary CSR round trip. Throws std::runtime_error on I/O failure or a corrupt file.
+// Binary CSR round trip. Throws std::runtime_error on I/O failure or a corrupt
+// file: a header that does not match the file size, offsets that do not rise
+// from 0 to |E|, a target outside [0, |V|), or a weight that is not finite
+// and > 0.
 void SaveCsrBinary(const CsrGraph& graph, const std::string& path);
 CsrGraph LoadCsrBinary(const std::string& path);
 

@@ -4,10 +4,12 @@
 
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +65,27 @@ class CliTest : public ::testing::Test {
       }
     }
     return errors;
+  }
+
+  // Writes a binary CSR file in the SaveCsrBinary layout straight from its
+  // arrays, so a test can hand fmwalk a payload no writer would produce.
+  std::string WriteCsr(const std::string& name,
+                       const std::vector<uint64_t>& offsets,
+                       const std::vector<uint32_t>& edges,
+                       const std::vector<float>& weights = {}) {
+    const uint64_t header[3] = {
+        weights.empty() ? 0x464D435352303031ULL : 0x464D435352303032ULL,
+        offsets.size() - 1, edges.size()};
+    const fs::path path = dir_ / name;
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    out.write(reinterpret_cast<const char*>(offsets.data()),
+              static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
+    out.write(reinterpret_cast<const char*>(edges.data()),
+              static_cast<std::streamsize>(edges.size() * sizeof(uint32_t)));
+    out.write(reinterpret_cast<const char*>(weights.data()),
+              static_cast<std::streamsize>(weights.size() * sizeof(float)));
+    return path.string();
   }
 
   size_t LineCount(const fs::path& p) {
@@ -222,9 +245,13 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
     unweighted << v << ' ' << (v + 1) % 50 << '\n';
   }
   unweighted.close();
+  std::ofstream(dir_ / "bad_weight.txt") << "0 1 1.5\n1 0 abc\n";
+  std::ofstream(dir_ / "huge_weight.txt") << "0 1 1.5\n1 0 1e39\n";
   const std::string edges = "--graph=" + (dir_ / "edges.txt").string();
-  const std::string cases[] = {
+  std::vector<std::string> cases = {
       "--graph=" + (dir_ / "empty.txt").string(),
+      "--graph=" + (dir_ / "bad_weight.txt").string(),
+      "--graph=" + (dir_ / "huge_weight.txt").string(),
       "--graph=" + (dir_ / "unweighted.txt").string() + " --weighted",
       edges + " --weighted --algo=node2vec",
       // node2vec's rejection sampler never accepts with p or q <= 0, so
@@ -241,6 +268,27 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
       edges + " --telemetry-jsonl=" +
           (dir_ / "no_such_dir" / "t.jsonl").string(),
   };
+  // The weighted ring 0 -> 1 -> 2 -> 0 (offsets {0,1,2,3}, edges {1,2,0})
+  // loads. Each file after it keeps a header that matches the file size but
+  // breaks the payload, and both loaders must reject it.
+  const std::string ok = WriteCsr("ok.csr", {0, 1, 2, 3}, {1, 2, 0}, {1, 2, 1});
+  EXPECT_EQ(Run("--csr=" + ok + " --steps=2 --rounds=1"), 0);
+  EXPECT_EQ(Run("--csr=" + ok + " --mmap --steps=2 --rounds=1"), 0);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::string csr_files[] = {
+      WriteCsr("target.csr", {0, 1, 2, 3}, {1, 2, 3}),
+      WriteCsr("nonmonotone.csr", {0, 2, 1, 3}, {1, 2, 0}),
+      WriteCsr("last_offset.csr", {0, 1, 2, 2}, {1, 2, 0}),
+      WriteCsr("zero_weight.csr", {0, 1, 2, 3}, {1, 2, 0}, {1, 0, 1}),
+      WriteCsr("negative_weight.csr", {0, 1, 2, 3}, {1, 2, 0}, {1, -1, 1}),
+      WriteCsr("nan_weight.csr", {0, 1, 2, 3}, {1, 2, 0}, {1, nan, 1}),
+      WriteCsr("inf_weight.csr", {0, 1, 2, 3}, {1, 2, 0}, {1, inf, 1}),
+  };
+  for (const std::string& file : csr_files) {
+    cases.push_back("--csr=" + file);
+    cases.push_back("--csr=" + file + " --mmap");
+  }
   for (const std::string& args : cases) {
     EXPECT_EQ(ErrorLines(args, /*expected_exit=*/1).size(), 1u) << args;
   }

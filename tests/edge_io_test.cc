@@ -43,10 +43,22 @@ TEST_F(EdgeIoTest, TextHandlesCommentsAndBlankLines) {
 }
 
 TEST_F(EdgeIoTest, TextRejectsMalformedLine) {
-  std::ofstream out(Path("bad.txt"));
-  out << "0 1\nnot numbers\n";
-  out.close();
-  EXPECT_THROW(LoadEdgeListText(Path("bad.txt")), std::runtime_error);
+  // Besides unparseable ids: an unparseable weight column, and weights that
+  // are not finite and > 0 once stored as a float (1e39 overflows it, 1e-50
+  // rounds to 0).
+  for (const char* bad : {"not numbers", "1 0 abc", "1 0 0", "1 0 -2",
+                          "1 0 1e39", "1 0 1e-50", "1 0 1e999"}) {
+    std::ofstream out(Path("bad.txt"));
+    out << "0 1 1.5\n" << bad << "\n";
+    out.close();
+    try {
+      LoadEdgeListText(Path("bad.txt"));
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad.txt:2"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
 }
 
 TEST_F(EdgeIoTest, TextMissingFileThrows) {

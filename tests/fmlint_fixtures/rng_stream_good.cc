@@ -4,8 +4,8 @@ struct XorShiftRng {
   unsigned long long Next();
 };
 
-// A pure passthrough helper: the interprocedural summary must propagate
-// WalkerSeed provenance through Remix into the construction below.
+// WalkerSeed may sit inside a mixer call (Remix below): the rule needs it
+// spelled in the argument list of the construction itself.
 unsigned long long Remix(unsigned long long seed) {
   return SplitMix64(seed);
 }

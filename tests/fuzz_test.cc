@@ -1,7 +1,7 @@
 // Randomized end-to-end property tests: random graphs (weights, self-loops,
 // duplicates, dead ends, shuffled labels) x random walk specifications, checked
-// against the engine's global invariants, plus randomized corrupt-CSR-header
-// cases covering every field the loader's taint validation bounds-checks.
+// against the engine's global invariants, plus randomized corrupt-CSR cases
+// covering every header field and payload invariant the loaders validate.
 // Each parameter is an independent seed.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -134,13 +135,16 @@ TEST_P(FuzzTest, EngineInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range<uint64_t>(0, 24));
 
-// --- corrupt CSR header fuzzing ----------------------------------------------
-// One randomized mutation per seed, each targeting a header field the loader
+// --- corrupt CSR fuzzing ----------------------------------------------------
+// One randomized mutation per seed. Header mutations target a field the loader
 // treats as untrusted (magic, num_vertices, num_edges) or the payload length
-// those counts are validated against (truncation / trailing garbage). Every
-// mutation is constructed to be invalid by design — the header counts no
-// longer match the file size — so both the copying and the mmap loader must
-// reject with a clean error, never crash or over-allocate.
+// those counts are validated against (truncation / trailing garbage), so the
+// counts no longer match the file size. Payload mutations keep the header
+// consistent and break what a CsrGraph needs instead: an edge target outside
+// [0, |V|), offsets that do not rise from 0, a last offset other than |E|, or
+// a weight that is not finite and > 0. Every mutation is invalid by design, so
+// both the copying and the mmap loader must reject it with a clean error,
+// never crash, abort or over-allocate.
 
 std::vector<uint8_t> ReadAllBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -156,14 +160,16 @@ void WriteAllBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
 
 class CorruptHeaderFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CorruptHeaderFuzzTest, HostileHeadersAreRejectedCleanly) {
+TEST_P(CorruptHeaderFuzzTest, HostileHeadersAndPayloadsAreRejectedCleanly) {
   const uint64_t seed = GetParam();
+  const uint64_t mutation = seed % 9;
   XorShiftRng rng(DeriveSeed(0xC5A, seed));
 
   // A small random graph, weighted half the time so both payload layouts
-  // (edges only / edges + weights) get corrupted.
+  // (edges only / edges + weights) get corrupted, and always when the
+  // mutation corrupts a weight.
   Vid n = 20 + static_cast<Vid>(rng.NextBounded(200));
-  bool weighted = rng.NextBounded(2) == 0;
+  bool weighted = rng.NextBounded(2) == 0 || mutation == 8;
   GraphBuilder builder(n);
   for (uint64_t e = 0; e < n * 4ull; ++e) {
     builder.AddEdge(static_cast<Vid>(rng.NextBounded(n)),
@@ -172,6 +178,8 @@ TEST_P(CorruptHeaderFuzzTest, HostileHeadersAreRejectedCleanly) {
                              : 1.0f);
   }
   CsrGraph graph = builder.Build({});
+  ASSERT_GT(graph.num_edges(), 0u);
+  ASSERT_EQ(graph.weighted(), weighted);
   std::string path =
       (std::filesystem::temp_directory_path() /
        ("fm_fuzz_csr_" + std::to_string(seed) + ".csr"))
@@ -188,10 +196,15 @@ TEST_P(CorruptHeaderFuzzTest, HostileHeadersAreRejectedCleanly) {
   auto store64 = [&](size_t off, uint64_t v) {
     std::memcpy(bytes.data() + off, &v, sizeof(v));
   };
+  const uint64_t num_edges = graph.num_edges();
+  const size_t offsets_at = 24;
+  const size_t edges_at = offsets_at + (n + 1) * sizeof(Eid);
+  const size_t weights_at = edges_at + num_edges * sizeof(Vid);
+  const size_t edge = rng.NextBounded(num_edges);
 
   constexpr uint64_t kMagic = 0x464D435352303031ULL;          // FMCSR001
   constexpr uint64_t kWeightedMagic = 0x464D435352303032ULL;  // FMCSR002
-  switch (seed % 5) {
+  switch (mutation) {
     case 0: {  // random non-CSR magic
       uint64_t magic = load64(0) ^ (1 + rng.NextBounded((1ull << 32) - 1));
       while (magic == kMagic || magic == kWeightedMagic) {
@@ -209,11 +222,38 @@ TEST_P(CorruptHeaderFuzzTest, HostileHeadersAreRejectedCleanly) {
     case 3:  // truncation: counts now claim more payload than exists
       bytes.resize(bytes.size() - (1 + rng.NextBounded(16)));
       break;
-    default:  // trailing garbage: payload larger than the counts account for
+    case 4:  // trailing garbage: payload larger than the counts account for
       for (uint64_t k = 0, end = 1 + rng.NextBounded(16); k < end; ++k) {
         bytes.push_back(static_cast<uint8_t>(rng.NextBounded(256)));
       }
       break;
+    case 5: {  // an edge target at or past |V|
+      Vid target = n + static_cast<Vid>(rng.NextBounded(kInvalidVid - n + 1ull));
+      std::memcpy(bytes.data() + edges_at + edge * sizeof(Vid), &target,
+                  sizeof(target));
+      break;
+    }
+    case 6: {  // offset v above offset v+1 (v = 0 also breaks the 0 start)
+      Vid v = static_cast<Vid>(rng.NextBounded(n));
+      store64(offsets_at + v * sizeof(Eid),
+              load64(offsets_at + (v + 1) * sizeof(Eid)) + 1 +
+                  rng.NextBounded(1000));
+      break;
+    }
+    case 7:  // last offset past |E| (still monotone)
+      store64(offsets_at + n * sizeof(Eid),
+              num_edges + 1 + rng.NextBounded(1ull << 20));
+      break;
+    default: {  // a weight that is zero, negative, NaN or infinite
+      const float kBad[] = {0.0f, -1.0f - static_cast<float>(rng.NextBounded(8)),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+      float w = kBad[seed / 9 % 5];
+      std::memcpy(bytes.data() + weights_at + edge * sizeof(float), &w,
+                  sizeof(w));
+      break;
+    }
   }
   WriteAllBytes(path, bytes);
 
@@ -223,8 +263,9 @@ TEST_P(CorruptHeaderFuzzTest, HostileHeadersAreRejectedCleanly) {
   std::filesystem::remove(path);
 }
 
+// 45 seeds: every mutation five times, and each bad weight once.
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptHeaderFuzzTest,
-                         ::testing::Range<uint64_t>(0, 20));
+                         ::testing::Range<uint64_t>(0, 45));
 
 }  // namespace
 }  // namespace fm

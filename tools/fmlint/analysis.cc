@@ -1,43 +1,14 @@
 #include "tools/fmlint/analysis.h"
 
-#include <algorithm>
-#include <map>
 #include <regex>
 #include <set>
 #include <string>
 #include <utility>
 
+#include "tools/fmlint/callgraph.h"
+
 namespace fmlint {
 namespace {
-
-// --- shared helpers ----------------------------------------------------------
-
-struct Include {
-  std::string path;  // as written inside the quotes (repo-relative by policy)
-  size_t line;       // 1-based
-};
-
-// Quoted project includes; the path is recovered from the raw line because
-// string contents are blanked in prepared code.
-std::vector<Include> QuotedIncludes(const SourceFile& file) {
-  static const std::regex include_re(R"(^\s*#\s*include\s*\")");
-  std::vector<Include> out;
-  for (size_t i = 0; i < file.code.size(); ++i) {
-    if (!std::regex_search(file.code[i], include_re)) {
-      continue;
-    }
-    size_t open = file.raw[i].find('"');
-    if (open == std::string::npos) {
-      continue;
-    }
-    size_t close = file.raw[i].find('"', open + 1);
-    if (close == std::string::npos) {
-      continue;
-    }
-    out.push_back({file.raw[i].substr(open + 1, close - open - 1), i + 1});
-  }
-  return out;
-}
 
 // --- layer-dag ---------------------------------------------------------------
 
@@ -169,12 +140,13 @@ class HeaderDisciplineRule : public Rule {
   }
 };
 
-// --- whole-program rule base -------------------------------------------------
+// --- hot-path family ---------------------------------------------------------
 
-class WholeProgramRule : public Rule {
+// Base for the hot-path rules: feeds every file to the shared WholeProgram,
+// then scans each function of the hot closure, deduplicating per line.
+class HotPathRule : public Rule {
  public:
-  explicit WholeProgramRule(std::shared_ptr<WholeProgram> wp)
-      : wp_(std::move(wp)) {}
+  explicit HotPathRule(std::shared_ptr<WholeProgram> wp) : wp_(std::move(wp)) {}
 
   void CheckFile(const SourceFile& file, DiagSink& /*sink*/) override {
     wp_->AddFile(file);
@@ -182,59 +154,6 @@ class WholeProgramRule : public Rule {
 
   void Finish(DiagSink& sink) override {
     wp_->EnsureAnalyzed();
-    Report(sink);
-    wp_->Release();
-  }
-
- protected:
-  virtual void Report(DiagSink& sink) = 0;
-
-  std::shared_ptr<WholeProgram> wp_;
-};
-
-// --- lock-order --------------------------------------------------------------
-
-class LockOrderRule : public WholeProgramRule {
- public:
-  using WholeProgramRule::WholeProgramRule;
-
-  std::string_view name() const override { return "lock-order"; }
-  std::string_view description() const override {
-    return "the lock acquired-before graph (MutexLock nesting + FM_REQUIRES/"
-           "FM_ACQUIRE through the call graph) must stay acyclic";
-  }
-
- protected:
-  void Report(DiagSink& sink) override {
-    for (const auto& cycle : wp_->lock_cycles()) {
-      std::string order;
-      std::string detail;
-      for (const WholeProgram::LockEdge& e : cycle) {
-        order += e.from + " -> ";
-        detail += "; " + e.from + " -> " + e.to + " (" + e.note + " at " +
-                  e.file + ":" + std::to_string(e.line) + ")";
-      }
-      const WholeProgram::LockEdge& first = cycle.front();
-      sink.Add({first.file, first.line, std::string(name()),
-                "potential deadlock: lock-order cycle " + order +
-                    cycle.front().from + detail,
-                "pick one global order for these locks (see the canonical "
-                "order in src/util/sync.h) and acquire in that order "
-                "everywhere"});
-    }
-  }
-};
-
-// --- hot-path family ---------------------------------------------------------
-
-// Base for the hot-path rules: iterates the hot closure and lets subclasses
-// scan each function, deduplicating per line.
-class HotPathRule : public WholeProgramRule {
- public:
-  using WholeProgramRule::WholeProgramRule;
-
- protected:
-  void Report(DiagSink& sink) override {
     reported_.clear();
     const std::vector<FunctionInfo>& fns = wp_->functions();
     for (size_t i = 0; i < fns.size(); ++i) {
@@ -242,8 +161,10 @@ class HotPathRule : public WholeProgramRule {
         ScanHot(fns[i], wp_->HotChain(i), sink);
       }
     }
+    wp_->Release();
   }
 
+ protected:
   virtual void ScanHot(const FunctionInfo& fn, const std::string& chain,
                        DiagSink& sink) = 0;
 
@@ -255,6 +176,8 @@ class HotPathRule : public WholeProgramRule {
     sink.Add({file, line, std::string(name()),
               what + " [hot path: " + chain + "]", fixit});
   }
+
+  std::shared_ptr<WholeProgram> wp_;
 
  private:
   std::set<std::pair<std::string, size_t>> reported_;
@@ -334,11 +257,15 @@ class HotPathLockRule : public HotPathRule {
  protected:
   void ScanHot(const FunctionInfo& fn, const std::string& chain,
                DiagSink& sink) override {
-    for (const LockSite& site : fn.locks) {
-      AddOnce(fn.file, site.line,
-              "acquires lock '" + site.lock + "' in hot path", chain,
-              "restructure so the hot loop works on thread-private state",
-              sink);
+    static const std::set<std::string> kGuards = {
+        "MutexLock", "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
+    for (const DeclSite& d : fn.decls) {
+      if (kGuards.count(d.type) != 0) {
+        AddOnce(fn.file, d.line,
+                "lock guard '" + d.type + " " + d.var + "' in hot path", chain,
+                "restructure so the hot loop works on thread-private state",
+                sink);
+      }
     }
     static const std::set<std::string> kLockCalls = {"Lock", "TryLock", "lock",
                                                      "try_lock"};
@@ -350,7 +277,7 @@ class HotPathLockRule : public HotPathRule {
                 sink);
       }
     }
-    if (!fn.acquires_locks.empty()) {
+    if (fn.acquires) {
       AddOnce(fn.file, fn.line,
               "FM_ACQUIRE-annotated function in hot path", chain,
               "hot code must not take locks; move the locking to the "
@@ -427,7 +354,7 @@ class HotPathDivRule : public HotPathRule {
       if (t.text != "/" && t.text != "%" && t.text != "/=" && t.text != "%=") {
         continue;
       }
-      if (file != nullptr && Justified(*file, t.line)) {
+      if (file != nullptr && HasAdjacentTag(*file, t.line, "div:")) {
         continue;
       }
       AddOnce(fn.file, t.line,
@@ -438,31 +365,6 @@ class HotPathDivRule : public HotPathRule {
               "reciprocal>",
               sink);
     }
-  }
-
- private:
-  // Same shape as the relaxed-order justification: tag on the same line or in
-  // the contiguous //-comment block immediately above.
-  static bool Justified(const SourceFile& file, size_t line_1based) {
-    static constexpr const char* kTag = "div:";
-    if (line_1based == 0 || line_1based > file.raw.size()) {
-      return false;
-    }
-    size_t i = line_1based - 1;
-    if (file.raw[i].find(kTag) != std::string::npos) {
-      return true;
-    }
-    for (size_t j = i; j > 0; --j) {
-      const std::string& above = file.raw[j - 1];
-      size_t first = above.find_first_not_of(" \t");
-      if (first == std::string::npos || above.compare(first, 2, "//") != 0) {
-        break;
-      }
-      if (above.find(kTag, first) != std::string::npos) {
-        return true;
-      }
-    }
-    return false;
   }
 };
 
@@ -500,374 +402,92 @@ class TelemetryHotPathRule : public HotPathRule {
   }
 };
 
-// --- data-flow rule family ---------------------------------------------------
-
-// Same-line + contiguous //-comment-block-above raw text, for justification
-// lookups (the div:/taint:/relaxed: comment conventions all share this shape).
-std::string NearbyCommentText(const SourceFile& file, size_t line_1based) {
-  std::string out;
-  if (line_1based == 0 || line_1based > file.raw.size()) {
-    return out;
-  }
-  size_t i = line_1based - 1;
-  out += file.raw[i];
-  for (size_t j = i; j > 0; --j) {
-    const std::string& above = file.raw[j - 1];
-    size_t first = above.find_first_not_of(" \t");
-    if (first == std::string::npos || above.compare(first, 2, "//") != 0) {
-      break;
-    }
-    out += '\n';
-    out += above;
-  }
-  return out;
-}
-
-std::string SimpleCallName(const std::string& name) {
-  size_t pos = name.rfind("::");
-  return pos == std::string::npos ? name : name.substr(pos + 2);
-}
-
-// Base for the three data-flow rules: WholeProgram feeding plus a shared
-// DataFlow built once per lint run, with per-line dedup.
-class DataFlowRule : public Rule {
+class RngStreamRule : public HotPathRule {
  public:
-  DataFlowRule(std::shared_ptr<WholeProgram> wp,
-               std::shared_ptr<DataFlowCache> cache)
-      : wp_(std::move(wp)), cache_(std::move(cache)) {}
-
-  void CheckFile(const SourceFile& file, DiagSink& /*sink*/) override {
-    wp_->AddFile(file);
-  }
-
-  void Finish(DiagSink& sink) override {
-    wp_->EnsureAnalyzed();
-    reported_.clear();
-    Report(cache_->Ensure(*wp_), sink);
-    cache_->Release();
-    wp_->Release();
-  }
-
- protected:
-  virtual void Report(const DataFlow& df, DiagSink& sink) = 0;
-
-  void AddOnce(const std::string& file, size_t line, const std::string& what,
-               const std::string& fixit, DiagSink& sink) {
-    if (!reported_.emplace(file, line).second) {
-      return;
-    }
-    sink.Add({file, line, std::string(name()), what, fixit});
-  }
-
-  bool JustifiedBy(const std::string& rel_path, size_t line,
-                   const char* tag) const {
-    const SourceFile* file = wp_->file(rel_path);
-    return file != nullptr &&
-           NearbyCommentText(*file, line).find(tag) != std::string::npos;
-  }
-
-  std::shared_ptr<WholeProgram> wp_;
-  std::shared_ptr<DataFlowCache> cache_;
-
- private:
-  std::set<std::pair<std::string, size_t>> reported_;
-};
-
-// First forbidden source bit set in `prov`, or 0.
-Provenance FirstBadBit(Provenance prov) {
-  for (Provenance bit : {kProvThreadId, kProvSlotIndex, kProvPointer,
-                         kProvClock, kProvUntrusted}) {
-    if ((prov & bit) != 0) {
-      return bit;
-    }
-  }
-  return 0;
-}
-
-class RngStreamRule : public DataFlowRule {
- public:
-  using DataFlowRule::DataFlowRule;
+  using HotPathRule::HotPathRule;
 
   std::string_view name() const override { return "rng-stream-discipline"; }
   std::string_view description() const override {
     return "RNG constructions and Seed() calls in the FM_HOT_PATH closure "
-           "must trace their seed to WalkerSeed(chunk_seed, walker_index); "
-           "thread-id/slot/pointer/clock-derived seeds break walk "
-           "determinism";
+           "must spell their seed as WalkerSeed(chunk_seed, walker_index); "
+           "thread-id/slot/clock-derived seeds break walk determinism";
   }
 
  protected:
-  void Report(const DataFlow& df, DiagSink& sink) override {
-    const std::vector<FunctionInfo>& fns = wp_->functions();
-    for (size_t i = 0; i < fns.size(); ++i) {
-      if (!wp_->IsHot(i)) {
-        continue;
+  void ScanHot(const FunctionInfo& fn, const std::string& chain,
+               DiagSink& sink) override {
+    const std::vector<Token>& body = fn.body;
+    for (size_t i = 0; i + 2 < body.size(); ++i) {
+      const std::string& t = body[i].text;
+      // `XorShiftRng rng(seed)` / `Rng rng{seed}`: any type spelled ...Rng.
+      bool rng_decl = body[i].kind == Token::Kind::kIdent && t.size() >= 3 &&
+                      t.compare(t.size() - 3, 3, "Rng") == 0 &&
+                      body[i + 1].kind == Token::Kind::kIdent &&
+                      (body[i + 2].text == "(" || body[i + 2].text == "{");
+      if (rng_decl) {
+        CheckSeed(fn, i + 2, "RNG construction", chain, sink);
+      } else if (t == "Seed" && body[i + 1].text == "(") {
+        CheckSeed(fn, i + 1, "Seed() call", chain, sink);
       }
-      const FunctionInfo& fn = fns[i];
-      const std::string& chain = wp_->HotChain(i);
-      df.Visit(
-          i,
-          [&](const Statement& stmt, const VarState& state) {
-            // `Rng rng(seed_expr)` — any type spelled ...Rng.
-            bool rng_decl =
-                stmt.is_decl && !stmt.decl_type.empty() &&
-                (stmt.decl_type == "Rng" ||
-                 (stmt.decl_type.size() > 3 &&
-                  stmt.decl_type.compare(stmt.decl_type.size() - 3, 3,
-                                         "Rng") == 0));
-            if (rng_decl) {
-              CheckSeed(df.Eval(stmt.value, state), fn, stmt.line,
-                        "RNG construction", chain, sink);
-            }
-            for (const StmtCall& call : stmt.calls) {
-              if (SimpleCallName(call.name) == "Seed" && !call.args.empty()) {
-                CheckSeed(df.Eval(call.args[0], state), fn, call.line,
-                          "Seed() call", chain, sink);
-              }
-            }
-          },
-          nullptr);
     }
   }
 
  private:
-  void CheckSeed(Provenance prov, const FunctionInfo& fn, size_t line,
-                 const char* what, const std::string& chain, DiagSink& sink) {
-    Provenance bad = FirstBadBit(prov);
-    if (bad != 0) {
+  // The seed must be spelled out at the construction: the balanced argument
+  // list opening at body[open] names WalkerSeed and no thread, ring-slot or
+  // clock source. A stream keyed by the pool size or a ring slot makes the
+  // walks change with thread placement.
+  void CheckSeed(const FunctionInfo& fn, size_t open, const char* what,
+                 const std::string& chain, DiagSink& sink) {
+    static const std::set<std::string> kSourceNames = {
+        "thread_index", "thread_idx", "thread_id",   "worker_id",
+        "worker_index", "worker",     "tid",         "num_threads",
+        "thread_count", "nthreads",   "n_threads",   "num_workers",
+        "slot",         "slot_index", "slot_idx",    "ring_slot",
+        "slot_id",      "lane",       "lane_id"};
+    static const std::set<std::string> kSourceCalls = {
+        "hardware_concurrency", "get_id", "pthread_self", "gettid",
+        "TraceNowNs",           "now",    "Now",          "time",
+        "clock_gettime",        "rdtsc",  "__rdtsc"};
+    const std::vector<Token>& body = fn.body;
+    size_t line = body[open].line;
+    bool walker_seed = false;
+    std::string source;
+    int depth = 0;
+    for (size_t j = open; j < body.size(); ++j) {
+      const Token& t = body[j];
+      if (t.text == "(" || t.text == "{") {
+        ++depth;
+      } else if ((t.text == ")" || t.text == "}") && --depth == 0) {
+        break;
+      }
+      if (t.kind != Token::Kind::kIdent) {
+        continue;
+      }
+      walker_seed = walker_seed || t.text == "WalkerSeed";
+      bool called = j + 1 < body.size() && body[j + 1].text == "(";
+      if (source.empty() && (kSourceNames.count(t.text) != 0 ||
+                             (called && kSourceCalls.count(t.text) != 0))) {
+        source = t.text;
+      }
+    }
+    if (!source.empty()) {
       AddOnce(fn.file, line,
-              std::string(what) + " seeded from " +
-                  ProvenanceSourceName(bad) +
-                  "; streams must be walker-indexed or walks change with "
-                  "placement/pool size [hot path: " +
-                  chain + "]",
+              std::string(what) + " seeded from '" + source +
+                  "'; streams must be walker-indexed or walks change with "
+                  "placement/pool size",
+              chain,
               "seed with WalkerSeed(chunk_seed, walker_index) so each walker "
               "owns one deterministic stream",
               sink);
-      return;
-    }
-    if ((prov & kProvWalkerSeed) == 0) {
+    } else if (!walker_seed) {
       AddOnce(fn.file, line,
-              std::string(what) + " whose seed does not trace to "
-                  "WalkerSeed(chunk_seed, walker_index) provenance [hot "
-                  "path: " +
-                  chain + "]",
+              std::string(what) + " whose seed is not spelled "
+                  "WalkerSeed(chunk_seed, walker_index) at the construction",
+              chain,
               "derive the seed from WalkerSeed(chunk_seed, walker_index) "
               "(src/util/rng.h)",
               sink);
-    }
-  }
-};
-
-class UntrustedInputTaintRule : public DataFlowRule {
- public:
-  using DataFlowRule::DataFlowRule;
-
-  std::string_view name() const override { return "untrusted-input-taint"; }
-  std::string_view description() const override {
-    return "header-derived scalars (LoadScalar / MappedSpan) are tainted "
-           "until bounds-checked; tainted allocation sizes, array indices, "
-           "and loop bounds need a `taint:` justification";
-  }
-
- protected:
-  void Report(const DataFlow& df, DiagSink& sink) override {
-    static const std::set<std::string> kAllocTypes = {"vector", "string",
-                                                      "deque", "basic_string"};
-    static const std::set<std::string> kSizeCalls = {
-        "resize", "reserve", "malloc", "calloc", "realloc", "aligned_alloc"};
-    const std::vector<FunctionInfo>& fns = wp_->functions();
-    for (size_t i = 0; i < fns.size(); ++i) {
-      const FunctionInfo& fn = fns[i];
-      df.Visit(
-          i,
-          [&](const Statement& stmt, const VarState& state) {
-            if (stmt.is_decl && kAllocTypes.count(stmt.decl_type) != 0 &&
-                (df.Eval(stmt.value, state) & kProvUntrusted) != 0) {
-              Finding(fn, stmt.line, "allocation size", sink);
-            }
-            for (const StmtCall& call : stmt.calls) {
-              if (kSizeCalls.count(SimpleCallName(call.name)) == 0) {
-                continue;
-              }
-              for (const auto& arg : call.args) {
-                if ((df.Eval(arg, state) & kProvUntrusted) != 0) {
-                  Finding(fn, call.line, "allocation size", sink);
-                  break;
-                }
-              }
-            }
-            ScanBrackets(df, fn, stmt, state, sink);
-          },
-          [&](const BasicBlock& block, const VarState& state) {
-            if (block.cond != BasicBlock::Cond::kLoop ||
-                block.cond_tokens.empty()) {
-              return;
-            }
-            if ((df.Eval(block.cond_tokens, state) & kProvUntrusted) != 0) {
-              Finding(fn, block.cond_line, "loop bound", sink);
-            }
-          });
-    }
-  }
-
- private:
-  // `new T[n]` and `a[i]` sinks: the bracketed expression itself.
-  void ScanBrackets(const DataFlow& df, const FunctionInfo& fn,
-                    const Statement& stmt, const VarState& state,
-                    DiagSink& sink) {
-    const std::vector<Token>& toks = stmt.tokens;
-    for (size_t i = 0; i < toks.size(); ++i) {
-      if (toks[i].text != "[") {
-        continue;
-      }
-      bool indexes = i > 0 && (toks[i - 1].kind == Token::Kind::kIdent ||
-                               toks[i - 1].text == "]" ||
-                               toks[i - 1].text == ")");
-      if (!indexes) {
-        continue;  // lambda introducer / attribute
-      }
-      int depth = 0;
-      std::vector<Token> inner;
-      size_t j = i;
-      for (; j < toks.size(); ++j) {
-        if (toks[j].text == "[") {
-          ++depth;
-          if (depth == 1) {
-            continue;
-          }
-        } else if (toks[j].text == "]" && --depth == 0) {
-          break;
-        }
-        inner.push_back(toks[j]);
-      }
-      if (!inner.empty() &&
-          (df.Eval(inner, state) & kProvUntrusted) != 0) {
-        bool is_new = i >= 2 && toks[i - 2].text == "new";
-        Finding(fn, toks[i].line,
-                is_new ? "allocation size" : "array index", sink);
-      }
-      i = j;
-    }
-  }
-
-  void Finding(const FunctionInfo& fn, size_t line, const char* sink_kind,
-               DiagSink& sink) {
-    if (JustifiedBy(fn.file, line, "taint:")) {
-      return;
-    }
-    AddOnce(fn.file, line,
-            std::string("untrusted header-derived value reaches ") +
-                sink_kind + " without a bounds check; a corrupt file "
-                "controls it",
-            "compare it against the file size / an explicit bound first, or "
-            "justify with `// taint: <why>`",
-            sink);
-  }
-};
-
-class RelaxedPublicationRule : public DataFlowRule {
- public:
-  using DataFlowRule::DataFlowRule;
-
-  std::string_view name() const override { return "relaxed-publication"; }
-  std::string_view description() const override {
-    return "a relaxed atomic store must state its discipline (single-writer "
-           "/ no concurrent writers / ordered by / commutative) and must not "
-           "publish pointer-derived values; loads pairing with a "
-           "pointer-publishing relaxed store are flagged too";
-  }
-
- protected:
-  void Report(const DataFlow& df, DiagSink& sink) override {
-    static const char* kDisciplines[] = {"single-writer",
-                                         "no concurrent writers",
-                                         "ordered by", "commutative"};
-    const std::vector<FunctionInfo>& fns = wp_->functions();
-    std::set<std::string> pointer_published;
-    struct Load {
-      std::string key;
-      std::string file;
-      size_t line;
-    };
-    std::vector<Load> loads;
-    for (size_t i = 0; i < fns.size(); ++i) {
-      const FunctionInfo& fn = fns[i];
-      std::string enclosing;
-      size_t cut = fn.qualified.rfind("::");
-      if (cut != std::string::npos) {
-        enclosing = fn.qualified.substr(0, cut);
-      }
-      df.Visit(
-          i,
-          [&](const Statement& stmt, const VarState& state) {
-            for (const StmtCall& call : stmt.calls) {
-              bool relaxed = false;
-              for (const auto& arg : call.args) {
-                for (const Token& t : arg) {
-                  if (t.text == "memory_order_relaxed") {
-                    relaxed = true;
-                  }
-                }
-              }
-              if (!relaxed) {
-                continue;
-              }
-              std::string simple = SimpleCallName(call.name);
-              std::string key =
-                  NormalizeLockName(call.receiver, enclosing);
-              if (simple == "load") {
-                loads.push_back({std::move(key), fn.file, call.line});
-                continue;
-              }
-              if (simple != "store" || call.args.empty()) {
-                continue;  // fetch_add/fetch_sub are commutative by shape
-              }
-              Provenance prov = df.Eval(call.args[0], state);
-              if ((prov & kProvPointer) != 0) {
-                pointer_published.insert(key);
-                AddOnce(fn.file, call.line,
-                        "relaxed store publishes a pointer-derived value "
-                        "through '" +
-                            key + "'; a reader can dereference before the "
-                            "pointee's writes are visible",
-                        "publish with memory_order_release (and pair loads "
-                        "with acquire)",
-                        sink);
-                continue;
-              }
-              bool disciplined = false;
-              for (const char* marker : kDisciplines) {
-                if (JustifiedBy(fn.file, call.line, marker)) {
-                  disciplined = true;
-                  break;
-                }
-              }
-              if (!disciplined) {
-                AddOnce(fn.file, call.line,
-                        "relaxed store to '" + key +
-                            "' without a stated discipline; say which "
-                            "single-writer / ordering argument makes the "
-                            "missing fence sound",
-                        "extend the `relaxed:` comment with `single-writer`, "
-                        "`no concurrent writers`, `ordered by <edge>`, or "
-                        "`commutative`",
-                        sink);
-              }
-            }
-          },
-          nullptr);
-    }
-    for (const Load& load : loads) {
-      if (pointer_published.count(load.key) != 0) {
-        AddOnce(load.file, load.line,
-                "relaxed load of '" + load.key +
-                    "' pairs with a relaxed store that publishes a pointer; "
-                    "the consumer needs an acquire edge",
-                "load with memory_order_acquire (the store side should be "
-                "release)",
-                sink);
-      }
     }
   }
 };
@@ -880,54 +500,15 @@ std::unique_ptr<Rule> MakeLayerDagRule() {
 std::unique_ptr<Rule> MakeHeaderDisciplineRule() {
   return std::make_unique<HeaderDisciplineRule>();
 }
-std::unique_ptr<Rule> MakeLockOrderRule(std::shared_ptr<WholeProgram> wp) {
-  return std::make_unique<LockOrderRule>(std::move(wp));
-}
-std::unique_ptr<Rule> MakeHotPathAllocRule(std::shared_ptr<WholeProgram> wp) {
-  return std::make_unique<HotPathAllocRule>(std::move(wp));
-}
-std::unique_ptr<Rule> MakeHotPathLockRule(std::shared_ptr<WholeProgram> wp) {
-  return std::make_unique<HotPathLockRule>(std::move(wp));
-}
-std::unique_ptr<Rule> MakeHotPathIoRule(std::shared_ptr<WholeProgram> wp) {
-  return std::make_unique<HotPathIoRule>(std::move(wp));
-}
-std::unique_ptr<Rule> MakeHotPathDivRule(std::shared_ptr<WholeProgram> wp) {
-  return std::make_unique<HotPathDivRule>(std::move(wp));
-}
-std::unique_ptr<Rule> MakeTelemetryHotPathRule(
-    std::shared_ptr<WholeProgram> wp) {
-  return std::make_unique<TelemetryHotPathRule>(std::move(wp));
-}
-
-std::unique_ptr<Rule> MakeRngStreamRule(std::shared_ptr<WholeProgram> wp,
-                                        std::shared_ptr<DataFlowCache> cache) {
-  return std::make_unique<RngStreamRule>(std::move(wp), std::move(cache));
-}
-std::unique_ptr<Rule> MakeUntrustedInputTaintRule(
-    std::shared_ptr<WholeProgram> wp, std::shared_ptr<DataFlowCache> cache) {
-  return std::make_unique<UntrustedInputTaintRule>(std::move(wp),
-                                                   std::move(cache));
-}
-std::unique_ptr<Rule> MakeRelaxedPublicationRule(
-    std::shared_ptr<WholeProgram> wp, std::shared_ptr<DataFlowCache> cache) {
-  return std::make_unique<RelaxedPublicationRule>(std::move(wp),
-                                                  std::move(cache));
-}
-
 std::vector<std::unique_ptr<Rule>> MakeWholeProgramRules() {
-  auto wp = std::make_shared<WholeProgram>(9);
-  auto cache = std::make_shared<DataFlowCache>(3);
+  auto wp = std::make_shared<WholeProgram>(6);
   std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(MakeLockOrderRule(wp));
-  rules.push_back(MakeHotPathAllocRule(wp));
-  rules.push_back(MakeHotPathLockRule(wp));
-  rules.push_back(MakeHotPathIoRule(wp));
-  rules.push_back(MakeHotPathDivRule(wp));
-  rules.push_back(MakeTelemetryHotPathRule(wp));
-  rules.push_back(MakeRngStreamRule(wp, cache));
-  rules.push_back(MakeUntrustedInputTaintRule(wp, cache));
-  rules.push_back(MakeRelaxedPublicationRule(wp, cache));
+  rules.push_back(std::make_unique<HotPathAllocRule>(wp));
+  rules.push_back(std::make_unique<HotPathLockRule>(wp));
+  rules.push_back(std::make_unique<HotPathIoRule>(wp));
+  rules.push_back(std::make_unique<HotPathDivRule>(wp));
+  rules.push_back(std::make_unique<TelemetryHotPathRule>(wp));
+  rules.push_back(std::make_unique<RngStreamRule>(wp));
   return rules;
 }
 

@@ -1,8 +1,6 @@
 #include "tools/fmlint/callgraph.h"
 
-#include <algorithm>
 #include <deque>
-#include <functional>
 #include <utility>
 
 namespace fmlint {
@@ -29,10 +27,6 @@ void WholeProgram::Release() {
   by_qualified_.clear();
   by_simple_.clear();
   hot_chain_.clear();
-  acquired_.clear();
-  acquired_state_.clear();
-  lock_edges_.clear();
-  lock_cycles_.clear();
 }
 
 void WholeProgram::EnsureAnalyzed() {
@@ -55,28 +49,15 @@ void WholeProgram::EnsureAnalyzed() {
   // `FM_HOT_PATH void Refill();` in a header marks the out-of-line body.
   for (const FunctionInfo& decl : declarations) {
     for (FunctionInfo& def : functions_) {
-      if (def.qualified != decl.qualified) {
-        continue;
-      }
-      def.hot = def.hot || decl.hot;
-      for (const std::string& l : decl.requires_locks) {
-        if (std::find(def.requires_locks.begin(), def.requires_locks.end(),
-                      l) == def.requires_locks.end()) {
-          def.requires_locks.push_back(l);
-        }
-      }
-      for (const std::string& l : decl.acquires_locks) {
-        if (std::find(def.acquires_locks.begin(), def.acquires_locks.end(),
-                      l) == def.acquires_locks.end()) {
-          def.acquires_locks.push_back(l);
-        }
+      if (def.qualified == decl.qualified) {
+        def.hot = def.hot || decl.hot;
+        def.acquires = def.acquires || decl.acquires;
       }
     }
   }
 
   BuildIndex();
   BuildHotClosure();
-  BuildLockGraph();
 }
 
 void WholeProgram::BuildIndex() {
@@ -146,136 +127,6 @@ void WholeProgram::BuildHotClosure() {
             hot_chain_[f] + " -> " + functions_[target].qualified;
         queue.push_back(target);
       }
-    }
-  }
-}
-
-const std::set<std::string>& WholeProgram::AcquiredSet(size_t fn_index) {
-  if (acquired_state_[fn_index] != 0) {
-    // On-stack (call cycle) returns the partial set; done returns the memo.
-    return acquired_[fn_index];
-  }
-  acquired_state_[fn_index] = 1;
-  std::set<std::string>& out = acquired_[fn_index];
-  const FunctionInfo& fn = functions_[fn_index];
-  out.insert(fn.acquires_locks.begin(), fn.acquires_locks.end());
-  for (const LockSite& site : fn.locks) {
-    out.insert(site.lock);
-  }
-  for (const CallSite& call : fn.calls) {
-    for (size_t target : Resolve(call.name)) {
-      if (acquired_state_[target] == 1) {
-        continue;
-      }
-      const std::set<std::string>& sub = AcquiredSet(target);
-      out.insert(sub.begin(), sub.end());
-    }
-  }
-  acquired_state_[fn_index] = 2;
-  return out;
-}
-
-void WholeProgram::BuildLockGraph() {
-  acquired_.assign(functions_.size(), {});
-  acquired_state_.assign(functions_.size(), 0);
-
-  std::set<std::pair<std::string, std::string>> seen;
-  auto add_edge = [&](LockEdge edge) {
-    if (seen.emplace(edge.from, edge.to).second) {
-      lock_edges_.push_back(std::move(edge));
-    }
-  };
-
-  for (size_t i = 0; i < functions_.size(); ++i) {
-    const FunctionInfo& fn = functions_[i];
-    // Direct nesting: a scoped lock taken while others are live.
-    for (const LockSite& site : fn.locks) {
-      for (const std::string& held : site.held_before) {
-        add_edge({held, site.lock, fn.file, site.line,
-                  "MutexLock in " + fn.qualified});
-      }
-    }
-    // FM_ACQUIRE while FM_REQUIRES: the annotated acquisition nests inside
-    // the caller-held locks.
-    for (const std::string& held : fn.requires_locks) {
-      for (const std::string& acq : fn.acquires_locks) {
-        add_edge({held, acq, fn.file, fn.line,
-                  "FM_ACQUIRE in " + fn.qualified});
-      }
-    }
-    // Propagation: calling, with locks held, a function that (transitively)
-    // acquires more locks.
-    for (const CallSite& call : fn.calls) {
-      if (call.held_locks.empty()) {
-        continue;
-      }
-      for (size_t target : Resolve(call.name)) {
-        for (const std::string& acq : AcquiredSet(target)) {
-          for (const std::string& held : call.held_locks) {
-            add_edge({held, acq, fn.file, call.line,
-                      "call to " + functions_[target].qualified + " from " +
-                          fn.qualified});
-          }
-        }
-      }
-    }
-  }
-
-  // Cycle detection: DFS with colors; every back edge closes one elementary
-  // cycle, reported once in canonical rotation (lexicographically smallest
-  // lock first).
-  std::map<std::string, std::vector<const LockEdge*>> adj;
-  for (const LockEdge& e : lock_edges_) {
-    adj[e.from].push_back(&e);
-  }
-  std::map<std::string, int> color;  // 0 white / 1 grey / 2 black
-  std::vector<const LockEdge*> stack;
-  std::set<std::string> reported;
-
-  std::function<void(const std::string&)> dfs = [&](const std::string& node) {
-    color[node] = 1;
-    for (const LockEdge* e : adj[node]) {
-      int c = color[e->to];
-      if (c == 1) {
-        // Back edge: the cycle is the stack suffix starting where e->to was
-        // entered, plus this edge.
-        std::vector<const LockEdge*> cycle;
-        for (size_t i = 0; i < stack.size(); ++i) {
-          if (!cycle.empty() || stack[i]->from == e->to) {
-            cycle.push_back(stack[i]);
-          }
-        }
-        cycle.push_back(e);
-        // Canonical rotation for dedup across DFS orders.
-        size_t best = 0;
-        for (size_t i = 1; i < cycle.size(); ++i) {
-          if (cycle[i]->from < cycle[best]->from) {
-            best = i;
-          }
-        }
-        std::vector<LockEdge> rotated;
-        std::string key;
-        for (size_t i = 0; i < cycle.size(); ++i) {
-          const LockEdge* edge = cycle[(best + i) % cycle.size()];
-          rotated.push_back(*edge);
-          key += edge->from + "->";
-        }
-        if (reported.insert(key).second) {
-          lock_cycles_.push_back(std::move(rotated));
-        }
-        continue;
-      }
-      if (c == 0) {
-        stack.push_back(e);
-        dfs(e->to);
-        stack.pop_back();
-      }
-    }
-    color[node] = 2;
-  };
-  for (const LockEdge& e : lock_edges_) {
-    if (color[e.from] == 0) {
-      dfs(e.from);
     }
   }
 }

@@ -1,12 +1,11 @@
-// fmlint v3 whole-program layer — cross-TU symbol index, call graph, hot-path
-// closure, and lock-acquisition-order graph over parsed FunctionInfos.
+// fmlint whole-program layer — cross-TU symbol index, call graph, and hot-path
+// closure over parsed FunctionInfos.
 //
-// Shared by the lock-order and hot-path-* rules through one WholeProgram
-// instance so the tree is parsed once per lint run. Lifecycle: every consumer
-// rule feeds files in CheckFile (AddFile dedups by path), calls
-// EnsureAnalyzed() + queries in Finish, then Release(); when the last
-// registered consumer releases, all state clears so the same Engine can lint
-// again (the self-tests rely on that).
+// Shared by the hot-path rules through one WholeProgram instance so the tree
+// is parsed once per lint run. Lifecycle: every consumer rule feeds files in
+// CheckFile (AddFile dedups by path), calls EnsureAnalyzed() + queries in
+// Finish, then Release(); when the last registered consumer releases, all
+// state clears so the same Engine can lint again (the self-tests rely on that).
 //
 // Call resolution is deliberately under-approximate: a qualified call
 // ("Tracer::Get") resolves exactly; a simple name resolves only when the whole
@@ -47,36 +46,18 @@ class WholeProgram {
   // Stored copy of a fed file, for justification-comment lookups.
   const SourceFile* file(const std::string& rel_path) const;
 
-  // Definition indices a call name resolves to (empty when unknown or
-  // ambiguous).
-  std::vector<size_t> Resolve(const std::string& call_name) const;
-
   // Hot closure: indices of functions that are FM_HOT_PATH or transitively
   // called from one, and the qualified call chain from the nearest hot root
   // ("StepKernel::SampleVp -> SampleVpNode2Vec"; just the name for roots).
   bool IsHot(size_t fn_index) const;
   const std::string& HotChain(size_t fn_index) const;
 
-  struct LockEdge {
-    std::string from;  // lock held
-    std::string to;    // lock acquired while holding `from`
-    std::string file;
-    size_t line = 0;
-    std::string note;  // human context: which function / call produced it
-  };
-  // Deduplicated acquired-before edges.
-  const std::vector<LockEdge>& lock_edges() const { return lock_edges_; }
-  // Elementary cycles found in the lock graph, canonically rotated, as the
-  // edge list around each cycle. Empty means the lock order is a DAG.
-  const std::vector<std::vector<LockEdge>>& lock_cycles() const {
-    return lock_cycles_;
-  }
-
  private:
   void BuildIndex();
   void BuildHotClosure();
-  void BuildLockGraph();
-  const std::set<std::string>& AcquiredSet(size_t fn_index);
+  // Definition indices a call name resolves to (empty when unknown or
+  // ambiguous).
+  std::vector<size_t> Resolve(const std::string& call_name) const;
 
   int consumers_;
   int releases_ = 0;
@@ -89,12 +70,6 @@ class WholeProgram {
   std::map<std::string, std::set<std::string>> by_simple_;
 
   std::vector<std::string> hot_chain_;  // "" = not hot
-
-  std::vector<std::set<std::string>> acquired_;  // memo for AcquiredSet
-  std::vector<int> acquired_state_;              // 0 new / 1 on stack / 2 done
-
-  std::vector<LockEdge> lock_edges_;
-  std::vector<std::vector<LockEdge>> lock_cycles_;
 };
 
 }  // namespace fmlint

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 #include "src/util/timer.h"
@@ -275,6 +276,46 @@ SourceFile PrepareSource(std::string rel_path, const std::string& text) {
   return file;
 }
 
+std::vector<Include> QuotedIncludes(const SourceFile& file) {
+  static const std::regex include_re(R"(^\s*#\s*include\s*\")");
+  std::vector<Include> out;
+  for (size_t i = 0; i < file.code.size(); ++i) {
+    if (!std::regex_search(file.code[i], include_re)) {
+      continue;
+    }
+    size_t open = file.raw[i].find('"');
+    if (open == std::string::npos) {
+      continue;
+    }
+    size_t close = file.raw[i].find('"', open + 1);
+    if (close == std::string::npos) {
+      continue;
+    }
+    out.push_back({file.raw[i].substr(open + 1, close - open - 1), i + 1});
+  }
+  return out;
+}
+
+bool HasAdjacentTag(const SourceFile& file, size_t line, std::string_view tag) {
+  if (line == 0 || line > file.raw.size()) {
+    return false;
+  }
+  if (file.raw[line - 1].find(tag) != std::string::npos) {
+    return true;
+  }
+  for (size_t j = line - 1; j > 0; --j) {
+    const std::string& above = file.raw[j - 1];
+    size_t first = above.find_first_not_of(" \t");
+    if (first == std::string::npos || above.compare(first, 2, "//") != 0) {
+      return false;
+    }
+    if (above.find(tag, first) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Engine::Engine(std::vector<std::unique_ptr<Rule>> rules)
     : rules_(std::move(rules)) {}
 
@@ -510,46 +551,6 @@ std::string DiagnosticsToJson(const std::vector<Diagnostic>& diags,
     out += '}';
   }
   out += "}\n";
-  return out;
-}
-
-std::string DiagnosticsToSarif(
-    const std::vector<Diagnostic>& diags,
-    const std::vector<std::unique_ptr<Rule>>& rules) {
-  std::string out;
-  out +=
-      "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\","
-      "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{"
-      "\"name\":\"fmlint\",\"informationUri\":"
-      "\"tools/fmlint\",\"rules\":[";
-  for (size_t i = 0; i < rules.size(); ++i) {
-    if (i != 0) {
-      out += ',';
-    }
-    out += "\n{\"id\":";
-    AppendJsonString(&out, std::string(rules[i]->name()));
-    out += ",\"shortDescription\":{\"text\":";
-    AppendJsonString(&out, std::string(rules[i]->description()));
-    out += "}}";
-  }
-  out += "\n]}},\"results\":[";
-  for (size_t i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
-    if (i != 0) {
-      out += ',';
-    }
-    out += "\n{\"ruleId\":";
-    AppendJsonString(&out, d.rule);
-    out += ",\"level\":\"error\",\"message\":{\"text\":";
-    AppendJsonString(&out, d.message);
-    out += "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":"
-           "{\"uri\":";
-    AppendJsonString(&out, d.file);
-    out += ",\"uriBaseId\":\"SRCROOT\"},\"region\":{\"startLine\":";
-    out += std::to_string(d.line == 0 ? 1 : d.line);
-    out += "}}}]}";
-  }
-  out += "\n]}]}\n";
   return out;
 }
 

@@ -1,4 +1,4 @@
-// fmlint v2 — repo-specific lint rules clang-tidy cannot express, as a small
+// fmlint — repo-specific lint rules clang-tidy cannot express, as a small
 // token-scanner rule engine.
 //
 // The engine owns file loading, comment/string stripping, the rule registry,
@@ -73,10 +73,22 @@ std::vector<std::string> SplitLines(const std::string& text);
 // Builds a SourceFile (splitting, stripping, header detection) from raw text.
 SourceFile PrepareSource(std::string rel_path, const std::string& text);
 
+// A quoted project #include. The path is recovered from the raw line because
+// string contents are blanked in the prepared code.
+struct Include {
+  std::string path;  // as written inside the quotes (repo-relative by policy)
+  size_t line = 0;   // 1-based
+};
+std::vector<Include> QuotedIncludes(const SourceFile& file);
+
+// True when `tag` appears on the 1-based `line` or anywhere in the contiguous
+// `//`-comment block immediately above it: where every justification comment
+// (`relaxed:`, `div:`) may sit, since justifications often wrap.
+bool HasAdjacentTag(const SourceFile& file, size_t line, std::string_view tag);
+
 // Wall-clock seconds a rule spent across its CheckFile calls and Finish.
-// Shared whole-program analyses (parse, call graph, data flow) are attributed
-// to the rule whose Finish triggered them — the first consumer of each shared
-// structure.
+// The shared whole-program analysis (parse, call graph, hot closure) is
+// attributed to the rule whose Finish triggered it — its first consumer.
 struct RuleTiming {
   std::string rule;
   double seconds = 0;
@@ -109,10 +121,9 @@ class Engine {
 };
 
 // The registered rule set: the eleven per-line/per-tree rules
-// (tools/fmlint/rules.cc) plus the eleven whole-program rules — layer-dag,
-// header-discipline, lock-order, the hot-path family, telemetry-hot-path,
-// and the data-flow trio rng-stream-discipline / untrusted-input-taint /
-// relaxed-publication (tools/fmlint/analysis.cc).
+// (tools/fmlint/rules.cc) plus the eight whole-program rules — layer-dag,
+// header-discipline, the hot-path family, telemetry-hot-path and
+// rng-stream-discipline (tools/fmlint/analysis.cc).
 std::vector<std::unique_ptr<Rule>> BuildDefaultRules();
 
 // {"schema":"fmlint-v2","files":N,"violations":N,"diagnostics":[...]}.
@@ -121,12 +132,6 @@ std::vector<std::unique_ptr<Rule>> BuildDefaultRules();
 std::string DiagnosticsToJson(const std::vector<Diagnostic>& diags,
                               size_t files_linted,
                               const std::vector<RuleTiming>* timings = nullptr);
-
-// SARIF 2.1.0 document for code-scanning upload: one run, one result per
-// diagnostic, rule metadata from the registry. Lines are clamped to >= 1
-// (SARIF regions are 1-based; line-0 io diagnostics map to line 1).
-std::string DiagnosticsToSarif(const std::vector<Diagnostic>& diags,
-                               const std::vector<std::unique_ptr<Rule>>& rules);
 
 }  // namespace fmlint
 

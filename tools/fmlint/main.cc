@@ -1,46 +1,35 @@
 // fmlint CLI — lints the repo tree with the default rule set.
 //
-// Usage: fmlint [--json] [--sarif] [--fix] [--list-rules] <repo-root>
+// Usage: fmlint [--json] [--list-rules] <repo-root>
 //
 // Default output is one `path:line: [rule] message` line per diagnostic on
 // stderr (plus a `fixit:` line when the rule has a suggestion); --json writes
 // a machine-readable fmlint-v2 document (with per-rule wall-clock timings) to
-// stdout instead, and --sarif writes a SARIF 2.1.0 document for code-scanning
-// upload. --fix applies the mechanical fix-it hints (include-guard, raw-mutex,
-// raw-clock) in place and inserts `// taint: FIXME` justification stubs above
-// untrusted-input-taint findings before linting. Exit status: 0 clean,
-// 1 violations, 2 usage/IO error.
+// stdout instead. Exit status: 0 clean, 1 violations, 2 usage/IO error.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 
-#include "tools/fmlint/fix.h"
 #include "tools/fmlint/lint.h"
 #include "tools/fmlint/rules.h"
 
 namespace {
 
 constexpr char kUsage[] =
-    "usage: fmlint [--json] [--sarif] [--fix] [--list-rules] <repo-root>\n";
+    "usage: fmlint [--json] [--list-rules] <repo-root>\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool sarif = false;
   bool list_rules = false;
-  bool fix = false;
   const char* root = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-    } else if (std::strcmp(argv[i], "--sarif") == 0) {
-      sarif = true;
     } else if (std::strcmp(argv[i], "--list-rules") == 0) {
       list_rules = true;
-    } else if (std::strcmp(argv[i], "--fix") == 0) {
-      fix = true;
     } else if (root == nullptr && argv[i][0] != '-') {
       root = argv[i];
     } else {
@@ -48,12 +37,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (json && sarif) {
-    std::fprintf(stderr, "fmlint: --json and --sarif are mutually exclusive\n");
-    return 2;
-  }
-  bool machine = json || sarif;
-
   fmlint::Engine engine(fmlint::BuildDefaultRules());
   if (list_rules) {
     for (const auto& rule : engine.rules()) {
@@ -71,22 +54,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (fix) {
-    fmlint::FixResult fixed = fmlint::FixTree(root);
-    if (!machine) {
-      std::fprintf(stderr, "fmlint: applied %zu fix(es) in %zu file(s)\n",
-                   fixed.edits, fixed.files_changed);
-    }
-  }
-
   std::vector<fmlint::Diagnostic> diags = engine.LintTree(root);
   if (json) {
     std::fputs(fmlint::DiagnosticsToJson(diags, engine.files_linted(),
                                          &engine.rule_timings())
                    .c_str(),
-               stdout);
-  } else if (sarif) {
-    std::fputs(fmlint::DiagnosticsToSarif(diags, engine.rules()).c_str(),
                stdout);
   } else {
     for (const fmlint::Diagnostic& d : diags) {
@@ -103,13 +75,13 @@ int main(int argc, char** argv) {
     }
   }
   if (!diags.empty()) {
-    if (!machine) {
+    if (!json) {
       std::fprintf(stderr, "fmlint: %zu violation(s) in %zu files\n",
                    diags.size(), engine.files_linted());
     }
     return 1;
   }
-  if (!machine) {
+  if (!json) {
     std::printf("fmlint: %zu files clean\n", engine.files_linted());
   }
   return 0;

@@ -136,41 +136,6 @@ std::vector<Token> Tokenize(const SourceFile& file) {
   return tokens;
 }
 
-std::string NormalizeLockName(const std::string& expr,
-                              const std::string& enclosing_class) {
-  // Tokenize the expression crudely on identifiers; keep `::` qualification,
-  // drop an object designator before `.` / `->`.
-  std::string cleaned;
-  for (char c : expr) {
-    if (!std::isspace(static_cast<unsigned char>(c))) {
-      cleaned += c;
-    }
-  }
-  // Take the component after the last `.` or `->`.
-  size_t dot = cleaned.rfind('.');
-  size_t arrow = cleaned.rfind("->");
-  size_t cut = std::string::npos;
-  if (dot != std::string::npos) {
-    cut = dot + 1;
-  }
-  if (arrow != std::string::npos && (cut == std::string::npos || arrow + 2 > cut)) {
-    cut = arrow + 2;
-  }
-  std::string name = cut == std::string::npos ? cleaned : cleaned.substr(cut);
-  if (name.empty()) {
-    return cleaned;
-  }
-  if (name.find("::") != std::string::npos) {
-    return name;
-  }
-  // Member-style names (trailing underscore, the repo convention) qualify with
-  // the enclosing class so `mutex_` means the same lock in every method.
-  if (!enclosing_class.empty() && name.size() > 1 && name.back() == '_') {
-    return enclosing_class + "::" + name;
-  }
-  return name;
-}
-
 namespace {
 
 struct Scope {
@@ -298,126 +263,15 @@ bool HasTopLevelAssign(const std::vector<Token>& toks) {
   return false;
 }
 
-// Collects FM_HOT_PATH / FM_REQUIRES(...) / FM_ACQUIRE(...) markers from a
-// declaration prefix into `fn`.
-void CollectMarkers(const std::vector<Token>& toks,
-                    const std::string& enclosing_class, FunctionInfo* fn) {
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent) {
-      continue;
-    }
-    if (toks[i].text == "FM_HOT_PATH") {
-      fn->hot = true;
-      continue;
-    }
-    bool is_requires = toks[i].text == "FM_REQUIRES";
-    if (!is_requires && toks[i].text != "FM_ACQUIRE") {
-      continue;
-    }
-    if (i + 1 >= toks.size() || toks[i + 1].text != "(") {
-      continue;
-    }
-    std::vector<std::string>* dest =
-        is_requires ? &fn->requires_locks : &fn->acquires_locks;
-    // Split the argument list on top-level commas.
-    size_t j = i + 1;
-    int depth = 0;
-    std::string arg;
-    for (; j < toks.size(); ++j) {
-      const std::string& t = toks[j].text;
-      if (t == "(") {
-        if (++depth == 1) {
-          continue;
-        }
-      }
-      if (t == ")" && --depth == 0) {
-        break;
-      }
-      if (t == "," && depth == 1) {
-        if (!arg.empty()) {
-          dest->push_back(NormalizeLockName(arg, enclosing_class));
-        }
-        arg.clear();
-        continue;
-      }
-      arg += t;
-    }
-    if (!arg.empty()) {
-      dest->push_back(NormalizeLockName(arg, enclosing_class));
+// Collects the FM_HOT_PATH / FM_ACQUIRE markers of a declaration prefix into
+// `fn`.
+void CollectMarkers(const std::vector<Token>& toks, FunctionInfo* fn) {
+  for (const Token& t : toks) {
+    if (t.kind == Token::Kind::kIdent) {
+      fn->hot = fn->hot || t.text == "FM_HOT_PATH";
+      fn->acquires = fn->acquires || t.text == "FM_ACQUIRE";
     }
   }
-}
-
-// Extracts parameter names from the `( ... )` starting right after the
-// function name at `name_idx`. Each top-level-comma fragment's parameter name
-// is its last plain identifier before any default-value `=`; a `*` anywhere
-// in the fragment marks a pointer. `void`, `...`, and nameless parameters
-// contribute placeholder entries so positions stay aligned with call
-// arguments.
-std::vector<ParamInfo> ExtractParams(const std::vector<Token>& toks,
-                                     size_t name_idx) {
-  std::vector<ParamInfo> params;
-  if (name_idx + 1 >= toks.size() || toks[name_idx + 1].text != "(") {
-    return params;
-  }
-  int depth = 0;
-  ParamInfo cur;
-  std::string last_ident;
-  bool defaulted = false;
-  auto flush = [&]() {
-    cur.name = defaulted || last_ident == "void" ? cur.name : last_ident;
-    if (cur.name == "void") {
-      cur.name.clear();
-    }
-    params.push_back(cur);
-    cur = ParamInfo{};
-    last_ident.clear();
-    defaulted = false;
-  };
-  bool any = false;
-  for (size_t i = name_idx + 1; i < toks.size(); ++i) {
-    const std::string& t = toks[i].text;
-    if (t == "(" || t == "[" || t == "{") {
-      if (++depth == 1) {
-        continue;
-      }
-    } else if (t == ")" || t == "]" || t == "}") {
-      if (--depth == 0) {
-        if (any || !last_ident.empty() || cur.is_pointer) {
-          flush();
-        }
-        break;
-      }
-    }
-    if (depth != 1) {
-      continue;
-    }
-    if (t == ",") {
-      flush();
-      any = true;
-      continue;
-    }
-    if (t == "=") {
-      // Default value: the name has already been seen.
-      cur.name = last_ident;
-      defaulted = true;
-      continue;
-    }
-    if (t == "*") {
-      cur.is_pointer = true;
-      continue;
-    }
-    if (toks[i].kind == Token::Kind::kIdent && !IsMacroLike(t) &&
-        CallKeywords().count(t) == 0 && t != "const") {
-      last_ident = t;
-      any = true;
-    }
-  }
-  // A lone nameless `void` parameter list collapses to nothing.
-  if (params.size() == 1 && params[0].name.empty() && !params[0].is_pointer) {
-    params.clear();
-  }
-  return params;
 }
 
 std::string JoinClassScopes(const std::vector<Scope>& scopes) {
@@ -433,32 +287,11 @@ std::string JoinClassScopes(const std::vector<Scope>& scopes) {
   return joined;
 }
 
-// Names of RAII lock guard types (fm and std spellings; std ones are banned by
-// raw-mutex tree-wide but fixtures and future code still analyze correctly).
-bool IsLockGuardType(const std::string& base_type) {
-  return base_type == "MutexLock" || base_type == "lock_guard" ||
-         base_type == "unique_lock" || base_type == "scoped_lock" ||
-         base_type == "shared_lock";
-}
-
 // Consumes a function body starting at the token after the opening brace.
 // Returns the index just past the matching close brace.
 size_t ParseBody(const std::vector<Token>& toks, size_t start,
-                 const std::string& enclosing_class, FunctionInfo* fn) {
+                 FunctionInfo* fn) {
   int depth = 1;
-  struct ActiveLock {
-    std::string name;
-    int depth;
-  };
-  std::vector<ActiveLock> lock_stack;
-  auto held = [&]() {
-    std::vector<std::string> out = fn->requires_locks;
-    for (const ActiveLock& l : lock_stack) {
-      out.push_back(l.name);
-    }
-    return out;
-  };
-
   size_t i = start;
   while (i < toks.size() && depth > 0) {
     const Token& t = toks[i];
@@ -467,9 +300,6 @@ size_t ParseBody(const std::vector<Token>& toks, size_t start,
         ++depth;
       } else if (t.text == "}") {
         --depth;
-        while (!lock_stack.empty() && lock_stack.back().depth > depth) {
-          lock_stack.pop_back();
-        }
         if (depth == 0) {
           ++i;
           break;
@@ -513,27 +343,11 @@ size_t ParseBody(const std::vector<Token>& toks, size_t start,
             base_type = toks[j - 1].text;
           }
         }
-        if (IsLockGuardType(base_type)) {
-          // Capture the constructor argument text.
-          std::string arg;
-          int pdepth = 0;
-          for (size_t j = i + 1; j < toks.size(); ++j) {
-            const std::string& s = toks[j].text;
-            if (s == "(" && ++pdepth == 1) continue;
-            if (s == ")" && --pdepth == 0) break;
-            if (pdepth >= 1) {
-              if (!arg.empty()) arg += ' ';
-              arg += s;
-            }
-          }
-          std::string lock = NormalizeLockName(arg, enclosing_class);
-          fn->locks.push_back({lock, t.line, held()});
-          lock_stack.push_back({std::move(lock), depth});
-        } else if (!base_type.empty()) {
+        if (!base_type.empty()) {
           fn->decls.push_back({base_type, t.text, t.line});
         }
       } else if (CallKeywords().count(t.text) == 0) {
-        fn->calls.push_back({chain, t.line, held()});
+        fn->calls.push_back({chain, t.line});
       }
     }
     ++i;
@@ -554,8 +368,7 @@ std::vector<FunctionInfo> ParseFunctions(const SourceFile& file) {
     // merged onto an out-of-line definition.
     bool has_marker = std::any_of(pending.begin(), pending.end(), [](const Token& t) {
       return t.kind == Token::Kind::kIdent &&
-             (t.text == "FM_HOT_PATH" || t.text == "FM_REQUIRES" ||
-              t.text == "FM_ACQUIRE");
+             (t.text == "FM_HOT_PATH" || t.text == "FM_ACQUIRE");
     });
     if (!has_marker) {
       return;
@@ -575,7 +388,7 @@ std::vector<FunctionInfo> ParseFunctions(const SourceFile& file) {
     fn.file = file.rel_path;
     fn.line = pending[name_idx].line;
     fn.declaration_only = true;
-    CollectMarkers(pending, cls, &fn);
+    CollectMarkers(pending, &fn);
     functions.push_back(std::move(fn));
   };
 
@@ -620,20 +433,13 @@ std::vector<FunctionInfo> ParseFunctions(const SourceFile& file) {
           fn.qualified = QualifiedChainEndingAt(pending, name_idx, &chain_begin);
           fn.name = pending[name_idx].text;
           std::string cls = JoinClassScopes(scopes);
-          std::string enclosing_class;
-          if (fn.qualified.find("::") != std::string::npos) {
-            enclosing_class = fn.qualified.substr(0, fn.qualified.rfind("::"));
-          } else {
-            enclosing_class = cls;
-            if (!cls.empty()) {
-              fn.qualified = cls + "::" + fn.qualified;
-            }
+          if (fn.qualified.find("::") == std::string::npos && !cls.empty()) {
+            fn.qualified = cls + "::" + fn.qualified;
           }
           fn.file = file.rel_path;
           fn.line = pending[name_idx].line;
-          CollectMarkers(pending, enclosing_class, &fn);
-          fn.params = ExtractParams(pending, name_idx);
-          i = ParseBody(toks, i + 1, enclosing_class, &fn);
+          CollectMarkers(pending, &fn);
+          i = ParseBody(toks, i + 1, &fn);
           functions.push_back(std::move(fn));
           pending.clear();
           continue;

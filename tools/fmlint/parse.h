@@ -1,18 +1,17 @@
-// fmlint v3 front end — a preprocessing-aware tokenizer and a lightweight
+// fmlint front end — a preprocessing-aware tokenizer and a lightweight
 // function/scope parser over prepared SourceFiles.
 //
 // This is deliberately not a C++ parser. It recovers exactly the structure the
-// whole-program analyses (tools/fmlint/analysis.h) need and nothing more:
+// hot-path rules (tools/fmlint/analysis.h) need and nothing more:
 //
 //   - which functions a file defines (with Class::Name qualification from both
 //     out-of-line definitions and the enclosing class/namespace scope stack),
 //   - each function's body as a token stream with line numbers,
 //   - call sites inside each body (qualified where spelled so),
-//   - scoped lock acquisitions (`fm::MutexLock lock(mu_)`) with the set of
-//     locks already held at the acquisition and at every call site, tracked
-//     through brace scopes so RAII release is modelled,
-//   - the FM_HOT_PATH / FM_REQUIRES / FM_ACQUIRE markers attached to a
-//     declaration or definition.
+//   - local object constructions (`fm::MutexLock lock(mu_)`,
+//     `std::vector<int> buf(n)`) with their base type name,
+//   - the FM_HOT_PATH / FM_ACQUIRE markers attached to a declaration or
+//     definition.
 //
 // Preprocessor awareness means directive lines (and their backslash
 // continuations) are excluded from the token stream, so `#define X {` cannot
@@ -43,37 +42,18 @@ struct Token {
 std::vector<Token> Tokenize(const SourceFile& file);
 
 // A function call observed inside a body. `name` keeps the spelled
-// qualification ("Tracer::Get", "Refill"); `held_locks` is the ordered list of
-// scoped locks live at the call site.
+// qualification ("Tracer::Get", "Refill").
 struct CallSite {
   std::string name;
   size_t line = 0;
-  std::vector<std::string> held_locks;
 };
 
-// A scoped lock acquisition (`MutexLock guard(expr)`). `lock` is the
-// normalized lock name (see NormalizeLockName); `held_before` the locks
-// already live in this function when it was taken.
-struct LockSite {
-  std::string lock;
-  size_t line = 0;
-  std::vector<std::string> held_before;
-};
-
-// A local object construction `Type var(args)` / `Type var{args}` inside a
-// body. `type` is the unqualified base type name ("MutexLock", "vector").
+// A local object construction `Type var(args)` inside a body. `type` is the
+// unqualified base type name ("MutexLock", "vector").
 struct DeclSite {
   std::string type;
   std::string var;
   size_t line = 0;
-};
-
-// A formal parameter of a function definition, as much of it as the data-flow
-// layer needs: the name (entry-state key / summary index) and whether it is a
-// pointer (`T*` / `T* const`), which seeds pointer provenance.
-struct ParamInfo {
-  std::string name;
-  bool is_pointer = false;
 };
 
 struct FunctionInfo {
@@ -82,16 +62,9 @@ struct FunctionInfo {
   std::string file;       // repo-relative path of the definition
   size_t line = 0;        // line of the opening brace's statement start
   bool hot = false;       // FM_HOT_PATH on the definition (or merged decl)
+  bool acquires = false;  // FM_ACQUIRE(...): the function takes a lock itself
   bool declaration_only = false;  // prototype with markers, no body here
-  // Lock names from FM_REQUIRES(...): caller-held for the whole body.
-  std::vector<std::string> requires_locks;
-  // Lock names from FM_ACQUIRE(...): this function takes them itself.
-  std::vector<std::string> acquires_locks;
-  // Formal parameters of the definition, in order (tools/fmlint/dataflow.h
-  // tracks the first eight).
-  std::vector<ParamInfo> params;
   std::vector<CallSite> calls;
-  std::vector<LockSite> locks;
   std::vector<DeclSite> decls;
   std::vector<Token> body;  // tokens strictly inside the outermost braces
 };
@@ -99,13 +72,6 @@ struct FunctionInfo {
 // Parses every function definition (and marker-carrying declaration) in the
 // file. Never fails: unparseable regions simply contribute nothing.
 std::vector<FunctionInfo> ParseFunctions(const SourceFile& file);
-
-// Lock-name normalization: strips `this->`, whitespace, and a leading object
-// designator (`tracer.mutex_` -> `mutex_`), then prefixes the enclosing class
-// when the bare name looks like a member (trailing underscore) so the same
-// mutex spells identically across its class's methods.
-std::string NormalizeLockName(const std::string& expr,
-                              const std::string& enclosing_class);
 
 }  // namespace fmlint
 

@@ -265,19 +265,7 @@ class RelaxedOrderRule : public Rule {
       if (file.code[i].find("memory_order_relaxed") == std::string::npos) {
         continue;
       }
-      // Accept the tag on the same line or anywhere in the contiguous
-      // //-comment block immediately above (justifications often wrap).
-      bool justified = file.raw[i].find(kTag) != std::string::npos;
-      for (size_t j = i; !justified && j > 0; --j) {
-        const std::string& above = file.raw[j - 1];
-        size_t first = above.find_first_not_of(" \t");
-        if (first == std::string::npos ||
-            above.compare(first, 2, "//") != 0) {
-          break;
-        }
-        justified = above.find(kTag, first) != std::string::npos;
-      }
-      if (!justified) {
+      if (!HasAdjacentTag(file, i + 1, "relaxed:")) {
         sink.Add({file.rel_path, i + 1, std::string(name()),
                   "memory_order_relaxed without a justification; say why no "
                   "ordering is needed",
@@ -285,9 +273,6 @@ class RelaxedOrderRule : public Rule {
       }
     }
   }
-
- private:
-  static constexpr const char* kTag = "relaxed:";
 };
 
 class ManualLockRule : public LineRegexRule {
@@ -320,25 +305,7 @@ class IncludeCycleRule : public Rule {
   }
 
   void CheckFile(const SourceFile& file, DiagSink& /*sink*/) override {
-    seen_.insert(file.rel_path);
-    static const std::regex include_re(R"(^\s*#\s*include\s*\")");
-    for (size_t i = 0; i < file.code.size(); ++i) {
-      if (!std::regex_search(file.code[i], include_re)) {
-        continue;
-      }
-      // The include path itself was blanked with the string contents; recover
-      // it from the raw line's quotes.
-      size_t open = file.raw[i].find('"');
-      if (open == std::string::npos) {
-        continue;
-      }
-      size_t close = file.raw[i].find('"', open + 1);
-      if (close == std::string::npos) {
-        continue;
-      }
-      edges_[file.rel_path].push_back(
-          {file.raw[i].substr(open + 1, close - open - 1), i + 1});
-    }
+    edges_[file.rel_path] = QuotedIncludes(file);
   }
 
   void Finish(DiagSink& sink) override {
@@ -353,15 +320,9 @@ class IncludeCycleRule : public Rule {
       }
     }
     edges_.clear();
-    seen_.clear();
   }
 
  private:
-  struct Edge {
-    std::string to;
-    size_t line;
-  };
-
   void Dfs(const std::string& node, std::map<std::string, int>* color,
            std::vector<std::string>* stack, std::set<std::string>* reported,
            DiagSink& sink) {
@@ -369,13 +330,13 @@ class IncludeCycleRule : public Rule {
     stack->push_back(node);
     auto it = edges_.find(node);
     if (it != edges_.end()) {
-      for (const Edge& edge : it->second) {
-        if (seen_.count(edge.to) == 0) {
+      for (const Include& edge : it->second) {
+        if (edges_.count(edge.path) == 0) {
           continue;  // system header or file outside the linted set
         }
-        int c = (*color)[edge.to];
+        int c = (*color)[edge.path];
         if (c == 0) {
-          Dfs(edge.to, color, stack, reported, sink);
+          Dfs(edge.path, color, stack, reported, sink);
         } else if (c == 1) {
           ReportCycle(node, edge, *stack, reported, sink);
         }
@@ -385,10 +346,10 @@ class IncludeCycleRule : public Rule {
     (*color)[node] = 2;
   }
 
-  void ReportCycle(const std::string& node, const Edge& back_edge,
+  void ReportCycle(const std::string& node, const Include& back_edge,
                    const std::vector<std::string>& stack,
                    std::set<std::string>* reported, DiagSink& sink) {
-    auto begin = std::find(stack.begin(), stack.end(), back_edge.to);
+    auto begin = std::find(stack.begin(), stack.end(), back_edge.path);
     std::vector<std::string> cycle(begin, stack.end());
     // Canonical key: rotate so the lexicographically smallest member leads,
     // so each cycle is reported exactly once regardless of entry point.
@@ -409,8 +370,7 @@ class IncludeCycleRule : public Rule {
               "layer"});
   }
 
-  std::map<std::string, std::vector<Edge>> edges_;
-  std::set<std::string> seen_;
+  std::map<std::string, std::vector<Include>> edges_;  // every linted file
 };
 
 }  // namespace

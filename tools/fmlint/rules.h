@@ -24,9 +24,9 @@
 //   include-cycle     the project #include graph must stay acyclic (whole-tree
 //                     DFS over quoted includes).
 //
-// The whole-program rules (layer-dag, header-discipline, lock-order,
-// hot-path-alloc/lock/io/div) live in tools/fmlint/analysis.h on top of the
-// parser (parse.h) and call graph (callgraph.h).
+// The whole-program rules (layer-dag, header-discipline, the hot-path family,
+// telemetry-hot-path, rng-stream-discipline) live in tools/fmlint/analysis.h
+// on top of the parser (parse.h) and call graph (callgraph.h).
 #ifndef TOOLS_FMLINT_RULES_H_
 #define TOOLS_FMLINT_RULES_H_
 
