@@ -137,8 +137,8 @@ void MissBreakdown(const char* name, const CsrGraph& g, BenchTrajectory* traj) {
   print("FlashMob", "fig1b/flashmob", fm_sim.counters(),
         fm_run.stats.total_steps);
 
-  // Shuffle-stage share: the shuffle replays its real access pattern
-  // through the simulator (WalkStats::sim_shuffle).
+  // Shuffle-stage share: the counter delta across the hooked scatter and
+  // gather calls (WalkStats::sim_shuffle).
   const CacheCounters& c = fm_run.stats.sim_shuffle;
   const uint64_t steps =
       fm_run.stats.total_steps == 0 ? 1 : fm_run.stats.total_steps;

@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
-#include "src/baseline/common.h"
+#include "src/core/sample_stage.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 
 namespace fm {
-namespace {
-
-inline Vid VertexOfEdgePos(std::span<const Eid> offsets, Eid pos) {
-  auto it = std::upper_bound(offsets.begin(), offsets.end(), pos);
-  return static_cast<Vid>((it - offsets.begin()) - 1);
-}
-
-}  // namespace
 
 GraphViteEngine::GraphViteEngine(const CsrGraph& graph, BaselineOptions options)
     : graph_(graph), options_(options) {
@@ -53,6 +46,8 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
                "use_edge_weights requires a weighted graph");
   FM_CHECK_MSG(!(spec.use_edge_weights && node2vec),
                "weighted node2vec is not supported");
+  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
+               "Metropolis-Hastings is not supported by the GraphVite baseline");
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -69,28 +64,32 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   result.stats.episodes = 1;
 
   PathSet paths(walkers, spec.steps);
+  // Live walker-steps per worker (a walker stops stepping once dead).
+  std::vector<uint64_t> live_shards(pool->thread_count(), 0);
+  const double bound = Node2VecBound(spec.node2vec);
   Timer walk_timer;
   // One walker's whole path at a time: every transition depends on the previous
   // one — a graph-wide pointer chase.
-  pool->ParallelChunks(walkers, [&](uint64_t begin, uint64_t end, uint32_t) {
+  pool->ParallelChunks(walkers, [&](uint64_t begin, uint64_t end,
+                                    uint32_t worker) {
     Rng rng(DeriveSeed(spec.seed, 0x6E17ULL ^ begin));
+    uint64_t live = 0;
     for (Wid j = begin; j < end; ++j) {
-      Vid v = (m > 0) ? VertexOfEdgePos(graph_.offsets(), rng.NextBounded(m))
+      Vid v = (m > 0) ? graph_.VertexOfEdge(rng.NextBounded(m))
                       : static_cast<Vid>(rng.NextBounded(n));
       paths.At(j, 0) = v;
       Vid prev = kInvalidVid;
       for (uint32_t step = 0; step < spec.steps; ++step) {
-        Vid nxt;
-        if (v == kInvalidVid) {
-          nxt = kInvalidVid;
-        } else if (node2vec) {
-          nxt = BaselineStepNode2Vec(graph_, v, prev, spec.node2vec, rng, hook);
-        } else {
-          nxt = BaselineStepFirstOrder(graph_, v, alias, rng, hook);
-        }
-        if (nxt != kInvalidVid && spec.stop_probability > 0 &&
-            rng.NextDouble() < spec.stop_probability) {
-          nxt = kInvalidVid;
+        Vid nxt = kInvalidVid;
+        if (v != kInvalidVid) {
+          ++live;
+          nxt = node2vec ? Node2VecStep(graph_, v, prev, spec.node2vec, bound,
+                                        rng, hook)
+                         : DirectStep(graph_, v, alias, rng, hook);
+          if (spec.stop_probability > 0 &&
+              rng.NextDouble() < spec.stop_probability) {
+            nxt = kInvalidVid;
+          }
         }
         paths.At(j, step + 1) = nxt;
         hook.Store(&paths.At(j, step + 1), sizeof(Vid));
@@ -98,8 +97,11 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
         v = nxt;
       }
     }
+    live_shards[worker] += live;
   });
-  result.stats.total_steps = static_cast<uint64_t>(walkers) * spec.steps;
+  for (uint64_t live : live_shards) {
+    result.stats.total_steps += live;
+  }
   result.stats.times.sample_s = walk_timer.Elapsed();
 
   if (options_.count_visits) {

@@ -5,8 +5,8 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/baseline/common.h"
 #include "src/core/interleave.h"
+#include "src/core/sample_stage.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -14,154 +14,51 @@
 namespace fm {
 namespace {
 
-inline Vid VertexOfEdgePos(std::span<const Eid> offsets, Eid pos) {
-  auto it = std::upper_bound(offsets.begin(), offsets.end(), pos);
-  return static_cast<Vid>((it - offsets.begin()) - 1);
-}
-
-// Ring ops mirroring BaselineStepFirstOrder + the stop draw, draw-for-draw:
-// offsets -> (alias row when weighted) -> edge cell. Walkers map ring index i
-// to global index base + i, and each seeds its own stream from the *global*
+// Ring ops for one chunk of walkers, draw-for-draw the sequential step
+// (DirectStep / Node2VecStep) plus the stop draw: offsets -> (alias row when
+// weighted) -> candidate edge cell. A node2vec walker with a predecessor runs
+// the shared accept test on each candidate and re-draws on rejection, with a
+// fresh prefetch, so every retry's edge read gets its own ring lap of
+// distance; the connectivity binary search stays inline (data-dependent
+// probes, unprefetchable). A first-order walker is a node2vec walker with no
+// predecessor: its first candidate is taken. Walkers map ring index i to
+// global index base + i, and each seeds its own stream from the *global*
 // index, so results are independent of both interleave depth and chunking.
 // Dead walkers complete at Init without consuming draws, exactly like the
 // sequential loop's skip.
 template <typename Rng, typename Hook>
-struct BaselineFirstOrderRing {
+struct BaselineRing {
   const CsrGraph& graph;
-  const VertexAliasTables* alias;
+  const VertexAliasTables* alias;  // weighted first-order walks only
+  const Node2VecParams& params;
+  double bound;
   const Vid* cur;
+  const Vid* prev;  // predecessor row; null when walkers have none
   Vid* next;
   double stop_probability;
   uint64_t step_seed;
   Wid base;
   Hook& hook;
   InterleaveStats stats;
+  uint64_t live = 0;  // walkers stepped (not dead at Init)
 
-  BaselineFirstOrderRing(const CsrGraph& graph_in,
-                         const VertexAliasTables* alias_in, const Vid* cur_in,
-                         Vid* next_in, double stop_probability_in,
-                         uint64_t step_seed_in, Wid base_in, Hook& hook_in)
+  BaselineRing(const CsrGraph& graph_in, const VertexAliasTables* alias_in,
+               const Node2VecParams& params_in, const Vid* cur_in,
+               const Vid* prev_in, Vid* next_in, double stop_probability_in,
+               uint64_t step_seed_in, Wid base_in, Hook& hook_in)
       : graph(graph_in),
         alias(alias_in),
-        cur(cur_in),
-        next(next_in),
-        stop_probability(stop_probability_in),
-        step_seed(step_seed_in),
-        base(base_in),
-        hook(hook_in) {}
-
-  enum : uint8_t { kStageOffsets, kStageAlias, kStageEdge };
-  struct Slot {
-    Rng rng{0};  // re-seeded per walker at Init
-    Wid j = 0;
-    Vid v = 0;
-    Eid begin = 0;
-    Eid pick = 0;
-    Degree deg = 0;
-    uint8_t stage = kStageOffsets;
-  };
-  Slot slots[kMaxInterleaveDepth];
-
-  FM_HOT_PATH bool Finish(Slot& s, Vid nxt) {
-    if (stop_probability > 0 && s.rng.NextDouble() < stop_probability) {
-      nxt = kInvalidVid;
-    }
-    next[s.j] = nxt;
-    hook.Store(next + s.j, sizeof(Vid));
-    return false;
-  }
-
-  FM_HOT_PATH bool Init(uint32_t slot, Wid i) {
-    Slot& s = slots[slot];
-    s.j = base + i;
-    s.v = cur[s.j];
-    if (s.v == kInvalidVid) {
-      next[s.j] = kInvalidVid;
-      return false;
-    }
-    hook.Load(cur + s.j, sizeof(Vid));
-    s.rng.Seed(WalkerSeed(step_seed, s.j));
-    PrefetchRead(graph.offsets().data() + s.v);
-    ++stats.offsets;
-    s.stage = kStageOffsets;
-    return true;
-  }
-
-  FM_HOT_PATH bool Advance(uint32_t slot) {
-    Slot& s = slots[slot];
-    const Vid* edges = graph.edges().data();
-    switch (s.stage) {
-      case kStageOffsets: {
-        hook.Load(graph.offsets().data() + s.v, 2 * sizeof(Eid));
-        s.begin = graph.edge_begin(s.v);
-        s.deg = static_cast<Degree>(graph.edge_end(s.v) - s.begin);
-        if (s.deg == 0) {
-          return Finish(s, s.v);
-        }
-        if (alias != nullptr) {
-          s.pick = alias->PickSlot(s.begin, s.deg, s.rng);
-          PrefetchRead(alias->RowAddr(s.pick));
-          ++stats.alias;
-          s.stage = kStageAlias;
-          return true;
-        }
-        s.pick = s.begin + s.rng.NextBounded(s.deg);
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        s.stage = kStageEdge;
-        return true;
-      }
-      case kStageAlias: {
-        Degree idx = alias->ResolveSlot(s.begin, s.pick, s.rng, hook);
-        s.pick = s.begin + idx;
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        s.stage = kStageEdge;
-        return true;
-      }
-      default: {
-        hook.Load(edges + s.pick, sizeof(Vid));
-        return Finish(s, edges[s.pick]);
-      }
-    }
-  }
-};
-
-// Ring ops mirroring BaselineStepNode2Vec + the stop draw. The rejection loop
-// re-draws a candidate edge per retry with a fresh prefetch, so every retry's
-// edge read gets its own ring-lap of distance; the connectivity binary search
-// stays inline (data-dependent probes, unprefetchable).
-template <typename Rng, typename Hook>
-struct BaselineNode2VecRing {
-  const CsrGraph& graph;
-  const Node2VecParams& params;
-  const Vid* cur;
-  const Vid* prev;
-  Vid* next;
-  double stop_probability;
-  uint64_t step_seed;
-  Wid base;
-  double bound;
-  Hook& hook;
-  InterleaveStats stats;
-
-  BaselineNode2VecRing(const CsrGraph& graph_in,
-                       const Node2VecParams& params_in, const Vid* cur_in,
-                       const Vid* prev_in, Vid* next_in,
-                       double stop_probability_in, uint64_t step_seed_in,
-                       Wid base_in, double bound_in, Hook& hook_in)
-      : graph(graph_in),
         params(params_in),
+        bound(Node2VecBound(params_in)),
         cur(cur_in),
         prev(prev_in),
         next(next_in),
         stop_probability(stop_probability_in),
         step_seed(step_seed_in),
         base(base_in),
-        bound(bound_in),
         hook(hook_in) {}
 
-  enum : uint8_t { kStageOffsets, kStageFirstEdge, kStageCandidate };
+  enum : uint8_t { kStageOffsets, kStageAlias, kStageCandidate };
   struct Slot {
     Rng rng{0};  // re-seeded per walker at Init
     Wid j = 0;
@@ -183,6 +80,15 @@ struct BaselineNode2VecRing {
     return false;
   }
 
+  // Draws a candidate edge and prefetches its cell.
+  FM_HOT_PATH bool Propose(Slot& s) {
+    s.pick = s.begin + s.rng.NextBounded(s.deg);
+    PrefetchRead(graph.edges().data() + s.pick);
+    ++stats.edges;
+    s.stage = kStageCandidate;
+    return true;
+  }
+
   FM_HOT_PATH bool Init(uint32_t slot, Wid i) {
     Slot& s = slots[slot];
     s.j = base + i;
@@ -191,6 +97,7 @@ struct BaselineNode2VecRing {
       next[s.j] = kInvalidVid;
       return false;
     }
+    ++live;
     hook.Load(cur + s.j, sizeof(Vid));
     s.pv = prev != nullptr ? prev[s.j] : kInvalidVid;
     s.rng.Seed(WalkerSeed(step_seed, s.j));
@@ -200,9 +107,11 @@ struct BaselineNode2VecRing {
     return true;
   }
 
-  FM_HOT_PATH bool Advance(uint32_t slot) {
+  // Forced inline: the candidate stage inlines the accept test's binary
+  // search, and GCC then leaves Advance out of line, which costs a call per
+  // stage — about 1 ns/step at ring depths 4-16 in fig1c.
+  [[gnu::always_inline]] FM_HOT_PATH bool Advance(uint32_t slot) {
     Slot& s = slots[slot];
-    const Vid* edges = graph.edges().data();
     switch (s.stage) {
       case kStageOffsets: {
         hook.Load(graph.offsets().data() + s.v, 2 * sizeof(Eid));
@@ -211,37 +120,31 @@ struct BaselineNode2VecRing {
         if (s.deg == 0) {
           return Finish(s, s.v);
         }
-        s.pick = s.begin + s.rng.NextBounded(s.deg);
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        s.stage = s.pv == kInvalidVid ? kStageFirstEdge : kStageCandidate;
+        if (alias == nullptr) {
+          return Propose(s);
+        }
+        s.pick = alias->PickSlot(s.begin, s.deg, s.rng);
+        PrefetchRead(alias->RowAddr(s.pick));
+        ++stats.alias;
+        s.stage = kStageAlias;
         return true;
       }
-      case kStageFirstEdge: {
-        hook.Load(edges + s.pick, sizeof(Vid));
-        return Finish(s, edges[s.pick]);
+      case kStageAlias: {
+        s.pick = s.begin + alias->ResolveSlot(s.begin, s.pick, s.rng, hook);
+        PrefetchRead(graph.edges().data() + s.pick);
+        ++stats.edges;
+        s.stage = kStageCandidate;
+        return true;
       }
       default: {
-        hook.Load(edges + s.pick, sizeof(Vid));
-        Vid candidate = edges[s.pick];
-        double w;
-        if (candidate == s.pv) {
-          // div: node2vec bias weights 1/p and 1/q; runtime parameters, cannot
-          // fold to shifts, and they hit only the rejection branch.
-          w = 1.0 / params.p;
-        } else if (HasEdgeHooked(graph, s.pv, candidate, hook)) {
-          w = 1.0;
-        } else {
-          // div: see the 1/p justification above.
-          w = 1.0 / params.q;
-        }
-        if (s.rng.NextDouble() * bound < w) {
+        hook.Load(graph.edges().data() + s.pick, sizeof(Vid));
+        const Vid candidate = graph.edges()[s.pick];
+        if (s.pv == kInvalidVid ||
+            Node2VecAccepts(graph, s.pv, candidate, params, bound, s.rng,
+                            hook)) {
           return Finish(s, candidate);
         }
-        s.pick = s.begin + s.rng.NextBounded(s.deg);
-        PrefetchRead(edges + s.pick);
-        ++stats.edges;
-        return true;
+        return Propose(s);
       }
     }
   }
@@ -284,6 +187,8 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
                "use_edge_weights requires a weighted graph");
   FM_CHECK_MSG(!(spec.use_edge_weights && node2vec),
                "weighted node2vec is not supported");
+  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
+               "Metropolis-Hastings is not supported by the KnightKing baseline");
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -321,16 +226,21 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
     Rng rng(DeriveSeed(spec.seed, 0xBA5E ^ begin));
     Vid* row = paths.Row(0).data();
     for (Wid j = begin; j < end; ++j) {
-      row[j] = (m > 0) ? VertexOfEdgePos(graph_.offsets(), rng.NextBounded(m))
+      row[j] = (m > 0) ? graph_.VertexOfEdge(rng.NextBounded(m))
                        : static_cast<Vid>(rng.NextBounded(n));
     }
   });
 
+  // Per-worker tallies, folded after the walk: prefetches issued and live
+  // walker-steps (dead walkers are skipped, not stepped).
   std::vector<InterleaveStats> prefetch_shards(pool->thread_count());
+  std::vector<uint64_t> live_shards(pool->thread_count(), 0);
+  const double bound = Node2VecBound(spec.node2vec);
   Timer walk_timer;
   for (uint32_t step = 0; step < spec.steps; ++step) {
     const Vid* cur = paths.Row(step).data();
-    const Vid* prev = step > 0 ? paths.Row(step - 1).data() : nullptr;
+    const Vid* prev =
+        node2vec && step > 0 ? paths.Row(step - 1).data() : nullptr;
     Vid* next = paths.Row(step + 1).data();
     const uint64_t step_seed =
         DeriveSeed(spec.seed, 0x55EFULL ^ (static_cast<uint64_t>(step) << 32));
@@ -339,46 +249,32 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
           if constexpr (kPerWalkerStreams) {
             // One RNG stream per (step, global walker): walks do not depend on
             // the chunking or on the ring depth.
-            if (node2vec) {
-              // div: reciprocal bound hoisted once per chunk, as in
-              // BaselineStepNode2Vec.
-              double bound =
-                  std::max({1.0, 1.0 / spec.node2vec.p, 1.0 / spec.node2vec.q});
-              BaselineNode2VecRing<Rng, Hook> ring{
-                  graph_, spec.node2vec,         cur,
-                  prev,   next,                  spec.stop_probability,
-                  step_seed, static_cast<Wid>(begin), bound,
-                  hook};
-              RunInterleavedRing(depth, static_cast<Wid>(end - begin), ring);
-              prefetch_shards[worker] += ring.stats;
-            } else {
-              BaselineFirstOrderRing<Rng, Hook> ring{
-                  graph_,    alias,
-                  cur,       next,
-                  spec.stop_probability, step_seed,
-                  static_cast<Wid>(begin), hook};
-              RunInterleavedRing(depth, static_cast<Wid>(end - begin), ring);
-              prefetch_shards[worker] += ring.stats;
-            }
+            BaselineRing<Rng, Hook> ring(graph_, alias, spec.node2vec, cur,
+                                         prev, next, spec.stop_probability,
+                                         step_seed, static_cast<Wid>(begin),
+                                         hook);
+            RunInterleavedRing(depth, static_cast<Wid>(end - begin), ring);
+            prefetch_shards[worker] += ring.stats;
+            live_shards[worker] += ring.live;
             return;
           }
           Rng rng(DeriveSeed(
               spec.seed,
               0x55EFULL ^ (static_cast<uint64_t>(step) << 32) ^ begin));
+          uint64_t live = 0;
           for (Wid j = begin; j < end; ++j) {
             Vid v = cur[j];
             if (v == kInvalidVid) {
               next[j] = kInvalidVid;
               continue;
             }
+            ++live;
             hook.Load(cur + j, sizeof(Vid));
-            Vid nxt;
-            if (node2vec) {
-              Vid pv = prev != nullptr ? prev[j] : kInvalidVid;
-              nxt = BaselineStepNode2Vec(graph_, v, pv, spec.node2vec, rng, hook);
-            } else {
-              nxt = BaselineStepFirstOrder(graph_, v, alias, rng, hook);
-            }
+            Vid nxt = node2vec
+                          ? Node2VecStep(graph_, v,
+                                         prev != nullptr ? prev[j] : kInvalidVid,
+                                         spec.node2vec, bound, rng, hook)
+                          : DirectStep(graph_, v, alias, rng, hook);
             if (spec.stop_probability > 0 &&
                 rng.NextDouble() < spec.stop_probability) {
               nxt = kInvalidVid;
@@ -386,13 +282,14 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
             next[j] = nxt;
             hook.Store(next + j, sizeof(Vid));
           }
+          live_shards[worker] += live;
         });
-    result.stats.total_steps += walkers;
   }
   result.stats.times.sample_s = walk_timer.Elapsed();
   last_prefetch_ = {};
-  for (const InterleaveStats& shard : prefetch_shards) {
-    last_prefetch_ += shard;
+  for (uint32_t worker = 0; worker < pool->thread_count(); ++worker) {
+    last_prefetch_ += prefetch_shards[worker];
+    result.stats.total_steps += live_shards[worker];
   }
 
   if (options_.count_visits) {

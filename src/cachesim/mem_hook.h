@@ -1,10 +1,12 @@
 // Memory-access hooks for instrumenting the walk kernels.
 //
-// The sample/shuffle kernels and the baseline steppers are templated on a hook type;
-// `NullMemHook` compiles to nothing (the production path), while `CacheSimHook`
-// routes every logical load/store through the cache simulator for the Table 5 /
-// Figure 1b experiments. The hook records *data* accesses only — instruction fetch
-// and stack traffic are negligible for these kernels and are not modelled.
+// The sample and shuffle kernels and the baselines' per-walker steps are templated
+// on a hook type, and the instrumented run executes those same kernels: there is
+// one implementation per access pattern, never a separate replay. `NullMemHook`
+// compiles to nothing (the production path), while `CacheSimHook` routes every
+// logical load/store through the cache simulator for the Table 5 / Figure 1b
+// experiments. The hook records *data* accesses only — instruction fetch and
+// stack traffic are negligible for these kernels and are not modelled.
 #ifndef SRC_CACHESIM_MEM_HOOK_H_
 #define SRC_CACHESIM_MEM_HOOK_H_
 

@@ -1,10 +1,10 @@
 // node2vec workload helpers and the exact transition distribution (Grover &
 // Leskovec, KDD 2016).
 //
-// The engine samples node2vec transitions by rejection (sampling/rejection.h,
-// sample_stage.h); this module provides the exact normalized distribution for
-// statistical validation, plus the conventional WalkSpec (10 rounds x 40 steps,
-// §2.1/§5.1).
+// Every engine samples node2vec transitions by rejection (sampling/rejection.h,
+// Node2VecStep in sample_stage.h); this module provides the exact normalized
+// distribution for statistical validation, plus the conventional WalkSpec
+// (10 rounds x 40 steps, §2.1/§5.1).
 #ifndef SRC_CORE_ALGORITHMS_NODE2VEC_H_
 #define SRC_CORE_ALGORITHMS_NODE2VEC_H_
 

@@ -19,8 +19,7 @@ namespace fm {
 namespace {
 
 // Streaming-pass model for placement under instrumentation: every cache line
-// of the array is touched exactly once. (The shuffle stage replays its real
-// access pattern through Shuffler::SimulateScatter/SimulateGather instead.)
+// of the array is touched exactly once.
 void TouchStreaming(CacheHierarchy* sim, const void* data, size_t bytes) {
   uint64_t addr = reinterpret_cast<uint64_t>(data);
   for (uint64_t off = 0; off < bytes; off += kCacheLineBytes) {
@@ -28,18 +27,26 @@ void TouchStreaming(CacheHierarchy* sim, const void* data, size_t bytes) {
   }
 }
 
-// Folds (after - before) of the sim counters into *acc — the shuffle-stage
-// attribution WalkStats::sim_shuffle reports for instrumented runs.
-void AccumulateSimDelta(const CacheCounters& before, const CacheCounters& after,
-                        CacheCounters* acc) {
-  acc->accesses += after.accesses - before.accesses;
-  for (int i = 0; i < 4; ++i) {
-    acc->hits[i] += after.hits[i] - before.hits[i];
+// Runs `stage` and folds the sim counter delta across it into *acc — the
+// shuffle-stage attribution WalkStats::sim_shuffle reports for instrumented
+// runs. Without a simulator it just runs the stage.
+template <typename Hook, typename Stage>
+void WithSimDelta(Hook& hook, CacheCounters* acc, Stage&& stage) {
+  if constexpr (!Hook::kEnabled) {
+    stage();
+  } else {
+    const CacheCounters before = hook.sim()->counters();
+    stage();
+    const CacheCounters& after = hook.sim()->counters();
+    acc->accesses += after.accesses - before.accesses;
+    for (int i = 0; i < 4; ++i) {
+      acc->hits[i] += after.hits[i] - before.hits[i];
+    }
+    for (int i = 0; i < 3; ++i) {
+      acc->misses[i] += after.misses[i] - before.misses[i];
+    }
+    acc->dram_lines += after.dram_lines - before.dram_lines;
   }
-  for (int i = 0; i < 3; ++i) {
-    acc->misses[i] += after.misses[i] - before.misses[i];
-  }
-  acc->dram_lines += after.dram_lines - before.dram_lines;
 }
 
 uint64_t SecondsToNs(double s) {
@@ -266,8 +273,10 @@ WalkResult FlashMobEngine::RunImpl(
         span.Arg("walkers", w);
         Timer shuffle_timer;
         const Vid* aux = state.scatter_aux();
-        shuffler.Scatter(state.cur(), aux, w, state.sw(),
-                         aux != nullptr ? state.sw_prev() : nullptr);
+        WithSimDelta(hook, &result.stats.sim_shuffle, [&] {
+          shuffler.Scatter(state.cur(), aux, w, state.sw(),
+                           aux != nullptr ? state.sw_prev() : nullptr, hook);
+        });
         // Walker-count conservation: the scatter must account for every walker
         // (live ones in VP chunks, dead ones in the trailing bin) — losing or
         // duplicating one here silently corrupts identity for the whole
@@ -278,20 +287,6 @@ WalkResult FlashMobEngine::RunImpl(
                                         kInvalidVid)),
             shuffler.dead_count());
         state.AfterScatter(aux);
-        if constexpr (Hook::kEnabled) {
-          // Replay the real access pattern (count pass, scatter, SW writes)
-          // through the hierarchy.
-          CacheHierarchy* sim = hook.sim();
-          const CacheCounters before = sim->counters();
-          shuffler.SimulateScatter(
-              state.cur(), aux, w, state.sw(),
-              aux != nullptr ? state.sw_prev() : nullptr,
-              [sim](const void* p, uint32_t bytes) {
-                sim->Access(reinterpret_cast<uint64_t>(p), bytes);
-              });
-          AccumulateSimDelta(before, sim->counters(),
-                             &result.stats.sim_shuffle);
-        }
         scatter_s = shuffle_timer.Elapsed();
       }
       result.stats.times.shuffle_s += scatter_s;
@@ -358,8 +353,11 @@ WalkResult FlashMobEngine::RunImpl(
           span.Arg("live", live_walkers);
           Timer gather_timer;
           w_next = state.GatherTarget(step);
-          const Status gather_status = shuffler.Gather(
-              state.cur(), w, state.sw(), w_next, nullptr, nullptr);
+          Status gather_status;
+          WithSimDelta(hook, &result.stats.sim_shuffle, [&] {
+            gather_status = shuffler.Gather(state.cur(), w, state.sw(), w_next,
+                                            nullptr, nullptr, hook);
+          });
           FM_CHECK_MSG(gather_status.ok(), gather_status.message().c_str());
           // Dead-walker monotonicity: the gather delivers every walker the
           // scatter parked dead, plus any the sample stage just killed — the
@@ -367,18 +365,6 @@ WalkResult FlashMobEngine::RunImpl(
           FM_DCHECK_GE(
               static_cast<Wid>(std::count(w_next, w_next + w, kInvalidVid)),
               shuffler.dead_count());
-          if constexpr (Hook::kEnabled) {
-            CacheHierarchy* sim = hook.sim();
-            const CacheCounters before = sim->counters();
-            shuffler.SimulateGather(state.cur(), w, state.sw(), nullptr,
-                                    w_next, nullptr,
-                                    [sim](const void* p, uint32_t bytes) {
-                                      sim->Access(
-                                          reinterpret_cast<uint64_t>(p), bytes);
-                                    });
-            AccumulateSimDelta(before, sim->counters(),
-                               &result.stats.sim_shuffle);
-          }
           gather_s = gather_timer.Elapsed();
         }
         result.stats.times.shuffle_s += gather_s;

@@ -109,8 +109,8 @@ struct WalkStats {
   StageCounters counters;
   std::string perf_backend;
 
-  // Simulated-cache counter deltas attributed to the shuffle stage (scatter +
-  // gather replays); only populated by RunInstrumented.
+  // Simulated-cache counter deltas across the hooked Scatter and Gather calls
+  // (the shuffle stage's share); only populated by RunInstrumented.
   CacheCounters sim_shuffle;
 
   double PerStepNs() const {

@@ -16,10 +16,13 @@
 #ifndef SRC_CORE_SAMPLE_STAGE_H_
 #define SRC_CORE_SAMPLE_STAGE_H_
 
+#include <algorithm>
+
 #include "src/cachesim/mem_hook.h"
 #include "src/core/presample.h"
 #include "src/graph/csr_graph.h"
 #include "src/sampling/rejection.h"
+#include "src/sampling/vertex_alias.h"
 #include "src/util/rng.h"
 #include "src/util/sync.h"
 #include "src/util/types.h"
@@ -49,6 +52,98 @@ FM_HOT_PATH bool HasEdgeHooked(const CsrGraph& graph, Vid v, Vid u,
   return lo < graph.edge_end(v) && edges[lo] == u;
 }
 
+// The per-walker steps below are shared by FlashMob's kernels and the
+// KnightKing / GraphVite baselines (src/baseline/), so every engine draws the
+// same way and a change to a step reaches all of them.
+
+// General CSR direct draw: one offset-pair read, then (for a weighted walk,
+// `alias` non-null) one alias-table read, then one edge read. A degree-0
+// vertex stays put. In a FlashMob DS kernel the reads stay inside the VP's
+// working set; in a baseline they land anywhere in the graph.
+template <typename Rng, typename Hook>
+FM_HOT_PATH Vid DirectStep(const CsrGraph& graph, Vid v,
+                           const VertexAliasTables* alias, Rng& rng,
+                           Hook& hook) {
+  const Eid* offsets = graph.offsets().data();
+  hook.Load(offsets + v, 2 * sizeof(Eid));
+  Eid begin = offsets[v];
+  Degree deg = static_cast<Degree>(offsets[v + 1] - begin);
+  if (deg == 0) {
+    return v;
+  }
+  Eid pick = begin + (alias != nullptr ? alias->SampleIndex(graph, v, rng, hook)
+                                       : rng.NextBounded(deg));
+  hook.Load(graph.edges().data() + pick, sizeof(Vid));
+  return graph.edges()[pick];
+}
+
+// Unnormalized node2vec weight of stepping to `candidate` from a vertex whose
+// predecessor is `prev`: 1/p back to prev, 1 to a neighbor of prev, 1/q
+// otherwise. The connectivity check reads prev's adjacency list, which may lie
+// outside the current VP — the locality loss §5.2 cites for node2vec's smaller
+// speedup.
+template <typename Hook>
+FM_HOT_PATH double Node2VecWeight(const CsrGraph& graph, Vid prev,
+                                  Vid candidate, const Node2VecParams& params,
+                                  Hook& hook) {
+  if (candidate == prev) {
+    // div: node2vec bias weights 1/p and 1/q; p and q are runtime parameters,
+    // so the quotients cannot fold to shifts. They run once per candidate,
+    // not per edge read.
+    return 1.0 / params.p;
+  }
+  if (HasEdgeHooked(graph, prev, candidate, hook)) {
+    return 1.0;
+  }
+  // div: see the 1/p justification above.
+  return 1.0 / params.q;
+}
+
+// Rejection bound: the largest node2vec weight.
+inline double Node2VecBound(const Node2VecParams& params) {
+  // div: reciprocals of the runtime p and q; callers hoist the bound out of
+  // their per-walker loops.
+  return std::max({1.0, 1.0 / params.p, 1.0 / params.q});
+}
+
+// node2vec's accept test (sampling/rejection.h): accept `candidate` with
+// probability weight / bound, using one uniform draw.
+template <typename Rng, typename Hook>
+FM_HOT_PATH bool Node2VecAccepts(const CsrGraph& graph, Vid prev,
+                                 Vid candidate, const Node2VecParams& params,
+                                 double bound, Rng& rng, Hook& hook) {
+  const double w = Node2VecWeight(graph, prev, candidate, params, hook);
+  return rng.NextDouble() * bound < w;
+}
+
+// One node2vec step from `cur`: propose a uniform neighbor until the accept
+// test passes. With no predecessor (`prev` == kInvalidVid, a walk's first
+// step) the first proposal is taken — a uniform first-order step. A degree-0
+// vertex stays put. The loop ends with probability 1 (acceptance >= min weight
+// / bound > 0).
+template <typename Rng, typename Hook>
+FM_HOT_PATH Vid Node2VecStep(const CsrGraph& graph, Vid cur, Vid prev,
+                             const Node2VecParams& params, double bound,
+                             Rng& rng, Hook& hook) {
+  const Vid* edges = graph.edges().data();
+  const Eid* offsets = graph.offsets().data();
+  hook.Load(offsets + cur, 2 * sizeof(Eid));
+  Eid begin = offsets[cur];
+  Degree deg = static_cast<Degree>(offsets[cur + 1] - begin);
+  if (deg == 0) {
+    return cur;
+  }
+  while (true) {
+    Eid pick = begin + rng.NextBounded(deg);
+    hook.Load(edges + pick, sizeof(Vid));
+    Vid candidate = edges[pick];
+    if (prev == kInvalidVid ||
+        Node2VecAccepts(graph, prev, candidate, params, bound, rng, hook)) {
+      return candidate;
+    }
+  }
+}
+
 // First-order sampling (DeepWalk when `alias` is null, weighted transitions when
 // it points at the graph's VertexAliasTables) over one VP's walker chunk.
 // `walkers[0..count)` hold VIDs inside `vp`; each is overwritten with the next stop.
@@ -61,7 +156,6 @@ FM_HOT_PATH void SampleVpFirstOrder(const CsrGraph& graph, uint32_t vp_index,
                         const VertexAliasTables* alias, uint64_t chunk_seed,
                         Hook& hook) {
   const Vid* edges = graph.edges().data();
-  const Eid* offsets = graph.offsets().data();
   for (Wid i = 0; i < count; ++i) {
     hook.Load(walkers + i, sizeof(Vid));
     Vid v = walkers[i];
@@ -82,23 +176,7 @@ FM_HOT_PATH void SampleVpFirstOrder(const CsrGraph& graph, uint32_t vp_index,
         next = edges[pick];
       }
     } else {
-      // General CSR direct sampling: one offset lookup + one edge read, both random
-      // but confined to the VP's working set.
-      hook.Load(offsets + v, 2 * sizeof(Eid));
-      Eid begin = offsets[v];
-      Degree deg = static_cast<Degree>(offsets[v + 1] - begin);
-      if (deg == 0) {
-        next = v;
-      } else if (alias != nullptr) {
-        // Weighted DS: one alias-table read + one edge read, both within the VP.
-        Eid pick = begin + alias->SampleIndex(graph, v, rng, hook);
-        hook.Load(edges + pick, sizeof(Vid));
-        next = edges[pick];
-      } else {
-        Eid pick = begin + rng.NextBounded(deg);
-        hook.Load(edges + pick, sizeof(Vid));
-        next = edges[pick];
-      }
+      next = DirectStep(graph, v, alias, rng, hook);
     }
     if (stop_probability > 0 && rng.NextDouble() < stop_probability) {
       next = kInvalidVid;
@@ -160,54 +238,13 @@ FM_HOT_PATH void SampleVpNode2Vec(const CsrGraph& graph,
                                   Vid* prevs, Wid count,
                                   double stop_probability, bool update_prevs,
                                   uint64_t chunk_seed, Hook& hook) {
-  const Vid* edges = graph.edges().data();
-  const Eid* offsets = graph.offsets().data();
-  // div: the reciprocals of p and q are computed once per chunk, hoisted out
-  // of the per-walker loop.
-  double bound = std::max({1.0, 1.0 / params.p, 1.0 / params.q});
+  const double bound = Node2VecBound(params);
   for (Wid i = 0; i < count; ++i) {
     hook.Load(walkers + i, sizeof(Vid));
     hook.Load(prevs + i, sizeof(Vid));
     Vid cur = walkers[i];
-    Vid prev = prevs[i];
     Rng rng(WalkerSeed(chunk_seed, i));
-    hook.Load(offsets + cur, 2 * sizeof(Eid));
-    Eid begin = offsets[cur];
-    Degree deg = static_cast<Degree>(offsets[cur + 1] - begin);
-    Vid next;
-    if (deg == 0) {
-      next = cur;
-    } else if (prev == kInvalidVid) {
-      Eid pick = begin + rng.NextBounded(deg);
-      hook.Load(edges + pick, sizeof(Vid));
-      next = edges[pick];
-    } else {
-      // KnightKing-style rejection (sampling/rejection.h), hook-instrumented. The
-      // connectivity checks randomly touch prev's adjacency list, which may live
-      // outside this VP — the locality loss §5.2 cites for node2vec's smaller
-      // speedup.
-      while (true) {
-        Eid pick = begin + rng.NextBounded(deg);
-        hook.Load(edges + pick, sizeof(Vid));
-        Vid candidate = edges[pick];
-        double w;
-        if (candidate == prev) {
-          // div: node2vec bias weights 1/p and 1/q; p and q are runtime
-          // parameters, so the quotients cannot fold to shifts. They hit only
-          // the rejection branch, not every edge read.
-          w = 1.0 / params.p;
-        } else if (HasEdgeHooked(graph, prev, candidate, hook)) {
-          w = 1.0;
-        } else {
-          // div: see the 1/p justification above.
-          w = 1.0 / params.q;
-        }
-        if (rng.NextDouble() * bound < w) {
-          next = candidate;
-          break;
-        }
-      }
-    }
+    Vid next = Node2VecStep(graph, cur, prevs[i], params, bound, rng, hook);
     if (stop_probability > 0 && rng.NextDouble() < stop_probability) {
       next = kInvalidVid;
     }

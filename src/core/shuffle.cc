@@ -26,46 +26,67 @@ FM_HOT_PATH inline uint32_t BinOfWalker(const PartitionPlan* plan,
   return value == kInvalidVid ? num_vps : plan->VpOf(value);
 }
 
+// The five scan kernels and the copy-through below issue one hook access per
+// W read, counter bump, SW (or intermediate) write and aux element — the
+// cache-simulated access stream of the real pass.
+
 // Pass-1 kernel: per-chunk destination counts (sequential read of W; counter
 // arrays stay cache-resident — the L2-derived fan-out constraint of §4.3).
+template <typename Hook>
 FM_HOT_PATH void CountChunkScan(const PartitionPlan* plan, uint32_t num_vps,
-                                const Vid* w, Wid begin, Wid end, Wid* counts) {
+                                const Vid* w, Wid begin, Wid end, Wid* counts,
+                                Hook& hook) {
   for (Wid j = begin; j < end; ++j) {
-    ++counts[BinOfWalker(plan, num_vps, w[j])];
+    hook.Load(w + j, sizeof(Vid));
+    uint32_t bin = BinOfWalker(plan, num_vps, w[j]);
+    ++counts[bin];
+    hook.Store(counts + bin, sizeof(Wid));
   }
 }
 
 // Pass-2 kernel (one-level path): counting scatter of one chunk of W into SW.
+template <typename Hook>
 FM_HOT_PATH void ScatterChunkScan(const PartitionPlan* plan, uint32_t num_vps,
                                   const Vid* w, const Vid* aux, Wid begin,
                                   Wid end, Wid* offs, const Wid* vp_offsets,
-                                  Vid* sw, Vid* sw_aux) {
+                                  Vid* sw, Vid* sw_aux, Hook& hook) {
   for (Wid j = begin; j < end; ++j) {
+    hook.Load(w + j, sizeof(Vid));
     uint32_t bin = BinOfWalker(plan, num_vps, w[j]);
     Wid p = offs[bin]++;
+    hook.Store(offs + bin, sizeof(Wid));
     FM_DCHECK_LT(p, vp_offsets[bin + 1]);
     sw[p] = w[j];
+    hook.Store(sw + p, sizeof(Vid));
     if (aux != nullptr) {
+      hook.Load(aux + j, sizeof(Vid));
       sw_aux[p] = aux[j];
+      hook.Store(sw_aux + p, sizeof(Vid));
     }
   }
 }
 
 // Outer-pass kernel (two-level path): scatter one chunk of W by outer bin into
 // the intermediate array.
+template <typename Hook>
 FM_HOT_PATH void OuterScatterChunkScan(const PartitionPlan* plan,
                                        uint32_t num_bins, const Vid* w,
                                        const Vid* aux, Wid begin, Wid end,
                                        Wid* cursor, Wid scattered_n, Vid* inter,
-                                       Vid* inter_aux) {
+                                       Vid* inter_aux, Hook& hook) {
   for (Wid j = begin; j < end; ++j) {
+    hook.Load(w + j, sizeof(Vid));
     Vid v = w[j];
     uint32_t b = (v == kInvalidVid) ? num_bins : plan->OuterBinOf(v);
     Wid p = cursor[b]++;
+    hook.Store(cursor + b, sizeof(Wid));
     FM_DCHECK_LT(p, scattered_n);
     inter[p] = v;
+    hook.Store(inter + p, sizeof(Vid));
     if (aux != nullptr) {
+      hook.Load(aux + j, sizeof(Vid));
       inter_aux[p] = aux[j];
+      hook.Store(inter_aux + p, sizeof(Vid));
     }
   }
 }
@@ -73,21 +94,52 @@ FM_HOT_PATH void OuterScatterChunkScan(const PartitionPlan* plan,
 // Inner-pass kernel (two-level path): stable in-bin counting scatter by VP.
 // Scanning the intermediate chunk in order preserves (chunk, scan) order per
 // VP, matching the one-level layout.
+template <typename Hook>
 FM_HOT_PATH void InnerScatterGroupScan(const PartitionPlan* plan,
                                        uint32_t vp_base, uint32_t vp_count,
                                        Wid begin, Wid end, Wid* offs,
                                        const Wid* vp_offsets, const Vid* inter,
                                        const Vid* inter_aux, Vid* sw,
-                                       Vid* sw_aux) {
+                                       Vid* sw_aux, Hook& hook) {
   for (Wid j = begin; j < end; ++j) {
+    hook.Load(inter + j, sizeof(Vid));
     FM_DCHECK_GE(plan->VpOf(inter[j]), vp_base);
     uint32_t vp = plan->VpOf(inter[j]) - vp_base;
     FM_DCHECK_LT(vp, vp_count);
     Wid p = offs[vp]++;
+    hook.Store(offs + vp, sizeof(Wid));
     FM_DCHECK_LT(p, vp_offsets[vp_base + vp + 1]);
     sw[p] = inter[j];
+    hook.Store(sw + p, sizeof(Vid));
     if (inter_aux != nullptr) {
+      hook.Load(inter_aux + j, sizeof(Vid));
       sw_aux[p] = inter_aux[j];
+      hook.Store(sw_aux + p, sizeof(Vid));
+    }
+  }
+}
+
+// Copy-through (two-level path): a single-VP outer bin, or the dead bin, is
+// already in final order in the intermediate array.
+template <typename Hook>
+FM_HOT_PATH void CopyThrough(Wid begin, Wid end, const Vid* inter,
+                             const Vid* inter_aux, Vid* sw, Vid* sw_aux,
+                             Hook& hook) {
+  if (end == begin) {
+    return;
+  }
+  std::memcpy(sw + begin, inter + begin, (end - begin) * sizeof(Vid));
+  if (inter_aux != nullptr) {
+    std::memcpy(sw_aux + begin, inter_aux + begin, (end - begin) * sizeof(Vid));
+  }
+  if constexpr (Hook::kEnabled) {
+    for (Wid j = begin; j < end; ++j) {
+      hook.Load(inter + j, sizeof(Vid));
+      hook.Store(sw + j, sizeof(Vid));
+      if (inter_aux != nullptr) {
+        hook.Load(inter_aux + j, sizeof(Vid));
+        hook.Store(sw_aux + j, sizeof(Vid));
+      }
     }
   }
 }
@@ -95,21 +147,30 @@ FM_HOT_PATH void InnerScatterGroupScan(const PartitionPlan* plan,
 // Gather kernel: replay one chunk's counting offsets, pulling each walker's
 // post-step value out of SW back into walker order. `consumed` is the debug
 // bijectivity witness (null in release builds).
+template <typename Hook>
 FM_HOT_PATH void GatherChunkScan(const PartitionPlan* plan, uint32_t num_vps,
                                  const Vid* w_prev, Wid begin, Wid end,
                                  Wid* offs, Wid n, const Vid* sw,
                                  const Vid* sw_aux, Vid* w_next, Vid* aux_next,
-                                 [[maybe_unused]] uint8_t* consumed) {
+                                 [[maybe_unused]] uint8_t* consumed,
+                                 Hook& hook) {
   for (Wid j = begin; j < end; ++j) {
-    Wid p = offs[BinOfWalker(plan, num_vps, w_prev[j])]++;
+    hook.Load(w_prev + j, sizeof(Vid));
+    uint32_t bin = BinOfWalker(plan, num_vps, w_prev[j]);
+    Wid p = offs[bin]++;
+    hook.Store(offs + bin, sizeof(Wid));
     FM_DCHECK_LT(p, n);
 #ifndef NDEBUG
     FM_DCHECK_MSG(consumed[p] == 0, "SW slot " << p << " replayed twice");
     consumed[p] = 1;
 #endif
+    hook.Load(sw + p, sizeof(Vid));
     w_next[j] = sw[p];
+    hook.Store(w_next + j, sizeof(Vid));
     if (sw_aux != nullptr) {
+      hook.Load(sw_aux + p, sizeof(Vid));
       aux_next[j] = sw_aux[p];
+      hook.Store(aux_next + j, sizeof(Vid));
     }
   }
 }
@@ -123,7 +184,8 @@ Shuffler::Shuffler(const PartitionPlan* plan, ThreadPool* pool)
   vp_offsets_.resize(num_vps_ + 2);
 }
 
-void Shuffler::CountAndPrefix(const Vid* w, Wid n) {
+template <typename Hook>
+void Shuffler::CountAndPrefix(const Vid* w, Wid n, Hook& hook) {
   size_t row = num_vps_ + 1;
   std::fill(starts_.begin(), starts_.end(), 0);
   pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
@@ -132,7 +194,7 @@ void Shuffler::CountAndPrefix(const Vid* w, Wid n) {
     TraceSpan span("shuffle", "count_chunk");
     span.Arg("chunk", c);
     span.Arg("walkers", end - begin);
-    CountChunkScan(plan_, num_vps_, w, begin, end, &starts_[c * row]);
+    CountChunkScan(plan_, num_vps_, w, begin, end, &starts_[c * row], hook);
   });
   // Prefix over (vp-major, chunk-minor): the SW order within a partition is (chunk,
   // scan), which Gather replays deterministically.
@@ -163,21 +225,23 @@ void Shuffler::CountAndPrefix(const Vid* w, Wid n) {
   scattered_n_ = n;
 }
 
+template <typename Hook>
 void Shuffler::Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                       Vid* sw_aux) {
+                       Vid* sw_aux, Hook& hook) {
   Timer timer;
-  CountAndPrefix(w, n);
+  CountAndPrefix(w, n, hook);
   scatter_stats_.pass1_s = timer.Lap();
   if (plan_->has_internal_shuffle()) {
-    ScatterTwoLevel(w, aux, n, sw, sw_aux);
+    ScatterTwoLevel(w, aux, n, sw, sw_aux, hook);
   } else {
-    ScatterOneLevel(w, aux, n, sw, sw_aux);
+    ScatterOneLevel(w, aux, n, sw, sw_aux, hook);
   }
   scatter_stats_.pass2_s = timer.Lap();
 }
 
+template <typename Hook>
 Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
-                        const Vid* sw_aux, Vid* aux_next) {
+                        const Vid* sw_aux, Vid* aux_next, Hook& hook) {
   if (n != scattered_n_) {
     std::ostringstream msg;
     msg << "Gather must replay the exact Scatter input: got " << n
@@ -204,7 +268,7 @@ Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
     std::vector<Wid> offs(starts_.begin() + c * row,
                           starts_.begin() + (c + 1) * row);
     GatherChunkScan(plan_, num_vps_, w_prev, begin, end, offs.data(), n, sw,
-                    sw_aux, w_next, aux_next, consumed_ptr);
+                    sw_aux, w_next, aux_next, consumed_ptr, hook);
   });
   gather_stats_.pass1_s = 0;
   gather_stats_.pass2_s = timer.Lap();
@@ -213,12 +277,14 @@ Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
 
 void Shuffler::ScatterTwoLevelForTest(const Vid* w, const Vid* aux, Wid n,
                                       Vid* sw, Vid* sw_aux) {
-  CountAndPrefix(w, n);
-  ScatterTwoLevel(w, aux, n, sw, sw_aux);
+  NullMemHook hook;
+  CountAndPrefix(w, n, hook);
+  ScatterTwoLevel(w, aux, n, sw, sw_aux, hook);
 }
 
+template <typename Hook>
 void Shuffler::ScatterOneLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                               Vid* sw_aux) {
+                               Vid* sw_aux, Hook& hook) {
   size_t row = num_vps_ + 1;
   pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
     Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
@@ -230,12 +296,13 @@ void Shuffler::ScatterOneLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
     std::vector<Wid> offs(starts_.begin() + c * row,
                           starts_.begin() + (c + 1) * row);
     ScatterChunkScan(plan_, num_vps_, w, aux, begin, end, offs.data(),
-                     vp_offsets_.data(), sw, sw_aux);
+                     vp_offsets_.data(), sw, sw_aux, hook);
   });
 }
 
+template <typename Hook>
 void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                               Vid* sw_aux) {
+                               Vid* sw_aux, Hook& hook) {
   // Outer pass: scatter by outer bin into the intermediate array. Outer-bin chunk
   // starts derive from VP-granularity starts because each bin covers a contiguous
   // VP range.
@@ -243,6 +310,7 @@ void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
   if (aux != nullptr) {
     inter_aux_.resize(n);
   }
+  Vid* inter_aux = aux != nullptr ? inter_aux_.data() : nullptr;
   size_t row = num_vps_ + 1;
   uint32_t num_bins = plan_->num_outer_bins();
 
@@ -281,8 +349,7 @@ void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
       cursor[b] = bin_base + earlier;
     }
     OuterScatterChunkScan(plan_, num_bins, w, aux, begin, end, cursor.data(),
-                          scattered_n_, inter_.data(),
-                          aux != nullptr ? inter_aux_.data() : nullptr);
+                          scattered_n_, inter_.data(), inter_aux, hook);
   });
 
   // Inner pass: internal-shuffle bins get a counting scatter from the intermediate
@@ -292,32 +359,18 @@ void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
     TraceSpan span("shuffle", "scatter_inner_group");
     span.Arg("group", gi);
     if (gi == groups.size()) {
-      // Dead bin: copy through.
-      Wid begin = vp_offsets_[num_vps_];
-      Wid end = vp_offsets_[num_vps_ + 1];
-      if (end > begin) {
-        std::memcpy(sw + begin, inter_.data() + begin,
-                    (end - begin) * sizeof(Vid));
-        if (aux != nullptr) {
-          std::memcpy(sw_aux + begin, inter_aux_.data() + begin,
-                      (end - begin) * sizeof(Vid));
-        }
-      }
+      CopyThrough(vp_offsets_[num_vps_], vp_offsets_[num_vps_ + 1],
+                  inter_.data(), inter_aux, sw, sw_aux, hook);
       return;
     }
     const PartitionGroup& g = groups[gi];
     Wid begin = vp_offsets_[g.vp_base];
     Wid end = vp_offsets_[g.vp_base + g.vp_count];
-    if (end == begin) {
+    if (!g.internal_shuffle) {
+      CopyThrough(begin, end, inter_.data(), inter_aux, sw, sw_aux, hook);
       return;
     }
-    if (!g.internal_shuffle) {
-      std::memcpy(sw + begin, inter_.data() + begin,
-                  (end - begin) * sizeof(Vid));
-      if (aux != nullptr) {
-        std::memcpy(sw_aux + begin, inter_aux_.data() + begin,
-                    (end - begin) * sizeof(Vid));
-      }
+    if (end == begin) {
       return;
     }
     std::vector<Wid> offs(g.vp_count);
@@ -326,124 +379,17 @@ void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
     }
     InnerScatterGroupScan(plan_, g.vp_base, g.vp_count, begin, end,
                           offs.data(), vp_offsets_.data(), inter_.data(),
-                          aux != nullptr ? inter_aux_.data() : nullptr, sw,
-                          sw_aux);
+                          inter_aux, sw, sw_aux, hook);
   });
 }
 
-void Shuffler::SimulateScatter(const Vid* w, const Vid* aux, Wid n,
-                               const Vid* sw, const Vid* sw_aux,
-                               const MemAccessFn& access) const {
-  FM_CHECK_MSG(n == scattered_n_, "simulate after the matching Scatter");
-  const size_t row = num_vps_ + 1;
-  // Count pass: sequential W read plus one resident counter bump per walker
-  // (the scratch row stands in for the real per-chunk counter block).
-  std::vector<Wid> scratch(row);
-  for (uint32_t c = 0; c < num_chunks_; ++c) {
-    const Wid begin = ChunkBegin(n, num_chunks_, c);
-    const Wid end = ChunkBegin(n, num_chunks_, c + 1);
-    for (Wid j = begin; j < end; ++j) {
-      access(&w[j], sizeof(Vid));
-      access(&scratch[BinOfWalker(plan_, num_vps_, w[j])], sizeof(Wid));
-    }
-  }
-  if (!plan_->has_internal_shuffle()) {
-    for (uint32_t c = 0; c < num_chunks_; ++c) {
-      const Wid begin = ChunkBegin(n, num_chunks_, c);
-      const Wid end = ChunkBegin(n, num_chunks_, c + 1);
-      std::vector<Wid> offs(starts_.begin() + c * row,
-                            starts_.begin() + (c + 1) * row);
-      for (Wid j = begin; j < end; ++j) {
-        access(&w[j], sizeof(Vid));
-        const uint32_t bin = BinOfWalker(plan_, num_vps_, w[j]);
-        const Wid p = offs[bin]++;
-        access(&offs[bin], sizeof(Wid));
-        access(&sw[p], sizeof(Vid));
-        if (aux != nullptr) {
-          access(&aux[j], sizeof(Vid));
-          access(&sw_aux[p], sizeof(Vid));
-        }
-      }
-    }
-    return;
-  }
-  // Two-level replay: outer scatter into inter_, then per-group inner pass.
-  // inter_ holds the real outer-pass output of the last Scatter, so the inner
-  // replay reads genuine vertex values.
-  FM_CHECK(inter_.size() >= n);
-  for (uint32_t c = 0; c < num_chunks_; ++c) {
-    const Wid begin = ChunkBegin(n, num_chunks_, c);
-    const Wid end = ChunkBegin(n, num_chunks_, c + 1);
-    std::vector<Wid> cursor(plan_->num_outer_bins() + 1);
-    for (Wid j = begin; j < end; ++j) {
-      access(&w[j], sizeof(Vid));
-      const Vid v = w[j];
-      const uint32_t b = (v == kInvalidVid) ? plan_->num_outer_bins()
-                                            : plan_->OuterBinOf(v);
-      access(&cursor[b], sizeof(Wid));
-      // Position within inter_ is immaterial for the model: one streaming
-      // write per walker into the bin's region.
-      access(&inter_[j], sizeof(Vid));
-      if (aux != nullptr) {
-        access(&aux[j], sizeof(Vid));
-        access(&inter_aux_[j], sizeof(Vid));
-      }
-    }
-  }
-  for (const PartitionGroup& g : plan_->groups()) {
-    const Wid begin = vp_offsets_[g.vp_base];
-    const Wid end = vp_offsets_[g.vp_base + g.vp_count];
-    std::vector<Wid> offs(g.vp_count + 1);
-    for (uint32_t i = 0; i < g.vp_count; ++i) {
-      offs[i] = vp_offsets_[g.vp_base + i];
-    }
-    for (Wid j = begin; j < end; ++j) {
-      access(&inter_[j], sizeof(Vid));
-      if (g.internal_shuffle) {
-        const uint32_t vp = plan_->VpOf(inter_[j]) - g.vp_base;
-        const Wid p = offs[vp]++;
-        access(&offs[vp], sizeof(Wid));
-        access(&sw[p], sizeof(Vid));
-      } else {
-        access(&sw[j], sizeof(Vid));
-      }
-      if (aux != nullptr) {
-        access(&inter_aux_[j], sizeof(Vid));
-        access(&sw_aux[j], sizeof(Vid));
-      }
-    }
-  }
-  // Dead bin copy-through.
-  for (Wid j = vp_offsets_[num_vps_]; j < vp_offsets_[num_vps_ + 1]; ++j) {
-    access(&inter_[j], sizeof(Vid));
-    access(&sw[j], sizeof(Vid));
-  }
-}
-
-void Shuffler::SimulateGather(const Vid* w_prev, Wid n, const Vid* sw,
-                              const Vid* sw_aux, const Vid* w_next,
-                              const Vid* aux_next,
-                              const MemAccessFn& access) const {
-  FM_CHECK_MSG(n == scattered_n_, "simulate after the matching Scatter");
-  const size_t row = num_vps_ + 1;
-  for (uint32_t c = 0; c < num_chunks_; ++c) {
-    const Wid begin = ChunkBegin(n, num_chunks_, c);
-    const Wid end = ChunkBegin(n, num_chunks_, c + 1);
-    std::vector<Wid> offs(starts_.begin() + c * row,
-                          starts_.begin() + (c + 1) * row);
-    for (Wid j = begin; j < end; ++j) {
-      access(&w_prev[j], sizeof(Vid));
-      const uint32_t bin = BinOfWalker(plan_, num_vps_, w_prev[j]);
-      const Wid p = offs[bin]++;
-      access(&offs[bin], sizeof(Wid));
-      access(&sw[p], sizeof(Vid));
-      access(&w_next[j], sizeof(Vid));
-      if (sw_aux != nullptr) {
-        access(&sw_aux[p], sizeof(Vid));
-        access(&aux_next[j], sizeof(Vid));
-      }
-    }
-  }
-}
+template void Shuffler::Scatter(const Vid*, const Vid*, Wid, Vid*, Vid*,
+                                NullMemHook&);
+template void Shuffler::Scatter(const Vid*, const Vid*, Wid, Vid*, Vid*,
+                                CacheSimHook&);
+template Status Shuffler::Gather(const Vid*, Wid, const Vid*, Vid*,
+                                 const Vid*, Vid*, NullMemHook&);
+template Status Shuffler::Gather(const Vid*, Wid, const Vid*, Vid*,
+                                 const Vid*, Vid*, CacheSimHook&);
 
 }  // namespace fm

@@ -15,9 +15,9 @@
 #ifndef SRC_CORE_SHUFFLE_H_
 #define SRC_CORE_SHUFFLE_H_
 
-#include <functional>
 #include <vector>
 
+#include "src/cachesim/mem_hook.h"
 #include "src/core/partition_plan.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
@@ -33,10 +33,6 @@ struct ShuffleOpStats {
   double pass2_s = 0;
 };
 
-// Callback receiving one memory access of a simulated replay (address and
-// byte count); the engine feeds these into the cachesim hierarchy.
-using MemAccessFn = std::function<void(const void* addr, uint32_t bytes)>;
-
 class Shuffler {
  public:
   Shuffler(const PartitionPlan* plan, ThreadPool* pool);
@@ -46,24 +42,34 @@ class Shuffler {
   // a second per-walker attribute through the same permutation (node2vec's previous
   // vertex). After Scatter, vp_offsets()[i]..vp_offsets()[i+1] is partition i's
   // chunk. Records the op's pass timings in last_scatter_stats().
-  void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw, Vid* sw_aux);
+  //
+  // The kernels are templated on a memory hook (cachesim/mem_hook.h), like the
+  // sample kernels: each W read, counter bump, SW write and aux element is one
+  // hook access. NullMemHook compiles away; CacheSimHook feeds the Table 5 /
+  // Fig 1b simulation (run it on a one-thread pool — the hook is not
+  // thread-safe).
+  template <typename Hook>
+  void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw, Vid* sw_aux,
+               Hook& hook);
+  void Scatter(const Vid* w, const Vid* aux, Wid n, Vid* sw, Vid* sw_aux) {
+    NullMemHook hook;
+    Scatter(w, aux, n, sw, sw_aux, hook);
+  }
 
   // Replays the permutation from w_prev (the array Scatter consumed): writes
   // w_next[j] = sw[position walker j's element was scattered to], and likewise for
   // the aux stream when supplied. Fails (without aborting) when `n` differs
   // from the last Scatter's walker count — the replay would not be a
   // bijection.
+  template <typename Hook>
   [[nodiscard]] Status Gather(const Vid* w_prev, Wid n, const Vid* sw,
-                              Vid* w_next, const Vid* sw_aux, Vid* aux_next);
-
-  // Replays the access pattern of the last Scatter/Gather (same inputs)
-  // through `access` for deterministic cache simulation. Serial; does not
-  // mutate shuffle state.
-  void SimulateScatter(const Vid* w, const Vid* aux, Wid n, const Vid* sw,
-                       const Vid* sw_aux, const MemAccessFn& access) const;
-  void SimulateGather(const Vid* w_prev, Wid n, const Vid* sw,
-                      const Vid* sw_aux, const Vid* w_next,
-                      const Vid* aux_next, const MemAccessFn& access) const;
+                              Vid* w_next, const Vid* sw_aux, Vid* aux_next,
+                              Hook& hook);
+  [[nodiscard]] Status Gather(const Vid* w_prev, Wid n, const Vid* sw,
+                              Vid* w_next, const Vid* sw_aux, Vid* aux_next) {
+    NullMemHook hook;
+    return Gather(w_prev, n, sw, w_next, sw_aux, aux_next, hook);
+  }
 
   // Partition chunk boundaries in SW: size num_vps + 2 (entry num_vps is the dead
   // bin start; entry num_vps+1 == n).
@@ -84,11 +90,14 @@ class Shuffler {
 
  private:
   // Pass 1 + prefix sum: fills starts_ and vp_offsets_ for input w[0..n).
-  void CountAndPrefix(const Vid* w, Wid n);
+  template <typename Hook>
+  void CountAndPrefix(const Vid* w, Wid n, Hook& hook);
+  template <typename Hook>
   void ScatterOneLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                       Vid* sw_aux);
+                       Vid* sw_aux, Hook& hook);
+  template <typename Hook>
   void ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
-                       Vid* sw_aux);
+                       Vid* sw_aux, Hook& hook);
 
   const PartitionPlan* plan_;
   ThreadPool* pool_;

@@ -10,16 +10,6 @@
 #include "src/util/trace.h"
 
 namespace fm {
-namespace {
-
-// Vertex owning cumulative-edge position `pos` (degree-proportional placement:
-// "initially placed by uniformly sampling among all edges", §3).
-inline Vid VertexOfEdgePos(std::span<const Eid> offsets, Eid pos) {
-  auto it = std::upper_bound(offsets.begin(), offsets.end(), pos);
-  return static_cast<Vid>((it - offsets.begin()) - 1);
-}
-
-}  // namespace
 
 Wid EpisodeCapacity(const WalkSpec& spec, uint64_t dram_budget_bytes,
                     Vid num_vertices) {
@@ -172,7 +162,7 @@ void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
     double edges_per_walker =
         static_cast<double>(m) / static_cast<double>(walkers_);
     Eid pos0 = static_cast<Eid>(static_cast<double>(begin) * edges_per_walker);
-    Vid v = VertexOfEdgePos(graph_.offsets(), std::min<Eid>(pos0, m - 1));
+    Vid v = graph_.VertexOfEdge(std::min<Eid>(pos0, m - 1));
     const Eid* offsets = graph_.offsets().data();
     for (Wid j = begin; j < end; ++j) {
       Eid pos = static_cast<Eid>(

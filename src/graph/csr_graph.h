@@ -12,6 +12,7 @@
 #ifndef SRC_GRAPH_CSR_GRAPH_H_
 #define SRC_GRAPH_CSR_GRAPH_H_
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -84,6 +85,14 @@ class CsrGraph {
 
   // True when v's (sorted) adjacency list contains u. O(log degree(v)).
   bool HasEdge(Vid v, Vid u) const;
+
+  // The vertex whose adjacency list holds edge position `pos` < num_edges():
+  // a uniform position gives a degree-proportional vertex ("uniformly sampling
+  // among all edges", §3). O(log |V|).
+  Vid VertexOfEdge(Eid pos) const {
+    auto it = std::upper_bound(offsets_view_.begin(), offsets_view_.end(), pos);
+    return static_cast<Vid>((it - offsets_view_.begin()) - 1);
+  }
 
   // True when every adjacency list is sorted ascending (required by HasEdge).
   bool AdjacencySorted() const;

@@ -25,6 +25,28 @@ WalkSpec SmallSpec(Wid walkers, uint32_t steps, uint64_t seed = 1) {
   return spec;
 }
 
+// Runs `spec` on a one-thread pool. A forked death-test child has no pool
+// workers, so an engine that failed to refuse the spec would hang on the
+// global pool instead of failing the test.
+template <typename Engine>
+void RunOnOneThread(const CsrGraph& g, const WalkSpec& spec) {
+  ThreadPool pool(1);
+  BaselineOptions options;
+  options.pool = &pool;
+  Engine(g, options).Run(spec);
+}
+
+// Walker-steps a run executed: the live entries of path rows 0..steps-1.
+uint64_t LiveWalkerSteps(const PathSet& paths, uint32_t steps) {
+  uint64_t live = 0;
+  for (uint32_t s = 0; s < steps; ++s) {
+    for (Vid v : paths.Row(s)) {
+      live += v != kInvalidVid;
+    }
+  }
+  return live;
+}
+
 TEST(KnightKingTest, PathsValid) {
   CsrGraph g = SkewedGraph(3000);
   KnightKingEngine engine(g);
@@ -135,6 +157,14 @@ TEST(KnightKingTest, MersennePathIgnoresInterleaveDepth) {
   ASSERT_TRUE(rerun.paths.SameAs(sequential.paths));
 }
 
+TEST(KnightKingTest, RejectsMetropolisHastings) {
+  CsrGraph g = SkewedGraph(500);
+  WalkSpec spec = SmallSpec(100, 3);
+  spec.algorithm = WalkAlgorithm::kMetropolisHastings;
+  EXPECT_DEATH(RunOnOneThread<KnightKingEngine>(g, spec),
+               "Metropolis-Hastings is not supported");
+}
+
 TEST(GraphViteTest, PathsValid) {
   CsrGraph g = SkewedGraph(3000);
   GraphViteEngine engine(g);
@@ -153,6 +183,33 @@ TEST(GraphViteTest, StopProbabilityRespected) {
     alive += result.paths.At(w, 5) != kInvalidVid;
   }
   EXPECT_NEAR(static_cast<double>(alive) / 20000, 1.0 / 32, 0.01);
+}
+
+TEST(GraphViteTest, RejectsMetropolisHastings) {
+  CsrGraph g = SkewedGraph(500);
+  WalkSpec spec = SmallSpec(100, 3);
+  spec.algorithm = WalkAlgorithm::kMetropolisHastings;
+  EXPECT_DEATH(RunOnOneThread<GraphViteEngine>(g, spec),
+               "Metropolis-Hastings is not supported");
+}
+
+TEST(BaselineEquivalenceTest, TotalStepsCountsLiveWalkerSteps) {
+  // total_steps is walker-steps executed, as FlashMob counts it: a walker
+  // killed by the stop probability stops counting. Covers KnightKing's
+  // sequential (Mersenne) path and its ring, and GraphVite.
+  CsrGraph g = SkewedGraph(3000);
+  WalkSpec spec = SmallSpec(20000, 10, 11);
+  spec.stop_probability = 0.5;
+  BaselineOptions ring;
+  ring.use_mersenne = false;
+  ring.interleave_depth = 8;
+  const WalkResult runs[] = {KnightKingEngine(g).Run(spec),
+                             KnightKingEngine(g, ring).Run(spec),
+                             GraphViteEngine(g).Run(spec)};
+  for (const WalkResult& r : runs) {
+    EXPECT_EQ(r.stats.total_steps, LiveWalkerSteps(r.paths, spec.steps));
+    EXPECT_LT(r.stats.total_steps, 20000u * 10 / 2);
+  }
 }
 
 TEST(BaselineEquivalenceTest, AllEnginesAgreeOnVisitDistribution) {

@@ -317,6 +317,45 @@ TEST(EngineTest, InstrumentedRunCountsAccesses) {
   EXPECT_GT(sim.counters().accesses, result.stats.total_steps * 2);
 }
 
+TEST(EngineTest, InstrumentedRunWalksTheSameWalk) {
+  // RunInstrumented executes the production sample and shuffle kernels under
+  // CacheSimHook on one thread; hooking them must change no walk. A two-level
+  // plan and a stop probability put every shuffle kernel, both copy-throughs
+  // and the dead bin on the path.
+  PowerLawConfig config;
+  config.degrees.num_vertices = 60000;
+  config.degrees.avg_degree = 8;
+  config.degrees.alpha = 0.8;
+  config.degrees.max_degree = 60000 / 8;
+  config.random_weights = true;
+  CsrGraph g = GeneratePowerLawGraph(config);
+  EngineOptions options;
+  options.plan.num_groups = 32;
+  options.plan.max_partitions = 36;
+  struct Case {
+    const char* name;
+    WalkAlgorithm algorithm;
+    bool weighted;
+  };
+  for (const Case& c : {Case{"deepwalk", WalkAlgorithm::kDeepWalk, false},
+                        Case{"node2vec", WalkAlgorithm::kNode2Vec, false},
+                        Case{"weighted", WalkAlgorithm::kDeepWalk, true}}) {
+    WalkSpec spec = SmallSpec(15000, 10, 7);
+    spec.algorithm = c.algorithm;
+    spec.node2vec = {0.5, 2.0};
+    spec.use_edge_weights = c.weighted;
+    spec.stop_probability = 0.15;
+    FlashMobEngine engine(g, options);
+    WalkResult plain = engine.Run(spec);
+    ASSERT_TRUE(engine.plan().has_internal_shuffle()) << c.name;
+    CacheHierarchy sim;
+    WalkResult hooked = engine.RunInstrumented(spec, &sim);
+    EXPECT_TRUE(hooked.paths.SameAs(plain.paths)) << c.name;
+    EXPECT_EQ(hooked.visit_counts, plain.visit_counts) << c.name;
+    EXPECT_GT(hooked.stats.sim_shuffle.accesses, 0u) << c.name;
+  }
+}
+
 TEST(EngineTest, DefaultWalkerCountIsNumVertices) {
   CsrGraph g = SkewedGraph(1500);
   FlashMobEngine engine(g);

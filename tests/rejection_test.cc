@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/core/algorithms/node2vec.h"
+#include "src/core/sample_stage.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "tests/test_util.h"
@@ -15,10 +16,11 @@ namespace {
 TEST(Node2VecWeightTest, ThreeCases) {
   CsrGraph g = SmallGraph();  // 0->{1,2,3}, 1->{0,2}, 2->{3}, 3->{0}
   Node2VecParams params{2.0, 4.0};
+  NullMemHook hook;
   // Walk ... 1 -> 0 -> x. prev=1.
-  EXPECT_DOUBLE_EQ(Node2VecWeight(g, 1, 1, params), 0.5);   // back to prev: 1/p
-  EXPECT_DOUBLE_EQ(Node2VecWeight(g, 1, 2, params), 1.0);   // 1->2 exists: dist 1
-  EXPECT_DOUBLE_EQ(Node2VecWeight(g, 1, 3, params), 0.25);  // dist 2: 1/q
+  EXPECT_DOUBLE_EQ(Node2VecWeight(g, 1, 1, params, hook), 0.5);   // 1/p
+  EXPECT_DOUBLE_EQ(Node2VecWeight(g, 1, 2, params, hook), 1.0);   // 1->2: dist 1
+  EXPECT_DOUBLE_EQ(Node2VecWeight(g, 1, 3, params, hook), 0.25);  // dist 2: 1/q
 }
 
 TEST(Node2VecTransitionProbsTest, NormalizedAndConsistent) {
@@ -48,11 +50,14 @@ TEST_P(RejectionDistributionTest, MatchesExactDistribution) {
   auto exact = Node2VecTransitionProbs(g, cur, prev, params);
   auto nbrs = g.neighbors(cur);
 
+  // The step every engine runs (FlashMob's kernel and both baselines).
   XorShiftRng rng(17);
+  NullMemHook hook;
+  const double bound = Node2VecBound(params);
   const uint64_t draws = 1 << 18;
   std::map<Vid, uint64_t> counts;
   for (uint64_t i = 0; i < draws; ++i) {
-    ++counts[SampleNode2VecRejection(g, cur, prev, params, rng)];
+    ++counts[Node2VecStep(g, cur, prev, params, bound, rng, hook)];
   }
   std::vector<uint64_t> observed;
   std::vector<double> expected;
@@ -83,8 +88,11 @@ TEST(RejectionTest, UniformWhenPQOne) {
 TEST(RejectionTest, DegreeOneAlwaysReturnsOnlyNeighbor) {
   CsrGraph g = SmallGraph();
   XorShiftRng rng(5);
+  NullMemHook hook;
+  const Node2VecParams params{0.1, 9.0};
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(SampleNode2VecRejection(g, 2, 0, Node2VecParams{0.1, 9.0}, rng), 3u);
+    EXPECT_EQ(
+        Node2VecStep(g, 2, 0, params, Node2VecBound(params), rng, hook), 3u);
   }
 }
 

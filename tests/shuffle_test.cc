@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 
+#include "src/cachesim/hierarchy.h"
 #include "src/core/cost_model.h"
 #include "src/gen/powerlaw_graph.h"
 #include "src/util/rng.h"
@@ -31,6 +32,65 @@ std::vector<Vid> RandomWalkers(Wid count, Vid n, uint64_t seed,
                : static_cast<Vid>(rng.NextBounded(n));
   }
   return w;
+}
+
+// A plan with internal-shuffle groups: 32 groups under a 36-bin fan-out
+// budget, planned for |V|/4 walkers per episode.
+PartitionPlan TwoLevelPlan(const CsrGraph& g) {
+  AnalyticCostModel model;
+  PartitionPlan::Config config;
+  config.num_groups = 32;
+  config.max_partitions = 36;
+  return PartitionPlan::BuildOptimized(g, g.num_vertices() / 4, model, config);
+}
+
+struct SimAccesses {
+  uint64_t scatter = 0;
+  uint64_t gather = 0;
+};
+
+// Runs one Scatter + Gather round twice: unhooked on `pool`, and under
+// CacheSimHook on a one-thread pool (the instrumented engine's setting). The
+// hooked round must give the same SW, offsets, W_{i+1} and aux streams;
+// returns its simulated access counts.
+SimAccesses ExpectHookedRoundMatches(const PartitionPlan& plan,
+                                     ThreadPool* pool,
+                                     const std::vector<Vid>& w,
+                                     const std::vector<Vid>* aux) {
+  const Wid n = w.size();
+  const Vid* aux_in = aux != nullptr ? aux->data() : nullptr;
+  std::vector<Vid> sw(n), sw_aux(n), w_next(n), aux_next(n);
+  Shuffler plain(&plan, pool);
+  plain.Scatter(w.data(), aux_in, n, sw.data(),
+                aux != nullptr ? sw_aux.data() : nullptr);
+  EXPECT_TRUE(plain
+                  .Gather(w.data(), n, sw.data(), w_next.data(),
+                          aux != nullptr ? sw_aux.data() : nullptr,
+                          aux != nullptr ? aux_next.data() : nullptr)
+                  .ok());
+
+  ThreadPool serial(1);
+  CacheHierarchy sim;
+  CacheSimHook hook(&sim);
+  std::vector<Vid> h_sw(n), h_sw_aux(n), h_w_next(n), h_aux_next(n);
+  Shuffler hooked(&plan, &serial);
+  SimAccesses out;
+  hooked.Scatter(w.data(), aux_in, n, h_sw.data(),
+                 aux != nullptr ? h_sw_aux.data() : nullptr, hook);
+  out.scatter = sim.counters().accesses;
+  EXPECT_EQ(h_sw, sw);
+  EXPECT_EQ(h_sw_aux, sw_aux);
+  EXPECT_EQ(hooked.vp_offsets(), plain.vp_offsets());
+  sim.ResetCounters();
+  EXPECT_TRUE(hooked
+                  .Gather(w.data(), n, h_sw.data(), h_w_next.data(),
+                          aux != nullptr ? h_sw_aux.data() : nullptr,
+                          aux != nullptr ? h_aux_next.data() : nullptr, hook)
+                  .ok());
+  out.gather = sim.counters().accesses;
+  EXPECT_EQ(h_w_next, w_next);
+  EXPECT_EQ(h_aux_next, aux_next);
+  return out;
 }
 
 class ShuffleTest : public ::testing::TestWithParam<uint32_t> {
@@ -207,63 +267,72 @@ TEST_P(ShuffleTest, GatherWalkerCountMismatchIsAnError) {
   EXPECT_EQ(w_next, w);
 }
 
-TEST_P(ShuffleTest, SimulatedReplayTouchesOnlyKnownArrays) {
-  // The cachesim replay must stay inside the arrays the real pass touches —
-  // a loose pointer here silently corrupts the Fig 1b attribution.
+TEST_P(ShuffleTest, HookedPassesMatchUnhookedAndCountAccesses) {
+  // The cache simulation runs the production kernels: hooking them changes
+  // no output, and a one-level plan issues one access per W read, counter
+  // bump and SW write — 5 per walker for the scatter (count pass + scatter
+  // pass) and 4 for the gather (W read, counter bump, SW read, W_{i+1} write).
+  ASSERT_FALSE(plan_.has_internal_shuffle());
   const Wid n = 20000;
   auto w = RandomWalkers(n, graph_.num_vertices(), 14, 0.1);
-  std::vector<Vid> sw(n), w_next(n);
-  Shuffler shuffler(&plan_, pool_.get());
-  shuffler.Scatter(w.data(), nullptr, n, sw.data(), nullptr);
-  uint64_t accesses = 0;
-  auto count = [&accesses](const void* p, uint32_t bytes) {
-    ASSERT_NE(p, nullptr);
-    ASSERT_GT(bytes, 0u);
-    ++accesses;
-  };
-  shuffler.SimulateScatter(w.data(), nullptr, n, sw.data(), nullptr, count);
-  EXPECT_GE(accesses, static_cast<uint64_t>(n));
-  ASSERT_TRUE(
-      shuffler.Gather(w.data(), n, sw.data(), w_next.data(), nullptr, nullptr)
-          .ok());
-  accesses = 0;
-  shuffler.SimulateGather(w.data(), n, sw.data(), nullptr, w_next.data(),
-                          nullptr, count);
-  EXPECT_GE(accesses, static_cast<uint64_t>(n));
+  SimAccesses accesses = ExpectHookedRoundMatches(plan_, pool_.get(), w, nullptr);
+  EXPECT_EQ(accesses.scatter, 5 * n);
+  EXPECT_EQ(accesses.gather, 4 * n);
 }
 
 INSTANTIATE_TEST_SUITE_P(FanoutSweep, ShuffleTest,
                          ::testing::Values(1, 4, 64, 1024));
 
 TEST(ShuffleInternalGroupTest, RoundTripWithInternalShuffle) {
-  // Force a plan with internal shuffles via a tight fan-out budget, then verify the
-  // full scatter/gather round trip.
+  // The two-level path (outer bins, then in-bin counting scatters and
+  // copy-throughs), with a predecessor stream and dead walkers riding along.
   CsrGraph g = TestGraph(60000);
-  AnalyticCostModel model;
-  PartitionPlan::Config config;
-  config.num_groups = 32;
-  config.max_partitions = 36;
-  PartitionPlan plan =
-      PartitionPlan::BuildOptimized(g, g.num_vertices() * 8, model, config);
-  if (!plan.has_internal_shuffle()) {
-    GTEST_SKIP() << "cost model chose no internal shuffle on this instance";
-  }
+  PartitionPlan plan = TwoLevelPlan(g);
+  ASSERT_TRUE(plan.has_internal_shuffle());
   ThreadPool pool(3);
   Shuffler shuffler(&plan, &pool);
   const Wid n = 50000;
-  auto w = RandomWalkers(n, g.num_vertices(), 8);
-  std::vector<Vid> sw(n), w_next(n);
-  shuffler.Scatter(w.data(), nullptr, n, sw.data(), nullptr);
+  auto w = RandomWalkers(n, g.num_vertices(), 8, /*dead_fraction=*/0.1);
+  std::vector<Vid> aux(n);
+  for (Wid j = 0; j < n; ++j) {
+    aux[j] = static_cast<Vid>(j);
+  }
+  std::vector<Vid> sw(n), sw_aux(n), w_next(n), aux_next(n);
+  shuffler.Scatter(w.data(), aux.data(), n, sw.data(), sw_aux.data());
   const auto& offs = shuffler.vp_offsets();
   for (uint32_t vp = 0; vp < plan.num_vps(); ++vp) {
     for (Wid j = offs[vp]; j < offs[vp + 1]; ++j) {
       ASSERT_EQ(plan.VpOf(sw[j]), vp);
     }
   }
-  ASSERT_TRUE(
-      shuffler.Gather(w.data(), n, sw.data(), w_next.data(), nullptr, nullptr)
-          .ok());
+  EXPECT_EQ(shuffler.dead_count(),
+            static_cast<Wid>(std::count(w.begin(), w.end(), kInvalidVid)));
+  for (Wid p = 0; p < n; ++p) {
+    ASSERT_EQ(sw[p], w[sw_aux[p]]) << p;
+  }
+  ASSERT_TRUE(shuffler
+                  .Gather(w.data(), n, sw.data(), w_next.data(), sw_aux.data(),
+                          aux_next.data())
+                  .ok());
   EXPECT_EQ(w_next, w);
+  EXPECT_EQ(aux_next, aux);
+}
+
+TEST(ShuffleInternalGroupTest, HookedPassesMatchUnhooked) {
+  CsrGraph g = TestGraph(60000);
+  PartitionPlan plan = TwoLevelPlan(g);
+  ASSERT_TRUE(plan.has_internal_shuffle());
+  ThreadPool pool(3);
+  const Wid n = 50000;
+  auto w = RandomWalkers(n, g.num_vertices(), 15, /*dead_fraction=*/0.1);
+  std::vector<Vid> aux(n);
+  for (Wid j = 0; j < n; ++j) {
+    aux[j] = static_cast<Vid>(j * 2654435761u);
+  }
+  SimAccesses accesses = ExpectHookedRoundMatches(plan, &pool, w, &aux);
+  // Two passes over W and the intermediate array, with the aux stream.
+  EXPECT_GT(accesses.scatter, 10 * n);
+  EXPECT_EQ(accesses.gather, 6 * n);
 }
 
 TEST(ShuffleEdgeCaseTest, EmptyAndSingleWalker) {

@@ -116,7 +116,7 @@ bool ParseNumber(const char* arg, const std::string& value, T* out) {
 int Usage(const char* self) {
   std::fprintf(stderr,
                "usage: %s --graph=edges.txt | --csr=graph.csr [--mmap] "
-               "[--algo=deepwalk|node2vec]\n"
+               "[--algo=deepwalk|node2vec|mh]\n"
                "  [--steps=N] [--rounds=N] [--walkers=N] [--p=F] [--q=F] "
                "[--weighted] [--stop=F]\n"
                "  [--seed=N] [--out=paths.txt] [--pairs=pairs.txt] [--stats] "
