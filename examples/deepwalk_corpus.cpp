@@ -7,11 +7,13 @@
 //
 //   ./deepwalk_corpus [edges.txt] [out_pairs.bin]
 #include <cstdio>
-#include <fstream>
+#include <exception>
 
 #include "src/fm.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace fm;
 
   CsrGraph raw;
@@ -57,4 +59,17 @@ int main(int argc, char** argv) {
   std::printf("corpus skew: top-1%% vertices account for %.1f%% of tokens\n",
               100.0 * top1pct / total);
   return 0;
+}
+
+}  // namespace
+
+// An unreadable edge list or unwritable output path is one error line and
+// exit status 1, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

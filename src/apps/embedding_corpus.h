@@ -4,11 +4,11 @@
 #ifndef SRC_APPS_EMBEDDING_CORPUS_H_
 #define SRC_APPS_EMBEDDING_CORPUS_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/core/path_set.h"
+#include "src/util/thread_pool.h"
 
 namespace fm {
 
@@ -18,29 +18,22 @@ struct CorpusOptions {
   const std::vector<Vid>* id_map = nullptr;
 };
 
-// Calls fn(center, context) for every skip-gram pair; returns the pair count.
-// Terminated path suffixes are skipped.
-uint64_t ForEachSkipGramPair(const PathSet& paths, const CorpusOptions& options,
-                             const std::function<void(Vid, Vid)>& fn);
-
-// Writes pairs as consecutive uint32 pairs to a binary file; returns the count.
-// Throws std::runtime_error on I/O failure.
+// Writes every skip-gram pair as two consecutive uint32s (center, context) to
+// a binary file; returns the pair count. Walkers come in order, and within a
+// walker each center position emits its contexts in path order; terminated
+// path suffixes are skipped. Runs on `pool` over cache-sized walker tiles, each
+// written with pwrite at an offset prefix-summed from its pair count; the bytes
+// do not depend on the pool size. Throws std::runtime_error on I/O failure.
+// Must not be called from inside a job of `pool`: ThreadPool::ParallelFor is
+// not reentrant.
 uint64_t WriteSkipGramPairs(const PathSet& paths, const CorpusOptions& options,
-                            const std::string& path);
+                            const std::string& path,
+                            ThreadPool& pool = ThreadPool::Global());
 
 // Token frequency of the corpus (per vertex, after id_map) — what a trainer's
 // negative-sampling table is built from.
 std::vector<uint64_t> CorpusTokenCounts(const PathSet& paths, Vid num_vertices,
                                         const CorpusOptions& options = {});
-
-// Same token frequencies from engine visit counts (e.g. a streaming
-// ShardedVisitCounter) instead of materialized paths: visit counts index the
-// walk graph's IDs; the result indexes post-id_map IDs. Token counts for a
-// walk equal CorpusTokenCounts over its paths — a terminated walker is
-// kInvalidVid for every later step, which neither tally includes.
-std::vector<uint64_t> MapTokenCounts(const std::vector<uint64_t>& visit_counts,
-                                     Vid num_vertices,
-                                     const CorpusOptions& options = {});
 
 }  // namespace fm
 

@@ -267,6 +267,11 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
       edges + " --stop=-0.5",
       edges + " --telemetry-jsonl=" +
           (dir_ / "no_such_dir" / "t.jsonl").string(),
+      // Path and edge outputs that cannot be opened, or fail on write.
+      edges + " --out=" + (dir_ / "no_such_dir" / "paths.txt").string(),
+      edges + " --out=/dev/full",
+      edges + " --pairs=" + (dir_ / "no_such_dir" / "pairs.txt").string(),
+      edges + " --pairs=/dev/full",
   };
   // The weighted ring 0 -> 1 -> 2 -> 0 (offsets {0,1,2,3}, edges {1,2,0})
   // loads. Each file after it keeps a header that matches the file size but

@@ -113,6 +113,13 @@ bool ParseNumber(const char* arg, const std::string& value, T* out) {
   return true;
 }
 
+// Prints the one error line for an output file that cannot be written and
+// returns fmwalk's exit status for it.
+int CannotWrite(const std::string& path) {
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return 1;
+}
+
 int Usage(const char* self) {
   std::fprintf(stderr,
                "usage: %s --graph=edges.txt | --csr=graph.csr [--mmap] "
@@ -293,9 +300,7 @@ int main(int argc, char** argv) {
     if (!args.telemetry_path.empty()) {
       telemetry_file.reset(std::fopen(args.telemetry_path.c_str(), "w"));
       if (telemetry_file == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     args.telemetry_path.c_str());
-        return 1;
+        return CannotWrite(args.telemetry_path);
       }
     }
     TelemetryJsonlObserver telemetry(telemetry_file.get(),
@@ -317,9 +322,7 @@ int main(int argc, char** argv) {
       Tracer& tracer = Tracer::Get();
       tracer.Disable();
       if (!tracer.WriteJson(args.trace_path)) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     args.trace_path.c_str());
-        return 1;
+        return CannotWrite(args.trace_path);
       }
       std::fprintf(stderr,
                    "wrote %llu spans (%llu dropped) to %s — open in "
@@ -360,9 +363,7 @@ int main(int argc, char** argv) {
       meta.threads = ThreadPool::Global().thread_count();
       if (!WriteWalkMetricsJson(args.metrics_path, meta, result.stats,
                                 &engine.plan())) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     args.metrics_path.c_str());
-        return 1;
+        return CannotWrite(args.metrics_path);
       }
       std::fprintf(stderr, "wrote metrics (backend=%s) to %s\n",
                    result.stats.perf_backend.empty()
@@ -372,6 +373,9 @@ int main(int argc, char** argv) {
     }
     if (!args.out_path.empty()) {
       std::ofstream out(args.out_path);
+      if (!out) {
+        return CannotWrite(args.out_path);
+      }
       for (Wid w = 0; w < result.paths.num_walkers(); ++w) {
         auto path = result.paths.Path(w);
         for (size_t i = 0; i < path.size(); ++i) {
@@ -379,17 +383,28 @@ int main(int argc, char** argv) {
         }
         out << '\n';
       }
+      out.close();
+      if (!out) {
+        return CannotWrite(args.out_path);
+      }
       std::fprintf(stderr, "wrote %llu walks to %s\n",
                    static_cast<unsigned long long>(result.paths.num_walkers()),
                    args.out_path.c_str());
     }
     if (!args.pairs_path.empty()) {
       std::ofstream out(args.pairs_path);
+      if (!out) {
+        return CannotWrite(args.pairs_path);
+      }
       uint64_t pairs = 0;
       result.paths.StreamEdges([&](Vid from, Vid to) {
         out << sorted.new_to_old[from] << ' ' << sorted.new_to_old[to] << '\n';
         ++pairs;
       });
+      out.close();
+      if (!out) {
+        return CannotWrite(args.pairs_path);
+      }
       std::fprintf(stderr, "wrote %llu sampled edges to %s\n",
                    static_cast<unsigned long long>(pairs),
                    args.pairs_path.c_str());
