@@ -21,63 +21,27 @@ namespace fm {
 
 // Bench command-line arguments. --metrics-json=FILE asks the binary to write
 // its fm-bench-trajectory-v1 JSON (timing points plus hardware-counter samples
-// where the perf backend is live); --trace-json=FILE records structured spans
-// for the whole run and writes Chrome trace-event / Perfetto JSON on exit (see
-// src/util/trace.h and `fmtrace`). Unknown arguments exit with usage so CI
+// where the perf backend is live). Unknown arguments exit with usage so CI
 // typos fail loudly.
 struct BenchArgs {
   std::string metrics_path;
-  std::string trace_path;
 };
 
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   const char* metrics_prefix = "--metrics-json=";
-  const char* trace_prefix = "--trace-json=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], metrics_prefix, std::strlen(metrics_prefix)) ==
         0) {
       args.metrics_path = argv[i] + std::strlen(metrics_prefix);
-    } else if (std::strncmp(argv[i], trace_prefix, std::strlen(trace_prefix)) ==
-               0) {
-      args.trace_path = argv[i] + std::strlen(trace_prefix);
     } else {
       std::fprintf(stderr,
-                   "unknown argument: %s (supported: --metrics-json=FILE "
-                   "--trace-json=FILE)\n",
+                   "unknown argument: %s (supported: --metrics-json=FILE)\n",
                    argv[i]);
       std::exit(2);
     }
   }
   return args;
-}
-
-// Enables span recording when --trace-json was given. Call before the first
-// timed work so graph generation and plan solves land in the trace too.
-inline void MaybeStartTrace(const BenchArgs& args) {
-  if (args.trace_path.empty()) {
-    return;
-  }
-  Tracer::SetThisThreadName("main");
-  Tracer::Get().Enable();
-}
-
-// Writes the trace recorded since MaybeStartTrace; exits non-zero on I/O
-// failure (same contract as MaybeWriteTrajectory).
-inline void MaybeWriteTrace(const BenchArgs& args) {
-  if (args.trace_path.empty()) {
-    return;
-  }
-  Tracer& tracer = Tracer::Get();
-  tracer.Disable();
-  if (!tracer.WriteJson(args.trace_path)) {
-    std::fprintf(stderr, "error: cannot write %s\n", args.trace_path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(stderr, "wrote %llu spans (%llu dropped) to %s\n",
-               static_cast<unsigned long long>(tracer.TotalEvents()),
-               static_cast<unsigned long long>(tracer.TotalDropped()),
-               args.trace_path.c_str());
 }
 
 // Writes `traj` to `path` unless path is empty; exits non-zero on I/O failure

@@ -162,7 +162,6 @@ void MissBreakdown(const char* name, const CsrGraph& g, BenchTrajectory* traj) {
 int main(int argc, char** argv) {
   using namespace fm;
   BenchArgs args = ParseBenchArgs(argc, argv);
-  MaybeStartTrace(args);
   BenchTrajectory traj("fig1_highlight");
   BenchTrajectory* tp = args.metrics_path.empty() ? nullptr : &traj;
   PrintHeader("Figure 1a: per-step time highlight (DeepWalk)");
@@ -204,6 +203,5 @@ int main(int argc, char** argv) {
       "\npaper shape: FlashMob cuts L2/L3 misses sharply; KnightKing's L1 misses "
       "fall straight through to DRAM\n");
   MaybeWriteTrajectory(traj, args.metrics_path);
-  MaybeWriteTrace(args);
   return 0;
 }

@@ -98,7 +98,6 @@ void PrintRows(const std::vector<Row>& rows, bool with_graphvite) {
 int main(int argc, char** argv) {
   using namespace fm;
   BenchArgs args = ParseBenchArgs(argc, argv);
-  MaybeStartTrace(args);
   BenchTrajectory traj("fig8_overall");
   BenchTrajectory* tp = args.metrics_path.empty() ? nullptr : &traj;
   PrintHeader("Figure 8a: DeepWalk per-step time");
@@ -120,6 +119,5 @@ int main(int argc, char** argv) {
   std::printf("\npaper: 3.9-19.9x speedup over KnightKing (lower than DeepWalk "
               "due to cross-VP connectivity checks)\n");
   MaybeWriteTrajectory(traj, args.metrics_path);
-  MaybeWriteTrace(args);
   return 0;
 }

@@ -14,7 +14,6 @@
 int main(int argc, char** argv) {
   using namespace fm;
   BenchArgs args = ParseBenchArgs(argc, argv);
-  MaybeStartTrace(args);
   PrintHeader("Table 1: Load latency from memory hierarchy levels (ns/load)");
 
   const CacheInfo& info = DetectCacheInfo();
@@ -108,6 +107,5 @@ int main(int argc, char** argv) {
     }
     MaybeWriteTrajectory(traj, args.metrics_path);
   }
-  MaybeWriteTrace(args);
   return 0;
 }

@@ -12,11 +12,14 @@
 // in-memory run for both correctness (identical paths for identical seeds) and
 // speed.
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 
 #include "src/fm.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace fm;
 
   std::filesystem::path csr_path =
@@ -77,4 +80,17 @@ int main(int argc, char** argv) {
   }
   std::printf("identical paths across backings: %s\n", same ? "yes" : "NO");
   return same ? 0 : 1;
+}
+
+}  // namespace
+
+// A file that is not a CSR (or cannot be written) is one error line and exit
+// status 1, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

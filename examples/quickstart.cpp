@@ -6,10 +6,13 @@
 // Shows the full public-API flow: GraphBuilder/LoadEdgeListText -> DegreeSort ->
 // FlashMobEngine::Run -> PathSet, with IDs mapped back to the caller's labels.
 #include <cstdio>
+#include <exception>
 
 #include "src/fm.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace fm;
 
   // 1. Obtain a graph.
@@ -67,4 +70,17 @@ int main(int argc, char** argv) {
   std::printf("\nstreamed %llu training edges to the (stub) consumer\n",
               static_cast<unsigned long long>(pairs));
   return 0;
+}
+
+}  // namespace
+
+// An unreadable edge list is one error line and exit status 1, not an
+// uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

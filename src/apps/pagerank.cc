@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "src/core/walk_observer.h"
+#include "src/core/engine.h"
 #include "src/util/logging.h"
 
 namespace fm {
@@ -29,15 +29,10 @@ std::vector<double> EstimatePageRank(const CsrGraph& graph,
     spec.start_vertices = options.personalization;
   }
 
-  // Stream counts through an external sharded observer (the engine's built-in
-  // counting stays off): the estimator only ever needs the histogram, and the
-  // accumulation rides inside the parallel sample stages.
-  EngineOptions engine_options;
-  engine_options.count_visits = false;
-  FlashMobEngine engine(graph, engine_options);
-  ShardedVisitCounter counter(n);
-  engine.Run(spec, {&counter});
-  std::vector<uint64_t> visit_counts = counter.TakeCounts();
+  // The estimator only needs the engine's visit histogram, which it counts
+  // inside the parallel sample stages.
+  FlashMobEngine engine(graph);
+  const std::vector<uint64_t> visit_counts = engine.Run(spec).visit_counts;
 
   uint64_t total = 0;
   for (uint64_t c : visit_counts) {

@@ -6,6 +6,7 @@
 #include "src/core/engine.h"
 #include "src/core/walk_observer.h"
 #include "src/graph/degree_sort.h"
+#include "src/graph/transpose.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/sync.h"
@@ -243,24 +244,7 @@ std::vector<std::vector<double>> ExactSimRank(const CsrGraph& graph, double deca
                                               uint32_t iterations) {
   Vid n = graph.num_vertices();
   FM_CHECK_MSG(n <= 2048, "ExactSimRank is O(V^2); test oracle only");
-  CsrGraph reverse = [&] {
-    // Local transpose to avoid a header dependency loop.
-    std::vector<Eid> offsets(static_cast<size_t>(n) + 1, 0);
-    for (Vid t : graph.edges()) {
-      ++offsets[t + 1];
-    }
-    for (Vid v = 0; v < n; ++v) {
-      offsets[v + 1] += offsets[v];
-    }
-    std::vector<Vid> edges(graph.num_edges());
-    std::vector<Eid> cursor(offsets.begin(), offsets.end() - 1);
-    for (Vid v = 0; v < n; ++v) {
-      for (Vid t : graph.neighbors(v)) {
-        edges[cursor[t]++] = v;
-      }
-    }
-    return CsrGraph(std::move(offsets), std::move(edges));
-  }();
+  const CsrGraph reverse = Transpose(graph);
 
   std::vector<std::vector<double>> s(n, std::vector<double>(n, 0.0));
   for (Vid v = 0; v < n; ++v) {

@@ -13,7 +13,6 @@
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
-#include "src/util/trace.h"
 
 namespace fm {
 namespace {
@@ -131,6 +130,8 @@ template <typename Hook>
 WalkResult FlashMobEngine::RunImpl(
     const WalkSpec& spec, Hook& hook, bool single_thread,
     const std::vector<WalkObserver*>& observers) {
+  // Origin of StepStageRecord::start_s.
+  Timer run_timer;
   const Vid n = graph_.num_vertices();
   const Eid m = graph_.num_edges();
   FM_CHECK_MSG(spec.track_identity || !spec.keep_paths,
@@ -242,10 +243,6 @@ WalkResult FlashMobEngine::RunImpl(
     const Wid base_walker = total_walkers - remaining;
     remaining -= w;
 
-    TraceSpan episode_span("engine", "episode");
-    episode_span.Arg("episode", episode);
-    episode_span.Arg("walkers", w);
-
     // ---- place: walker storage + initial positions ---------------------------
     other_timer.Start();
     WalkerState state(graph_, spec, w);
@@ -266,29 +263,25 @@ WalkResult FlashMobEngine::RunImpl(
       if (perf.has_value()) {
         perf_delta();  // drop inter-stage work from the scatter attribution
       }
-      double scatter_s = 0;
-      {
-        TraceSpan span("engine", "scatter");
-        span.Arg("step", step);
-        span.Arg("walkers", w);
-        Timer shuffle_timer;
-        const Vid* aux = state.scatter_aux();
-        WithSimDelta(hook, &result.stats.sim_shuffle, [&] {
-          shuffler.Scatter(state.cur(), aux, w, state.sw(),
-                           aux != nullptr ? state.sw_prev() : nullptr, hook);
-        });
-        // Walker-count conservation: the scatter must account for every walker
-        // (live ones in VP chunks, dead ones in the trailing bin) — losing or
-        // duplicating one here silently corrupts identity for the whole
-        // episode.
-        FM_DCHECK_EQ(shuffler.vp_offsets().back(), w);
-        FM_DCHECK_EQ(
-            static_cast<Wid>(std::count(state.cur(), state.cur() + w,
-                                        kInvalidVid)),
-            shuffler.dead_count());
-        state.AfterScatter(aux);
-        scatter_s = shuffle_timer.Elapsed();
-      }
+      const double step_start_s =
+          options_.record_step_stats ? run_timer.Elapsed() : 0;
+      Timer shuffle_timer;
+      const Vid* aux = state.scatter_aux();
+      WithSimDelta(hook, &result.stats.sim_shuffle, [&] {
+        shuffler.Scatter(state.cur(), aux, w, state.sw(),
+                         aux != nullptr ? state.sw_prev() : nullptr, hook);
+      });
+      // Walker-count conservation: the scatter must account for every walker
+      // (live ones in VP chunks, dead ones in the trailing bin) — losing or
+      // duplicating one here silently corrupts identity for the whole
+      // episode.
+      FM_DCHECK_EQ(shuffler.vp_offsets().back(), w);
+      FM_DCHECK_EQ(
+          static_cast<Wid>(std::count(state.cur(), state.cur() + w,
+                                      kInvalidVid)),
+          shuffler.dead_count());
+      state.AfterScatter(aux);
+      const double scatter_s = shuffle_timer.Elapsed();
       result.stats.times.shuffle_s += scatter_s;
       const CounterSample scatter_counters = perf_delta();
       result.stats.counters.scatter += scatter_counters;
@@ -296,40 +289,29 @@ WalkResult FlashMobEngine::RunImpl(
       // ---- sample: one task per VP --------------------------------------------
       const auto& vp_offsets = shuffler.vp_offsets();
       const Wid live_walkers = vp_offsets[num_vps] - vp_offsets[0];
-      double sample_s = 0;
-      {
-        TraceSpan span("engine", "sample");
-        span.Arg("step", step);
-        span.Arg("live", live_walkers);
-        Timer sample_timer;
-        Vid* sw = state.sw();
-        Vid* sw_prev = state.sw_prev();
-        pool->ParallelFor(num_vps, [&](uint64_t vp_i, uint32_t worker) {
-          Wid begin = vp_offsets[vp_i];
-          Wid end = vp_offsets[vp_i + 1];
-          if (begin == end) {
-            return;
-          }
-          TraceSpan vp_span("engine.vp", "sample_vp");
-          vp_span.Arg("step", step);
-          vp_span.Arg("vp", vp_i);
-          vp_span.Arg("walkers", end - begin);
-          const uint64_t chunk_seed = DeriveSeed(
-              spec.seed, 0x5A3FULL ^ (episode << 44) ^
-                             (static_cast<uint64_t>(step) << 24) ^ vp_i);
-          kernel.SampleVp(static_cast<uint32_t>(vp_i), sw + begin,
-                          sw_prev != nullptr ? sw_prev + begin : nullptr,
-                          end - begin, spec.stop_probability, chunk_seed,
-                          hook);
-          std::span<const Vid> chunk(sw + begin, end - begin);
-          for (WalkObserver* sink : sinks) {
-            sink->OnSampleChunk(step, static_cast<uint32_t>(vp_i), chunk,
-                                worker);
-          }
-          result.stats.vp_walker_steps[vp_i] += end - begin;
-        });
-        sample_s = sample_timer.Elapsed();
-      }
+      Timer sample_timer;
+      Vid* sw = state.sw();
+      Vid* sw_prev = state.sw_prev();
+      pool->ParallelFor(num_vps, [&](uint64_t vp_i, uint32_t worker) {
+        Wid begin = vp_offsets[vp_i];
+        Wid end = vp_offsets[vp_i + 1];
+        if (begin == end) {
+          return;
+        }
+        const uint64_t chunk_seed = DeriveSeed(
+            spec.seed, 0x5A3FULL ^ (episode << 44) ^
+                           (static_cast<uint64_t>(step) << 24) ^ vp_i);
+        kernel.SampleVp(static_cast<uint32_t>(vp_i), sw + begin,
+                        sw_prev != nullptr ? sw_prev + begin : nullptr,
+                        end - begin, spec.stop_probability, chunk_seed, hook);
+        std::span<const Vid> chunk(sw + begin, end - begin);
+        for (WalkObserver* sink : sinks) {
+          sink->OnSampleChunk(step, static_cast<uint32_t>(vp_i), chunk,
+                              worker);
+        }
+        result.stats.vp_walker_steps[vp_i] += end - begin;
+      });
+      const double sample_s = sample_timer.Elapsed();
       result.stats.total_steps += live_walkers;
       result.stats.times.sample_s += sample_s;
       const CounterSample sample_counters = perf_delta();
@@ -346,27 +328,21 @@ WalkResult FlashMobEngine::RunImpl(
         result.stats.times.other_s += other_timer.Elapsed();
       } else {
         // ---- reverse shuffle: SW -> W_{i+1} ------------------------------------
-        Vid* w_next = nullptr;
-        {
-          TraceSpan span("engine", "gather");
-          span.Arg("step", step);
-          span.Arg("live", live_walkers);
-          Timer gather_timer;
-          w_next = state.GatherTarget(step);
-          Status gather_status;
-          WithSimDelta(hook, &result.stats.sim_shuffle, [&] {
-            gather_status = shuffler.Gather(state.cur(), w, state.sw(), w_next,
-                                            nullptr, nullptr, hook);
-          });
-          FM_CHECK_MSG(gather_status.ok(), gather_status.message().c_str());
-          // Dead-walker monotonicity: the gather delivers every walker the
-          // scatter parked dead, plus any the sample stage just killed — the
-          // dead population can only grow (a dead walker never resurrects).
-          FM_DCHECK_GE(
-              static_cast<Wid>(std::count(w_next, w_next + w, kInvalidVid)),
-              shuffler.dead_count());
-          gather_s = gather_timer.Elapsed();
-        }
+        Timer gather_timer;
+        Vid* w_next = state.GatherTarget(step);
+        Status gather_status;
+        WithSimDelta(hook, &result.stats.sim_shuffle, [&] {
+          gather_status = shuffler.Gather(state.cur(), w, state.sw(), w_next,
+                                          nullptr, nullptr, hook);
+        });
+        FM_CHECK_MSG(gather_status.ok(), gather_status.message().c_str());
+        // Dead-walker monotonicity: the gather delivers every walker the
+        // scatter parked dead, plus any the sample stage just killed — the
+        // dead population can only grow (a dead walker never resurrects).
+        FM_DCHECK_GE(
+            static_cast<Wid>(std::count(w_next, w_next + w, kInvalidVid)),
+            shuffler.dead_count());
+        gather_s = gather_timer.Elapsed();
         result.stats.times.shuffle_s += gather_s;
         gather_counters = perf_delta();
         result.stats.counters.gather += gather_counters;
@@ -391,6 +367,7 @@ WalkResult FlashMobEngine::RunImpl(
         StepStageRecord rec;
         rec.episode = episode;
         rec.step = step;
+        rec.start_s = step_start_s;
         rec.scatter_s = scatter_s;
         rec.sample_s = sample_s;
         rec.gather_s = gather_s;

@@ -51,6 +51,7 @@ struct StageTimes {
 struct StepStageRecord {
   uint64_t episode = 0;
   uint32_t step = 0;
+  double start_s = 0;           // seconds from the Run call to the scatter
   double scatter_s = 0;
   double sample_s = 0;
   double gather_s = 0;          // 0 in identity-free mode (no reverse shuffle)

@@ -1,22 +1,21 @@
 #include "src/core/metrics.h"
 
 #include <array>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "src/util/json.h"
 #include "src/util/logging.h"
-#include "src/util/trace.h"
+#include "src/util/timer.h"
 
 namespace fm {
 namespace {
 
 // Minimal JSON emission. The schema only needs objects, arrays, strings, and
 // numbers; string escaping (the metadata may carry arbitrary file paths) is
-// the shared RFC 8259 implementation in src/util/json.h, the same one the
-// trace exporter uses.
+// the shared RFC 8259 implementation in src/util/json.h.
 void AppendEscaped(std::string* out, const std::string& s) {
   json::AppendQuoted(out, s);
 }
@@ -46,6 +45,25 @@ void AppendCounterObject(std::string* out, const CounterSample& c) {
 void AppendKey(std::string* out, const char* key) {
   AppendEscaped(out, key);
   *out += ':';
+}
+
+// Writes `doc` and a newline to `path`; false if the file cannot be opened or
+// any write fails, including the flush at close.
+bool WriteDocument(const std::string& path, const std::string& doc) {
+  std::ofstream out(path);
+  out << doc << '\n';
+  out.close();
+  return !out.fail();
+}
+
+// Seconds as trace-event microseconds, to the nanosecond.
+void AppendMicros(std::string* out, double s) {
+  const uint64_t ns =
+      s <= 0 ? 0 : static_cast<uint64_t>(std::llround(s * 1e9));
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
+                static_cast<unsigned>(ns % 1000));
+  *out += buf;
 }
 
 // One fm-telemetry-v1 line (no trailing newline) rendering `stats` at
@@ -311,12 +329,12 @@ TelemetryJsonlObserver::TelemetryJsonlObserver(std::FILE* out,
 void TelemetryJsonlObserver::OnRunBegin(const WalkRunInfo& info) {
   FM_CHECK_MSG(info.stats != nullptr, "WalkRunInfo carries no run tally");
   stats_ = info.stats;
-  WriteLine(TraceNowNs(), /*live_walkers=*/0);
+  WriteLine(NowNs(), /*live_walkers=*/0);
 }
 
 void TelemetryJsonlObserver::OnStepEnd(uint64_t /*episode*/,
                                        uint32_t /*step*/, Wid live_walkers) {
-  const uint64_t now = TraceNowNs();
+  const uint64_t now = NowNs();
   if (now - last_line_ns_ >= interval_ns_) {
     WriteLine(now, live_walkers);
   }
@@ -324,26 +342,91 @@ void TelemetryJsonlObserver::OnStepEnd(uint64_t /*episode*/,
 
 void TelemetryJsonlObserver::OnRunEnd() {
   // Every walker is retired once the run's last episode ends.
-  WriteLine(TraceNowNs(), /*live_walkers=*/0);
+  WriteLine(NowNs(), /*live_walkers=*/0);
 }
 
 void TelemetryJsonlObserver::WriteLine(uint64_t now_ns, Wid live_walkers) {
-  const std::string line = TelemetryJsonLine(now_ns, *stats_, live_walkers);
-  std::fwrite(line.data(), 1, line.size(), out_);
-  std::fputc('\n', out_);
-  std::fflush(out_);
+  std::string line = TelemetryJsonLine(now_ns, *stats_, live_walkers);
+  line += '\n';
+  if (std::fwrite(line.data(), 1, line.size(), out_) == line.size() &&
+      std::fflush(out_) == 0) {
+    ++lines_written_;
+  } else {
+    write_failed_ = true;
+  }
   last_line_ns_ = now_ns;
-  ++lines_written_;
 }
 
 bool WriteWalkMetricsJson(const std::string& path, const MetricsMeta& meta,
                           const WalkStats& stats, const PartitionPlan* plan) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
+  return WriteDocument(path, WalkMetricsJson(meta, stats, plan));
+}
+
+std::string WalkTraceJson(const std::vector<TracePhase>& phases,
+                          double run_start_s, const WalkStats& stats) {
+  std::string out;
+  out.reserve(1024 + stats.step_records.size() * 900);
+  out += "{\"traceEvents\":[\n";
+  out += "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\","
+         "\"args\":{\"name\":\"fm\"}},\n";
+  out += "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\","
+         "\"args\":{\"name\":\"main\"}}";
+  // One complete ("X") event on the run's single track; `args` is empty or a
+  // rendered `,"args":{...}` member.
+  uint64_t spans = 0;
+  auto span = [&](const char* category, const std::string& name,
+                  double start_s, double dur_s, const std::string& args) {
+    out += ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":";
+    AppendEscaped(&out, category);
+    out += ",\"name\":";
+    AppendEscaped(&out, name);
+    out += ",\"ts\":";
+    AppendMicros(&out, start_s);
+    out += ",\"dur\":";
+    AppendMicros(&out, dur_s);
+    out += args;
+    out += '}';
+    ++spans;
+  };
+  for (const TracePhase& phase : phases) {
+    span("phase", phase.name, phase.start_s, phase.dur_s, "");
   }
-  out << WalkMetricsJson(meta, stats, plan) << '\n';
-  return static_cast<bool>(out);
+  const std::vector<StepStageRecord>& recs = stats.step_records;
+  for (size_t first = 0; first < recs.size();) {
+    size_t end = first + 1;
+    while (end < recs.size() && recs[end].episode == recs[first].episode) {
+      ++end;
+    }
+    const StepStageRecord& last = recs[end - 1];
+    const double episode_start_s = run_start_s + recs[first].start_s;
+    const double episode_end_s = run_start_s + last.start_s + last.scatter_s +
+                                 last.sample_s + last.gather_s;
+    span("engine", "episode", episode_start_s, episode_end_s - episode_start_s,
+         ",\"args\":{\"episode\":" + std::to_string(last.episode) + "}");
+    for (size_t i = first; i < end; ++i) {
+      const StepStageRecord& rec = recs[i];
+      const std::string step = std::to_string(rec.step);
+      const std::string args = ",\"args\":{\"step\":" + step + "}";
+      const double t = run_start_s + rec.start_s;
+      span("engine", "scatter", t, rec.scatter_s, args);
+      span("shuffle", "count", t, rec.scatter_pass1_s, args);
+      span("shuffle", "scatter", t + rec.scatter_pass1_s, rec.scatter_pass2_s,
+           args);
+      span("engine", "sample", t + rec.scatter_s, rec.sample_s,
+           ",\"args\":{\"step\":" + step + ",\"live\":" +
+               std::to_string(rec.live_walkers) + "}");
+      // Identity-free runs have no reverse shuffle (gather_s == 0).
+      if (rec.gather_s > 0) {
+        span("engine", "gather", t + rec.scatter_s + rec.sample_s,
+             rec.gather_s, args);
+      }
+    }
+    first = end;
+  }
+  out += "\n],\n\"displayTimeUnit\":\"ns\",\n\"otherData\":{";
+  out += "\"exported_events\":" + std::to_string(spans);
+  out += "}}";
+  return out;
 }
 
 void BenchTrajectory::Add(const std::string& series, const std::string& point,
@@ -408,12 +491,7 @@ std::string BenchTrajectory::ToJson() const {
 }
 
 bool BenchTrajectory::WriteJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson() << '\n';
-  return static_cast<bool>(out);
+  return WriteDocument(path, ToJson());
 }
 
 }  // namespace fm

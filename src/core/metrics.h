@@ -13,7 +13,9 @@
 //   fm-telemetry-v1        one JSONL line per live view of a running walk
 //                          (`fmwalk --telemetry-jsonl=FILE`, read by fmmon).
 //
-// All three render the run's WalkStats; none keeps a tally of its own.
+// All three, and the Chrome trace-event view (WalkTraceJson, `fmwalk
+// --trace-json=FILE`), render the run's WalkStats; none keeps a tally of its
+// own.
 //
 // Every document carries `"backend"`: "perf" when hardware counters were live,
 // "noop" when perf_event_open was unavailable (the degradation contract: same
@@ -65,6 +67,27 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
 bool WriteWalkMetricsJson(const std::string& path, const MetricsMeta& meta,
                           const WalkStats& stats, const PartitionPlan* plan);
 
+// One span of the caller's own timeline in a WalkTraceJson document (fmwalk:
+// load, degree sort, run, output), in seconds from the trace's origin.
+struct TracePhase {
+  std::string name;
+  double start_s = 0;
+  double dur_s = 0;
+};
+
+// Chrome trace-event JSON for one run, rendered from `stats`: the `phases`
+// (category "phase"); per episode one "episode" span; and per step record a
+// "scatter" span with "count" and "scatter" children from the shuffle's pass
+// split (category "shuffle"), then "sample" and "gather" spans (category
+// "engine"). `run_start_s` is the Run call on the phases' timeline, so a step
+// starts at run_start_s + StepStageRecord::start_s. Each stage span lasts
+// exactly its record's seconds, so the engine's scatter and gather spans sum
+// to times.shuffle_s and its sample spans to times.sample_s. Without
+// EngineOptions::record_step_stats only the phases appear. Loads in
+// ui.perfetto.dev or chrome://tracing.
+std::string WalkTraceJson(const std::vector<TracePhase>& phases,
+                          double run_start_s, const WalkStats& stats);
+
 // Live fm-telemetry-v1 view of one run (`fmwalk --telemetry-jsonl`): writes a
 // line when the run begins (all counters zero), at most one per `interval_ms`
 // at the engine's step barriers, and one when the run ends. The file thus
@@ -73,7 +96,8 @@ bool WriteWalkMetricsJson(const std::string& path, const MetricsMeta& meta,
 // fm.engine.{walker_steps,episodes,sample_ns,shuffle_ns}_total, the gauge
 // fm.engine.live_walkers, and the histogram fm.engine.step_ns (count, sum,
 // p50/p90/p99/p999, non-empty log2 buckets). `out` is not owned; each line is
-// flushed so `fmmon` can follow the file live.
+// flushed so `fmmon` can follow the file live, and a line that cannot be
+// written or flushed sets write_failed().
 class TelemetryJsonlObserver : public WalkObserver {
  public:
   TelemetryJsonlObserver(std::FILE* out, uint32_t interval_ms);
@@ -83,6 +107,7 @@ class TelemetryJsonlObserver : public WalkObserver {
   void OnRunEnd() override;
 
   uint64_t lines_written() const { return lines_written_; }
+  bool write_failed() const { return write_failed_; }
 
  private:
   void WriteLine(uint64_t now_ns, Wid live_walkers);
@@ -92,6 +117,7 @@ class TelemetryJsonlObserver : public WalkObserver {
   const WalkStats* stats_ = nullptr;
   uint64_t last_line_ns_ = 0;
   uint64_t lines_written_ = 0;
+  bool write_failed_ = false;
 };
 
 // Accumulates a bench binary's result series and writes the

@@ -8,7 +8,6 @@
 #include "src/core/mckp.h"
 #include "src/util/bits.h"
 #include "src/util/logging.h"
-#include "src/util/trace.h"
 
 namespace fm {
 
@@ -106,10 +105,7 @@ uint32_t PickGroupSizeLog2(Vid n, uint32_t num_groups) {
 PartitionPlan PartitionPlan::BuildOptimized(const CsrGraph& graph, Wid num_walkers,
                                             const CostModel& model,
                                             const Config& config) {
-  TraceSpan plan_span("plan", "build_optimized");
   Vid n = graph.num_vertices();
-  plan_span.Arg("vertices", n);
-  plan_span.Arg("walkers", num_walkers);
   FM_CHECK(n > 0);
   uint32_t gsl = PickGroupSizeLog2(n, config.num_groups);
   Vid group_size = Vid{1} << gsl;
@@ -163,12 +159,7 @@ PartitionPlan PartitionPlan::BuildOptimized(const CsrGraph& graph, Wid num_walke
     }
   }
 
-  MckpSolution solution;
-  {
-    TraceSpan span("plan", "mckp_solve");
-    span.Arg("classes", classes.size());
-    solution = SolveMckp(classes, config.max_partitions);
-  }
+  MckpSolution solution = SolveMckp(classes, config.max_partitions);
   FM_CHECK_MSG(solution.feasible,
                "MCKP infeasible: num_groups exceeds max_partitions?");
 

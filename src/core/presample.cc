@@ -1,13 +1,11 @@
 #include "src/core/presample.h"
 
 #include "src/util/logging.h"
-#include "src/util/trace.h"
 
 namespace fm {
 
 PresampleBuffers::PresampleBuffers(const CsrGraph& graph,
                                    const PartitionPlan& plan) {
-  TraceSpan span("presample", "build_buffers");
   uint64_t total = 0;
   vp_sample_base_.assign(plan.num_vps(), 0);
   for (uint32_t i = 0; i < plan.num_vps(); ++i) {
@@ -24,7 +22,6 @@ PresampleBuffers::PresampleBuffers(const CsrGraph& graph,
     vp_sample_base_[i] = total;
     total += graph.edge_end(vp.end - 1) - vp.edge_begin;
   }
-  span.Arg("samples", total);
   if (total == 0) {
     return;
   }

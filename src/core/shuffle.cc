@@ -7,7 +7,6 @@
 #include "src/util/logging.h"
 #include "src/util/sync.h"
 #include "src/util/timer.h"
-#include "src/util/trace.h"
 
 namespace fm {
 namespace {
@@ -191,9 +190,6 @@ void Shuffler::CountAndPrefix(const Vid* w, Wid n, Hook& hook) {
   pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
     Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
     Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-    TraceSpan span("shuffle", "count_chunk");
-    span.Arg("chunk", c);
-    span.Arg("walkers", end - begin);
     CountChunkScan(plan_, num_vps_, w, begin, end, &starts_[c * row], hook);
   });
   // Prefix over (vp-major, chunk-minor): the SW order within a partition is (chunk,
@@ -262,9 +258,6 @@ Status Shuffler::Gather(const Vid* w_prev, Wid n, const Vid* sw, Vid* w_next,
   pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
     Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
     Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-    TraceSpan span("shuffle", "gather_chunk");
-    span.Arg("chunk", c);
-    span.Arg("walkers", end - begin);
     std::vector<Wid> offs(starts_.begin() + c * row,
                           starts_.begin() + (c + 1) * row);
     GatherChunkScan(plan_, num_vps_, w_prev, begin, end, offs.data(), n, sw,
@@ -289,9 +282,6 @@ void Shuffler::ScatterOneLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
   pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
     Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
     Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-    TraceSpan span("shuffle", "scatter_chunk");
-    span.Arg("chunk", c);
-    span.Arg("walkers", end - begin);
     // Working copy so starts_ stays intact for Gather's replay.
     std::vector<Wid> offs(starts_.begin() + c * row,
                           starts_.begin() + (c + 1) * row);
@@ -330,9 +320,6 @@ void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
   pool_->ParallelFor(num_chunks_, [&](uint64_t c, uint32_t) {
     Wid begin = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c));
     Wid end = ChunkBegin(n, num_chunks_, static_cast<uint32_t>(c) + 1);
-    TraceSpan span("shuffle", "scatter_outer_chunk");
-    span.Arg("chunk", c);
-    span.Arg("walkers", end - begin);
     // Per-(chunk, bin) start = bin base + walkers of earlier chunks in this bin.
     // Earlier chunks' contribution per bin = sum over member VPs of
     // (starts_[c][vp] - vp_offsets_[vp]), since starts_[c][vp] already accumulates
@@ -356,8 +343,6 @@ void Shuffler::ScatterTwoLevel(const Vid* w, const Vid* aux, Wid n, Vid* sw,
   // chunk into SW; single-VP bins copy through. Parallel over groups.
   const auto& groups = plan_->groups();
   pool_->ParallelFor(groups.size() + 1, [&](uint64_t gi, uint32_t) {
-    TraceSpan span("shuffle", "scatter_inner_group");
-    span.Arg("group", gi);
     if (gi == groups.size()) {
       CopyThrough(vp_offsets_[num_vps_], vp_offsets_[num_vps_ + 1],
                   inter_.data(), inter_aux, sw, sw_aux, hook);

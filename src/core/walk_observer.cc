@@ -8,7 +8,7 @@
 #include "src/core/engine.h"
 #include "src/util/logging.h"
 #include "src/util/thread_pool.h"
-#include "src/util/trace.h"
+#include "src/util/timer.h"
 
 namespace fm {
 
@@ -73,10 +73,7 @@ void ShardedVisitCounter::MergeShards(ThreadPool* pool) {
                        });
 }
 
-void ShardedVisitCounter::OnEpisodeEnd(uint64_t episode) {
-  TraceSpan span("observer", "merge_visit_shards");
-  span.Arg("episode", episode);
-  span.Arg("vertices", num_vertices_);
+void ShardedVisitCounter::OnEpisodeEnd(uint64_t /*episode*/) {
   MergeShards(pool_);
 }
 
@@ -106,9 +103,7 @@ void PathSetSink::OnWalkerChunk(uint32_t step, Wid begin,
             episode_paths_.Row(step + 1).begin() + begin);
 }
 
-void PathSetSink::OnEpisodeEnd(uint64_t episode) {
-  TraceSpan span("observer", "append_paths");
-  span.Arg("episode", episode);
+void PathSetSink::OnEpisodeEnd(uint64_t /*episode*/) {
   paths_.Append(std::move(episode_paths_));
   episode_paths_ = PathSet();
 }
@@ -129,14 +124,14 @@ void ProgressReporter::OnRunBegin(const WalkRunInfo& info) {
   steps_per_episode_ = info.steps;
   ticks_done_ = 0;
   lines_printed_ = 0;
-  start_ns_ = TraceNowNs();
+  start_ns_ = NowNs();
   last_print_ns_ = start_ns_;
 }
 
 void ProgressReporter::OnStepEnd(uint64_t episode, uint32_t step,
                                  Wid live_walkers) {
   ++ticks_done_;
-  const uint64_t now = TraceNowNs();
+  const uint64_t now = NowNs();
   if (static_cast<double>(now - last_print_ns_) < interval_s_ * 1e9) {
     return;
   }
@@ -153,16 +148,14 @@ void ProgressReporter::OnRunEnd() {
 void ProgressReporter::PrintLine(uint64_t episode, uint32_t step,
                                  Wid live_walkers, bool final_line) {
   const uint64_t walker_steps = stats_->total_steps;
-  const double elapsed_s =
-      static_cast<double>(TraceNowNs() - start_ns_) / 1e9;
+  const double elapsed_s = static_cast<double>(NowNs() - start_ns_) / 1e9;
   const double rate =
       elapsed_s > 0 ? static_cast<double>(walker_steps) / elapsed_s : 0;
-  const uint64_t dropped = Tracer::Get().TotalDropped();
   if (final_line) {
     std::fprintf(out_,
                  "[fm] done: %" PRIu64 " walker-steps in %.1fs "
-                 "(%.2fM steps/s), dropped spans %" PRIu64 "\n",
-                 walker_steps, elapsed_s, rate / 1e6, dropped);
+                 "(%.2fM steps/s)\n",
+                 walker_steps, elapsed_s, rate / 1e6);
   } else {
     const uint64_t total_ticks =
         total_episodes_ * static_cast<uint64_t>(steps_per_episode_);
@@ -172,9 +165,9 @@ void ProgressReporter::PrintLine(uint64_t episode, uint32_t step,
     const double eta_s = frac > 0 ? elapsed_s * (1.0 - frac) / frac : 0;
     std::fprintf(out_,
                  "[fm] ep %" PRIu64 "/%" PRIu64 " step %u/%u live %" PRIu64
-                 " %.2fM steps/s ETA %.0fs dropped %" PRIu64 "\n",
+                 " %.2fM steps/s ETA %.0fs\n",
                  episode + 1, total_episodes_, step + 1, steps_per_episode_,
-                 live_walkers, rate / 1e6, eta_s, dropped);
+                 live_walkers, rate / 1e6, eta_s);
   }
   std::fflush(out_);
   ++lines_printed_;

@@ -185,9 +185,9 @@ class PathSetSink : public WalkObserver {
 
 // Live heartbeat (`fmwalk --progress[=SECONDS]`) rendered from the run's
 // WalkStats at the engine's per-step barrier — no extra thread. Prints at most
-// once per interval: episode/step position, live walkers, walker-steps/sec,
-// ETA from the step fraction, and the tracer's dropped-span count, plus one
-// final line at run end. interval_s == 0 prints every step.
+// once per interval: episode/step position, live walkers, walker-steps/sec
+// and the ETA from the step fraction, plus one final line at run end.
+// interval_s == 0 prints every step.
 class ProgressReporter : public WalkObserver {
  public:
   explicit ProgressReporter(double interval_s = 10.0, std::FILE* out = nullptr);

@@ -7,7 +7,6 @@
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
-#include "src/util/trace.h"
 
 namespace fm {
 
@@ -108,9 +107,6 @@ void WalkerState::AdvanceIdentityFree() {
 
 void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
                         std::span<WalkObserver* const> observers) {
-  TraceSpan span("engine", "place");
-  span.Arg("episode", episode);
-  span.Arg("walkers", walkers_);
   const Vid n = graph_.num_vertices();
   const Eid m = graph_.num_edges();
   Vid* w_cur = w_cur_;

@@ -37,6 +37,5 @@
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/timer.h"
-#include "src/util/trace.h"
 
 #endif  // SRC_FM_H_

@@ -6,15 +6,11 @@
 
 #include "src/graph/edge_ranges.h"
 #include "src/util/logging.h"
-#include "src/util/trace.h"
 
 namespace fm {
 
 DegreeSortedGraph DegreeSort(const CsrGraph& graph, ThreadPool& pool) {
-  TraceSpan span("graph", "degree_sort");
   Vid n = graph.num_vertices();
-  span.Arg("vertices", n);
-  span.Arg("edges", graph.num_edges());
   DegreeSortedGraph result;
   result.new_to_old.resize(n);
   result.old_to_new.resize(n);

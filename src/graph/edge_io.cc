@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "src/util/logging.h"
-#include "src/util/trace.h"
 
 namespace fm {
 namespace {
@@ -132,7 +131,6 @@ void ValidateCsrPayload(std::span<const Eid> offsets, std::span<const Vid> edges
 }  // namespace
 
 CsrGraph LoadEdgeListText(const std::string& path, const BuildOptions& options) {
-  FM_TRACE_SPAN("graph", "load_edge_list");
   std::ifstream in(path);
   if (!in) {
     ThrowIo("cannot open edge list", path);
@@ -218,7 +216,6 @@ void SaveCsrBinary(const CsrGraph& graph, const std::string& path) {
 }
 
 CsrGraph LoadCsrBinary(const std::string& path) {
-  FM_TRACE_SPAN("graph", "load_csr");
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     ThrowIo("cannot open CSR file", path);
@@ -250,7 +247,6 @@ CsrGraph LoadCsrBinary(const std::string& path) {
 }
 
 CsrGraph LoadCsrBinaryMapped(const std::string& path) {
-  FM_TRACE_SPAN("graph", "load_csr_mmap");
   auto mapping = std::make_shared<MappedFile>(path);
   // Layout (SaveCsrBinary): 3 x uint64 header, then offsets, then edges, then
   // optional weights. The 24-byte header keeps the 8-byte offsets naturally

@@ -67,9 +67,7 @@
 //
 //   1. Application/observer locks (e.g. PairMeetingObserver::mu_ in
 //      src/apps/simrank.cc) — outermost; taken while no service lock is held.
-//   2. Utility service locks: Tracer::mutex_ (src/util/trace.cc) and
-//      ThreadPool::mutex_ (src/util/thread_pool.cc). These are leaves with
-//      respect to each other — no code path may hold both at once.
+//   2. Utility service locks: ThreadPool::mutex_ (src/util/thread_pool.cc).
 //   3. g_log_mutex (src/util/logging.cc) — the global leaf; logging may be
 //      called from anywhere, so it must never acquire another lock.
 //

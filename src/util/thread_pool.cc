@@ -9,7 +9,6 @@
 
 #include "src/util/env.h"
 #include "src/util/logging.h"
-#include "src/util/trace.h"
 
 namespace fm {
 
@@ -43,9 +42,6 @@ void ThreadPool::WorkerLoop(uint32_t worker_index) {
 #if defined(__linux__)
   worker_tids_[worker_index - 1] = static_cast<int32_t>(syscall(SYS_gettid));
 #endif
-  // Register the trace-export display name before any span can run on this
-  // thread (worker 0 is the pool's calling thread and keeps its own name).
-  Tracer::SetThisThreadName("fm-worker-" + std::to_string(worker_index));
   tids_registered_.fetch_add(1, std::memory_order_release);
   uint64_t seen_epoch = 0;
   while (true) {

@@ -1,5 +1,5 @@
-// End-to-end smoke tests of the fmwalk and fmmon CLI binaries (paths injected
-// by CMake).
+// End-to-end smoke tests of the fmwalk and fmmon CLI binaries and of the
+// examples' error handling (paths injected by CMake).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -21,6 +21,10 @@
 #endif
 #ifndef FMMON_PATH
 #error "FMMON_PATH must be defined by the build"
+#endif
+#if !defined(QUICKSTART_PATH) || !defined(DEEPWALK_CORPUS_PATH) || \
+    !defined(OUT_OF_CORE_WALK_PATH)
+#error "the example paths must be defined by the build"
 #endif
 
 namespace {
@@ -47,16 +51,16 @@ class CliTest : public ::testing::Test {
     return std::system(cmd.c_str());
   }
 
-  // Runs fmwalk, expects it to exit with `expected_exit`, and returns the
-  // stderr lines that start with "error: ".
-  std::vector<std::string> ErrorLines(const std::string& args,
-                                      int expected_exit) {
+  // Runs `program` (fmwalk by default), expects it to exit with
+  // `expected_exit`, and returns the stderr lines that start with "error: ".
+  std::vector<std::string> ErrorLines(
+      const std::string& args, int expected_exit,
+      const std::string& program = FMWALK_PATH) {
     const fs::path err = dir_ / "stderr.txt";
-    int rc = std::system((std::string(FMWALK_PATH) + " " + args + " 2>" +
-                          err.string())
-                             .c_str());
-    EXPECT_TRUE(WIFEXITED(rc)) << args;
-    EXPECT_EQ(WEXITSTATUS(rc), expected_exit) << args;
+    int rc = std::system(
+        (program + " " + args + " >/dev/null 2>" + err.string()).c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << program << ' ' << args;
+    EXPECT_EQ(WEXITSTATUS(rc), expected_exit) << program << ' ' << args;
     std::ifstream in(err);
     std::vector<std::string> errors;
     for (std::string line; std::getline(in, line);) {
@@ -98,6 +102,15 @@ class CliTest : public ::testing::Test {
     return lines;
   }
 
+  // Reads a whole JSON document written by a CLI run.
+  fm::json::Value ReadJson(const fs::path& p) {
+    std::ifstream in(p);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    return fm::json::ParseJson(
+        text.substr(0, text.find_last_not_of('\n') + 1));
+  }
+
   fs::path dir_;
 };
 
@@ -132,11 +145,7 @@ TEST_F(CliTest, MetricsJsonSmoke) {
                " --steps=4 --rounds=2 --metrics-json=" + metrics.string());
   ASSERT_EQ(rc, 0);
   ASSERT_TRUE(fs::exists(metrics));
-  std::ifstream in(metrics);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  fm::json::Value doc = fm::json::ParseJson(
-      text.substr(0, text.find_last_not_of('\n') + 1));
+  fm::json::Value doc = ReadJson(metrics);
   EXPECT_EQ(doc.Str("schema"), "fm-metrics-v1");
   // Walk ran locally: backend is whatever the host supports, never "off".
   EXPECT_TRUE(doc.Str("backend") == "perf" || doc.Str("backend") == "noop");
@@ -193,11 +202,7 @@ TEST_F(CliTest, TelemetryJsonlAgreesWithMetricsAndFmmonSummarizes) {
     EXPECT_EQ(fm::json::ParseJson(line).Str("schema"), "fm-telemetry-v1");
   }
 
-  std::ifstream min(metrics);
-  std::string mtext((std::istreambuf_iterator<char>(min)),
-                    std::istreambuf_iterator<char>());
-  fm::json::Value mdoc = fm::json::ParseJson(
-      mtext.substr(0, mtext.find_last_not_of('\n') + 1));
+  fm::json::Value mdoc = ReadJson(metrics);
   fm::json::Value last = fm::json::ParseJson(lines.back());
   EXPECT_EQ(last.At("counters").Num("fm.engine.walker_steps_total"),
             mdoc.At("run").Num("total_steps"));
@@ -226,6 +231,69 @@ TEST_F(CliTest, TelemetryJsonlAgreesWithMetricsAndFmmonSummarizes) {
   for (const auto& [name, unused] : last.At("histograms").object) {
     EXPECT_NE(stext.find(name), std::string::npos) << name;
   }
+}
+
+TEST_F(CliTest, TraceJsonIsChromeTraceEventsRenderedFromTheRun) {
+  // --trace-json renders the run's WalkStats: complete ("X") spans on one
+  // named track, the fmwalk phases, and engine spans that sum to the
+  // fm-metrics-v1 seconds of the same run.
+  auto trace = dir_ / "walk.trace.json";
+  auto metrics = dir_ / "trace_metrics.json";
+  ASSERT_EQ(Run("--graph=" + (dir_ / "edges.txt").string() +
+                " --steps=6 --rounds=3 --trace-json=" + trace.string() +
+                " --metrics-json=" + metrics.string()),
+            0);
+  fm::json::Value doc = ReadJson(trace);
+  size_t spans = 0;
+  size_t thread_names = 0;
+  double shuffle_us = 0;
+  double sample_us = 0;
+  std::vector<std::string> phases;
+  for (const fm::json::Value& e : doc.At("traceEvents").array) {
+    if (e.Str("ph") == "M") {
+      thread_names += e.Str("name") == "thread_name";
+      continue;
+    }
+    ASSERT_EQ(e.Str("ph"), "X");
+    for (const char* key : {"pid", "tid", "cat", "name", "ts", "dur"}) {
+      EXPECT_TRUE(e.Has(key)) << key;
+    }
+    ++spans;
+    const std::string name = e.Str("name");
+    if (e.Str("cat") == "phase") {
+      phases.push_back(name);
+    } else if (e.Str("cat") == "engine" &&
+               (name == "scatter" || name == "gather")) {
+      shuffle_us += e.Num("dur");
+    } else if (e.Str("cat") == "engine" && name == "sample") {
+      sample_us += e.Num("dur");
+    }
+  }
+  EXPECT_EQ(thread_names, 1u);
+  EXPECT_EQ(doc.At("otherData").Num("exported_events"),
+            static_cast<double>(spans));
+  EXPECT_EQ(phases, (std::vector<std::string>{"load", "degree_sort", "run",
+                                              "output"}));
+  // fm-metrics-v1 prints 6 significant digits; each span rounds to 1 ns.
+  fm::json::Value seconds = ReadJson(metrics).At("run").At("seconds");
+  EXPECT_NEAR(shuffle_us / 1e6, seconds.Num("shuffle"),
+              seconds.Num("shuffle") * 1e-5 + 12 * 1e-6);
+  EXPECT_NEAR(sample_us / 1e6, seconds.Num("sample"),
+              seconds.Num("sample") * 1e-5 + 6 * 1e-6);
+}
+
+TEST_F(CliTest, ExamplesRejectBadInputWithOneErrorLine) {
+  // An unreadable input is one "error:" line and exit 1, not an uncaught
+  // exception.
+  const std::string missing = (dir_ / "missing.txt").string();
+  const fs::path garbage = dir_ / "garbage.csr";
+  std::ofstream(garbage) << std::string(100, 'x');
+  EXPECT_EQ(ErrorLines(missing, 1, QUICKSTART_PATH).size(), 1u);
+  EXPECT_EQ(ErrorLines(missing + " " + (dir_ / "corpus.bin").string(), 1,
+                       DEEPWALK_CORPUS_PATH)
+                .size(),
+            1u);
+  EXPECT_EQ(ErrorLines(garbage.string(), 1, OUT_OF_CORE_WALK_PATH).size(), 1u);
 }
 
 TEST_F(CliTest, RejectsBadUsage) {
@@ -267,6 +335,11 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
       edges + " --stop=-0.5",
       edges + " --telemetry-jsonl=" +
           (dir_ / "no_such_dir" / "t.jsonl").string(),
+      edges + " --telemetry-jsonl=/dev/full",
+      edges + " --trace-json=" + (dir_ / "no_such_dir" / "t.json").string(),
+      edges + " --trace-json=/dev/full",
+      edges + " --metrics-json=" + (dir_ / "no_such_dir" / "m.json").string(),
+      edges + " --metrics-json=/dev/full",
       // Path and edge outputs that cannot be opened, or fail on write.
       edges + " --out=" + (dir_ / "no_such_dir" / "paths.txt").string(),
       edges + " --out=/dev/full",

@@ -1,2 +1,2 @@
-#include "src/util/trace.h"
-unsigned long good() { return fm::TraceNowNs(); }
+#include "src/util/timer.h"
+unsigned long good() { return fm::NowNs(); }

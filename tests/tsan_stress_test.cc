@@ -23,10 +23,8 @@
 #include "src/core/shuffle.h"
 #include "src/core/walk_observer.h"
 #include "src/gen/powerlaw_graph.h"
-#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
-#include "src/util/trace.h"
 
 namespace fm {
 namespace {
@@ -379,53 +377,6 @@ TEST(TsanStressTest, EngineHammerAcrossThreadCounts) {
       }
     }
   }
-}
-
-// --- trace ring buffers under concurrency ------------------------------------
-
-// Many threads emit spans into small per-thread rings (forcing overflow) while
-// the main thread polls the tracer's live counters — exactly the heartbeat's
-// read pattern. After the pool barrier the export must parse and the pushed /
-// dropped accounting must be exact. Under TSan this validates the relaxed
-// single-writer ring + live-counter-read design.
-TEST(TsanStressTest, TraceRingsConcurrentEmitAndLivePoll) {
-  constexpr uint64_t kTasks = 20000;
-  constexpr size_t kRingCapacity = 64;  // small: force drop-oldest overflow
-  Tracer::Get().Reset();
-  Tracer::Get().Enable(kRingCapacity);
-
-  std::atomic<bool> done{false};
-  std::thread poller([&] {
-    // Live polling, concurrent with the writers (relaxed counter reads).
-    uint64_t last = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      uint64_t now = Tracer::Get().TotalEvents();
-      EXPECT_GE(now, last);  // pushed counters are monotonic
-      last = now;
-      Tracer::Get().TotalDropped();
-    }
-  });
-
-  ThreadPool pool(8);
-  pool.ParallelFor(kTasks, [](uint64_t task, uint32_t) {
-    TraceSpan span("stress", "task");
-    span.Arg("task", task);
-  });
-  done.store(true, std::memory_order_release);
-  poller.join();
-  Tracer::Get().Disable();
-
-  // The pool barrier ordered every push before these reads: counts are exact.
-  EXPECT_EQ(Tracer::Get().TotalEvents(), kTasks);
-  EXPECT_GT(Tracer::Get().TotalDropped(), 0u);
-  EXPECT_LE(Tracer::Get().TotalEvents() - Tracer::Get().TotalDropped(),
-            static_cast<uint64_t>(kRingCapacity) * (8 + 1));
-
-  // Export after quiescence parses and its accounting matches the counters.
-  json::Value doc = json::ParseJson(Tracer::Get().ExportJson());
-  EXPECT_EQ(doc.At("otherData").Num("dropped_events"),
-            static_cast<double>(Tracer::Get().TotalDropped()));
-  Tracer::Get().Reset();
 }
 
 }  // namespace

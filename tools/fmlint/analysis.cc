@@ -447,7 +447,7 @@ class RngStreamRule : public HotPathRule {
         "slot_id",      "lane",       "lane_id"};
     static const std::set<std::string> kSourceCalls = {
         "hardware_concurrency", "get_id", "pthread_self", "gettid",
-        "TraceNowNs",           "now",    "Now",          "time",
+        "NowNs",                "now",    "Now",          "time",
         "clock_gettime",        "rdtsc",  "__rdtsc"};
     const std::vector<Token>& body = fn.body;
     size_t line = body[open].line;

@@ -73,8 +73,8 @@ std::vector<size_t> WholeProgram::Resolve(const std::string& call_name) const {
     if (it != by_qualified_.end()) {
       return it->second;
     }
-    // Suffix match: a call spelled `Tracer::Get` matches the definition
-    // qualified `Tracer::Get` exactly above, but `Outer::Inner::F` also
+    // Suffix match: a call spelled `ThreadPool::Global` matches the definition
+    // qualified `ThreadPool::Global` exactly above, but `Outer::Inner::F` also
     // matches a call spelled `Inner::F`. Require uniqueness.
     const std::vector<size_t>* found = nullptr;
     std::string suffix = "::" + call_name;

@@ -8,7 +8,7 @@
 // state clears so the same Engine can lint again (the self-tests rely on that).
 //
 // Call resolution is deliberately under-approximate: a qualified call
-// ("Tracer::Get") resolves exactly; a simple name resolves only when the whole
+// ("ThreadPool::Global") resolves exactly; a simple name resolves only when the whole
 // tree has exactly one definition of that name. Ambiguous names (overload
 // sets, template-hook pairs like NullMemHook/CacheSimHook::Load) resolve to
 // nothing — which is why every leaf kernel is marked FM_HOT_PATH directly

@@ -42,7 +42,7 @@ struct Token {
 std::vector<Token> Tokenize(const SourceFile& file);
 
 // A function call observed inside a body. `name` keeps the spelled
-// qualification ("Tracer::Get", "Refill").
+// qualification ("ThreadPool::Global", "Refill").
 struct CallSite {
   std::string name;
   size_t line = 0;

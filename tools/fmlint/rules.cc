@@ -191,17 +191,17 @@ class RawClockRule : public LineRegexRule {
   RawClockRule()
       : LineRegexRule(
             "raw-clock",
-            "no direct clock reads outside timer.h / trace.cc / "
-            "perf_counters.cc; one monotonic clock keeps spans comparable",
+            "no direct clock reads outside timer.h / perf_counters.cc; one "
+            "monotonic clock keeps durations comparable",
             R"((steady_clock|system_clock|high_resolution_clock)\s*::\s*now)"
             R"(|(^|[^A-Za-z0-9_])(clock_gettime|gettimeofday)\s*\()",
-            "raw clock reads fragment the timing story; use fm::Timer "
-            "(src/util/timer.h) or fm::TraceNowNs (src/util/trace.h)",
-            "fm::TraceNowNs()") {}
+            "raw clock reads fragment the timing story; use fm::Timer or "
+            "fm::NowNs (src/util/timer.h)",
+            "fm::NowNs()") {}
 
  protected:
   bool Exempt(const std::string& rel_path) const override {
-    return rel_path == "src/util/timer.h" || rel_path == "src/util/trace.cc" ||
+    return rel_path == "src/util/timer.h" ||
            rel_path == "src/util/perf_counters.cc";
   }
 };

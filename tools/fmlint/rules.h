@@ -11,7 +11,7 @@
 //                     byte-pointer arithmetic; memcpy the value out instead.
 //   visit-counts-mut  no direct mutation of a WalkResult's visit_counts
 //                     outside src/core/.
-//   raw-clock         no direct clock reads outside timer.h / trace.cc /
+//   raw-clock         no direct clock reads outside timer.h /
 //                     perf_counters.cc.
 //   perf-syscall      no direct perf_event_open use outside perf_counters.cc.
 //   raw-mutex         no std::mutex / std::lock_guard / std::condition_variable

@@ -27,11 +27,12 @@
 //                     metadata, per-stage hardware counters (perf_event_open;
 //                     "backend": "noop" where unavailable), derived rates, and
 //                     one entry per (episode, step)
-//   --trace-json=F    record structured spans (graph load, plan solve, per-step
-//                     scatter/sample/gather, per-VP sample chunks, shuffle
-//                     chunks, observer merges) and write Chrome trace-event /
-//                     Perfetto JSON to F — open it in ui.perfetto.dev or feed
-//                     it to `fmtrace`
+//   --trace-json=F    write the run as Chrome trace-event JSON to F, rendered
+//                     from its WalkStats like --metrics-json: fmwalk's phases
+//                     (load, degree sort, run, output), one span per episode,
+//                     and per step the scatter (count and scatter passes),
+//                     sample and gather seconds of --profile. Turns on the
+//                     step records; open F in ui.perfetto.dev
 //   --telemetry-jsonl=F       write fm-telemetry-v1 JSON lines to F rendered
 //                     from the run's WalkStats: one when the walk begins, at
 //                     most one per interval at the engine's step barriers, and
@@ -40,10 +41,11 @@
 //   --telemetry-interval-ms=N line interval for --telemetry-jsonl
 //                     (default 1000)
 //   --progress[=SEC]  live heartbeat to stderr every SEC seconds (default 10):
-//                     episode/step position, live walkers, steps/sec, ETA, and
-//                     the dropped-span count; driven from the engine's per-step
-//                     barrier (no extra thread)
-//   --threads=N       worker threads (default: all cores; or FM_THREADS)
+//                     episode/step position, live walkers, steps/sec and ETA;
+//                     driven from the engine's per-step barrier (no extra
+//                     thread)
+//
+// FM_THREADS sets the worker thread count (default: all cores).
 //
 // A malformed number (not the whole value, or out of range) exits 2; a p or q
 // that is not finite and > 0, or a stop probability outside [0, 1), exits 1.
@@ -223,15 +225,15 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Tracing starts before the load so graph I/O, degree sort, and the plan
-    // solve all land in the trace alongside the walk itself.
-    if (!args.trace_path.empty()) {
-      Tracer::SetThisThreadName("main");
-      Tracer::Get().Enable();
-    }
+    // fmwalk's phases for --trace-json, in seconds since `clock` started.
+    Timer clock;
+    std::vector<TracePhase> phases;
+    auto end_phase = [&](const char* name, double start_s) {
+      phases.push_back({name, start_s, clock.Elapsed() - start_s});
+      return phases.back().dur_s;
+    };
 
     // ---- load -----------------------------------------------------------------
-    Timer load_timer;
     CsrGraph raw;
     if (!args.graph_path.empty()) {
       raw = LoadEdgeListText(args.graph_path,
@@ -248,7 +250,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(raw.num_edges()),
                  raw.weighted() ? " weighted" : "",
                  raw.memory_mapped() ? " (memory-mapped)" : "",
-                 load_timer.Elapsed());
+                 end_phase("load", 0));
     // Inputs the engine would reject with a fatal check.
     const std::string& graph_name =
         !args.graph_path.empty() ? args.graph_path : args.csr_path;
@@ -263,9 +265,10 @@ int main(int argc, char** argv) {
     }
 
     // ---- pre-process (degree sort) ---------------------------------------------
-    Timer sort_timer;
+    const double sort_start_s = clock.Elapsed();
     DegreeSortedGraph sorted = DegreeSort(raw);
-    std::fprintf(stderr, "degree sort: %.2fs\n", sort_timer.Elapsed());
+    std::fprintf(stderr, "degree sort: %.2fs\n",
+                 end_phase("degree_sort", sort_start_s));
 
     // ---- walk -------------------------------------------------------------------
     WalkSpec spec;
@@ -285,7 +288,9 @@ int main(int argc, char** argv) {
     spec.keep_paths = !args.out_path.empty() || !args.pairs_path.empty();
 
     EngineOptions engine_options;
-    engine_options.record_step_stats = args.profile || !args.metrics_path.empty();
+    engine_options.record_step_stats = args.profile ||
+                                       !args.metrics_path.empty() ||
+                                       !args.trace_path.empty();
     engine_options.collect_counters = !args.metrics_path.empty();
     // Live views of the run's WalkStats, rendered at the engine's step
     // barriers: the heartbeat and the fm-telemetry-v1 lines.
@@ -309,27 +314,19 @@ int main(int argc, char** argv) {
       observers.push_back(&telemetry);
     }
     FlashMobEngine engine(sorted.graph, engine_options);
+    const double run_start_s = clock.Elapsed();
     WalkResult result = engine.Run(spec, observers);
+    end_phase("run", run_start_s);
     if (telemetry_file != nullptr) {
-      telemetry_file.reset();
+      const bool closed = std::fclose(telemetry_file.release()) == 0;
+      if (telemetry.write_failed() || !closed) {
+        return CannotWrite(args.telemetry_path);
+      }
       std::fprintf(stderr,
                    "wrote %llu telemetry lines to %s — summarize with: "
                    "fmmon --summary %s\n",
                    static_cast<unsigned long long>(telemetry.lines_written()),
                    args.telemetry_path.c_str(), args.telemetry_path.c_str());
-    }
-    if (!args.trace_path.empty()) {
-      Tracer& tracer = Tracer::Get();
-      tracer.Disable();
-      if (!tracer.WriteJson(args.trace_path)) {
-        return CannotWrite(args.trace_path);
-      }
-      std::fprintf(stderr,
-                   "wrote %llu spans (%llu dropped) to %s — open in "
-                   "ui.perfetto.dev or run: fmtrace %s\n",
-                   static_cast<unsigned long long>(tracer.TotalEvents()),
-                   static_cast<unsigned long long>(tracer.TotalDropped()),
-                   args.trace_path.c_str(), args.trace_path.c_str());
     }
     std::fprintf(stderr,
                  "walked %llu steps in %.2fs: %.1f ns/step "
@@ -354,6 +351,7 @@ int main(int argc, char** argv) {
     }
 
     // ---- output ------------------------------------------------------------------
+    const double output_start_s = clock.Elapsed();
     if (!args.metrics_path.empty()) {
       MetricsMeta meta;
       meta.tool = "fmwalk";
@@ -441,6 +439,20 @@ int main(int argc, char** argv) {
                     stats.avg_degree[b], stats.edge_share[b] * 100,
                     stats.visit_share[b] * 100);
       }
+    }
+    // The trace is written last so that it covers the output phase.
+    if (!args.trace_path.empty()) {
+      end_phase("output", output_start_s);
+      std::ofstream trace(args.trace_path);
+      trace << WalkTraceJson(phases, run_start_s, result.stats) << '\n';
+      trace.close();
+      if (!trace) {
+        return CannotWrite(args.trace_path);
+      }
+      std::fprintf(stderr,
+                   "wrote the trace of %zu steps to %s — open it in "
+                   "ui.perfetto.dev\n",
+                   result.stats.step_records.size(), args.trace_path.c_str());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
