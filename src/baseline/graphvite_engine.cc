@@ -48,6 +48,9 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
                "weighted node2vec is not supported");
   FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
                "Metropolis-Hastings is not supported by the GraphVite baseline");
+  FM_CHECK_MSG(!node2vec || Node2VecParamsUsable(spec.node2vec),
+               "node2vec requires finite p > 0 and q > 0 whose weights "
+               "1, 1/p, 1/q lie within 2^53 of each other");
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -66,7 +69,7 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   PathSet paths(walkers, spec.steps);
   // Live walker-steps per worker (a walker stops stepping once dead).
   std::vector<uint64_t> live_shards(pool->thread_count(), 0);
-  const double bound = Node2VecBound(spec.node2vec);
+  const Node2VecThresholds thresholds(spec.node2vec);
   Timer walk_timer;
   // One walker's whole path at a time: every transition depends on the previous
   // one — a graph-wide pointer chase.
@@ -83,8 +86,7 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
         Vid nxt = kInvalidVid;
         if (v != kInvalidVid) {
           ++live;
-          nxt = node2vec ? Node2VecStep(graph_, v, prev, spec.node2vec, bound,
-                                        rng, hook)
+          nxt = node2vec ? Node2VecStep(graph_, v, prev, thresholds, rng, hook)
                          : DirectStep(graph_, v, alias, rng, hook);
           if (spec.stop_probability > 0 &&
               rng.NextDouble() < spec.stop_probability) {

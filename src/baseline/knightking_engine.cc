@@ -30,8 +30,7 @@ template <typename Rng, typename Hook>
 struct BaselineRing {
   const CsrGraph& graph;
   const VertexAliasTables* alias;  // weighted first-order walks only
-  const Node2VecParams& params;
-  double bound;
+  const Node2VecThresholds thresholds;
   const Vid* cur;
   const Vid* prev;  // predecessor row; null when walkers have none
   Vid* next;
@@ -48,8 +47,7 @@ struct BaselineRing {
                uint64_t step_seed_in, Wid base_in, Hook& hook_in)
       : graph(graph_in),
         alias(alias_in),
-        params(params_in),
-        bound(Node2VecBound(params_in)),
+        thresholds(params_in),
         cur(cur_in),
         prev(prev_in),
         next(next_in),
@@ -140,7 +138,7 @@ struct BaselineRing {
         hook.Load(graph.edges().data() + s.pick, sizeof(Vid));
         const Vid candidate = graph.edges()[s.pick];
         if (s.pv == kInvalidVid ||
-            Node2VecAccepts(graph, s.pv, candidate, params, bound, s.rng,
+            Node2VecAccepts(graph, s.pv, candidate, thresholds, s.rng,
                             hook)) {
           return Finish(s, candidate);
         }
@@ -189,6 +187,9 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
                "weighted node2vec is not supported");
   FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
                "Metropolis-Hastings is not supported by the KnightKing baseline");
+  FM_CHECK_MSG(!node2vec || Node2VecParamsUsable(spec.node2vec),
+               "node2vec requires finite p > 0 and q > 0 whose weights "
+               "1, 1/p, 1/q lie within 2^53 of each other");
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -235,7 +236,7 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   // walker-steps (dead walkers are skipped, not stepped).
   std::vector<InterleaveStats> prefetch_shards(pool->thread_count());
   std::vector<uint64_t> live_shards(pool->thread_count(), 0);
-  const double bound = Node2VecBound(spec.node2vec);
+  const Node2VecThresholds thresholds(spec.node2vec);
   Timer walk_timer;
   for (uint32_t step = 0; step < spec.steps; ++step) {
     const Vid* cur = paths.Row(step).data();
@@ -273,7 +274,7 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
             Vid nxt = node2vec
                           ? Node2VecStep(graph_, v,
                                          prev != nullptr ? prev[j] : kInvalidVid,
-                                         spec.node2vec, bound, rng, hook)
+                                         thresholds, rng, hook)
                           : DirectStep(graph_, v, alias, rng, hook);
             if (spec.stop_probability > 0 &&
                 rng.NextDouble() < spec.stop_probability) {

@@ -1,8 +1,8 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
+#include <vector>
 
 #include "src/core/shuffle.h"
 #include "src/core/step_kernel.h"
@@ -47,6 +47,12 @@ void WithSimDelta(Hook& hook, CacheCounters* acc, Stage&& stage) {
     acc->dram_lines += after.dram_lines - before.dram_lines;
   }
 }
+
+// One worker's node2vec tallies, on its own cache line: the sample tasks of
+// different workers add to their slots concurrently, once per VP chunk.
+struct alignas(kCacheLineBytes) Node2VecShard {
+  Node2VecCounts counts;
+};
 
 uint64_t SecondsToNs(double s) {
   return s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9);
@@ -142,9 +148,9 @@ WalkResult FlashMobEngine::RunImpl(
                  spec.algorithm != WalkAlgorithm::kDeepWalk),
                "edge weights are only supported for first-order uniform walks");
   FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kNode2Vec ||
-                   (std::isfinite(spec.node2vec.p) && spec.node2vec.p > 0 &&
-                    std::isfinite(spec.node2vec.q) && spec.node2vec.q > 0),
-               "node2vec requires finite p > 0 and q > 0");
+                   Node2VecParamsUsable(spec.node2vec),
+               "node2vec requires finite p > 0 and q > 0 whose weights "
+               "1, 1/p, 1/q lie within 2^53 of each other");
   for (Vid v : spec.start_vertices) {
     FM_CHECK_MSG(v < n, "start vertex out of range");
   }
@@ -215,6 +221,9 @@ WalkResult FlashMobEngine::RunImpl(
   StepKernel<Hook> kernel(graph_, spec, *plan_, &presample, alias);
   const uint32_t num_vps = plan_->num_vps();
   result.stats.vp_walker_steps.assign(num_vps, 0);
+  // node2vec accept-test tallies, one slot per worker, folded into
+  // WalkStats at each sample barrier.
+  std::vector<Node2VecShard> node2vec_shards(pool->thread_count());
   const uint64_t num_episodes =
       (total_walkers + episode_cap - 1) / std::max<Wid>(episode_cap, 1);
   result.stats.walker_density =
@@ -303,7 +312,8 @@ WalkResult FlashMobEngine::RunImpl(
                            (static_cast<uint64_t>(step) << 24) ^ vp_i);
         kernel.SampleVp(static_cast<uint32_t>(vp_i), sw + begin,
                         sw_prev != nullptr ? sw_prev + begin : nullptr,
-                        end - begin, spec.stop_probability, chunk_seed, hook);
+                        end - begin, spec.stop_probability, chunk_seed, hook,
+                        &node2vec_shards[worker].counts);
         std::span<const Vid> chunk(sw + begin, end - begin);
         for (WalkObserver* sink : sinks) {
           sink->OnSampleChunk(step, static_cast<uint32_t>(vp_i), chunk,
@@ -312,6 +322,10 @@ WalkResult FlashMobEngine::RunImpl(
         result.stats.vp_walker_steps[vp_i] += end - begin;
       });
       const double sample_s = sample_timer.Elapsed();
+      for (Node2VecShard& shard : node2vec_shards) {
+        result.stats.node2vec += shard.counts;
+        shard.counts = {};
+      }
       result.stats.total_steps += live_walkers;
       result.stats.times.sample_s += sample_s;
       const CounterSample sample_counters = perf_delta();

@@ -97,6 +97,10 @@ struct WalkStats {
   // Walker-steps served by each VP (Fig 10b's weighting), indexed by plan VP.
   std::vector<uint64_t> vp_walker_steps;
 
+  // node2vec's accept tests: proposals, those the uniform draw decided alone,
+  // and connectivity checks run. All zero for other algorithms.
+  Node2VecCounts node2vec;
+
   // Per-step stage records; empty unless EngineOptions::record_step_stats.
   std::vector<StepStageRecord> step_records;
 

@@ -10,6 +10,9 @@
 // while finishing walker i, and completes each sample when its slot comes back
 // around. FlashMob's sample stage does not use it: its VPs are sized to be
 // cache-resident, which leaves prefetch no latency to hide (DESIGN.md §5c).
+// The one exception, node2vec's check of the predecessor's list, runs as a
+// lockstep search over a group of walkers (Node2VecCheckLanes,
+// sample_stage.h), which shares only PrefetchRead with this file.
 //
 // Determinism invariant (the whole reason this file can exist): every walker
 // draws from its own RNG stream, indexed by the walker's position — never by

@@ -212,6 +212,17 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
   out += ',';
   AppendKey(&out, "other");
   out += NumberToJson(stats.times.other_s);
+  out += "},";
+  AppendKey(&out, "node2vec");
+  out += '{';
+  AppendKey(&out, "proposals");
+  out += std::to_string(stats.node2vec.proposals);
+  out += ',';
+  AppendKey(&out, "pre_decided");
+  out += std::to_string(stats.node2vec.pre_decided);
+  out += ',';
+  AppendKey(&out, "checks");
+  out += std::to_string(stats.node2vec.checks);
   out += "}},";
 
   // Run-total counters per stage + derived rates.

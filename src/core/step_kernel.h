@@ -33,17 +33,20 @@ class StepKernel {
 
   // Moves `vp_index`'s walker chunk one step in place. `prevs` is the
   // predecessor stream chunk (node2vec only; ignored otherwise). Walker i of
-  // the chunk draws from its own stream seeded by (chunk_seed, i).
+  // the chunk draws from its own stream seeded by (chunk_seed, i). A node2vec
+  // chunk adds its accept-test tallies to `*node2vec`, the calling worker's
+  // own slot.
   FM_HOT_PATH void SampleVp(uint32_t vp_index, Vid* walkers, Vid* prevs,
                             Wid count, double stop_probability,
-                            uint64_t chunk_seed, Hook& hook) const {
+                            uint64_t chunk_seed, Hook& hook,
+                            Node2VecCounts* node2vec) const {
     const VertexPartition& vp = plan_.vp(vp_index);
     switch (spec_.algorithm) {
       case WalkAlgorithm::kNode2Vec:
         SampleVpNode2Vec(graph_, vp, spec_.node2vec, walkers, prevs, count,
                          stop_probability,
                          /*update_prevs=*/!spec_.track_identity, chunk_seed,
-                         hook);
+                         hook, node2vec);
         break;
       case WalkAlgorithm::kMetropolisHastings:
         SampleVpMetropolis(graph_, walkers, count, stop_probability,

@@ -315,6 +315,10 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
   unweighted.close();
   std::ofstream(dir_ / "bad_weight.txt") << "0 1 1.5\n1 0 abc\n";
   std::ofstream(dir_ / "huge_weight.txt") << "0 1 1.5\n1 0 1e39\n";
+  // 0-1, 1-2, 2-0, 2-3, both directions: vertex 3's only neighbor is 2.
+  std::ofstream(dir_ / "tri.el") << "0 1\n1 0\n1 2\n2 1\n2 0\n0 2\n2 3\n3 2\n";
+  const std::string tri = "--graph=" + (dir_ / "tri.el").string() +
+                          " --algo=node2vec --walkers=8 --steps=4";
   const std::string edges = "--graph=" + (dir_ / "edges.txt").string();
   std::vector<std::string> cases = {
       "--graph=" + (dir_ / "empty.txt").string(),
@@ -330,6 +334,12 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
       edges + " --algo=node2vec --q=-1",
       edges + " --algo=node2vec --p=inf",
       edges + " --algo=node2vec --q=nan",
+      // 1/p or 1/q overflows to infinity, or (p = 1e300) vertex 3's only
+      // candidate weighs 1e-300 of the bound: the accept test cannot
+      // represent these weights, and the walk would hang.
+      tri + " --p=1e-310",
+      tri + " --q=1e-310",
+      tri + " --p=1e300",
       edges + " --stop=1",
       edges + " --stop=1.5",
       edges + " --stop=-0.5",

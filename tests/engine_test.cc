@@ -18,6 +18,7 @@
 #include "src/graph/degree_sort.h"
 #include "src/graph/edge_io.h"
 #include "src/util/json.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace fm {
@@ -569,11 +570,51 @@ TEST(EngineTest, Node2VecRejectsUnusableReturnAndInOutParameters) {
   FlashMobEngine engine(g);
   for (auto [p, q] : {std::pair{0.0, 1.0}, std::pair{1.0, -1.0},
                       std::pair{std::numeric_limits<double>::quiet_NaN(), 1.0},
-                      std::pair{1.0, std::numeric_limits<double>::infinity()}}) {
+                      std::pair{1.0, std::numeric_limits<double>::infinity()},
+                      // 1/p or 1/q overflows, or a weight lies below the
+                      // accept test's 2^-53 resolution of the bound.
+                      std::pair{1e-310, 1.0}, std::pair{1.0, 1e-310},
+                      std::pair{1e300, 1.0}}) {
     WalkSpec spec = Node2VecSpec(g.num_vertices(), p, q);
     EXPECT_DEATH(engine.Run(spec), "node2vec requires finite p > 0 and q > 0")
         << p << " " << q;
   }
+}
+
+TEST(EngineTest, Node2VecCountsItsAcceptTests) {
+  // WalkStats::node2vec: every tested proposal is either decided by its
+  // draw or checked, the tally does not depend on the pool size, and at
+  // p = q = 1 nothing is checked.
+  CsrGraph g = SkewedGraph(2000);
+  auto run = [&](uint32_t threads, double p, double q) {
+    ThreadPool pool(threads);
+    EngineOptions options;
+    options.pool = &pool;
+    options.plan.threads_sharing_l3 = 4;  // same plan on every pool
+    FlashMobEngine engine(g, options);
+    return engine.Run(Node2VecSpec(g.num_vertices(), p, q, /*steps=*/8,
+                                   /*rounds=*/2))
+        .stats.node2vec;
+  };
+  const Node2VecCounts one = run(1, 2.0, 0.5);
+  const Node2VecCounts three = run(3, 2.0, 0.5);
+  EXPECT_GT(one.pre_decided, 0u);
+  EXPECT_GT(one.checks, 0u);
+  EXPECT_EQ(one.proposals, one.pre_decided + one.checks);
+  EXPECT_EQ(three.proposals, one.proposals);
+  EXPECT_EQ(three.pre_decided, one.pre_decided);
+  EXPECT_EQ(three.checks, one.checks);
+
+  const Node2VecCounts uniform = run(3, 1.0, 1.0);
+  EXPECT_GT(uniform.proposals, 0u);
+  EXPECT_EQ(uniform.checks, 0u);
+  EXPECT_EQ(uniform.pre_decided, uniform.proposals);
+
+  // DeepWalk runs no accept test.
+  FlashMobEngine engine(g);
+  const Node2VecCounts deepwalk =
+      engine.Run(DeepWalkSpec(g.num_vertices(), 4)).stats.node2vec;
+  EXPECT_EQ(deepwalk.proposals, 0u);
 }
 
 TEST(EngineTest, DeepWalkSpecHelper) {

@@ -249,6 +249,7 @@ WalkStats FabricatedStats() {
   stats.times.sample_s = 0.5;
   stats.times.shuffle_s = 0.25;
   stats.times.other_s = 0.25;
+  stats.node2vec = {.proposals = 70, .pre_decided = 40, .checks = 30};
   stats.perf_backend = "perf";
   stats.counters.scatter.values[0] = 100;
   stats.counters.sample.values[0] = 800;   // cycles
@@ -290,6 +291,9 @@ TEST(MetricsExportTest, WalkMetricsJsonRoundTrips) {
   EXPECT_EQ(run.Num("total_steps"), 1000.0);
   EXPECT_EQ(run.Num("episodes"), 2.0);
   EXPECT_DOUBLE_EQ(run.At("seconds").Num("sample"), 0.5);
+  EXPECT_EQ(run.At("node2vec").Num("proposals"), 70.0);
+  EXPECT_EQ(run.At("node2vec").Num("pre_decided"), 40.0);
+  EXPECT_EQ(run.At("node2vec").Num("checks"), 30.0);
 
   const json::Value& counters = doc.At("counters");
   EXPECT_EQ(counters.At("sample").Num("cycles"), 800.0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "src/core/algorithms/node2vec.h"
@@ -53,11 +55,11 @@ TEST_P(RejectionDistributionTest, MatchesExactDistribution) {
   // The step every engine runs (FlashMob's kernel and both baselines).
   XorShiftRng rng(17);
   NullMemHook hook;
-  const double bound = Node2VecBound(params);
+  const Node2VecThresholds thresholds(params);
   const uint64_t draws = 1 << 18;
   std::map<Vid, uint64_t> counts;
   for (uint64_t i = 0; i < draws; ++i) {
-    ++counts[Node2VecStep(g, cur, prev, params, bound, rng, hook)];
+    ++counts[Node2VecStep(g, cur, prev, thresholds, rng, hook)];
   }
   std::vector<uint64_t> observed;
   std::vector<double> expected;
@@ -76,6 +78,29 @@ INSTANTIATE_TEST_SUITE_P(PqSweep, RejectionDistributionTest,
                                            Node2VecParams{2.0, 2.0},
                                            Node2VecParams{0.5, 0.5}));
 
+TEST(Node2VecParamsUsableTest, WeightsWithin2To53OfEachOther) {
+  // The weights {1, 1/p, 1/q} may span at most 2^53, NextDouble's resolution.
+  EXPECT_TRUE(Node2VecParamsUsable({1.0, 1.0}));
+  EXPECT_TRUE(Node2VecParamsUsable({0x1p-53, 1.0}));   // 1/p = 2^53
+  EXPECT_FALSE(Node2VecParamsUsable({0x1p-54, 1.0}));  // 1/p = 2^54
+  EXPECT_TRUE(Node2VecParamsUsable({1.0, 0x1p53}));    // 1/q = 2^-53
+  EXPECT_FALSE(Node2VecParamsUsable({1.0, 0x1p54}));   // 1/q = 2^-54
+  // The span counts between 1/p and 1/q too: 2^26 over 2^-27 is 2^53.
+  EXPECT_TRUE(Node2VecParamsUsable({0x1p-26, 0x1p27}));
+  EXPECT_FALSE(Node2VecParamsUsable({0x1p-26, 0x1p28}));
+  EXPECT_FALSE(Node2VecParamsUsable({std::nextafter(0x1p-53, 0.0), 1.0}));
+  // 1/p overflows; weights below the resolution; not finite or not > 0.
+  EXPECT_FALSE(Node2VecParamsUsable({1e-310, 1.0}));
+  EXPECT_FALSE(Node2VecParamsUsable({1.0, 1e-310}));
+  EXPECT_FALSE(Node2VecParamsUsable({1e300, 1.0}));
+  EXPECT_FALSE(Node2VecParamsUsable({0.0, 1.0}));
+  EXPECT_FALSE(Node2VecParamsUsable({1.0, -2.0}));
+  EXPECT_FALSE(Node2VecParamsUsable(
+      {std::numeric_limits<double>::infinity(), 1.0}));
+  EXPECT_FALSE(Node2VecParamsUsable(
+      {1.0, std::numeric_limits<double>::quiet_NaN()}));
+}
+
 TEST(RejectionTest, UniformWhenPQOne) {
   // p=q=1 reduces node2vec to a uniform first-order walk.
   CsrGraph g = SmallGraph();
@@ -92,7 +117,7 @@ TEST(RejectionTest, DegreeOneAlwaysReturnsOnlyNeighbor) {
   const Node2VecParams params{0.1, 9.0};
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(
-        Node2VecStep(g, 2, 0, params, Node2VecBound(params), rng, hook), 3u);
+        Node2VecStep(g, 2, 0, Node2VecThresholds(params), rng, hook), 3u);
   }
 }
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/algorithms/node2vec.h"
 #include "src/gen/uniform_degree.h"
@@ -177,6 +181,159 @@ TEST(Node2VecKernelTest, FirstStepIsUniform) {
   std::vector<uint64_t> observed(counts.begin() + 1, counts.end());
   std::vector<double> expected(4, n / 4.0);
   EXPECT_TRUE(ChiSquareTestPasses(observed, expected));
+}
+
+// An XorShiftRng that counts its uniform draws. Node2VecStep draws one per
+// proposal that faces the accept test, so the count before the stop draw is
+// the walker's tested proposals.
+struct CountingRng {
+  explicit CountingRng(uint64_t seed) : rng(seed) {}
+  uint64_t NextBounded(uint64_t bound) { return rng.NextBounded(bound); }
+  double NextDouble() {
+    ++doubles;
+    return rng.NextDouble();
+  }
+  XorShiftRng rng;
+  uint64_t doubles = 0;
+};
+
+// Counts offset-pair reads. Node2VecStep reads cur's pair once and
+// HasEdgeHooked reads prev's pair once per check.
+struct OffsetPairCountingHook {
+  static constexpr bool kEnabled = false;
+  void Load(const void* addr, uint32_t bytes) {
+    const Eid* p = static_cast<const Eid*>(addr);
+    offset_pairs += bytes == 2 * sizeof(Eid) && p >= offsets.data() &&
+                    p < offsets.data() + offsets.size();
+  }
+  void Store(const void*, uint32_t) {}
+  std::span<const Eid> offsets;
+  uint64_t offset_pairs = 0;
+};
+
+// Directed 200-vertex graph: vertices 190..199 have no out-edges (so they
+// show up as both a walker's vertex and its predecessor with an empty list),
+// the rest link to 2..40 random targets (the builder keeps duplicates, so
+// lists repeat entries) and always to 190 and 0, so walks reach the dead ends.
+CsrGraph GraphWithDeadEnds() {
+  const Vid n = 200;
+  GraphBuilder b(n);
+  XorShiftRng rng(31);
+  for (Vid u = 0; u < 190; ++u) {
+    const uint64_t deg = 2 + rng.NextBounded(39);
+    for (uint64_t e = 0; e < deg; ++e) {
+      b.AddEdge(u, static_cast<Vid>(rng.NextBounded(n)));
+    }
+    b.AddEdge(u, 190);
+    b.AddEdge(u, 0);
+  }
+  return b.Build();
+}
+
+class Node2VecLockstepTest
+    : public ::testing::TestWithParam<std::pair<double, double>> {};
+
+TEST_P(Node2VecLockstepTest, MatchesPerWalkerStepBitForBit) {
+  // The lockstep kernel against a Node2VecStep loop, one walker at a time:
+  // the same next stops, predecessors and accept-test tallies.
+  const CsrGraph g = GraphWithDeadEnds();
+  PartitionPlan plan = PartitionPlan::BuildUniform(g, 1, SamplePolicy::kDS);
+  const Node2VecParams params{GetParam().first, GetParam().second};
+  const Node2VecThresholds thresholds(params);
+  const Vid n = g.num_vertices();
+  XorShiftRng init(7);
+  for (Wid count : {Wid{1}, Wid{31}, Wid{32}, Wid{33}, Wid{1000}}) {
+    std::vector<Vid> cur(count);
+    std::vector<Vid> prev(count);
+    for (Wid i = 0; i < count; ++i) {
+      cur[i] = static_cast<Vid>(init.NextBounded(n));
+      // One in eight walkers takes its first step; half of the others come
+      // from an out-neighbor of cur, the rest from anywhere (on a directed
+      // graph a predecessor need not be among cur's out-neighbors).
+      const uint64_t kind = init.NextBounded(16);
+      auto nbrs = g.neighbors(cur[i]);
+      if (kind < 2) {
+        prev[i] = kInvalidVid;
+      } else if (kind < 9 && !nbrs.empty()) {
+        prev[i] = nbrs[init.NextBounded(nbrs.size())];
+      } else {
+        prev[i] = static_cast<Vid>(init.NextBounded(n));
+      }
+    }
+    for (double stop : {0.0, 0.15}) {
+      for (bool update_prevs : {false, true}) {
+        const uint64_t chunk_seed = 1000 * count + (update_prevs ? 1 : 0);
+        std::vector<Vid> want_walkers(count);
+        std::vector<Vid> want_prevs(count);
+        uint64_t want_proposals = 0;
+        OffsetPairCountingHook counting_hook{.offsets = g.offsets()};
+        for (Wid i = 0; i < count; ++i) {
+          CountingRng rng(WalkerSeed(chunk_seed, i));
+          Vid next = Node2VecStep(g, cur[i], prev[i], thresholds, rng,
+                                  counting_hook);
+          want_proposals += rng.doubles;
+          if (stop > 0 && rng.NextDouble() < stop) {
+            next = kInvalidVid;
+          }
+          want_walkers[i] = next;
+          want_prevs[i] = update_prevs ? cur[i] : prev[i];
+        }
+        const uint64_t want_checks = counting_hook.offset_pairs - count;
+
+        std::vector<Vid> walkers = cur;
+        std::vector<Vid> prevs = prev;
+        Node2VecCounts counts;
+        NullMemHook hook;
+        SampleVpNode2Vec(g, plan.vp(0), params, walkers.data(), prevs.data(),
+                         count, stop, update_prevs, chunk_seed, hook, &counts);
+        const std::string where = "count=" + std::to_string(count) +
+                                  " stop=" + std::to_string(stop) +
+                                  " update_prevs=" +
+                                  std::to_string(update_prevs);
+        EXPECT_EQ(walkers, want_walkers) << where;
+        EXPECT_EQ(prevs, want_prevs) << where;
+        EXPECT_EQ(counts.proposals, want_proposals) << where;
+        EXPECT_EQ(counts.checks, want_checks) << where;
+        EXPECT_EQ(counts.pre_decided, want_proposals - want_checks) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PqSweep, Node2VecLockstepTest,
+                         ::testing::Values(std::pair{1.0, 1.0},
+                                           std::pair{0.5, 2.0},
+                                           std::pair{2.0, 0.5},
+                                           std::pair{0.25, 4.0},
+                                           std::pair{4.0, 0.25}));
+
+TEST(Node2VecLockstepTest, ChecksOnlyWhatTheDrawLeavesOpen) {
+  // p = q = 1: every weight is the bound, so no proposal needs a check. At
+  // p = 0.5, q = 2 (weights 2, 1, 0.5 against bound 2) a non-prev candidate
+  // with u < 1/4 accepts and u >= 1/2 rejects without one: three in four
+  // skip it.
+  const CsrGraph g = CompleteGraph(40);
+  PartitionPlan plan = PartitionPlan::BuildUniform(g, 1, SamplePolicy::kDS);
+  const Wid n = 4096;
+  NullMemHook hook;
+  for (auto [p, q] : {std::pair{1.0, 1.0}, std::pair{0.5, 2.0}}) {
+    std::vector<Vid> walkers(n, 0);
+    std::vector<Vid> prevs(n, 1);
+    Node2VecCounts counts;
+    SampleVpNode2Vec(g, plan.vp(0), Node2VecParams{p, q}, walkers.data(),
+                     prevs.data(), n, 0.0, /*update_prevs=*/false,
+                     /*chunk_seed=*/3, hook, &counts);
+    EXPECT_EQ(counts.proposals, counts.pre_decided + counts.checks);
+    if (p == 1.0) {
+      EXPECT_EQ(counts.proposals, n);  // every first proposal accepts
+      EXPECT_EQ(counts.checks, 0u);
+    } else {
+      // The non-prev proposals (38 of 39) with u in [1/4, 1/2) need it.
+      EXPECT_NEAR(static_cast<double>(counts.checks) /
+                      static_cast<double>(counts.proposals),
+                  0.25 * 38.0 / 39.0, 0.02);
+    }
+  }
 }
 
 }  // namespace

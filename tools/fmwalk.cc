@@ -48,10 +48,11 @@
 // FM_THREADS sets the worker thread count (default: all cores).
 //
 // A malformed number (not the whole value, or out of range) exits 2; a p or q
-// that is not finite and > 0, or a stop probability outside [0, 1), exits 1.
+// that fails Node2VecParamsUsable (not finite and > 0, or weights 1, 1/p, 1/q
+// spanning more than 2^53), or a stop probability outside [0, 1), exits 1.
+// A node2vec run also prints its accept-test tallies (WalkStats::node2vec).
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -60,6 +61,7 @@
 #include <system_error>
 #include <vector>
 
+#include "src/core/sample_stage.h"
 #include "src/fm.h"
 
 namespace {
@@ -212,11 +214,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --weighted supports only --algo=deepwalk\n");
     return 1;
   }
-  // node2vec's rejection sampler never accepts with p or q <= 0 (the walk
-  // would hang), and a stop probability outside [0, 1) means nothing.
-  if (!(std::isfinite(args.p) && args.p > 0) ||
-      !(std::isfinite(args.q) && args.q > 0)) {
-    std::fprintf(stderr, "error: --p and --q must be finite and > 0\n");
+  // node2vec's accept test never passes for p or q whose weights it cannot
+  // represent (the walk would hang), and a stop probability outside [0, 1)
+  // means nothing.
+  if (!Node2VecParamsUsable({args.p, args.q})) {
+    std::fprintf(stderr,
+                 "error: --p and --q must be finite and > 0, and 1, 1/p and 1/q "
+                 "must lie within a factor 2^53 of each other\n");
     return 1;
   }
   if (!(args.stop >= 0 && args.stop < 1)) {
@@ -336,6 +340,15 @@ int main(int argc, char** argv) {
                  result.stats.times.Total(), result.stats.PerStepNs(),
                  result.stats.times.sample_s, result.stats.times.shuffle_s,
                  result.stats.times.other_s, result.stats.episodes);
+    if (spec.algorithm == WalkAlgorithm::kNode2Vec) {
+      const Node2VecCounts& n2v = result.stats.node2vec;
+      std::fprintf(stderr,
+                   "node2vec accept tests: %llu proposals, %llu pre-decided, "
+                   "%llu connectivity checks\n",
+                   static_cast<unsigned long long>(n2v.proposals),
+                   static_cast<unsigned long long>(n2v.pre_decided),
+                   static_cast<unsigned long long>(n2v.checks));
+    }
     // Per-step wall-time spread from the run's own histogram — the one
     // --telemetry-jsonl renders, so the two can never disagree.
     {
