@@ -1,13 +1,10 @@
 #include "src/apps/embedding_corpus.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <numeric>
 #include <stdexcept>
 
+#include "src/util/fd_file.h"
 #include "src/util/logging.h"
 
 namespace fm {
@@ -24,56 +21,6 @@ constexpr size_t kFlushPairs = 32768;
 
 inline Vid MapId(const CorpusOptions& options, Vid v) {
   return options.id_map != nullptr ? (*options.id_map)[v] : v;
-}
-
-// Owns the output descriptor, so an exception between open and close cannot
-// leak it. Close() reports what the caller must check.
-class OutputFile {
- public:
-  // Mode 0666 lets the umask decide, as std::ofstream does.
-  explicit OutputFile(const std::string& path)
-      : fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                   0666)) {}
-  ~OutputFile() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-    }
-  }
-  OutputFile(const OutputFile&) = delete;
-  OutputFile& operator=(const OutputFile&) = delete;
-
-  int fd() const { return fd_; }
-
-  // Linux releases the descriptor even when close fails with EINTR, so that
-  // is not retried and not a write failure.
-  bool Close() {
-    int fd = fd_;
-    fd_ = -1;
-    return ::close(fd) == 0 || errno == EINTR;
-  }
-
- private:
-  int fd_;
-};
-
-// Writes all `words` at byte `offset`, looping on short writes and retrying
-// on EINTR.
-bool WriteAt(int fd, const uint32_t* words, size_t count, uint64_t offset) {
-  const char* data = reinterpret_cast<const char*>(words);
-  size_t left = count * sizeof(uint32_t);
-  while (left > 0) {
-    ssize_t n = ::pwrite(fd, data, left, static_cast<off_t>(offset));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return false;
-    }
-    data += n;
-    left -= static_cast<size_t>(n);
-    offset += static_cast<uint64_t>(n);
-  }
-  return true;
 }
 
 // One pool worker's scratch, allocated before the passes run.
@@ -104,7 +51,7 @@ void LivePrefixLengths(const PathSet& paths, Wid begin, Wid end,
 uint64_t WriteSkipGramPairs(const PathSet& paths, const CorpusOptions& options,
                             const std::string& path, ThreadPool& pool) {
   FM_CHECK(options.window >= 1);
-  OutputFile file(path);
+  FdFile file(path, FdFile::Mode::kWrite);
   if (file.fd() < 0) {
     throw std::runtime_error("cannot open corpus output: " + path);
   }
@@ -174,7 +121,8 @@ uint64_t WriteSkipGramPairs(const PathSet& paths, const CorpusOptions& options,
     uint64_t offset = first_pair[b] * 2 * sizeof(uint32_t);
     size_t buffered = 0;  // words in s.pairs
     auto flush = [&] {
-      if (!WriteAt(file.fd(), s.pairs.data(), buffered, offset)) {
+      if (!file.WriteAt(s.pairs.data(), buffered * sizeof(uint32_t),
+                        offset)) {
         s.failed = true;
       }
       offset += buffered * sizeof(uint32_t);

@@ -1,92 +1,65 @@
 #include "src/graph/csr_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/logging.h"
 
 namespace fm {
+
+namespace {
+
+// The storage of a graph built in memory: the vectors its builder moved in.
+struct CsrVectors {
+  std::vector<Eid> offsets;
+  std::vector<Vid> edges;
+  std::vector<float> weights;
+};
+
+}  // namespace
 
 CsrGraph::CsrGraph(std::vector<Eid> offsets, std::vector<Vid> edges)
     : CsrGraph(std::move(offsets), std::move(edges), {}) {}
 
 CsrGraph::CsrGraph(std::vector<Eid> offsets, std::vector<Vid> edges,
                    std::vector<float> weights)
-    : offsets_(std::move(offsets)),
-      edges_(std::move(edges)),
-      weights_(std::move(weights)) {
+    : CsrGraph(std::make_shared<const CsrVectors>(CsrVectors{
+          std::move(offsets), std::move(edges), std::move(weights)})) {}
+
+CsrGraph::CsrGraph(CsrArrays arrays)
+    : CsrGraph(std::make_shared<const CsrArrays>(std::move(arrays))) {}
+
+CsrGraph::CsrGraph(const std::shared_ptr<const MappedFile>& mapping,
+                   std::span<const Eid> offsets, std::span<const Vid> edges,
+                   std::span<const float> weights)
+    : CsrGraph(mapping, offsets, edges, weights, /*memory_mapped=*/true) {
+  FM_CHECK(mapping->valid());
+}
+
+CsrGraph::CsrGraph(std::shared_ptr<const void> storage,
+                   std::span<const Eid> offsets, std::span<const Vid> edges,
+                   std::span<const float> weights, bool memory_mapped)
+    : storage_(std::move(storage)),
+      offsets_(offsets),
+      edges_(edges),
+      weights_(weights),
+      memory_mapped_(memory_mapped) {
+  FM_CHECK(storage_ != nullptr);
   FM_CHECK_MSG(!offsets_.empty(), "CSR offsets must have at least one entry");
   FM_CHECK_MSG(offsets_.back() == edges_.size(),
                "CSR offsets/edges size mismatch: " << offsets_.back() << " vs "
                                                    << edges_.size());
   FM_CHECK_MSG(weights_.empty() || weights_.size() == edges_.size(),
                "CSR weights/edges size mismatch");
-  offsets_view_ = offsets_;
-  edges_view_ = edges_;
-  weights_view_ = weights_;
 #ifndef NDEBUG
-  // Full O(V+E) well-formedness (monotone offsets, in-range targets) on every
-  // construction in checking builds; untrusted input (the loaders in
-  // edge_io.cc) is validated with a thrown error before it gets here.
-  CheckValid();
+  // Full O(V+E) well-formedness (monotone offsets, in-range targets) of every
+  // graph built in memory, in checking builds; untrusted input (the loaders in
+  // edge_io.cc) is validated with a thrown error before it gets here, and a
+  // mapped graph is not paged in just to check it again.
+  if (!memory_mapped_) {
+    CheckValid();
+  }
 #endif
-}
-
-CsrGraph::CsrGraph(std::shared_ptr<MappedFile> mapping,
-                   std::span<const Eid> offsets, std::span<const Vid> edges,
-                   std::span<const float> weights)
-    : mapping_(std::move(mapping)),
-      offsets_view_(offsets),
-      edges_view_(edges),
-      weights_view_(weights) {
-  FM_CHECK(mapping_ != nullptr && mapping_->valid());
-  FM_CHECK_MSG(!offsets_view_.empty(), "CSR offsets must have at least one entry");
-  FM_CHECK_MSG(offsets_view_.back() == edges_view_.size(),
-               "CSR offsets/edges size mismatch");
-  FM_CHECK_MSG(weights_view_.empty() || weights_view_.size() == edges_view_.size(),
-               "CSR weights/edges size mismatch");
-}
-
-CsrGraph& CsrGraph::operator=(const CsrGraph& other) {
-  if (this == &other) {
-    return *this;
-  }
-  offsets_ = other.offsets_;
-  edges_ = other.edges_;
-  weights_ = other.weights_;
-  mapping_ = other.mapping_;
-  if (mapping_ != nullptr) {
-    offsets_view_ = other.offsets_view_;
-    edges_view_ = other.edges_view_;
-    weights_view_ = other.weights_view_;
-  } else {
-    offsets_view_ = offsets_;
-    edges_view_ = edges_;
-    weights_view_ = weights_;
-  }
-  return *this;
-}
-
-CsrGraph& CsrGraph::operator=(CsrGraph&& other) noexcept {
-  if (this == &other) {
-    return *this;
-  }
-  offsets_ = std::move(other.offsets_);
-  edges_ = std::move(other.edges_);
-  weights_ = std::move(other.weights_);
-  mapping_ = std::move(other.mapping_);
-  if (mapping_ != nullptr) {
-    offsets_view_ = other.offsets_view_;
-    edges_view_ = other.edges_view_;
-    weights_view_ = other.weights_view_;
-  } else {
-    offsets_view_ = offsets_;
-    edges_view_ = edges_;
-    weights_view_ = weights_;
-  }
-  other.offsets_view_ = {};
-  other.edges_view_ = {};
-  other.weights_view_ = {};
-  return *this;
 }
 
 bool CsrGraph::HasEdge(Vid v, Vid u) const {
@@ -113,15 +86,15 @@ Degree CsrGraph::MaxDegree() const {
 }
 
 void CsrGraph::CheckValid() const {
-  FM_CHECK(!offsets_view_.empty());
-  FM_CHECK(offsets_view_.front() == 0);
-  for (size_t i = 1; i < offsets_view_.size(); ++i) {
-    FM_CHECK_MSG(offsets_view_[i] >= offsets_view_[i - 1],
+  FM_CHECK(!offsets_.empty());
+  FM_CHECK(offsets_.front() == 0);
+  for (size_t i = 1; i < offsets_.size(); ++i) {
+    FM_CHECK_MSG(offsets_[i] >= offsets_[i - 1],
                  "offsets not monotone at " << i);
   }
-  FM_CHECK(offsets_view_.back() == edges_view_.size());
+  FM_CHECK(offsets_.back() == edges_.size());
   Vid n = num_vertices();
-  for (Vid target : edges_view_) {
+  for (Vid target : edges_) {
     FM_CHECK_MSG(target < n, "edge target out of range: " << target);
   }
 }

@@ -6,9 +6,18 @@
 // engine consumes. Adjacency lists are kept sorted ascending so that the node2vec
 // connectivity check (§5.2) can use binary search.
 //
-// Storage is either owned (built in memory) or borrowed from a read-only file
-// mapping (LoadCsrBinaryMapped in edge_io.h) — the out-of-core mode where the OS
-// page cache streams partitions from disk, the paper's future-work direction.
+// A graph is three spans (offsets, edges, weights) plus a shared owner of the
+// immutable storage they view. The owner is one of:
+//  - the vectors a builder or generator moved in;
+//  - `CsrArrays`: uninitialised, cache-line aligned buffers that the binary
+//    loader and DegreeSort fill on their pool, so pool workers touch the pages
+//    first and nothing is zero-filled;
+//  - a read-only file mapping (LoadCsrBinaryMapped in edge_io.h): the
+//    out-of-core mode where the OS page cache streams partitions from disk,
+//    the paper's future-work direction.
+// Nothing writes through the spans, so copies share the storage, and a copy
+// or a move stays valid after its source is destroyed. A moved-from graph
+// still holds the spans but not the storage: assign to it or destroy it.
 #ifndef SRC_GRAPH_CSR_GRAPH_H_
 #define SRC_GRAPH_CSR_GRAPH_H_
 
@@ -17,11 +26,25 @@
 #include <span>
 #include <vector>
 
+#include "src/util/aligned_buffer.h"
 #include "src/util/logging.h"
 #include "src/util/mmap_file.h"
 #include "src/util/types.h"
 
 namespace fm {
+
+// Uninitialised CSR arrays of a known size, written once by their producer
+// (the binary loader, DegreeSort) and then handed to a CsrGraph.
+struct CsrArrays {
+  CsrArrays(Vid num_vertices, Eid num_edges, bool weighted)
+      : offsets(size_t{num_vertices} + 1),
+        edges(num_edges),
+        weights(weighted ? num_edges : 0) {}
+
+  AlignedBuffer<Eid> offsets;
+  AlignedBuffer<Vid> edges;
+  AlignedBuffer<float> weights;  // empty for an unweighted graph
+};
 
 class CsrGraph {
  public:
@@ -37,51 +60,52 @@ class CsrGraph {
   CsrGraph(std::vector<Eid> offsets, std::vector<Vid> edges,
            std::vector<float> weights);
 
-  // Borrows the arrays from `mapping` (shared so copies of the graph stay valid).
-  // Used by LoadCsrBinaryMapped; the spans must point into the mapping. `weights`
-  // may be empty (unweighted file).
-  CsrGraph(std::shared_ptr<MappedFile> mapping, std::span<const Eid> offsets,
-           std::span<const Vid> edges, std::span<const float> weights = {});
+  // Takes ownership of arrays a producer has filled completely.
+  explicit CsrGraph(CsrArrays arrays);
+
+  // Views arrays inside `mapping`, which copies of the graph share. Used by
+  // LoadCsrBinaryMapped; `weights` may be empty (unweighted file).
+  CsrGraph(const std::shared_ptr<const MappedFile>& mapping,
+           std::span<const Eid> offsets, std::span<const Vid> edges,
+           std::span<const float> weights = {});
 
   Vid num_vertices() const {
-    return static_cast<Vid>(offsets_view_.empty() ? 0 : offsets_view_.size() - 1);
+    return static_cast<Vid>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }
-  Eid num_edges() const { return static_cast<Eid>(edges_view_.size()); }
+  Eid num_edges() const { return static_cast<Eid>(edges_.size()); }
 
   Degree degree(Vid v) const {
     FM_DCHECK_LT(v, num_vertices());
-    return static_cast<Degree>(offsets_view_[v + 1] - offsets_view_[v]);
+    return static_cast<Degree>(offsets_[v + 1] - offsets_[v]);
   }
 
   Eid edge_begin(Vid v) const {
     FM_DCHECK_LT(v, num_vertices());
-    return offsets_view_[v];
+    return offsets_[v];
   }
   Eid edge_end(Vid v) const {
     FM_DCHECK_LT(v, num_vertices());
-    return offsets_view_[v + 1];
+    return offsets_[v + 1];
   }
 
   std::span<const Vid> neighbors(Vid v) const {
     FM_DCHECK_LT(v, num_vertices());
-    return edges_view_.subspan(offsets_view_[v],
-                               offsets_view_[v + 1] - offsets_view_[v]);
+    return edges_.subspan(offsets_[v], offsets_[v + 1] - offsets_[v]);
   }
 
-  std::span<const Eid> offsets() const { return offsets_view_; }
-  std::span<const Vid> edges() const { return edges_view_; }
+  std::span<const Eid> offsets() const { return offsets_; }
+  std::span<const Vid> edges() const { return edges_; }
 
   // Edge weights aligned with edges(); empty for unweighted graphs.
-  bool weighted() const { return !weights_view_.empty(); }
-  std::span<const float> weights() const { return weights_view_; }
+  bool weighted() const { return !weights_.empty(); }
+  std::span<const float> weights() const { return weights_; }
   std::span<const float> neighbor_weights(Vid v) const {
     FM_DCHECK_LT(v, num_vertices());
-    return weights_view_.subspan(offsets_view_[v],
-                                 offsets_view_[v + 1] - offsets_view_[v]);
+    return weights_.subspan(offsets_[v], offsets_[v + 1] - offsets_[v]);
   }
 
-  // True when the graph borrows its arrays from a file mapping.
-  bool memory_mapped() const { return mapping_ != nullptr; }
+  // True when the graph views its arrays in a file mapping.
+  bool memory_mapped() const { return memory_mapped_; }
 
   // True when v's (sorted) adjacency list contains u. O(log degree(v)).
   bool HasEdge(Vid v, Vid u) const;
@@ -90,8 +114,8 @@ class CsrGraph {
   // a uniform position gives a degree-proportional vertex ("uniformly sampling
   // among all edges", §3). O(log |V|).
   Vid VertexOfEdge(Eid pos) const {
-    auto it = std::upper_bound(offsets_view_.begin(), offsets_view_.end(), pos);
-    return static_cast<Vid>((it - offsets_view_.begin()) - 1);
+    auto it = std::upper_bound(offsets_.begin(), offsets_.end(), pos);
+    return static_cast<Vid>((it - offsets_.begin()) - 1);
   }
 
   // True when every adjacency list is sorted ascending (required by HasEdge).
@@ -102,7 +126,7 @@ class CsrGraph {
 
   // Bytes of the CSR arrays (the "CSR Size" column of Table 4).
   uint64_t CsrBytes() const {
-    return offsets_view_.size() * sizeof(Eid) + edges_view_.size() * sizeof(Vid);
+    return offsets_.size() * sizeof(Eid) + edges_.size() * sizeof(Vid);
   }
 
   // Internal consistency: monotone offsets, edge targets in range. Aborts on
@@ -110,23 +134,23 @@ class CsrGraph {
   void CheckValid() const;
 
  private:
-  // Owned storage (empty when memory-mapped).
-  std::vector<Eid> offsets_;
-  std::vector<Vid> edges_;
-  std::vector<float> weights_;
-  // Keeps a borrowed mapping alive across copies of the graph.
-  std::shared_ptr<MappedFile> mapping_;
-  // Views over whichever storage backs the graph.
-  std::span<const Eid> offsets_view_;
-  std::span<const Vid> edges_view_;
-  std::span<const float> weights_view_;
+  // Views the arrays of owned storage: CsrArrays, or a builder's vectors.
+  template <typename Storage>
+  explicit CsrGraph(const std::shared_ptr<const Storage>& storage)
+      : CsrGraph(storage, storage->offsets, storage->edges, storage->weights,
+                 /*memory_mapped=*/false) {}
 
- public:
-  // Copy/move must re-point the views at the destination's own vectors.
-  CsrGraph(const CsrGraph& other) { *this = other; }
-  CsrGraph& operator=(const CsrGraph& other);
-  CsrGraph(CsrGraph&& other) noexcept { *this = std::move(other); }
-  CsrGraph& operator=(CsrGraph&& other) noexcept;
+  // Every constructor ends here: checks the sizes and adopts the spans.
+  CsrGraph(std::shared_ptr<const void> storage, std::span<const Eid> offsets,
+           std::span<const Vid> edges, std::span<const float> weights,
+           bool memory_mapped);
+
+  // Keeps the viewed arrays alive; shared by copies of the graph.
+  std::shared_ptr<const void> storage_;
+  std::span<const Eid> offsets_;
+  std::span<const Vid> edges_;
+  std::span<const float> weights_;
+  bool memory_mapped_ = false;
 };
 
 // Structural equality (same offsets and edge arrays).

@@ -1,13 +1,15 @@
 #include "src/graph/edge_io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
+#include "src/util/fd_file.h"
 #include "src/util/logging.h"
 
 namespace fm {
@@ -93,37 +95,115 @@ std::span<const T> MappedSpan(const uint8_t* base, size_t byte_offset,
   return {reinterpret_cast<const T*>(p), count};
 }
 
+// The payload arrays as the checks read them: the loader's buffers once their
+// bytes have arrived, or the spans of a mapping.
+struct CsrPayload {
+  std::span<const Eid> offsets;
+  std::span<const Vid> edges;
+  std::span<const float> weights;
+};
+
+enum class Section { kOffsets, kEdges, kWeights };
+
+// One pool task's share of the payload: elements [begin, end) of one array,
+// at most kCsrReadBlockBytes of it.
+struct PayloadBlock {
+  Section section;
+  size_t begin;
+  size_t end;
+};
+
+// What the checks of one block found, folded after the join.
+struct BlockVerdict {
+  bool arrived = true;       // the block's bytes were read whole
+  bool falls = false;        // an offset inside the block falls
+  Vid max_target = 0;        // largest target in an edges block
+  bool bad_weights = false;  // a weight that is not finite and > 0
+};
+
 // Rejects a payload no CsrGraph may hold: offsets must start at 0, never
 // decrease and end at |E|; every target must name a vertex; every weight must
 // be finite and > 0 (the alias build divides by their sum). Runs before the
-// graph is constructed, in place of CsrGraph::CheckValid, and throws like
-// ParseCsrHeader. The loops accumulate instead of branching, which lets the
-// target and weight scans vectorize.
-void ValidateCsrPayload(std::span<const Eid> offsets, std::span<const Vid> edges,
-                        std::span<const float> weights,
-                        const std::string& path) {
-  unsigned falls = 0;
-  for (size_t i = 1; i < offsets.size(); ++i) {
-    falls |= offsets[i] < offsets[i - 1];
+// graph is constructed, in place of CsrGraph::CheckValid, as one pool task
+// per block. A task first calls `fill(block)`, when given, to bring the
+// block's bytes in (the copying loader's read), then checks them; no
+// exception may leave a pool task, so each records its verdict and the first
+// failure is thrown after the join, like ParseCsrHeader. Offsets that fall
+// across a block boundary are checked after the join too. The loops
+// accumulate instead of branching, which lets the scans vectorize.
+void LoadCheckedPayload(const CsrPayload& p,
+                        const std::function<bool(const PayloadBlock&)>& fill,
+                        ThreadPool& pool, const std::string& path) {
+  std::vector<PayloadBlock> blocks;
+  auto cut = [&](Section section, size_t count, size_t bytes_each) {
+    const size_t per_block = kCsrReadBlockBytes / bytes_each;
+    for (size_t begin = 0; begin < count; begin += per_block) {
+      blocks.push_back({section, begin, std::min(count, begin + per_block)});
+    }
+  };
+  cut(Section::kOffsets, p.offsets.size(), sizeof(Eid));
+  cut(Section::kEdges, p.edges.size(), sizeof(Vid));
+  cut(Section::kWeights, p.weights.size(), sizeof(float));
+  std::vector<BlockVerdict> verdicts(blocks.size());
+  pool.ParallelFor(blocks.size(), [&](uint64_t b, uint32_t) {
+    const PayloadBlock& block = blocks[b];
+    BlockVerdict& verdict = verdicts[b];
+    if (fill && !fill(block)) {
+      verdict.arrived = false;
+      return;
+    }
+    switch (block.section) {
+      case Section::kOffsets: {
+        unsigned falls = 0;
+        for (size_t i = block.begin + 1; i < block.end; ++i) {
+          falls |= p.offsets[i] < p.offsets[i - 1];
+        }
+        verdict.falls = falls != 0;
+        break;
+      }
+      case Section::kEdges: {
+        Vid max_target = 0;
+        for (size_t i = block.begin; i < block.end; ++i) {
+          max_target = std::max(max_target, p.edges[i]);
+        }
+        verdict.max_target = max_target;
+        break;
+      }
+      case Section::kWeights: {
+        unsigned bad = 0;
+        for (size_t i = block.begin; i < block.end; ++i) {
+          const float w = p.weights[i];
+          bad |= !(w > 0.0f) | !(w <= std::numeric_limits<float>::max());
+        }
+        verdict.bad_weights = bad != 0;
+        break;
+      }
+    }
+  });
+  if (std::ranges::any_of(verdicts, [](const auto& v) { return !v.arrived; })) {
+    ThrowIo("truncated CSR file", path);
   }
-  if (offsets.front() != 0 || falls != 0) {
+  bool falls = p.offsets.front() != 0;
+  Vid max_target = 0;
+  bool bad_weights = false;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const size_t begin = blocks[b].begin;
+    falls |= verdicts[b].falls ||
+             (blocks[b].section == Section::kOffsets && begin > 0 &&
+              p.offsets[begin] < p.offsets[begin - 1]);
+    max_target = std::max(max_target, verdicts[b].max_target);
+    bad_weights |= verdicts[b].bad_weights;
+  }
+  if (falls) {
     ThrowIo("corrupt CSR offsets (not rising from 0)", path);
   }
-  if (offsets.back() != edges.size()) {
+  if (p.offsets.back() != p.edges.size()) {
     ThrowIo("corrupt CSR offsets (last offset is not the edge count)", path);
   }
-  Vid max_target = 0;
-  for (Vid target : edges) {
-    max_target = std::max(max_target, target);
-  }
-  if (!edges.empty() && max_target >= offsets.size() - 1) {
+  if (!p.edges.empty() && max_target >= p.offsets.size() - 1) {
     ThrowIo("corrupt CSR edges (target out of vertex range)", path);
   }
-  unsigned bad_weights = 0;
-  for (float w : weights) {
-    bad_weights |= !(w > 0.0f) | !(w <= std::numeric_limits<float>::max());
-  }
-  if (bad_weights != 0) {
+  if (bad_weights) {
     ThrowIo("corrupt CSR weights (not finite and > 0)", path);
   }
 }
@@ -189,82 +269,93 @@ void SaveEdgeListText(const CsrGraph& graph, const std::string& path) {
       out << '\n';
     }
   }
+  // The last bytes reach the file only at close, which reports a failed flush
+  // through the stream state.
+  out.close();
   if (!out) {
     ThrowIo("write failed", path);
   }
 }
 
 void SaveCsrBinary(const CsrGraph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
+  FdFile file(path, FdFile::Mode::kWrite);
+  if (file.fd() < 0) {
     ThrowIo("cannot open for writing", path);
   }
-  uint64_t header[3] = {graph.weighted() ? kCsrWeightedMagic : kCsrMagic,
-                        graph.num_vertices(), graph.num_edges()};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(graph.offsets().data()),
-            static_cast<std::streamsize>(graph.offsets().size() * sizeof(Eid)));
-  out.write(reinterpret_cast<const char*>(graph.edges().data()),
-            static_cast<std::streamsize>(graph.edges().size() * sizeof(Vid)));
-  if (graph.weighted()) {
-    out.write(reinterpret_cast<const char*>(graph.weights().data()),
-              static_cast<std::streamsize>(graph.weights().size() * sizeof(float)));
-  }
-  if (!out) {
+  const uint64_t header[3] = {graph.weighted() ? kCsrWeightedMagic : kCsrMagic,
+                              graph.num_vertices(), graph.num_edges()};
+  uint64_t at = 0;
+  auto append = [&](const void* data, size_t bytes) {
+    at += bytes;
+    return file.WriteAt(data, bytes, at - bytes);
+  };
+  const bool written =
+      append(header, sizeof(header)) &&
+      append(graph.offsets().data(), graph.offsets().size_bytes()) &&
+      append(graph.edges().data(), graph.edges().size_bytes()) &&
+      append(graph.weights().data(), graph.weights().size_bytes());
+  if (!file.Close() || !written) {
     ThrowIo("write failed", path);
   }
 }
 
-CsrGraph LoadCsrBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
+CsrGraph LoadCsrBinary(const std::string& path, ThreadPool& pool) {
+  FdFile file(path, FdFile::Mode::kRead);
+  uint64_t file_size = 0;
+  if (file.fd() < 0 || !file.Size(&file_size)) {
     ThrowIo("cannot open CSR file", path);
   }
-  uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  uint8_t raw[kCsrHeaderBytes];
-  if (file_size < sizeof(raw) ||
-      !in.read(reinterpret_cast<char*>(raw), sizeof(raw))) {
-    ThrowIo("CSR file too small", path);
-  }
-  CsrHeader h = ParseCsrHeader(raw, file_size, path);
-  std::vector<Eid> offsets(h.num_vertices + 1);
-  std::vector<Vid> edges(h.num_edges);
-  std::vector<float> weights(h.weighted ? h.num_edges : 0);
-  in.read(reinterpret_cast<char*>(offsets.data()),
-          static_cast<std::streamsize>(h.offsets_bytes));
-  in.read(reinterpret_cast<char*>(edges.data()),
-          static_cast<std::streamsize>(h.edges_bytes));
-  if (h.weighted) {
-    in.read(reinterpret_cast<char*>(weights.data()),
-            static_cast<std::streamsize>(h.weights_bytes));
-  }
-  if (!in) {
+  uint8_t raw[kCsrHeaderBytes] = {};
+  if (file_size >= sizeof(raw) && !file.ReadAt(raw, sizeof(raw), 0)) {
     ThrowIo("truncated CSR file", path);
   }
-  ValidateCsrPayload(offsets, edges, weights, path);
-  return CsrGraph(std::move(offsets), std::move(edges), std::move(weights));
+  const CsrHeader h = ParseCsrHeader(raw, file_size, path);
+  // Each array goes straight into its own uninitialised buffer, block by
+  // block on the pool, so the workers fault the pages in as they read.
+  CsrArrays arrays(static_cast<Vid>(h.num_vertices), h.num_edges, h.weighted);
+  const uint64_t edges_at = kCsrHeaderBytes + h.offsets_bytes;
+  const uint64_t weights_at = edges_at + h.edges_bytes;
+  auto read = [&](const PayloadBlock& b) {
+    // Elements [b.begin, b.end) of the array at `data`, which the file holds
+    // from byte `at`.
+    auto read_block = [&](auto* data, uint64_t at) {
+      const size_t bytes_each = sizeof(*data);
+      return file.ReadAt(data + b.begin, (b.end - b.begin) * bytes_each,
+                         at + b.begin * bytes_each);
+    };
+    switch (b.section) {
+      case Section::kOffsets:
+        return read_block(arrays.offsets.data(), kCsrHeaderBytes);
+      case Section::kEdges:
+        return read_block(arrays.edges.data(), edges_at);
+      case Section::kWeights:
+        return read_block(arrays.weights.data(), weights_at);
+    }
+    return false;
+  };
+  LoadCheckedPayload({arrays.offsets, arrays.edges, arrays.weights}, read, pool,
+                     path);
+  return CsrGraph(std::move(arrays));
 }
 
-CsrGraph LoadCsrBinaryMapped(const std::string& path) {
-  auto mapping = std::make_shared<MappedFile>(path);
+CsrGraph LoadCsrBinaryMapped(const std::string& path, ThreadPool& pool) {
+  auto mapping = std::make_shared<const MappedFile>(path);
   // Layout (SaveCsrBinary): 3 x uint64 header, then offsets, then edges, then
   // optional weights. The 24-byte header keeps the 8-byte offsets naturally
   // aligned; edges/weights (4-byte) follow at multiples of 4. ParseCsrHeader
   // validates every count against the mapping size before any span is formed.
   const auto* base = static_cast<const uint8_t*>(mapping->data());
-  CsrHeader h = ParseCsrHeader(base, mapping->size(), path);
-  std::span<const Eid> offsets =
-      MappedSpan<Eid>(base, kCsrHeaderBytes, h.num_vertices + 1);
-  std::span<const Vid> edges =
+  const CsrHeader h = ParseCsrHeader(base, mapping->size(), path);
+  CsrPayload p;
+  p.offsets = MappedSpan<Eid>(base, kCsrHeaderBytes, h.num_vertices + 1);
+  p.edges =
       MappedSpan<Vid>(base, kCsrHeaderBytes + h.offsets_bytes, h.num_edges);
-  std::span<const float> weights;
   if (h.weighted) {
-    weights = MappedSpan<float>(
+    p.weights = MappedSpan<float>(
         base, kCsrHeaderBytes + h.offsets_bytes + h.edges_bytes, h.num_edges);
   }
-  ValidateCsrPayload(offsets, edges, weights, path);
-  return CsrGraph(std::move(mapping), offsets, edges, weights);
+  LoadCheckedPayload(p, nullptr, pool, path);
+  return CsrGraph(mapping, p.offsets, p.edges, p.weights);
 }
 
 }  // namespace fm

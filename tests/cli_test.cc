@@ -1,5 +1,5 @@
-// End-to-end smoke tests of the fmwalk and fmmon CLI binaries and of the
-// examples' error handling (paths injected by CMake).
+// End-to-end smoke tests of the fmwalk, fmgen and fmmon CLI binaries and of
+// the examples' error handling (paths injected by CMake).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -18,6 +18,9 @@
 
 #ifndef FMWALK_PATH
 #error "FMWALK_PATH must be defined by the build"
+#endif
+#ifndef FMGEN_PATH
+#error "FMGEN_PATH must be defined by the build"
 #endif
 #ifndef FMMON_PATH
 #error "FMMON_PATH must be defined by the build"
@@ -407,6 +410,48 @@ TEST_F(CliTest, MalformedNumberIsAUsageErrorNamingTheFlag) {
     ASSERT_EQ(errors.size(), 1u) << arg;
     EXPECT_NE(errors[0].find(flag + "="), std::string::npos) << errors[0];
   }
+}
+
+TEST_F(CliTest, FmgenRejectsBadInputWithOneErrorLine) {
+  // Each of these used to abort fmgen (an uncaught exception or a failed
+  // generator check) or to truncate --v silently. A malformed number is a
+  // usage error (exit 2); a value the generator cannot use exits 1.
+  const std::string out = " --out=" + (dir_ / "g.csr").string();
+  const std::pair<std::string, int> cases[] = {
+      {"--kind=powerlaw --v=abc", 2},
+      {"--kind=powerlaw --v=-5", 2},
+      {"--kind=powerlaw --v=4294967296", 2},
+      {"--kind=powerlaw --v=100 --shuffle --weights", 1},
+      {"--kind=powerlaw --v=100 --alpha=-1", 1},
+      {"--kind=powerlaw --v=100 --alpha=nan", 1},
+      {"--kind=powerlaw --v=100 --avgdeg=0", 1},
+      {"--kind=rmat --scale=0", 1},
+      {"--kind=rmat --scale=40", 1},
+  };
+  for (const auto& [args, exit_code] : cases) {
+    EXPECT_EQ(ErrorLines(args + out, exit_code, FMGEN_PATH).size(), 1u)
+        << args;
+  }
+  EXPECT_FALSE(fs::exists(dir_ / "g.csr"));
+}
+
+TEST_F(CliTest, FmgenReportsAFailedWrite) {
+  // Both writers check the bytes that reach the file only when it is
+  // closed, so a full device is an error, not "wrote".
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  const std::string gen = "--kind=uniform --v=50 --deg=3 --out=";
+  for (const char* name : {"full.csr", "full.txt"}) {
+    fs::create_symlink("/dev/full", dir_ / name);
+    EXPECT_EQ(ErrorLines(gen + (dir_ / name).string(), 1, FMGEN_PATH).size(),
+              1u)
+        << name;
+  }
+  // The same graph written to a file walks.
+  const std::string csr = (dir_ / "ok.csr").string();
+  EXPECT_EQ(ErrorLines(gen + csr, 0, FMGEN_PATH).size(), 0u);
+  EXPECT_EQ(Run("--csr=" + csr + " --steps=2 --rounds=1"), 0);
 }
 
 }  // namespace

@@ -176,6 +176,78 @@ TEST(DegreeSortTest, ParallelMatchesSerialWithFewerVerticesThanThreads) {
   ExpectMatchesReference(SmallGraph());
 }
 
+TEST(DegreeSortTest, ParallelMatchesSerialAcrossTheRadixCutoff) {
+  // Lists just below, at, just past and far past the length where the rebuild
+  // switches from std::sort to the radix sort. Targets come from 24 vertices,
+  // so every long list repeats targets, with a distinct weight each time.
+  const size_t cutoff = kRadixSortMinLength;
+  std::vector<std::vector<std::pair<Vid, float>>> lists(600);
+  XorShiftRng rng(23);
+  float weight = 1.0f;
+  size_t next = 0;
+  for (size_t len : {cutoff - 1, cutoff, cutoff + 1, 4 * cutoff}) {
+    for (int copies = 0; copies < 8; ++copies) {
+      auto& list = lists[(next++ * 37) % lists.size()];
+      for (size_t i = 0; i < len; ++i) {
+        list.emplace_back(static_cast<Vid>(rng.NextBounded(24)), weight);
+        weight += 0.5f;
+      }
+    }
+  }
+  for (auto& list : lists) {
+    if (list.empty()) {
+      list.emplace_back(static_cast<Vid>(rng.NextBounded(600)), weight);
+    }
+  }
+  ExpectMatchesReference(FromLists(lists, false));
+  ExpectMatchesReference(FromLists(lists, true));
+}
+
+TEST(DegreeSortTest, ParallelMatchesSerialWithThreeByteIdsAndALargeHub) {
+  // More than 2^16 vertices, so new ids need three radix digits, and one hub
+  // whose list of more than 2^16 entries spans all of them.
+  const Vid n = (Vid{1} << 16) + 4000;
+  auto lists = RandomLists(n, static_cast<Degree>(3 * kRadixSortMinLength), n, 29);
+  auto& hub = lists[n / 2];
+  hub.clear();
+  for (Vid i = 0; i < (Vid{1} << 16) + 100; ++i) {
+    hub.emplace_back(static_cast<Vid>((uint64_t{i} * 7919) % n),
+                     1.0f + static_cast<float>(i % 1000));
+  }
+  ExpectMatchesReference(FromLists(lists, false));
+  ExpectMatchesReference(FromLists(lists, true));
+}
+
+// The radix sort equals std::sort for every digit count, including keys near
+// 2^32 that need the fourth digit, and digits that every key shares (those
+// passes are skipped, which changes where the sorted keys land).
+TEST(RadixSortKeysTest, MatchesStdSort) {
+  XorShiftRng rng(31);
+  auto check = [](std::vector<Vid> keys, uint32_t digits) {
+    std::vector<Vid> want = keys;
+    std::sort(want.begin(), want.end());
+    std::vector<Vid> scratch(keys.size() + 3);
+    RadixSortKeys(keys, scratch, digits);
+    EXPECT_EQ(keys, want) << digits << " digits, " << keys.size() << " keys";
+  };
+  for (size_t size : {1u, 2u, 33u, 1000u, 70000u}) {
+    std::vector<Vid> near_top(size);
+    std::vector<Vid> anywhere(size);
+    std::vector<Vid> small(size);
+    for (size_t i = 0; i < size; ++i) {
+      near_top[i] = 0xFFFFFFFFu - static_cast<Vid>(rng.NextBounded(1u << 20));
+      anywhere[i] = static_cast<Vid>(rng.Next());
+      small[i] = static_cast<Vid>(rng.NextBounded(256));
+    }
+    check(near_top, 4);
+    check(anywhere, 4);
+    check(small, 1);
+    check(small, 3);
+    check(std::vector<Vid>(size, 0xABCDEF12u), 4);
+  }
+  check({}, 2);
+}
+
 // Every range is non-empty, the ranges tile [0, n) in order, and none holds
 // more than its share of degree + 1 cost by more than one vertex's cost.
 TEST(EdgeRangesTest, TileVerticesAndBalanceCost) {

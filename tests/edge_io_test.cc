@@ -5,8 +5,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/gen/powerlaw_graph.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace fm {
@@ -194,6 +200,182 @@ TEST_F(CorruptHeaderTest, ValidFileStillLoadsAfterHardening) {
   SaveCsrBinary(original, Path("ok.csr"));
   EXPECT_TRUE(Identical(LoadCsrBinary(Path("ok.csr")), original));
   EXPECT_TRUE(Identical(LoadCsrBinaryMapped(Path("ok.csr")), original));
+}
+
+// --- the parallel loader, the writers and shared storage -------------------
+
+TEST_F(EdgeIoTest, SavesReportAFailedFlush) {
+  // A device that fails every write must fail both saves. The text writer's
+  // last bytes reach it only when the stream is closed, so that close is
+  // checked; the CSR writer checks every write and its close.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  EXPECT_THROW(SaveCsrBinary(SmallGraph(), "/dev/full"), std::runtime_error);
+  EXPECT_THROW(SaveEdgeListText(SmallGraph(), "/dev/full"), std::runtime_error);
+}
+
+// A graph whose offsets, edges and weights each span several read blocks.
+const CsrGraph& MultiBlockGraph(bool weighted) {
+  auto make = [](bool w) {
+    PowerLawConfig config;
+    config.degrees.num_vertices =
+        static_cast<Vid>(3 * kCsrReadBlockBytes / sizeof(Eid) + 1000);
+    config.degrees.avg_degree = 3;
+    config.random_weights = w;
+    return GeneratePowerLawGraph(config);
+  };
+  static const CsrGraph unweighted = make(false);
+  static const CsrGraph with_weights = make(true);
+  return weighted ? with_weights : unweighted;
+}
+
+TEST_F(EdgeIoTest, MultiBlockLoadsMatchOnEveryPoolSize) {
+  for (bool weighted : {false, true}) {
+    const CsrGraph& original = MultiBlockGraph(weighted);
+    ASSERT_GT(original.edges().size_bytes(), 3 * kCsrReadBlockBytes);
+    SaveCsrBinary(original, Path("multi.csr"));
+    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, weighted "
+                                      << weighted);
+      ThreadPool pool(threads);
+      CsrGraph loaded = LoadCsrBinary(Path("multi.csr"), pool);
+      EXPECT_FALSE(loaded.memory_mapped());
+      EXPECT_TRUE(Identical(loaded, original));
+      CsrGraph mapped = LoadCsrBinaryMapped(Path("multi.csr"), pool);
+      EXPECT_TRUE(mapped.memory_mapped());
+      EXPECT_TRUE(Identical(mapped, original));
+    }
+  }
+}
+
+// Expects both loaders on pools of 1, 2, 3 and 8 threads to reject `path`
+// with exactly `message` followed by the path.
+void ExpectLoadersReject(const std::string& path, const std::string& message) {
+  const std::string want = message + ": " + path;
+  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (bool mapped : {false, true}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, mapped " << mapped);
+      try {
+        if (mapped) {
+          LoadCsrBinaryMapped(path, pool);
+        } else {
+          LoadCsrBinary(path, pool);
+        }
+        ADD_FAILURE() << "accepted; expected " << want;
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), want);
+      }
+    }
+  }
+}
+
+// Saves `graph`, overwrites `size` bytes at byte `at` of the file with
+// `bytes`, and expects both loaders to reject it with `message`.
+void ExpectCorruptionRejected(const CsrGraph& graph, const std::string& path,
+                              uint64_t at, const void* bytes, size_t size,
+                              const std::string& message) {
+  SaveCsrBinary(graph, path);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(size));
+  }
+  ExpectLoadersReject(path, message);
+}
+
+constexpr uint64_t kHeaderBytes = 3 * sizeof(uint64_t);
+
+TEST_F(EdgeIoTest, FallingOffsetAtABlockBoundaryIsRejected) {
+  // The first offset of the second block falls below the last of the first:
+  // neither block sees the fall on its own.
+  const CsrGraph& g = MultiBlockGraph(false);
+  const size_t boundary = kCsrReadBlockBytes / sizeof(Eid);
+  ASSERT_GT(g.offsets()[boundary - 1], 0u);
+  const Eid fallen = g.offsets()[boundary - 1] - 1;
+  ExpectCorruptionRejected(g, Path("fall.csr"),
+                           kHeaderBytes + boundary * sizeof(Eid), &fallen,
+                           sizeof(fallen),
+                           "corrupt CSR offsets (not rising from 0)");
+}
+
+TEST_F(EdgeIoTest, OutOfRangeLastTargetIsRejected) {
+  const CsrGraph& g = MultiBlockGraph(false);
+  const Vid target = g.num_vertices();
+  ExpectCorruptionRejected(
+      g, Path("target.csr"),
+      kHeaderBytes + g.offsets().size_bytes() + g.edges().size_bytes() -
+          sizeof(Vid),
+      &target, sizeof(target), "corrupt CSR edges (target out of vertex range)");
+}
+
+TEST_F(EdgeIoTest, NanLastWeightIsRejected) {
+  const CsrGraph& g = MultiBlockGraph(true);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const uint64_t file_bytes = kHeaderBytes + g.offsets().size_bytes() +
+                              g.edges().size_bytes() + g.weights().size_bytes();
+  ExpectCorruptionRejected(g, Path("nan.csr"), file_bytes - sizeof(float), &nan,
+                           sizeof(nan),
+                           "corrupt CSR weights (not finite and > 0)");
+}
+
+TEST_F(EdgeIoTest, FileTruncatedAfterTheHeaderIsRejected) {
+  // The header stays whole; the payload ends inside the offsets, inside the
+  // edges, inside the weights, or one byte short.
+  const CsrGraph& g = MultiBlockGraph(true);
+  const uint64_t offsets_end = kHeaderBytes + g.offsets().size_bytes();
+  const uint64_t file_bytes =
+      offsets_end + g.edges().size_bytes() + g.weights().size_bytes();
+  const std::pair<uint64_t, const char*> cuts[] = {
+      {kHeaderBytes + 8, "truncated CSR file (offsets)"},
+      {offsets_end + 4096, "CSR header counts do not match file size"},
+      {file_bytes - g.weights().size_bytes() / 2,
+       "CSR header counts do not match file size"},
+      {file_bytes - 1, "CSR header counts do not match file size"},
+  };
+  SaveCsrBinary(g, Path("whole.csr"));
+  for (const auto& [size, message] : cuts) {
+    std::filesystem::copy_file(
+        Path("whole.csr"), Path("cut.csr"),
+        std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(Path("cut.csr"), size);
+    SCOPED_TRACE(testing::Message() << "cut at " << size);
+    ExpectLoadersReject(Path("cut.csr"), message);
+  }
+}
+
+TEST_F(EdgeIoTest, CopiesAndMovesOutliveTheirSource) {
+  // Built, loaded and mapped graphs share immutable storage between copies;
+  // every copy and move must stay whole once the graph it came from is gone
+  // (ASan turns a dangling view into a failure).
+  PowerLawConfig config;
+  config.degrees.num_vertices = 4000;
+  config.degrees.avg_degree = 6;
+  config.random_weights = true;
+  const CsrGraph want = GeneratePowerLawGraph(config);
+  SaveCsrBinary(want, Path("own.csr"));
+  const std::function<CsrGraph()> makers[] = {
+      [&] { return GeneratePowerLawGraph(config); },
+      [&] { return LoadCsrBinary(Path("own.csr")); },
+      [&] { return LoadCsrBinaryMapped(Path("own.csr")); },
+  };
+  for (const auto& make : makers) {
+    auto source = std::make_unique<CsrGraph>(make());
+    const bool mapped = source->memory_mapped();
+    CsrGraph copy(*source);
+    CsrGraph assigned;
+    assigned = *source;
+    CsrGraph moved(std::move(*source));
+    CsrGraph move_assigned;
+    move_assigned = std::move(moved);
+    source.reset();
+    for (const CsrGraph* g : {&copy, &assigned, &move_assigned}) {
+      EXPECT_TRUE(Identical(*g, want));
+      EXPECT_EQ(g->memory_mapped(), mapped);
+      g->CheckValid();
+    }
+  }
 }
 
 }  // namespace

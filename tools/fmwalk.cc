@@ -52,17 +52,16 @@
 // spanning more than 2^53), or a stop probability outside [0, 1), exits 1.
 // A node2vec run also prints its accept-test tallies (WalkStats::node2vec).
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "src/core/sample_stage.h"
 #include "src/fm.h"
+#include "tools/cli_flags.h"
 
 namespace {
 
@@ -93,29 +92,6 @@ struct Args {
   bool stats = false;
   bool profile = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-// Strict numeric value of flag argument `arg`: the whole value must be one
-// number in T's range (no sign on an unsigned type, no trailing text). Prints
-// one "error:" line naming the flag and returns false otherwise.
-template <typename T>
-bool ParseNumber(const char* arg, const std::string& value, T* out) {
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
-  if (value.empty() || ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "error: %s: not a valid number\n", arg);
-    return false;
-  }
-  return true;
-}
 
 // Prints the one error line for an output file that cannot be written and
 // returns fmwalk's exit status for it.
