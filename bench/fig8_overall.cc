@@ -13,7 +13,7 @@ namespace {
 struct Row {
   std::string graph;
   double flashmob = 0;
-  double flashmob_counts = 0;  // with streaming sharded visit counting on
+  double flashmob_counts = 0;  // with visit counting on
   double knightking = 0;
   double graphvite = 0;
 };
@@ -43,9 +43,9 @@ Row RunOne(const DatasetSpec& spec, WalkAlgorithm algorithm, bool with_graphvite
                       fm_run.stats.counters.Total());
   }
 
-  // Same walk with the streaming sharded visit counter on: the counting rides
-  // inside the parallel placement/sample stages (merged once per episode), so
-  // the gap to the counts-off column is the full price of visit statistics.
+  // Same walk with visit counting on: each VP's sample task counts its chunk
+  // before stepping it, plus one scatter per episode for the final positions,
+  // so the gap to the counts-off column is the full price of visit statistics.
   EngineOptions counting_options = PerfEngineOptions();
   counting_options.count_visits = true;
   FlashMobEngine fmob_counts(g, counting_options);

@@ -215,9 +215,6 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
       static_cast<double>(walkers) / std::max<double>(1.0, static_cast<double>(m));
   result.stats.episodes = 1;
   last_depth_ = depth;
-  if (options_.count_visits) {
-    result.visit_counts.assign(n, 0);  // fmlint:allow(visit-counts-mut) baseline engine fills its own result
-  }
 
   // Walkers advance in lockstep rounds, each processed one by one within its
   // thread's contiguous range ("all (active) walkers take turns to each sample and

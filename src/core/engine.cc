@@ -12,6 +12,7 @@
 #include "src/util/env.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
+#include "src/util/sync.h"
 #include "src/util/timer.h"
 
 namespace fm {
@@ -53,6 +54,19 @@ void WithSimDelta(Hook& hook, CacheCounters* acc, Stage&& stage) {
 struct alignas(kCacheLineBytes) Node2VecShard {
   Node2VecCounts counts;
 };
+
+// Adds one visit per walker of `vp`'s chunk walkers[0, count) to the shared
+// per-vertex counts. A VP chunk holds only live walkers inside the VP's vertex
+// range, and VP tasks own disjoint ranges, so concurrent chunks add to
+// disjoint elements: no shards, no merge, no atomics, and every increment
+// lands in the range the task is already working on.
+FM_HOT_PATH void CountVpVisits(const VertexPartition& vp, const Vid* walkers,
+                               Wid count, uint64_t* visits) {
+  for (Wid i = 0; i < count; ++i) {
+    FM_DCHECK(walkers[i] >= vp.begin && walkers[i] < vp.end);
+    ++visits[walkers[i]];
+  }
+}
 
 uint64_t SecondsToNs(double s) {
   return s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9);
@@ -169,17 +183,16 @@ WalkResult FlashMobEngine::RunImpl(
   Wid episode_cap = EpisodeWalkers(spec);
 
   WalkResult result;
-
-  // Sink list = caller's observers plus the engine's own visit counter; the
-  // counting rides inside the same parallel stages as any external sink.
-  std::vector<WalkObserver*> sinks(observers.begin(), observers.end());
-  std::optional<ShardedVisitCounter> counter;
+  // Visit counts: each sample task counts its chunk before stepping it, and
+  // each episode's final positions are counted once at episode end.
+  uint64_t* visits = nullptr;
   if (options_.count_visits) {
-    counter.emplace(n);
-    sinks.push_back(&*counter);
+    result.visit_counts.assign(n, 0);
+    visits = result.visit_counts.data();
   }
+
   std::vector<WalkObserver*> walker_sinks;
-  for (WalkObserver* sink : sinks) {
+  for (WalkObserver* sink : observers) {
     if (sink->WantsWalkerChunks()) {
       walker_sinks.push_back(sink);
     }
@@ -240,7 +253,7 @@ WalkResult FlashMobEngine::RunImpl(
   run_info.episodes = num_episodes;
   run_info.pool = pool;
   run_info.stats = &result.stats;
-  for (WalkObserver* sink : sinks) {
+  for (WalkObserver* sink : observers) {
     sink->OnRunBegin(run_info);
   }
   result.stats.times.other_s += other_timer.Elapsed();
@@ -255,10 +268,10 @@ WalkResult FlashMobEngine::RunImpl(
     // ---- place: walker storage + initial positions ---------------------------
     other_timer.Start();
     WalkerState state(graph_, spec, w);
-    for (WalkObserver* sink : sinks) {
+    for (WalkObserver* sink : observers) {
       sink->OnEpisodeBegin(episode, w, base_walker);
     }
-    state.Place(pool, episode, base_walker, sinks);
+    state.Place(pool, episode, base_walker, observers);
     if constexpr (Hook::kEnabled) {
       TouchStreaming(hook.sim(), state.cur(), w * sizeof(Vid));
     }
@@ -310,12 +323,17 @@ WalkResult FlashMobEngine::RunImpl(
         const uint64_t chunk_seed = DeriveSeed(
             spec.seed, 0x5A3FULL ^ (episode << 44) ^
                            (static_cast<uint64_t>(step) << 24) ^ vp_i);
+        if (visits != nullptr) {
+          // Row `step`'s positions: the kernel overwrites the chunk in place.
+          CountVpVisits(plan_->vp(static_cast<uint32_t>(vp_i)), sw + begin,
+                        end - begin, visits);
+        }
         kernel.SampleVp(static_cast<uint32_t>(vp_i), sw + begin,
                         sw_prev != nullptr ? sw_prev + begin : nullptr,
                         end - begin, spec.stop_probability, chunk_seed, hook,
                         &node2vec_shards[worker].counts);
         std::span<const Vid> chunk(sw + begin, end - begin);
-        for (WalkObserver* sink : sinks) {
+        for (WalkObserver* sink : observers) {
           sink->OnSampleChunk(step, static_cast<uint32_t>(vp_i), chunk,
                               worker);
         }
@@ -405,16 +423,31 @@ WalkResult FlashMobEngine::RunImpl(
           SecondsToNs(scatter_s + sample_s + gather_s));
       // Every stage above is barrier-synchronized, so this point is a
       // consistent end-of-step view of the tally, on the calling thread.
-      for (WalkObserver* sink : sinks) {
+      for (WalkObserver* sink : observers) {
         sink->OnStepEnd(episode, step, live_walkers);
       }
     }
 
     other_timer.Start();
+    if (visits != nullptr) {
+      // The final row (the placement row when steps == 0) has no sample task
+      // to count it: scatter it into VP order once more and count each VP
+      // chunk the same way, skipping the dead bin. One scatter per episode;
+      // unhooked, so instrumented runs simulate only the walk's shuffles.
+      // Must precede TakePaths: in keep_paths mode cur() is the last row.
+      shuffler.Scatter(state.cur(), nullptr, w, state.sw(), nullptr);
+      const auto& vp_offsets = shuffler.vp_offsets();
+      const Vid* sw = state.sw();
+      pool->ParallelFor(num_vps, [&](uint64_t vp_i, uint32_t) {
+        CountVpVisits(plan_->vp(static_cast<uint32_t>(vp_i)),
+                      sw + vp_offsets[vp_i],
+                      vp_offsets[vp_i + 1] - vp_offsets[vp_i], visits);
+      });
+    }
     if (spec.keep_paths) {
       result.paths.Append(state.TakePaths());
     }
-    for (WalkObserver* sink : sinks) {
+    for (WalkObserver* sink : observers) {
       sink->OnEpisodeEnd(episode);
     }
     ++result.stats.episodes;
@@ -423,11 +456,8 @@ WalkResult FlashMobEngine::RunImpl(
   }
 
   other_timer.Start();
-  for (WalkObserver* sink : sinks) {
+  for (WalkObserver* sink : observers) {
     sink->OnRunEnd();
-  }
-  if (counter.has_value()) {
-    result.visit_counts = counter->TakeCounts();
   }
   result.stats.times.other_s += other_timer.Elapsed();
   return result;

@@ -13,8 +13,10 @@
 // The W_i rows double as the full path history; walkers are split into episodes
 // sized to the DRAM budget (§5.1). The partition plan comes from the MCKP DP (§4.4)
 // unless overridden (the Fig 9 ablations inject uniform/manual plans).
-// Visit counts accumulate in per-worker shards inside the placement and sample
-// tasks (no serial per-step pass) and merge once per episode.
+// Visit counts go into one shared |V| array: each VP's sample task counts the
+// positions its walkers step from (VP tasks own disjoint vertex ranges, so no
+// shards, merge or atomics), and each episode's final positions are counted
+// by VP after one more scatter.
 #ifndef SRC_CORE_ENGINE_H_
 #define SRC_CORE_ENGINE_H_
 
@@ -137,9 +139,9 @@ struct EngineOptions {
   // (default 4096 MB).
   uint64_t dram_budget_bytes = 0;
   ThreadPool* pool = nullptr;  // nullptr = ThreadPool::Global()
-  // Accumulate per-vertex visit counts via an internal sharded observer (the
-  // accumulation rides inside the parallel stages; benches measuring pure walk
-  // speed turn it off to also skip the per-episode merge).
+  // Fill WalkResult::visit_counts (start positions included). The counting
+  // rides inside the sample tasks plus one scatter per episode for the final
+  // positions; benches measuring pure walk speed turn it off to skip both.
   bool count_visits = true;
   // Record a StepStageRecord per (episode, step) in WalkStats::step_records.
   bool record_step_stats = false;

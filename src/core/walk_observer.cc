@@ -2,86 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstring>
 #include <utility>
 
 #include "src/core/engine.h"
 #include "src/util/logging.h"
-#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace fm {
-
-ShardedVisitCounter::ShardedVisitCounter(Vid num_vertices)
-    : num_vertices_(num_vertices), counts_(num_vertices, 0) {}
-
-void ShardedVisitCounter::OnRunBegin(const WalkRunInfo& info) {
-  pool_ = info.pool;
-  FM_CHECK_MSG(info.num_vertices == num_vertices_,
-               "ShardedVisitCounter sized for a different graph");
-  if (shards_.size() < info.num_workers) {
-    shards_.resize(info.num_workers);
-  }
-  for (auto& shard : shards_) {
-    shard.assign(num_vertices_, 0);
-  }
-}
-
-void ShardedVisitCounter::Accumulate(std::span<const Vid> positions,
-                                     uint32_t worker) {
-  FM_DCHECK_LT(worker, shards_.size());
-  uint64_t* shard = shards_[worker].data();
-  for (Vid v : positions) {
-    if (v != kInvalidVid) {
-      ++shard[v];
-    }
-  }
-}
-
-void ShardedVisitCounter::OnPlacementChunk(Wid /*begin*/,
-                                           std::span<const Vid> positions,
-                                           uint32_t worker) {
-  Accumulate(positions, worker);
-}
-
-void ShardedVisitCounter::OnSampleChunk(uint32_t /*step*/, uint32_t /*vp*/,
-                                        std::span<const Vid> positions,
-                                        uint32_t worker) {
-  Accumulate(positions, worker);
-}
-
-void ShardedVisitCounter::MergeShards(ThreadPool* pool) {
-  auto merge_range = [&](uint64_t begin, uint64_t end) {
-    uint64_t* out = counts_.data();
-    for (const auto& shard : shards_) {
-      const uint64_t* in = shard.data();
-      for (uint64_t v = begin; v < end; ++v) {
-        out[v] += in[v];
-      }
-    }
-    for (auto& shard : shards_) {
-      std::memset(shard.data() + begin, 0, (end - begin) * sizeof(uint64_t));
-    }
-  };
-  if (pool == nullptr || num_vertices_ == 0) {
-    merge_range(0, num_vertices_);
-    return;
-  }
-  pool->ParallelChunks(num_vertices_,
-                       [&](uint64_t begin, uint64_t end, uint32_t) {
-                         merge_range(begin, end);
-                       });
-}
-
-void ShardedVisitCounter::OnEpisodeEnd(uint64_t /*episode*/) {
-  MergeShards(pool_);
-}
-
-std::vector<uint64_t> ShardedVisitCounter::TakeCounts() {
-  std::vector<uint64_t> out = std::move(counts_);
-  counts_.assign(num_vertices_, 0);
-  return out;
-}
 
 void PathSetSink::OnRunBegin(const WalkRunInfo& info) { steps_ = info.steps; }
 

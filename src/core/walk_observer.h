@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <span>
-#include <vector>
 
 #include "src/core/path_set.h"
 #include "src/util/types.h"
@@ -118,42 +117,6 @@ class WalkObserver {
   // Serial merge points.
   virtual void OnEpisodeEnd(uint64_t episode) { (void)episode; }
   virtual void OnRunEnd() {}
-};
-
-// Per-vertex visit counting with per-worker shards, merged once per episode on
-// the engine's pool. Replaces the engine's former serial O(walkers) counting
-// loops: every addition happens inside the placement / sample tasks that
-// produced the position, and uint64 addition is order-independent, so the
-// merged counts are bit-identical to the old serial accumulation. Memory cost
-// is num_workers x |V| x 8 bytes for the shards (fine at this repo's scale;
-// revisit with cache-partitioned shards if |V| x threads outgrows DRAM).
-class ShardedVisitCounter : public WalkObserver {
- public:
-  explicit ShardedVisitCounter(Vid num_vertices);
-
-  void OnRunBegin(const WalkRunInfo& info) override;
-  void OnPlacementChunk(Wid begin, std::span<const Vid> positions,
-                        uint32_t worker) override;
-  void OnSampleChunk(uint32_t step, uint32_t vp, std::span<const Vid> positions,
-                     uint32_t worker) override;
-  void OnEpisodeEnd(uint64_t episode) override;
-
-  // Merged counts; valid after the run (counts accumulate across runs until
-  // TakeCounts()).
-  const std::vector<uint64_t>& counts() const { return counts_; }
-  std::vector<uint64_t> TakeCounts();
-
-  // Exposed for stress tests: merge all shards into counts() immediately
-  // (serially when `pool` is null).
-  void MergeShards(ThreadPool* pool);
-
- private:
-  void Accumulate(std::span<const Vid> positions, uint32_t worker);
-
-  Vid num_vertices_;
-  ThreadPool* pool_ = nullptr;
-  std::vector<uint64_t> counts_;
-  std::vector<std::vector<uint64_t>> shards_;  // one per worker
 };
 
 // Full path capture as a plain observer: reconstructs the PathSet a

@@ -39,11 +39,14 @@ class GateExitStatus(unittest.TestCase):
             json.dump(doc, f)
         return path
 
+    def run_gate(self, current, *flags):
+        return subprocess.run([sys.executable, GATE, current, *flags],
+                              capture_output=True, text=True)
+
     def gate(self, points, *flags):
         current = self.write("current.json", trajectory(points))
-        return subprocess.run(
-            [sys.executable, GATE, current, "--history", self.history, *flags],
-            capture_output=True, text=True).returncode
+        return self.run_gate(current, "--history", self.history,
+                             *flags).returncode
 
     def test_within_tolerance_passes(self):
         self.assertEqual(self.gate([("fig1a/flashmob", "YT", 21.0)]), 0)
@@ -66,6 +69,33 @@ class GateExitStatus(unittest.TestCase):
 
     def test_no_filter_and_no_shared_point_passes(self):
         self.assertEqual(self.gate([("fig1a/new-series", "YT", 5.0)]), 0)
+
+    def test_history_of_another_schema_is_skipped_with_a_note(self):
+        # benchmark/run.py ledger points share the BENCH_N.json names; a
+        # history glob that meets one still gates against the trajectories.
+        ledger = self.write("ledger.json", {"sets": [{"workloads": {}}]})
+        current = self.write("current.json",
+                             trajectory([("fig1a/flashmob", "YT", 30.0)]))
+        glob = os.path.join(self.dir.name, "[hl]*.json")
+        proc = self.run_gate(current, "--history", glob)
+        self.assertEqual(proc.returncode, 1)  # the regression still trips
+        notes = [line for line in proc.stderr.splitlines()
+                 if line.startswith("note: skipping history")]
+        self.assertEqual(len(notes), 1)
+        self.assertIn(ledger, notes[0])
+        self.assertIn("1 history files", proc.stdout)
+
+    def test_history_without_a_trajectory_is_an_error(self):
+        ledger = self.write("ledger.json", {"sets": []})
+        current = self.write("current.json",
+                             trajectory([("fig1a/flashmob", "YT", 20.0)]))
+        self.assertEqual(
+            self.run_gate(current, "--history", ledger).returncode, 2)
+
+    def test_current_of_another_schema_is_an_error(self):
+        current = self.write("current.json", {"sets": []})
+        self.assertEqual(
+            self.run_gate(current, "--history", self.history).returncode, 2)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,11 +128,32 @@ TEST_F(CliTest, DeepWalkWritesPaths) {
 
 TEST_F(CliTest, Node2VecPairsAndStats) {
   auto pairs = dir_ / "pairs.txt";
+  auto stdout_path = dir_ / "stdout.txt";
   int rc = Run("--graph=" + (dir_ / "edges.txt").string() +
                " --algo=node2vec --p=0.5 --q=2 --steps=4 --rounds=1 --stats "
-               "--pairs=" + pairs.string());
+               "--pairs=" + pairs.string() + " >" + stdout_path.string());
   EXPECT_EQ(rc, 0);
   EXPECT_EQ(LineCount(pairs), 400u);  // |V| walkers * 4 sampled edges
+  // --stats prints one row per degree bucket under a "bucket" header; the
+  // visits% column covers every visit, so it sums to 100 up to the rounding
+  // of four one-decimal figures (an empty count vector prints 0.0%).
+  std::ifstream in(stdout_path);
+  std::string line;
+  while (std::getline(in, line) && line.rfind("bucket", 0) != 0) {
+  }
+  ASSERT_EQ(line.rfind("bucket", 0), 0u) << "no --stats table";
+  double visits_sum = 0;
+  int rows = 0;
+  for (; rows < 4 && std::getline(in, line); ++rows) {
+    std::istringstream row(line);
+    std::string name, edges_pct, visits_pct;
+    double avg_degree = 0;
+    ASSERT_TRUE(row >> name >> avg_degree >> edges_pct >> visits_pct) << line;
+    ASSERT_EQ(visits_pct.back(), '%') << line;
+    visits_sum += std::stod(visits_pct);
+  }
+  EXPECT_EQ(rows, 4);
+  EXPECT_NEAR(visits_sum, 100.0, 0.2);
 }
 
 TEST_F(CliTest, WeightedWalkRuns) {

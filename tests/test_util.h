@@ -2,12 +2,15 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "src/core/walk_observer.h"
 #include "src/graph/csr_graph.h"
 #include "src/graph/degree_sort.h"
 #include "src/graph/graph_builder.h"
+#include "src/util/sync.h"
 
 namespace fm {
 
@@ -56,6 +59,44 @@ inline CsrGraph CompleteGraph(Vid n) {
   }
   return b.Build();
 }
+
+// Reference visit counter: every start position (OnPlacementChunk) and every
+// post-step position (OnSampleChunk), added serially under one mutex. The
+// engine counts the same (step, vertex) multiset in its own way, so its
+// WalkResult::visit_counts must equal counts() exactly.
+class StreamedVisitOracle : public WalkObserver {
+ public:
+  explicit StreamedVisitOracle(Vid num_vertices) : counts_(num_vertices, 0) {}
+
+  void OnPlacementChunk(Wid /*begin*/, std::span<const Vid> positions,
+                        uint32_t /*worker*/) override {
+    Add(positions);
+  }
+  void OnSampleChunk(uint32_t /*step*/, uint32_t /*vp*/,
+                     std::span<const Vid> positions,
+                     uint32_t /*worker*/) override {
+    Add(positions);
+  }
+
+  // Read after the run, when no chunk callback is in flight.
+  std::vector<uint64_t> counts() {
+    MutexLock lock(mu_);
+    return counts_;
+  }
+
+ private:
+  void Add(std::span<const Vid> positions) {
+    MutexLock lock(mu_);
+    for (Vid v : positions) {
+      if (v != kInvalidVid) {
+        ++counts_[v];
+      }
+    }
+  }
+
+  Mutex mu_;  // guards counts_
+  std::vector<uint64_t> counts_ FM_GUARDED_BY(mu_);
+};
 
 }  // namespace fm
 

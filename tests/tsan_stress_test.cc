@@ -21,10 +21,10 @@
 #include "src/core/engine.h"
 #include "src/core/partition_plan.h"
 #include "src/core/shuffle.h"
-#include "src/core/walk_observer.h"
 #include "src/gen/powerlaw_graph.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace fm {
 namespace {
@@ -268,65 +268,48 @@ TEST_F(ShuffleDeterminismTest, RepeatedScatterGatherIsStable) {
   }
 }
 
-// --- ShardedVisitCounter merge hammering -------------------------------------
+// --- visit counting into one shared array -----------------------------------
 
-TEST(TsanStressTest, ShardedCounterMergeAcrossThreadCounts) {
-  // The engine's counting path in miniature: concurrent chunk callbacks fill
-  // per-worker shards — placement via pinned ParallelChunks, samples via
-  // dynamically scheduled ParallelFor tasks with kills mixed in — and
-  // MergeShards folds the shards on the same pool once per "episode". uint64
-  // adds commute, so the merged counts must be exact at every thread count;
-  // under TSan this is the main race check for the sharded accumulation.
-  const Vid n = 4096;
-  const Wid walkers = 100003;  // prime: uneven chunk boundaries
-  const uint64_t kTasks = 64;  // dynamic "VP" tasks per sample pass
-  std::vector<Vid> start(walkers), sampled(walkers);
-  for (Wid j = 0; j < walkers; ++j) {
-    start[j] = static_cast<Vid>((j * 2654435761u) % n);
-    // Every 7th sample is a kill; kills must not be counted.
-    sampled[j] =
-        (j % 7 == 0) ? kInvalidVid : static_cast<Vid>((j * 40503u) % n);
-  }
-  const int kEpisodes = 6;
-  const int kStepsPerEpisode = 3;
-  std::vector<uint64_t> expected(n, 0);
-  for (Wid j = 0; j < walkers; ++j) {
-    expected[start[j]] += kEpisodes;
-    if (sampled[j] != kInvalidVid) {
-      expected[sampled[j]] += kEpisodes * kStepsPerEpisode;
-    }
-  }
-
+TEST(TsanStressTest, SharedVisitCountsAcrossThreadCounts) {
+  // The engine counts visits into one shared |V| array: each VP task adds its
+  // own chunk's vertices before stepping them, and each episode's final
+  // positions are counted by VP after one more scatter. Neighbouring VPs'
+  // tasks write distinct elements that can share a cache line; under TSan
+  // this is the race check for that array. A two-level plan, kills and
+  // several episodes put every scatter path and the dead bin under it. The
+  // counts must equal the 1-thread run's and the streamed oracle's.
+  PowerLawConfig config;
+  config.degrees.num_vertices = 60000;
+  config.degrees.avg_degree = 8;
+  config.degrees.alpha = 0.8;
+  config.degrees.max_degree = 60000 / 8;
+  CsrGraph g = GeneratePowerLawGraph(config);
+  WalkSpec spec;
+  spec.steps = 6;
+  spec.num_walkers = 40000;
+  spec.seed = 19;
+  spec.stop_probability = 0.15;
+  spec.keep_paths = false;
+  std::vector<uint64_t> reference;
   for (uint32_t threads : StressThreadCounts()) {
     ThreadPool pool(threads);
-    ShardedVisitCounter counter(n);
-    WalkRunInfo info;
-    info.num_vertices = n;
-    info.total_walkers = walkers;
-    info.num_workers = pool.thread_count();
-    info.pool = &pool;
-    counter.OnRunBegin(info);
-    for (int episode = 0; episode < kEpisodes; ++episode) {
-      pool.ParallelChunks(
-          walkers, [&](uint64_t begin, uint64_t end, uint32_t worker) {
-            counter.OnPlacementChunk(
-                static_cast<Wid>(begin),
-                std::span<const Vid>(start.data() + begin, end - begin),
-                worker);
-          });
-      for (int step = 0; step < kStepsPerEpisode; ++step) {
-        pool.ParallelFor(kTasks, [&](uint64_t task, uint32_t worker) {
-          uint64_t begin = task * walkers / kTasks;
-          uint64_t end = (task + 1) * walkers / kTasks;
-          counter.OnSampleChunk(
-              static_cast<uint32_t>(step), static_cast<uint32_t>(task),
-              std::span<const Vid>(sampled.data() + begin, end - begin),
-              worker);
-        });
-      }
-      counter.MergeShards(&pool);
+    EngineOptions options;
+    options.pool = &pool;
+    options.plan.num_groups = 32;
+    options.plan.max_partitions = 36;
+    options.plan.threads_sharing_l3 = 4;  // pin the plan across pool sizes
+    options.dram_budget_bytes = 10000 * 24;  // 10k walkers per episode
+    FlashMobEngine engine(g, options);
+    StreamedVisitOracle oracle(g.num_vertices());
+    WalkResult result = engine.Run(spec, {&oracle});
+    ASSERT_TRUE(engine.plan().has_internal_shuffle());
+    ASSERT_GE(result.stats.episodes, 3u);
+    ASSERT_EQ(result.visit_counts, oracle.counts()) << threads << " threads";
+    if (reference.empty()) {
+      reference = std::move(result.visit_counts);
+    } else {
+      ASSERT_EQ(result.visit_counts, reference) << threads << " threads";
     }
-    EXPECT_EQ(counter.TakeCounts(), expected) << threads << " threads";
   }
 }
 
@@ -349,7 +332,7 @@ TEST_F(ShuffleDeterminismTest, TwoLevelPathMatchesDirectUnderThreads) {
 TEST(TsanStressTest, EngineHammerAcrossThreadCounts) {
   // Full engine runs: every worker samples its VPs against shared read-only
   // state (CSR arrays, PS buffers of its own VPs) while writing its disjoint
-  // SW region, and the shuffle's scatter/gather and the visit-count shards run
+  // SW region and its VP's visit counts, and the shuffle's scatter/gather run
   // between the stages. node2vec adds the predecessor stream to the shuffle.
   // Correctness bar: bit-identical visit counts across thread counts.
   CsrGraph g = StressGraph(4000);

@@ -1,14 +1,19 @@
-// Streaming-observer equivalence: the parallel sharded accumulation and the
-// PathSetSink must reproduce the engine's own outputs bit-for-bit, across
-// every algorithm, identity mode, and termination setting.
+// Streaming-observer equivalence: the engine's visit counts must equal two
+// oracles bit-for-bit — a serial tally of the placement and sample streams,
+// and PathSet::VisitCounts of the same keep_paths run — and the PathSetSink
+// must reproduce keep_paths rows, across every algorithm, identity mode,
+// termination setting, episode split and pool size.
 #include "src/core/walk_observer.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/core/engine.h"
 #include "src/gen/powerlaw_graph.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace fm {
@@ -58,17 +63,25 @@ WalkSpec ComboSpec(const Combo& combo, Wid walkers, uint32_t steps,
   return spec;
 }
 
-// An external ShardedVisitCounter riding the same run must agree exactly with
-// the engine's internal counter, in every mode.
-TEST(WalkObserverTest, ExternalCounterMatchesEngineCounts) {
+// The engine's counts must equal both oracles in every mode: the streamed
+// tally riding the same run, and (tracked modes, which can keep paths) the
+// row scan of that run's PathSet.
+TEST(WalkObserverTest, CountsMatchStreamedAndRowScanOracles) {
   CsrGraph g = SkewedGraph(2000);
   for (const Combo& combo : AllCombos()) {
     FlashMobEngine engine(g);
-    ShardedVisitCounter counter(g.num_vertices());
-    WalkResult result = engine.Run(ComboSpec(combo, 6000, 9, 5), {&counter});
-    ASSERT_EQ(counter.TakeCounts(), result.visit_counts)
+    WalkSpec spec = ComboSpec(combo, 6000, 9, 5);
+    spec.keep_paths = combo.track_identity;
+    StreamedVisitOracle oracle(g.num_vertices());
+    WalkResult result = engine.Run(spec, {&oracle});
+    ASSERT_EQ(result.visit_counts, oracle.counts())
         << "algorithm " << static_cast<int>(combo.algorithm) << " tracked "
         << combo.track_identity << " stop " << combo.stop_probability;
+    if (spec.keep_paths) {
+      ASSERT_EQ(result.visit_counts, result.paths.VisitCounts(g.num_vertices()))
+          << "algorithm " << static_cast<int>(combo.algorithm) << " stop "
+          << combo.stop_probability;
+    }
   }
 }
 
@@ -144,36 +157,17 @@ TEST(WalkObserverTest, ObserversSpanEpisodes) {
 
   FlashMobEngine engine(g, options);
   ASSERT_LT(engine.EpisodeWalkers(spec), spec.num_walkers);
-  ShardedVisitCounter counter(g.num_vertices());
+  StreamedVisitOracle oracle(g.num_vertices());
   PathSetSink sink;
-  WalkResult result = engine.Run(spec, {&counter, &sink});
+  WalkResult result = engine.Run(spec, {&oracle, &sink});
   EXPECT_GT(result.stats.episodes, 1u);
-  EXPECT_EQ(counter.TakeCounts(), result.visit_counts);
+  EXPECT_EQ(result.visit_counts, oracle.counts());
+  EXPECT_EQ(result.visit_counts, result.paths.VisitCounts(g.num_vertices()));
   PathSet streamed = sink.TakePaths();
   ASSERT_EQ(streamed.num_walkers(), result.paths.num_walkers());
   for (uint32_t s = 0; s <= spec.steps; ++s) {
     ASSERT_EQ(streamed.Row(s), result.paths.Row(s)) << "row " << s;
   }
-}
-
-// Counts accumulate across runs until taken.
-TEST(WalkObserverTest, CounterAccumulatesAcrossRuns) {
-  CsrGraph g = SkewedGraph(800);
-  WalkSpec spec;
-  spec.num_walkers = 2000;
-  spec.steps = 4;
-  spec.keep_paths = false;
-  FlashMobEngine engine(g);
-  ShardedVisitCounter counter(g.num_vertices());
-  WalkResult once = engine.Run(spec, {&counter});
-  engine.Run(spec, {&counter});
-  std::vector<uint64_t> doubled = counter.TakeCounts();
-  for (Vid v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(doubled[v], 2 * once.visit_counts[v]) << v;
-  }
-  // After TakeCounts the slate is clean.
-  engine.Run(spec, {&counter});
-  EXPECT_EQ(counter.TakeCounts(), once.visit_counts);
 }
 
 // Walker-order streams require tracked identity; the engine must refuse the
@@ -199,10 +193,126 @@ TEST(WalkObserverTest, InstrumentedRunFeedsObservers) {
   spec.seed = 31;
   FlashMobEngine engine(g);
   CacheHierarchy sim;
-  ShardedVisitCounter counter(g.num_vertices());
-  WalkResult result = engine.RunInstrumented(spec, &sim, {&counter});
+  StreamedVisitOracle oracle(g.num_vertices());
+  WalkResult result = engine.RunInstrumented(spec, &sim, {&oracle});
   EXPECT_GT(sim.counters().accesses, 0u);
-  EXPECT_EQ(counter.TakeCounts(), result.visit_counts);
+  EXPECT_EQ(result.visit_counts, oracle.counts());
+  EXPECT_EQ(result.visit_counts, result.paths.VisitCounts(g.num_vertices()));
+}
+
+// The engine counts each walker at the vertex it holds before a step, inside
+// the VP task that owns the vertex, and each episode's final positions in one
+// more scatter. This matrix crosses everything that shapes a VP chunk or an
+// episode: pool sizes, a two-level plan, steps 0/1/7 (0: only the final pass
+// counts), stop 0/0.15 (dead walkers sit in the dead bin), every algorithm
+// tracked and identity-free (there the final row is the swapped SW), weighted
+// walks, seeded and degree-proportional starts, one episode or at least four,
+// and keep_paths on and off. In every case the counts must equal the streamed
+// oracle, the row scan when paths are kept, and the 1-thread run's counts.
+TEST(WalkObserverTest, CountsMatchOraclesAcrossRunShapes) {
+  PowerLawConfig config;
+  config.degrees.num_vertices = 60000;
+  config.degrees.avg_degree = 8;
+  config.degrees.alpha = 0.8;
+  config.degrees.max_degree = 60000 / 8;
+  config.random_weights = true;
+  CsrGraph g = GeneratePowerLawGraph(config);
+  const Vid n = g.num_vertices();
+  std::vector<Vid> starts;
+  for (Vid i = 0; i < 97; ++i) {
+    starts.push_back(static_cast<Vid>((i * 7919u) % n));
+  }
+  struct Mode {
+    const char* name;
+    WalkAlgorithm algorithm;
+    bool weighted;
+    bool tracked;
+  };
+  const Mode modes[] = {
+      {"deepwalk", WalkAlgorithm::kDeepWalk, false, true},
+      {"deepwalk-free", WalkAlgorithm::kDeepWalk, false, false},
+      {"node2vec", WalkAlgorithm::kNode2Vec, false, true},
+      {"node2vec-free", WalkAlgorithm::kNode2Vec, false, false},
+      {"mh", WalkAlgorithm::kMetropolisHastings, false, true},
+      {"mh-free", WalkAlgorithm::kMetropolisHastings, false, false},
+      {"weighted", WalkAlgorithm::kDeepWalk, true, true},
+      {"weighted-free", WalkAlgorithm::kDeepWalk, true, false},
+  };
+  // 16 KB holds at most 1365 walkers of any mode below, so 6000 walkers take
+  // at least 4 episodes; 0 keeps the default budget (one episode).
+  const uint64_t kSmallBudget = 16 << 10;
+  const Wid kWalkers = 6000;
+  std::map<std::string, std::vector<uint64_t>> one_thread;
+  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (uint64_t budget : {uint64_t{0}, kSmallBudget}) {
+      EngineOptions options;
+      options.pool = &pool;
+      options.plan.num_groups = 32;
+      options.plan.max_partitions = 36;
+      options.plan.threads_sharing_l3 = 4;  // the same plan on every pool
+      options.dram_budget_bytes = budget;
+      FlashMobEngine engine(g, options);
+      for (const Mode& mode : modes) {
+        for (uint32_t steps : {0u, 1u, 7u}) {
+          for (double stop : {0.0, 0.15}) {
+            for (bool seeded : {false, true}) {
+              std::vector<uint64_t> counts_only;
+              for (bool keep_paths : {false, true}) {
+                if (keep_paths && !mode.tracked) {
+                  continue;
+                }
+                WalkSpec spec;
+                spec.algorithm = mode.algorithm;
+                spec.node2vec = {2.0, 0.5};
+                spec.use_edge_weights = mode.weighted;
+                spec.track_identity = mode.tracked;
+                spec.keep_paths = keep_paths;
+                spec.stop_probability = stop;
+                spec.num_walkers = kWalkers;
+                spec.steps = steps;
+                spec.seed = 41;
+                if (seeded) {
+                  spec.start_vertices = starts;
+                }
+                const std::string key =
+                    std::string(mode.name) + " budget " +
+                    std::to_string(budget) + " steps " +
+                    std::to_string(steps) + " stop " + std::to_string(stop) +
+                    " seeded " + std::to_string(seeded) + " keep_paths " +
+                    std::to_string(keep_paths);
+                StreamedVisitOracle oracle(n);
+                WalkResult result = engine.Run(spec, {&oracle});
+                ASSERT_TRUE(engine.plan().has_internal_shuffle()) << key;
+                if (budget == 0) {
+                  ASSERT_EQ(result.stats.episodes, 1u) << key;
+                } else {
+                  ASSERT_GE(result.stats.episodes, 4u) << key;
+                }
+                ASSERT_EQ(result.visit_counts, oracle.counts())
+                    << key << " threads " << threads;
+                if (keep_paths) {
+                  ASSERT_EQ(result.visit_counts, result.paths.VisitCounts(n))
+                      << key << " threads " << threads;
+                  // keep_paths changes the episode split; only a one-episode
+                  // pair walks the same walks.
+                  if (result.stats.episodes == 1) {
+                    ASSERT_EQ(result.visit_counts, counts_only)
+                        << key << " threads " << threads;
+                  }
+                } else {
+                  counts_only = result.visit_counts;
+                }
+                auto [it, first] = one_thread.emplace(key, result.visit_counts);
+                ASSERT_TRUE(first || result.visit_counts == it->second)
+                    << key << " threads " << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -19,15 +19,19 @@ Usage:
 
 Options:
   --history GLOB     history files (default: BENCH_*.json next to this repo's
-                     root; pass multiple times for several globs)
+                     root; pass multiple times for several globs). Files of
+                     another schema (the benchmark/run.py ledger points share
+                     the BENCH_N.json names) are skipped with a note on
+                     stderr; every CURRENT file must be a trajectory.
   --tolerance PCT    max allowed regression in percent (default: 25)
   --filter SUBSTR    only check keys whose "series/point" contains SUBSTR
                      (e.g. "fig1c/flashmob-interleave" for the overhead gate);
                      exit 2 when no shared key matches
   --table FILE       also write the delta table to FILE (CI artifact)
 
-Exit status: 0 clean, 1 regression past tolerance, 2 usage/schema error or a
---filter that matches no shared point.
+Exit status: 0 clean, 1 regression past tolerance, 2 usage/schema error (a
+CURRENT file that is not a trajectory, or no trajectory among the history
+files) or a --filter that matches no shared point.
 """
 
 import argparse
@@ -37,13 +41,16 @@ import os
 import sys
 
 
+SCHEMA = "fm-bench-trajectory-v1"
+
+
 def load_points(path):
-    """Returns {(series, point): value} for the ns/step points of one file."""
+    """Returns {(series, point): value} for the ns/step points of one file,
+    or None when the file is not an fm-bench-trajectory-v1 document."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "fm-bench-trajectory-v1":
-        raise ValueError(f"{path}: schema {doc.get('schema')!r}, "
-                         "expected fm-bench-trajectory-v1")
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        return None
     points = {}
     for p in doc.get("points", []):
         if p.get("unit") != "ns/step":
@@ -71,16 +78,30 @@ def main():
 
     try:
         best = {}  # key -> (value, file)
+        trajectories = []
         for path in history_files:
-            for key, value in load_points(path).items():
+            points = load_points(path)
+            if points is None:
+                print(f"note: skipping history {path}: not an {SCHEMA} "
+                      "document", file=sys.stderr)
+                continue
+            trajectories.append(path)
+            for key, value in points.items():
                 if key not in best or value < best[key][0]:
                     best[key] = (value, os.path.basename(path))
         current = {}  # key -> (value, file)
         for path in args.current:
-            for key, value in load_points(path).items():
+            points = load_points(path)
+            if points is None:
+                raise ValueError(f"{path}: not an {SCHEMA} document")
+            for key, value in points.items():
                 current[key] = (value, os.path.basename(path))
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    if not trajectories:
+        print(f"error: no {SCHEMA} document among the history files "
+              f"{history_files}", file=sys.stderr)
         return 2
 
     def wanted(key):
@@ -92,7 +113,7 @@ def main():
 
     lines = []
     lines.append(f"bench trajectory gate: tolerance {args.tolerance:g}%, "
-                 f"{len(history_files)} history files, "
+                 f"{len(trajectories)} history files, "
                  f"{len(shared)} shared ns/step points")
     lines.append(f"{'series/point':<44} {'best':>10} {'current':>10} "
                  f"{'delta':>8}  status")

@@ -382,8 +382,9 @@ class TelemetryHotPathRule : public HotPathRule {
   void ScanHot(const FunctionInfo& fn, const std::string& chain,
                DiagSink& sink) override {
     // Shared-cell RMWs ping-pong the cache line between workers — exactly the
-    // contention per-worker accumulation (the ShardedVisitCounter pattern)
-    // exists to avoid. Single-writer relaxed store/load pairs stay legal.
+    // contention per-worker slots folded at the stage barrier (the engine's
+    // Node2VecShard) exist to avoid. Single-writer relaxed store/load pairs
+    // stay legal.
     static const std::set<std::string> kAtomicRmw = {
         "fetch_add",  "fetch_sub",
         "fetch_and",  "fetch_or",
@@ -394,8 +395,8 @@ class TelemetryHotPathRule : public HotPathRule {
         AddOnce(fn.file, c.line,
                 "shared-atomic RMW '" + c.name + "' in hot path", chain,
                 "accumulate into this worker's own slot (indexed by the "
-                "worker id, as ShardedVisitCounter does) and fold the slots "
-                "at the stage barrier",
+                "worker id, as the engine's Node2VecShard is) and fold the "
+                "slots at the stage barrier",
                 sink);
       }
     }

@@ -20,8 +20,8 @@
 //   hot-path-div       per-element `/` or `%` needs an adjacent `div:`
 //                      justification comment.
 //   telemetry-hot-path no shared-atomic RMW (fetch_add etc.); hot metric
-//                      updates accumulate per worker and fold at the stage
-//                      barrier (the ShardedVisitCounter pattern).
+//                      updates accumulate in per-worker slots folded at the
+//                      stage barrier (Node2VecShard in src/core/engine.cc).
 //   rng-stream-discipline
 //                      every `...Rng var(...)` / `...Rng var{...}` and every
 //                      Seed(...) call spells WalkerSeed in its argument list

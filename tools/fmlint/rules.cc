@@ -176,8 +176,8 @@ class VisitCountsMutRule : public LineRegexRule {
             R"((\+\+|--)[^;=]*(\.|->)\s*visit_counts)"
             R"(|(\.|->)\s*visit_counts\s*\.\s*(assign|resize|clear|push_back|emplace_back|swap)\s*\()"
             R"(|(\.|->)\s*visit_counts\s*(\[[^\]]*\]\s*)?(=[^=]|\+=|-=|\+\+|--))",
-            "visit_counts is engine output; outside src/core/ read it or "
-            "accumulate via a ShardedVisitCounter observer",
+            "visit_counts is engine output; outside src/core/ read it, or "
+            "count in your own WalkObserver",
             "") {}
 
  protected:

@@ -268,6 +268,8 @@ int main(int argc, char** argv) {
     spec.keep_paths = !args.out_path.empty() || !args.pairs_path.empty();
 
     EngineOptions engine_options;
+    // Only --stats reads the visit counts.
+    engine_options.count_visits = args.stats;
     engine_options.record_step_stats = args.profile ||
                                        !args.metrics_path.empty() ||
                                        !args.trace_path.empty();
