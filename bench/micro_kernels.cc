@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the core kernels: RNGs (the §5.2 xorshift*
-// vs Mersenne Twister ablation), edge samplers, shuffle passes, and the PS/DS
-// sample kernels on an L2-sized VP.
+// vs Mersenne Twister ablation), shuffle passes, and the PS/DS sample kernels
+// on an L2-sized VP.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -9,8 +9,6 @@
 #include "src/core/sample_stage.h"
 #include "src/core/shuffle.h"
 #include "src/gen/uniform_degree.h"
-#include "src/sampling/alias_table.h"
-#include "src/sampling/cdf_sampler.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -32,32 +30,6 @@ void BM_MersenneRng(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MersenneRng);
-
-void BM_AliasSample(benchmark::State& state) {
-  std::vector<double> weights(state.range(0));
-  XorShiftRng rng(2);
-  for (auto& w : weights) {
-    w = 1.0 + static_cast<double>(rng.NextBounded(100));
-  }
-  AliasTable table(weights);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Sample(rng));
-  }
-}
-BENCHMARK(BM_AliasSample)->Arg(16)->Arg(1024)->Arg(65536);
-
-void BM_CdfSample(benchmark::State& state) {
-  std::vector<double> weights(state.range(0));
-  XorShiftRng rng(2);
-  for (auto& w : weights) {
-    w = 1.0 + static_cast<double>(rng.NextBounded(100));
-  }
-  CdfSampler sampler(weights);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Sample(rng));
-  }
-}
-BENCHMARK(BM_CdfSample)->Arg(16)->Arg(1024)->Arg(65536);
 
 void BM_SampleKernel(benchmark::State& state) {
   SamplePolicy policy = state.range(0) == 0 ? SamplePolicy::kPS : SamplePolicy::kDS;

@@ -26,20 +26,11 @@ int main(int argc, char** argv) {
   // One measured pass per cell collects the timing and the hardware counters
   // bracketing exactly the access loop, so the LLC-miss table below is
   // *measured* (perf_event_open), not derived from the cache model.
-  MemLatencyTable table{};
-  table.working_set_bytes[0] = info.l1_bytes / 2;
-  table.working_set_bytes[1] = info.l2_bytes / 2;
-  table.working_set_bytes[2] = info.l3_bytes / 2;
-  table.working_set_bytes[3] = info.l3_bytes * 8;
-  MemAccessProfile profiles[3][4];
+  const MemLatencyTable table = MeasureMemLatencyTable(info, config);
   bool counters_live = false;
-  for (int p = 0; p < 3; ++p) {
-    for (int l = 0; l < 4; ++l) {
-      profiles[p][l] = MeasureLoadLatencyProfile(static_cast<AccessPattern>(p),
-                                                 table.working_set_bytes[l],
-                                                 config);
-      table.ns[p][l] = profiles[p][l].ns_per_access;
-      counters_live = counters_live || profiles[p][l].counters_active;
+  for (const auto& row : table.cells) {
+    for (const MemAccessProfile& cell : row) {
+      counters_live = counters_live || cell.counters_active;
     }
   }
 
@@ -54,7 +45,7 @@ int main(int argc, char** argv) {
   for (int p = 0; p < 3; ++p) {
     std::printf("%-17s", patterns[p]);
     for (int l = 0; l < 4; ++l) {
-      std::printf(" %8.2fns", table.ns[p][l]);
+      std::printf(" %8.2fns", table.cells[p][l].ns_per_access);
     }
     std::printf("\n");
   }
@@ -64,7 +55,7 @@ int main(int argc, char** argv) {
   for (int p = 0; p < 3; ++p) {
     std::printf("%-17s", patterns[p]);
     for (int l = 0; l < 4; ++l) {
-      const MemAccessProfile& prof = profiles[p][l];
+      const MemAccessProfile& prof = table.cells[p][l];
       double per_access =
           prof.accesses == 0
               ? 0
@@ -84,9 +75,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  double seq_dram = table.ns[0][3];
-  double rand_dram = table.ns[1][3];
-  double chase_l3 = table.ns[2][2];
+  double seq_dram = table.cells[0][3].ns_per_access;
+  double rand_dram = table.cells[1][3].ns_per_access;
+  double chase_l3 = table.cells[2][2].ns_per_access;
   std::printf("\nshape checks: random/seq gap at DRAM = %.1fx (paper: %.1fx);\n",
               rand_dram / seq_dram, 18.35 / 0.76);
   std::printf("pointer-chase@L3 %s random@DRAM (paper: slower)\n",
@@ -100,9 +91,10 @@ int main(int argc, char** argv) {
                              "table1/pointer_chase"};
     for (int p = 0; p < 3; ++p) {
       for (int l = 0; l < 4; ++l) {
-        traj.Add(series[p], levels[l], table.ns[p][l], "ns/access");
+        traj.Add(series[p], levels[l], table.cells[p][l].ns_per_access,
+                 "ns/access");
         traj.AddCounters(std::string(series[p]) + "/" + levels[l],
-                         profiles[p][l].counters);
+                         table.cells[p][l].counters);
       }
     }
     MaybeWriteTrajectory(traj, args.metrics_path);

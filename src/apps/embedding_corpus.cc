@@ -160,19 +160,4 @@ uint64_t WriteSkipGramPairs(const PathSet& paths, const CorpusOptions& options,
   return first_pair[blocks];
 }
 
-std::vector<uint64_t> CorpusTokenCounts(const PathSet& paths, Vid num_vertices,
-                                        const CorpusOptions& options) {
-  std::vector<uint64_t> counts(num_vertices, 0);
-  for (Wid w = 0; w < paths.num_walkers(); ++w) {
-    for (uint32_t s = 0; s <= paths.steps(); ++s) {
-      Vid v = paths.At(w, s);
-      if (v == kInvalidVid) {
-        break;
-      }
-      ++counts[MapId(options, v)];
-    }
-  }
-  return counts;
-}
-
 }  // namespace fm

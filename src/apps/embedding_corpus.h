@@ -30,11 +30,6 @@ uint64_t WriteSkipGramPairs(const PathSet& paths, const CorpusOptions& options,
                             const std::string& path,
                             ThreadPool& pool = ThreadPool::Global());
 
-// Token frequency of the corpus (per vertex, after id_map) — what a trainer's
-// negative-sampling table is built from.
-std::vector<uint64_t> CorpusTokenCounts(const PathSet& paths, Vid num_vertices,
-                                        const CorpusOptions& options = {});
-
 }  // namespace fm
 
 #endif  // SRC_APPS_EMBEDDING_CORPUS_H_

@@ -5,7 +5,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/core/interleave.h"
+#include "src/baseline/interleave.h"
 #include "src/core/sample_stage.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"

@@ -7,9 +7,9 @@
 #ifndef SRC_BASELINE_KNIGHTKING_ENGINE_H_
 #define SRC_BASELINE_KNIGHTKING_ENGINE_H_
 
+#include "src/baseline/interleave.h"
 #include "src/cachesim/hierarchy.h"
 #include "src/core/engine.h"  // WalkResult / WalkStats
-#include "src/core/interleave.h"
 #include "src/graph/csr_graph.h"
 #include "src/util/thread_pool.h"
 
@@ -19,7 +19,7 @@ struct BaselineOptions {
   ThreadPool* pool = nullptr;    // nullptr = global
   bool use_mersenne = true;      // KnightKing's RNG (§5.2); false = xorshift*
   bool count_visits = true;
-  // Step-interleaving ring depth (src/core/interleave.h), honored on the
+  // Step-interleaving ring depth (src/baseline/interleave.h), honored on the
   // xorshift path only: that path seeds one RNG stream per walker, which makes
   // walks bit-identical at every depth. The Mersenne path keeps the historical
   // per-chunk stream (re-seeding a 2.5 KB mt19937_64 state per walker would

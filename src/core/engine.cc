@@ -124,19 +124,10 @@ void FlashMobEngine::EnsurePlan(const WalkSpec& spec, Wid episode_walkers) {
   (void)spec;
 }
 
-WalkResult FlashMobEngine::Run(const WalkSpec& spec) {
-  return Run(spec, {});
-}
-
 WalkResult FlashMobEngine::Run(const WalkSpec& spec,
                                const std::vector<WalkObserver*>& observers) {
   NullMemHook hook;
   return RunImpl(spec, hook, /*single_thread=*/false, observers);
-}
-
-WalkResult FlashMobEngine::RunInstrumented(const WalkSpec& spec,
-                                           CacheHierarchy* sim) {
-  return RunInstrumented(spec, sim, {});
 }
 
 WalkResult FlashMobEngine::RunInstrumented(
@@ -191,15 +182,6 @@ WalkResult FlashMobEngine::RunImpl(
     visits = result.visit_counts.data();
   }
 
-  std::vector<WalkObserver*> walker_sinks;
-  for (WalkObserver* sink : observers) {
-    if (sink->WantsWalkerChunks()) {
-      walker_sinks.push_back(sink);
-    }
-  }
-  FM_CHECK_MSG(walker_sinks.empty() || spec.track_identity,
-               "walker-order observers require track_identity");
-
   // Plan construction is pre-processing (excluded from walk-time accounting, as the
   // paper excludes its 0.04%-0.7% pre-processing overhead from per-step times).
   EnsurePlan(spec, std::min(total_walkers, episode_cap));
@@ -245,13 +227,10 @@ WalkResult FlashMobEngine::RunImpl(
       std::max<double>(1.0, static_cast<double>(m));
 
   WalkRunInfo run_info;
-  run_info.num_vertices = n;
   run_info.steps = spec.steps;
-  run_info.total_walkers = total_walkers;
   run_info.num_workers = pool->thread_count();
   run_info.num_vps = num_vps;
   run_info.episodes = num_episodes;
-  run_info.pool = pool;
   run_info.stats = &result.stats;
   for (WalkObserver* sink : observers) {
     sink->OnRunBegin(run_info);
@@ -380,17 +359,6 @@ WalkResult FlashMobEngine::RunImpl(
         result.stats.counters.gather += gather_counters;
 
         other_timer.Start();
-        if (!walker_sinks.empty()) {
-          // Extra walker-order pass for sinks that asked for it.
-          pool->ParallelChunks(
-              w, [&](uint64_t begin, uint64_t end, uint32_t worker) {
-                std::span<const Vid> chunk(w_next + begin, end - begin);
-                for (WalkObserver* sink : walker_sinks) {
-                  sink->OnWalkerChunk(step, static_cast<Wid>(begin), chunk,
-                                      worker);
-                }
-              });
-        }
         state.AdvanceTracked(step);
         result.stats.times.other_s += other_timer.Elapsed();
       }

@@ -166,20 +166,17 @@ class FlashMobEngine {
   // The plan used by the last Run (or the injected one).
   const PartitionPlan& plan() const;
 
-  WalkResult Run(const WalkSpec& spec);
-
-  // Streaming variant: each observer's chunk callbacks fire inside the
-  // parallel placement / sample / (optionally) gather stages — see
-  // walk_observer.h for the exact contract. Observers must outlive the call.
+  // Each observer's chunk callbacks fire inside the parallel placement and
+  // sample stages — see walk_observer.h for the exact contract. Observers must
+  // outlive the call.
   WalkResult Run(const WalkSpec& spec,
-                 const std::vector<WalkObserver*>& observers);
+                 const std::vector<WalkObserver*>& observers = {});
 
   // Single-threaded run feeding every sample-stage access (and a streaming model of
   // the shuffle passes) through `sim` (Table 5 / Fig 1b). Workloads should be small;
   // simulation is ~100x slower than the real walk.
-  WalkResult RunInstrumented(const WalkSpec& spec, CacheHierarchy* sim);
   WalkResult RunInstrumented(const WalkSpec& spec, CacheHierarchy* sim,
-                             const std::vector<WalkObserver*>& observers);
+                             const std::vector<WalkObserver*>& observers = {});
 
   // Walkers per episode for a given spec (exposed for the NUMA modes / tests).
   Wid EpisodeWalkers(const WalkSpec& spec) const;

@@ -30,11 +30,11 @@
 #include <cmath>
 
 #include "src/cachesim/mem_hook.h"
-#include "src/core/interleave.h"
 #include "src/core/presample.h"
 #include "src/graph/csr_graph.h"
 #include "src/sampling/rejection.h"
 #include "src/sampling/vertex_alias.h"
+#include "src/util/bits.h"
 #include "src/util/rng.h"
 #include "src/util/sync.h"
 #include "src/util/types.h"

@@ -1,45 +1,12 @@
 #include "src/core/walk_observer.h"
 
-#include <algorithm>
 #include <cinttypes>
-#include <utility>
 
 #include "src/core/engine.h"
 #include "src/util/logging.h"
 #include "src/util/timer.h"
 
 namespace fm {
-
-void PathSetSink::OnRunBegin(const WalkRunInfo& info) { steps_ = info.steps; }
-
-void PathSetSink::OnEpisodeBegin(uint64_t /*episode*/, Wid walkers,
-                                 Wid /*base_walker*/) {
-  episode_paths_ = PathSet(walkers, steps_);
-}
-
-void PathSetSink::OnPlacementChunk(Wid begin, std::span<const Vid> positions,
-                                   uint32_t /*worker*/) {
-  std::copy(positions.begin(), positions.end(),
-            episode_paths_.Row(0).begin() + begin);
-}
-
-void PathSetSink::OnWalkerChunk(uint32_t step, Wid begin,
-                                std::span<const Vid> positions,
-                                uint32_t /*worker*/) {
-  std::copy(positions.begin(), positions.end(),
-            episode_paths_.Row(step + 1).begin() + begin);
-}
-
-void PathSetSink::OnEpisodeEnd(uint64_t /*episode*/) {
-  paths_.Append(std::move(episode_paths_));
-  episode_paths_ = PathSet();
-}
-
-PathSet PathSetSink::TakePaths() {
-  PathSet out = std::move(paths_);
-  paths_ = PathSet();
-  return out;
-}
 
 ProgressReporter::ProgressReporter(double interval_s, std::FILE* out)
     : interval_s_(interval_s), out_(out != nullptr ? out : stderr) {}

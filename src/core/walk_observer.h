@@ -7,9 +7,9 @@
 //   OnSampleChunk     inside the per-VP sample tasks, right after the kernel
 //                     (partition order, post-step positions, fresh kills are
 //                     kInvalidVid; the dead bin is never delivered)
-//   OnWalkerChunk     after the reverse shuffle, in walker order (only for
-//                     observers that return WantsWalkerChunks() — costs one
-//                     extra parallel pass per step and requires track_identity)
+//
+// Positions after placement are not streamed in walker order:
+// WalkSpec::keep_paths is the one reader of walker order.
 //
 // Thread-safety contract: the chunk callbacks above run concurrently on worker
 // threads; a single callback invocation only ever covers a range no other
@@ -29,27 +29,20 @@
 #include <cstdio>
 #include <span>
 
-#include "src/core/path_set.h"
 #include "src/util/types.h"
 
 namespace fm {
 
-class ThreadPool;
 struct WalkStats;
 
 // Immutable per-run facts handed to every observer before the first episode.
-// `pool` and `stats` stay valid for the whole run but may only be used from
-// the serial callbacks (`pool` is the engine's own pool — never submit to it
-// from inside a parallel chunk callback; `stats` is updated by the engine
-// between serial callbacks).
+// `stats` stays valid for the whole run but may only be read from the serial
+// callbacks (the engine updates it between them).
 struct WalkRunInfo {
-  Vid num_vertices = 0;
   uint32_t steps = 0;
-  Wid total_walkers = 0;
-  uint32_t num_workers = 1;  // shard-array size for per-thread accumulation
-  uint32_t num_vps = 0;
-  uint64_t episodes = 0;  // episodes the run will execute
-  ThreadPool* pool = nullptr;
+  uint32_t num_workers = 1;  // bounds the chunk callbacks' `worker`
+  uint32_t num_vps = 0;      // bounds OnSampleChunk's `vp`
+  uint64_t episodes = 0;     // episodes the run will execute
   const WalkStats* stats = nullptr;  // the run's tally so far
 };
 
@@ -91,20 +84,6 @@ class WalkObserver {
     (void)worker;
   }
 
-  // Opt-in to OnWalkerChunk. Forces one extra parallel pass per step and is
-  // only legal when spec.track_identity is set (the engine aborts otherwise).
-  virtual bool WantsWalkerChunks() const { return false; }
-
-  // Parallel. positions[i] is episode-local walker begin + i's location after
-  // `step` (kInvalidVid once the walker has terminated).
-  virtual void OnWalkerChunk(uint32_t step, Wid begin,
-                             std::span<const Vid> positions, uint32_t worker) {
-    (void)step;
-    (void)begin;
-    (void)positions;
-    (void)worker;
-  }
-
   // Serial, at the per-step barrier after `step` of `episode` (every stage
   // done, its numbers already in WalkRunInfo::stats). `live_walkers` is how
   // many walkers the step moved.
@@ -117,33 +96,6 @@ class WalkObserver {
   // Serial merge points.
   virtual void OnEpisodeEnd(uint64_t episode) { (void)episode; }
   virtual void OnRunEnd() {}
-};
-
-// Full path capture as a plain observer: reconstructs the PathSet a
-// keep_paths run would produce (bit-identical rows) from the placement and
-// walker-order streams, without the engine materializing rows itself. Lets
-// consumers combine path capture with keep_paths == false engines, or tee
-// paths alongside other sinks. Requires track_identity.
-class PathSetSink : public WalkObserver {
- public:
-  PathSetSink() = default;
-
-  void OnRunBegin(const WalkRunInfo& info) override;
-  void OnEpisodeBegin(uint64_t episode, Wid walkers, Wid base_walker) override;
-  void OnPlacementChunk(Wid begin, std::span<const Vid> positions,
-                        uint32_t worker) override;
-  bool WantsWalkerChunks() const override { return true; }
-  void OnWalkerChunk(uint32_t step, Wid begin, std::span<const Vid> positions,
-                     uint32_t worker) override;
-  void OnEpisodeEnd(uint64_t episode) override;
-
-  const PathSet& paths() const { return paths_; }
-  PathSet TakePaths();
-
- private:
-  uint32_t steps_ = 0;
-  PathSet paths_;          // completed episodes
-  PathSet episode_paths_;  // episode under construction
 };
 
 // Live heartbeat (`fmwalk --progress[=SECONDS]`) rendered from the run's

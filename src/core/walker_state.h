@@ -3,7 +3,8 @@
 //
 // A WalkerState owns one episode's walker arrays and the rotation discipline
 // over them:
-//   keep_paths      the PathSet rows *are* the W_i arrays (zero-copy history);
+//   keep_paths      the PathSet rows *are* the W_i arrays (zero-copy history,
+//                   and the one reader of walker order after placement);
 //   rotating mode   three rows (prev / cur / next gather target) plus the SW
 //                   scratch, with the node2vec predecessor stream riding along.
 // The engine only ever asks for the current row, the scatter aux stream, and

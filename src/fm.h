@@ -14,8 +14,6 @@
 
 #include "src/apps/embedding_corpus.h"
 #include "src/apps/pagerank.h"
-#include "src/apps/simrank.h"
-#include "src/apps/aggregate.h"
 #include "src/baseline/graphvite_engine.h"
 #include "src/baseline/knightking_engine.h"
 #include "src/core/algorithms/deepwalk.h"
@@ -33,7 +31,6 @@
 #include "src/graph/edge_io.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/graph_stats.h"
-#include "src/graph/transpose.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/timer.h"

@@ -194,8 +194,8 @@ MemLatencyTable MeasureMemLatencyTable(const CacheInfo& info,
   table.working_set_bytes[3] = info.l3_bytes * 8;
   for (int p = 0; p < 3; ++p) {
     for (int l = 0; l < 4; ++l) {
-      table.ns[p][l] = MeasureLoadLatencyNs(static_cast<AccessPattern>(p),
-                                            table.working_set_bytes[l], config);
+      table.cells[p][l] = MeasureLoadLatencyProfile(
+          static_cast<AccessPattern>(p), table.working_set_bytes[l], config);
     }
   }
   return table;

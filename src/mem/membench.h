@@ -29,17 +29,6 @@ struct MemBenchConfig {
 double MeasureLoadLatencyNs(AccessPattern pattern, uint64_t working_set_bytes,
                             const MemBenchConfig& config = {});
 
-struct MemLatencyTable {
-  // [pattern][level]: level 0..3 = L1/L2/L3/DRAM working sets.
-  double ns[3][4];
-  uint64_t working_set_bytes[4];
-};
-
-// Runs the full 3x4 grid. Working sets: L1/2, L2/2, L3/2 and 8x L3 (comfortably
-// inside/outside each level).
-MemLatencyTable MeasureMemLatencyTable(const CacheInfo& info,
-                                       const MemBenchConfig& config = {});
-
 // Latency measurement plus hardware counters attributed to exactly the timed
 // access loop (buffer setup and the warm-up pass are excluded). The Table 1
 // reproduction uses this to report *measured* LLC-miss rates next to the
@@ -55,6 +44,17 @@ struct MemAccessProfile {
 MemAccessProfile MeasureLoadLatencyProfile(AccessPattern pattern,
                                            uint64_t working_set_bytes,
                                            const MemBenchConfig& config = {});
+
+struct MemLatencyTable {
+  // [pattern][level]: level 0..3 = L1/L2/L3/DRAM working sets.
+  MemAccessProfile cells[3][4];
+  uint64_t working_set_bytes[4];
+};
+
+// Runs the full 3x4 grid, one MeasureLoadLatencyProfile per cell. Working
+// sets: L1/2, L2/2, L3/2 and 8x L3 (comfortably inside/outside each level).
+MemLatencyTable MeasureMemLatencyTable(const CacheInfo& info,
+                                       const MemBenchConfig& config = {});
 
 }  // namespace fm
 

@@ -15,8 +15,8 @@ VertexAliasTables::VertexAliasTables(const CsrGraph& graph, ThreadPool& pool) {
 
   ParallelForEdgeRanges(
       pool, graph.offsets(), [&](Vid begin, Vid end, uint32_t) {
-        // Vose's algorithm per adjacency list (see sampling/alias_table.cc for the
-        // standalone variant); scratch reused across the range's vertices.
+        // Vose's algorithm per adjacency list; the work vectors are reused
+        // across the range's vertices.
         std::vector<double> scaled;
         std::vector<uint32_t> small;
         std::vector<uint32_t> large;

@@ -40,7 +40,7 @@ class VertexAliasTables {
   }
 
   // Two-phase variant of SampleIndex for the KnightKing baseline's interleaved
-  // ring (src/core/interleave.h): PickSlot makes the first draw and returns the
+  // ring (src/baseline/interleave.h): PickSlot makes the first draw and returns the
   // absolute table index so the caller can prefetch RowAddr(index), and
   // ResolveSlot makes the second draw against the (now near) row. Calling
   // PickSlot + ResolveSlot consumes the RNG exactly like one SampleIndex

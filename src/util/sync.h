@@ -65,8 +65,8 @@
 
 // Canonical global lock order:
 //
-//   1. Application/observer locks (e.g. PairMeetingObserver::mu_ in
-//      src/apps/simrank.cc) — outermost; taken while no service lock is held.
+//   1. Observer locks (e.g. StreamedVisitOracle::mu_ in tests/test_util.h)
+//      — outermost; taken while no service lock is held.
 //   2. Utility service locks: ThreadPool::mutex_ (src/util/thread_pool.cc).
 //   3. g_log_mutex (src/util/logging.cc) — the global leaf; logging may be
 //      called from anywhere, so it must never acquire another lock.

@@ -92,6 +92,15 @@ class GateExitStatus(unittest.TestCase):
         self.assertEqual(
             self.run_gate(current, "--history", ledger).returncode, 2)
 
+    def test_missing_history_is_a_usage_error(self):
+        # No default history: the committed points span bench scales, so a
+        # guessed glob would gate against points that do not compare.
+        current = self.write("current.json",
+                             trajectory([("fig1a/flashmob", "YT", 20.0)]))
+        proc = self.run_gate(current)
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("--history", proc.stderr)
+
     def test_current_of_another_schema_is_an_error(self):
         current = self.write("current.json", {"sets": []})
         self.assertEqual(

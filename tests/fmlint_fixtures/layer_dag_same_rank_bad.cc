@@ -1,4 +1,4 @@
-#include "src/sampling/alias_table.h"
+#include "src/sampling/vertex_alias.h"
 
 namespace fm {
 void SameBandEdge() {}

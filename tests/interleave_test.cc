@@ -1,4 +1,4 @@
-// Unit tests for the step-interleaving ring executor (src/core/interleave.h):
+// Unit tests for the step-interleaving ring executor (src/baseline/interleave.h):
 // the driver protocol (Init order, round-robin Advance, refill on completion).
 // The bitwise-equality proofs that the KnightKing ring reproduces its
 // sequential loop live in baseline_test; this file pins the driver mechanics
@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/interleave.h"
+#include "src/baseline/interleave.h"
 
 namespace fm {
 namespace {

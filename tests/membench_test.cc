@@ -49,11 +49,13 @@ TEST(MemBenchTest, FullTableHasConsistentShape) {
   for (int l = 0; l < 4; ++l) {
     EXPECT_GT(table.working_set_bytes[l], 0u);
     for (int p = 0; p < 3; ++p) {
-      EXPECT_GT(table.ns[p][l], 0.0);
+      EXPECT_GT(table.cells[p][l].ns_per_access, 0.0);
+      EXPECT_GT(table.cells[p][l].accesses, 0u);
     }
   }
   // Sequential streaming stays cheap even at DRAM (the FlashMob premise).
-  EXPECT_LT(table.ns[0][3], table.ns[2][3]);
+  EXPECT_LT(table.cells[0][3].ns_per_access,
+            table.cells[2][3].ns_per_access);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Streaming-observer equivalence: the engine's visit counts must equal two
 // oracles bit-for-bit — a serial tally of the placement and sample streams,
-// and PathSet::VisitCounts of the same keep_paths run — and the PathSetSink
-// must reproduce keep_paths rows, across every algorithm, identity mode,
-// termination setting, episode split and pool size.
+// and PathSet::VisitCounts of the same keep_paths run — across every
+// algorithm, identity mode, termination setting, episode split and pool size.
 #include "src/core/walk_observer.h"
 
 #include <gtest/gtest.h>
@@ -114,38 +113,8 @@ TEST(WalkObserverTest, CountsMatchSerialRowScan) {
   }
 }
 
-// PathSetSink must reconstruct exactly what keep_paths materializes — from a
-// run that never materializes rows itself.
-TEST(WalkObserverTest, PathSetSinkMatchesKeepPaths) {
-  CsrGraph g = SkewedGraph(1500);
-  for (WalkAlgorithm algorithm :
-       {WalkAlgorithm::kDeepWalk, WalkAlgorithm::kNode2Vec}) {
-    for (double stop : {0.0, 0.15}) {
-      Combo combo{algorithm, /*track_identity=*/true, stop};
-      WalkSpec spec = ComboSpec(combo, 4000, 7, 3);
-
-      spec.keep_paths = false;
-      FlashMobEngine sink_engine(g);
-      PathSetSink sink;
-      sink_engine.Run(spec, {&sink});
-      PathSet streamed = sink.TakePaths();
-
-      spec.keep_paths = true;
-      FlashMobEngine path_engine(g);
-      WalkResult reference = path_engine.Run(spec);
-
-      ASSERT_EQ(streamed.num_walkers(), reference.paths.num_walkers());
-      for (uint32_t s = 0; s <= spec.steps; ++s) {
-        ASSERT_EQ(streamed.Row(s), reference.paths.Row(s))
-            << "algorithm " << static_cast<int>(algorithm) << " stop " << stop
-            << " row " << s;
-      }
-    }
-  }
-}
-
-// Observers must see every episode: force a multi-episode run and check both
-// sinks still agree with the engine outputs exactly.
+// Observers must see every episode: force a multi-episode run and check the
+// streamed tally still agrees with the engine outputs exactly.
 TEST(WalkObserverTest, ObserversSpanEpisodes) {
   CsrGraph g = SkewedGraph(1200);
   EngineOptions options;
@@ -158,30 +127,10 @@ TEST(WalkObserverTest, ObserversSpanEpisodes) {
   FlashMobEngine engine(g, options);
   ASSERT_LT(engine.EpisodeWalkers(spec), spec.num_walkers);
   StreamedVisitOracle oracle(g.num_vertices());
-  PathSetSink sink;
-  WalkResult result = engine.Run(spec, {&oracle, &sink});
+  WalkResult result = engine.Run(spec, {&oracle});
   EXPECT_GT(result.stats.episodes, 1u);
   EXPECT_EQ(result.visit_counts, oracle.counts());
   EXPECT_EQ(result.visit_counts, result.paths.VisitCounts(g.num_vertices()));
-  PathSet streamed = sink.TakePaths();
-  ASSERT_EQ(streamed.num_walkers(), result.paths.num_walkers());
-  for (uint32_t s = 0; s <= spec.steps; ++s) {
-    ASSERT_EQ(streamed.Row(s), result.paths.Row(s)) << "row " << s;
-  }
-}
-
-// Walker-order streams require tracked identity; the engine must refuse the
-// combination loudly rather than deliver garbage rows.
-TEST(WalkObserverTest, WalkerChunkSinksRequireTrackedIdentity) {
-  CsrGraph g = SkewedGraph(500);
-  WalkSpec spec;
-  spec.num_walkers = 1000;
-  spec.steps = 2;
-  spec.keep_paths = false;
-  spec.track_identity = false;
-  FlashMobEngine engine(g);
-  PathSetSink sink;
-  EXPECT_DEATH(engine.Run(spec, {&sink}), "track_identity");
 }
 
 // Observer streams work under the instrumented (cache-simulated) path too.

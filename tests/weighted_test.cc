@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
+#include <vector>
 
 #include "src/baseline/knightking_engine.h"
 #include "src/core/engine.h"
@@ -142,6 +144,74 @@ TEST(VertexAliasTest, MatchesWeightDistribution) {
   std::vector<uint64_t> observed{counts[1], counts[2], counts[3]};
   std::vector<double> expected{draws * 0.1, draws * 0.3, draws * 0.6};
   EXPECT_TRUE(ChiSquareTestPasses(observed, expected));
+}
+
+// Rebuilds each edge's probability from the alias tables: slot i of a
+// degree-d list yields edge i with probability prob[i] / d and edge alias[i]
+// with (1 - prob[i]) / d. Every edge of every vertex must come out at
+// w / sum(w), up to the float rounding of the stored prob[] entries.
+void ExpectAliasTablesMatchWeights(const CsrGraph& g) {
+  VertexAliasTables tables(g, ThreadPool::Global());
+  auto prob = tables.prob();
+  auto alias = tables.alias();
+  const double kTol = 4 * std::numeric_limits<float>::epsilon();
+  std::vector<double> rebuilt;
+  for (Vid v = 0; v < g.num_vertices(); ++v) {
+    const Eid base = g.edge_begin(v);
+    const Degree deg = g.degree(v);
+    rebuilt.assign(deg, 0.0);
+    for (Degree i = 0; i < deg; ++i) {
+      ASSERT_LT(alias[base + i], deg) << "vertex " << v << " slot " << i;
+      rebuilt[i] += prob[base + i] / static_cast<double>(deg);
+      rebuilt[alias[base + i]] +=
+          (1.0 - prob[base + i]) / static_cast<double>(deg);
+    }
+    auto weights = g.neighbor_weights(v);
+    double total = 0;
+    for (float w : weights) {
+      total += w;
+    }
+    for (Degree i = 0; i < deg; ++i) {
+      ASSERT_NEAR(rebuilt[i], weights[i] / total, kTol)
+          << "vertex " << v << " edge " << i << " of " << deg;
+    }
+  }
+}
+
+TEST(VertexAliasTest, ExactEdgeProbabilities) {
+  // Hand-built lists: degree 1 (always its one edge), a 100:1:1:1 fan and
+  // a 1:2:3:4 fan.
+  GraphBuilder b(6);
+  b.AddEdge(0, 1, 100.0f);
+  b.AddEdge(0, 2, 1.0f);
+  b.AddEdge(0, 3, 1.0f);
+  b.AddEdge(0, 4, 1.0f);
+  b.AddEdge(1, 0, 7.0f);
+  for (Vid v = 2; v < 6; ++v) {
+    b.AddEdge(5, v - 2, static_cast<float>(v - 1));
+  }
+  for (Vid v = 2; v < 5; ++v) {
+    b.AddEdge(v, 5, 3.0f);
+  }
+  CsrGraph hand = b.Build();
+  ASSERT_TRUE(hand.weighted());
+  ASSERT_EQ(hand.degree(1), 1u);
+  ExpectAliasTablesMatchWeights(hand);
+
+  // Every vertex of a random-weight power-law graph, hubs and degree-1
+  // vertices alike (a mean degree of 4 leaves the Zipf tail at degree 1).
+  PowerLawConfig config;
+  config.degrees.num_vertices = 20000;
+  config.degrees.avg_degree = 4;
+  config.random_weights = true;
+  CsrGraph g = GeneratePowerLawGraph(config);
+  ASSERT_TRUE(g.weighted());
+  Vid degree_one = 0;
+  for (Vid v = 0; v < g.num_vertices(); ++v) {
+    degree_one += g.degree(v) == 1;
+  }
+  ASSERT_GT(degree_one, 0u);
+  ExpectAliasTablesMatchWeights(g);
 }
 
 TEST(VertexAliasTest, TablesIndependentOfPoolSize) {

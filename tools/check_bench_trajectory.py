@@ -2,8 +2,8 @@
 """Bench-regression gate over fm-bench-trajectory-v1 documents.
 
 Compares the ns/step timing points of one or more freshly produced trajectory
-files (bench-smoke output) against the committed BENCH_*.json history and
-fails on regressions beyond a tolerance. Noise-tolerant by construction: each
+files (bench-smoke output) against a committed trajectory history and fails on
+regressions beyond a tolerance. Noise-tolerant by construction: each
 (series, point) key is compared against the *best* (minimum) value that key
 ever recorded in the committed history, so a single slow historical run can
 never mask a regression, and run-to-run jitter has to beat the all-time best
@@ -15,13 +15,15 @@ grow new series over time, and scaled-down CI runs may skip points). A
 series must not switch itself off when that series is renamed or removed.
 
 Usage:
-  tools/check_bench_trajectory.py [options] CURRENT.json [CURRENT2.json ...]
+  tools/check_bench_trajectory.py --history GLOB [options] CURRENT.json ...
 
 Options:
-  --history GLOB     history files (default: BENCH_*.json next to this repo's
-                     root; pass multiple times for several globs). Files of
-                     another schema (the benchmark/run.py ledger points share
-                     the BENCH_N.json names) are skipped with a note on
+  --history GLOB     history files (required; pass multiple times for several
+                     globs). There is no default: the committed BENCH_N.json
+                     points were recorded at different bench scales, so the
+                     caller names the ones that compare with this run. Files
+                     of another schema (the benchmark/run.py ledger points
+                     share the BENCH_N.json names) are skipped with a note on
                      stderr; every CURRENT file must be a trajectory.
   --tolerance PCT    max allowed regression in percent (default: 25)
   --filter SUBSTR    only check keys whose "series/point" contains SUBSTR
@@ -29,9 +31,9 @@ Options:
                      exit 2 when no shared key matches
   --table FILE       also write the delta table to FILE (CI artifact)
 
-Exit status: 0 clean, 1 regression past tolerance, 2 usage/schema error (a
-CURRENT file that is not a trajectory, or no trajectory among the history
-files) or a --filter that matches no shared point.
+Exit status: 0 clean, 1 regression past tolerance, 2 usage/schema error (no
+--history, a CURRENT file that is not a trajectory, or no trajectory among the
+history files) or a --filter that matches no shared point.
 """
 
 import argparse
@@ -63,17 +65,15 @@ def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("current", nargs="+", help="fresh trajectory JSON")
-    parser.add_argument("--history", action="append", default=[])
+    parser.add_argument("--history", action="append", required=True)
     parser.add_argument("--tolerance", type=float, default=25.0)
     parser.add_argument("--filter", default="")
     parser.add_argument("--table", default="")
     args = parser.parse_args()
 
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    globs = args.history or [os.path.join(repo_root, "BENCH_*.json")]
-    history_files = sorted(set(sum((glob.glob(g) for g in globs), [])))
+    history_files = sorted(set(sum((glob.glob(g) for g in args.history), [])))
     if not history_files:
-        print(f"error: no history files match {globs}", file=sys.stderr)
+        print(f"error: no history files match {args.history}", file=sys.stderr)
         return 2
 
     try:
