@@ -51,6 +51,10 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   FM_CHECK_MSG(!node2vec || Node2VecParamsUsable(spec.node2vec),
                "node2vec requires finite p > 0 and q > 0 whose weights "
                "1, 1/p, 1/q lie within 2^53 of each other");
+  const std::vector<Vid>& starts = spec.start_vertices;
+  for (Vid v : starts) {
+    FM_CHECK_MSG(v < n, "start vertex out of range");
+  }
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -78,8 +82,10 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
     Rng rng(DeriveSeed(spec.seed, 0x6E17ULL ^ begin));
     uint64_t live = 0;
     for (Wid j = begin; j < end; ++j) {
-      Vid v = (m > 0) ? graph_.VertexOfEdge(rng.NextBounded(m))
-                      : static_cast<Vid>(rng.NextBounded(n));
+      // Walker j starts at starts[j % size], else degree-proportionally.
+      Vid v = !starts.empty() ? starts[j % starts.size()]
+              : (m > 0)       ? graph_.VertexOfEdge(rng.NextBounded(m))
+                              : static_cast<Vid>(rng.NextBounded(n));
       paths.At(j, 0) = v;
       Vid prev = kInvalidVid;
       for (uint32_t step = 0; step < spec.steps; ++step) {

@@ -190,6 +190,10 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   FM_CHECK_MSG(!node2vec || Node2VecParamsUsable(spec.node2vec),
                "node2vec requires finite p > 0 and q > 0 whose weights "
                "1, 1/p, 1/q lie within 2^53 of each other");
+  const std::vector<Vid>& starts = spec.start_vertices;
+  for (Vid v : starts) {
+    FM_CHECK_MSG(v < n, "start vertex out of range");
+  }
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -223,9 +227,11 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   pool->ParallelChunks(walkers, [&](uint64_t begin, uint64_t end, uint32_t) {
     Rng rng(DeriveSeed(spec.seed, 0xBA5E ^ begin));
     Vid* row = paths.Row(0).data();
+    // Walker j starts at starts[j % size], else degree-proportionally.
     for (Wid j = begin; j < end; ++j) {
-      row[j] = (m > 0) ? graph_.VertexOfEdge(rng.NextBounded(m))
-                       : static_cast<Vid>(rng.NextBounded(n));
+      row[j] = !starts.empty() ? starts[j % starts.size()]
+               : (m > 0)       ? graph_.VertexOfEdge(rng.NextBounded(m))
+                               : static_cast<Vid>(rng.NextBounded(n));
     }
   });
 

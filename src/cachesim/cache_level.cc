@@ -74,13 +74,6 @@ bool CacheLevel::Contains(uint64_t line_id) const {
   return false;
 }
 
-void CacheLevel::Clear() {
-  for (Way& w : entries_) {
-    w = Way{};
-  }
-  clock_ = 0;
-}
-
 uint64_t CacheLevel::resident_lines() const {
   uint64_t count = 0;
   for (const Way& w : entries_) {

@@ -31,8 +31,6 @@ class CacheLevel {
 
   bool Contains(uint64_t line_id) const;
 
-  void Clear();
-
   uint32_t sets() const { return sets_; }
   uint32_t ways() const { return ways_; }
   uint64_t size_bytes() const { return static_cast<uint64_t>(sets_) * ways_ * line_bytes_; }

@@ -83,10 +83,4 @@ HitLevel CacheHierarchy::Access(uint64_t addr, uint32_t bytes) {
   return first;
 }
 
-void CacheHierarchy::ClearContents() {
-  l1_.Clear();
-  l2_.Clear();
-  l3_.Clear();
-}
-
 }  // namespace fm

@@ -46,7 +46,6 @@ class CacheHierarchy {
 
   const CacheCounters& counters() const { return counters_; }
   void ResetCounters() { counters_.Reset(); }
-  void ClearContents();
 
   uint32_t line_bytes() const { return line_bytes_; }
   bool exclusive_llc() const { return exclusive_; }

@@ -4,20 +4,6 @@
 
 namespace fm {
 
-double LatencyModel::LatencyOf(HitLevel level) const {
-  switch (level) {
-    case HitLevel::kL1:
-      return l1_ns;
-    case HitLevel::kL2:
-      return l2_ns;
-    case HitLevel::kL3:
-      return l3_ns;
-    case HitLevel::kDram:
-      return dram_ns;
-  }
-  return dram_ns;
-}
-
 double LatencyModel::TotalNs(const CacheCounters& counters) const {
   return static_cast<double>(counters.hits[0]) * l1_ns +
          static_cast<double>(counters.hits[1]) * l2_ns +

@@ -21,8 +21,6 @@ struct LatencyModel {
   // Sequential-read ns per access (Table 1 first row), for streaming estimates.
   double seq_ns = 0.44;
 
-  double LatencyOf(HitLevel level) const;
-
   // Estimated total data-access time for a set of counters, in ns.
   double TotalNs(const CacheCounters& counters) const;
 

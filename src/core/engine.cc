@@ -115,13 +115,12 @@ Wid FlashMobEngine::EpisodeWalkers(const WalkSpec& spec) const {
                          graph_.num_vertices());
 }
 
-void FlashMobEngine::EnsurePlan(const WalkSpec& spec, Wid episode_walkers) {
+void FlashMobEngine::EnsurePlan(Wid episode_walkers) {
   if (plan_injected_ || plan_.has_value()) {
     return;
   }
   plan_ = PartitionPlan::BuildOptimized(graph_, episode_walkers,
                                         *options_.cost_model, options_.plan);
-  (void)spec;
 }
 
 WalkResult FlashMobEngine::Run(const WalkSpec& spec,
@@ -184,7 +183,7 @@ WalkResult FlashMobEngine::RunImpl(
 
   // Plan construction is pre-processing (excluded from walk-time accounting, as the
   // paper excludes its 0.04%-0.7% pre-processing overhead from per-step times).
-  EnsurePlan(spec, std::min(total_walkers, episode_cap));
+  EnsurePlan(std::min(total_walkers, episode_cap));
 
   // Per-stage hardware counters: one group per pool thread, read at the stage
   // barriers (stages are barrier-synchronized, so the delta between reads is
@@ -228,8 +227,6 @@ WalkResult FlashMobEngine::RunImpl(
 
   WalkRunInfo run_info;
   run_info.steps = spec.steps;
-  run_info.num_workers = pool->thread_count();
-  run_info.num_vps = num_vps;
   run_info.episodes = num_episodes;
   run_info.stats = &result.stats;
   for (WalkObserver* sink : observers) {
@@ -247,9 +244,6 @@ WalkResult FlashMobEngine::RunImpl(
     // ---- place: walker storage + initial positions ---------------------------
     other_timer.Start();
     WalkerState state(graph_, spec, w);
-    for (WalkObserver* sink : observers) {
-      sink->OnEpisodeBegin(episode, w, base_walker);
-    }
     state.Place(pool, episode, base_walker, observers);
     if constexpr (Hook::kEnabled) {
       TouchStreaming(hook.sim(), state.cur(), w * sizeof(Vid));
@@ -313,8 +307,7 @@ WalkResult FlashMobEngine::RunImpl(
                         &node2vec_shards[worker].counts);
         std::span<const Vid> chunk(sw + begin, end - begin);
         for (WalkObserver* sink : observers) {
-          sink->OnSampleChunk(step, static_cast<uint32_t>(vp_i), chunk,
-                              worker);
+          sink->OnSampleChunk(chunk);
         }
         result.stats.vp_walker_steps[vp_i] += end - begin;
       });
@@ -414,9 +407,6 @@ WalkResult FlashMobEngine::RunImpl(
     }
     if (spec.keep_paths) {
       result.paths.Append(state.TakePaths());
-    }
-    for (WalkObserver* sink : observers) {
-      sink->OnEpisodeEnd(episode);
     }
     ++result.stats.episodes;
     result.stats.times.other_s += other_timer.Elapsed();

@@ -86,9 +86,9 @@ struct StageCounters {
 };
 
 // The run's one tally: every run number (fm-metrics-v1, --profile, the
-// --progress heartbeat, fm-telemetry-v1 lines, bench points) is a rendering of
-// it. Scoped to one Run; observers may read it from their serial callbacks
-// (WalkRunInfo::stats) while the run is in flight.
+// --progress heartbeat, the --trace-json timeline, bench points) is a
+// rendering of it. Scoped to one Run; observers may read it from their serial
+// callbacks (WalkRunInfo::stats) while the run is in flight.
 struct WalkStats {
   uint64_t total_steps = 0;  // walker-steps executed
   StageTimes times;
@@ -107,7 +107,8 @@ struct WalkStats {
   std::vector<StepStageRecord> step_records;
 
   // Per-step wall time (scatter + sample + gather) in ns, one sample per
-  // (episode, step) — always kept, unlike step_records.
+  // (episode, step) — always kept, unlike step_records. fm-metrics-v1 prints
+  // it as run.step_ns, and fmwalk's per-step wall-time line reads it.
   Log2Histogram step_ns;
 
   // Run-total stage counters and the backend that produced them: "perf" when
@@ -167,8 +168,9 @@ class FlashMobEngine {
   const PartitionPlan& plan() const;
 
   // Each observer's chunk callbacks fire inside the parallel placement and
-  // sample stages — see walk_observer.h for the exact contract. Observers must
-  // outlive the call.
+  // sample stages, and its serial callbacks at run begin, at every step
+  // barrier and at run end — see walk_observer.h for the exact contract.
+  // Observers must outlive the call.
   WalkResult Run(const WalkSpec& spec,
                  const std::vector<WalkObserver*>& observers = {});
 
@@ -188,7 +190,7 @@ class FlashMobEngine {
   WalkResult RunImpl(const WalkSpec& spec, Hook& hook, bool single_thread,
                      const std::vector<WalkObserver*>& observers);
 
-  void EnsurePlan(const WalkSpec& spec, Wid episode_walkers);
+  void EnsurePlan(Wid episode_walkers);
 
   const CsrGraph& graph_;
   EngineOptions options_;

@@ -7,8 +7,6 @@
 #include <fstream>
 
 #include "src/util/json.h"
-#include "src/util/logging.h"
-#include "src/util/timer.h"
 
 namespace fm {
 namespace {
@@ -64,59 +62,6 @@ void AppendMicros(std::string* out, double s) {
   std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
                 static_cast<unsigned>(ns % 1000));
   *out += buf;
-}
-
-// One fm-telemetry-v1 line (no trailing newline) rendering `stats` at
-// steady-clock time `t_ns`.
-std::string TelemetryJsonLine(uint64_t t_ns, const WalkStats& stats,
-                              Wid live_walkers) {
-  auto ns = [](double s) {
-    return std::to_string(s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9));
-  };
-  const Log2Histogram& h = stats.step_ns;
-  std::string out;
-  out.reserve(768);
-  out += "{\"schema\":\"fm-telemetry-v1\",\"t_ns\":";
-  out += std::to_string(t_ns);
-  out += ",\"counters\":{\"fm.engine.episodes_total\":";
-  out += std::to_string(stats.episodes);
-  out += ",\"fm.engine.sample_ns_total\":";
-  out += ns(stats.times.sample_s);
-  out += ",\"fm.engine.shuffle_ns_total\":";
-  out += ns(stats.times.shuffle_s);
-  out += ",\"fm.engine.walker_steps_total\":";
-  out += std::to_string(stats.total_steps);
-  out += "},\"gauges\":{\"fm.engine.live_walkers\":";
-  out += std::to_string(live_walkers);
-  out += "},\"histograms\":{\"fm.engine.step_ns\":{\"count\":";
-  out += std::to_string(h.count);
-  out += ",\"sum\":";
-  out += std::to_string(h.sum);
-  out += ",\"p50\":";
-  out += NumberToJson(h.Percentile(50));
-  out += ",\"p90\":";
-  out += NumberToJson(h.Percentile(90));
-  out += ",\"p99\":";
-  out += NumberToJson(h.Percentile(99));
-  out += ",\"p999\":";
-  out += NumberToJson(h.Percentile(99.9));
-  out += ",\"buckets\":{";
-  bool first = true;
-  for (uint32_t b = 0; b < Log2Histogram::kBuckets; ++b) {
-    if (h.buckets[b] == 0) {
-      continue;
-    }
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '"';
-    out += std::to_string(b);
-    out += "\":";
-    out += std::to_string(h.buckets[b]);
-  }
-  out += "}}}}";
-  return out;
 }
 
 }  // namespace
@@ -223,6 +168,29 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
   out += ',';
   AppendKey(&out, "checks");
   out += std::to_string(stats.node2vec.checks);
+  out += "},";
+  // Per-step wall time (scatter + sample + gather), one sample per
+  // (episode, step); percentiles carry the log2 buckets' error.
+  const Log2Histogram& step_ns = stats.step_ns;
+  AppendKey(&out, "step_ns");
+  out += '{';
+  AppendKey(&out, "count");
+  out += std::to_string(step_ns.count);
+  out += ',';
+  AppendKey(&out, "sum");
+  out += std::to_string(step_ns.sum);
+  out += ',';
+  AppendKey(&out, "p50");
+  out += NumberToJson(step_ns.Percentile(50));
+  out += ',';
+  AppendKey(&out, "p90");
+  out += NumberToJson(step_ns.Percentile(90));
+  out += ',';
+  AppendKey(&out, "p99");
+  out += NumberToJson(step_ns.Percentile(99));
+  out += ',';
+  AppendKey(&out, "p999");
+  out += NumberToJson(step_ns.Percentile(99.9));
   out += "}},";
 
   // Run-total counters per stage + derived rates.
@@ -331,41 +299,6 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
   }
   out += "]}";
   return out;
-}
-
-TelemetryJsonlObserver::TelemetryJsonlObserver(std::FILE* out,
-                                               uint32_t interval_ms)
-    : out_(out), interval_ns_(uint64_t{interval_ms} * 1000000) {}
-
-void TelemetryJsonlObserver::OnRunBegin(const WalkRunInfo& info) {
-  FM_CHECK_MSG(info.stats != nullptr, "WalkRunInfo carries no run tally");
-  stats_ = info.stats;
-  WriteLine(NowNs(), /*live_walkers=*/0);
-}
-
-void TelemetryJsonlObserver::OnStepEnd(uint64_t /*episode*/,
-                                       uint32_t /*step*/, Wid live_walkers) {
-  const uint64_t now = NowNs();
-  if (now - last_line_ns_ >= interval_ns_) {
-    WriteLine(now, live_walkers);
-  }
-}
-
-void TelemetryJsonlObserver::OnRunEnd() {
-  // Every walker is retired once the run's last episode ends.
-  WriteLine(NowNs(), /*live_walkers=*/0);
-}
-
-void TelemetryJsonlObserver::WriteLine(uint64_t now_ns, Wid live_walkers) {
-  std::string line = TelemetryJsonLine(now_ns, *stats_, live_walkers);
-  line += '\n';
-  if (std::fwrite(line.data(), 1, line.size(), out_) == line.size() &&
-      std::fflush(out_) == 0) {
-    ++lines_written_;
-  } else {
-    write_failed_ = true;
-  }
-  last_line_ns_ = now_ns;
 }
 
 bool WriteWalkMetricsJson(const std::string& path, const MetricsMeta& meta,

@@ -1,20 +1,19 @@
 // MetricsExport — serializes run metadata, per-stage hardware counters, and
 // derived rates (IPC, LLC miss ratio, misses/step) to JSON.
 //
-// Three schemas, all stable and versioned (DESIGN.md "Observability"):
+// Two schemas, both stable and versioned (DESIGN.md "Observability"):
 //
-//   fm-metrics-v1          one walk run: meta + run totals + per-stage
+//   fm-metrics-v1          one walk run: meta + run totals (with the per-step
+//                          wall-time histogram `run.step_ns`) + per-stage
 //                          counter totals + per-VP-cache-class attribution +
 //                          one entry per (episode, step). Emitted by
 //                          `fmwalk --metrics-json=FILE`.
 //   fm-bench-trajectory-v1 named scalar series from a bench binary (the
 //                          BENCH_*.json trajectory files), optionally with
 //                          counter samples attached per series.
-//   fm-telemetry-v1        one JSONL line per live view of a running walk
-//                          (`fmwalk --telemetry-jsonl=FILE`, read by fmmon).
 //
-// All three, and the Chrome trace-event view (WalkTraceJson, `fmwalk
-// --trace-json=FILE`), render the run's WalkStats; none keeps a tally of its
+// fm-metrics-v1 and the Chrome trace-event view (WalkTraceJson, `fmwalk
+// --trace-json=FILE`) render the run's WalkStats; neither keeps a tally of its
 // own.
 //
 // Every document carries `"backend"`: "perf" when hardware counters were live,
@@ -23,13 +22,11 @@
 #ifndef SRC_CORE_METRICS_H_
 #define SRC_CORE_METRICS_H_
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/core/engine.h"
 #include "src/core/partition_plan.h"
-#include "src/core/walk_observer.h"
 #include "src/util/perf_counters.h"
 
 namespace fm {
@@ -87,38 +84,6 @@ struct TracePhase {
 // ui.perfetto.dev or chrome://tracing.
 std::string WalkTraceJson(const std::vector<TracePhase>& phases,
                           double run_start_s, const WalkStats& stats);
-
-// Live fm-telemetry-v1 view of one run (`fmwalk --telemetry-jsonl`): writes a
-// line when the run begins (all counters zero), at most one per `interval_ms`
-// at the engine's step barriers, and one when the run ends. The file thus
-// holds >= 2 lines, and the last one equals the returned WalkStats (and so
-// fm-metrics-v1) exactly. Each line carries counters
-// fm.engine.{walker_steps,episodes,sample_ns,shuffle_ns}_total, the gauge
-// fm.engine.live_walkers, and the histogram fm.engine.step_ns (count, sum,
-// p50/p90/p99/p999, non-empty log2 buckets). `out` is not owned; each line is
-// flushed so `fmmon` can follow the file live, and a line that cannot be
-// written or flushed sets write_failed().
-class TelemetryJsonlObserver : public WalkObserver {
- public:
-  TelemetryJsonlObserver(std::FILE* out, uint32_t interval_ms);
-
-  void OnRunBegin(const WalkRunInfo& info) override;
-  void OnStepEnd(uint64_t episode, uint32_t step, Wid live_walkers) override;
-  void OnRunEnd() override;
-
-  uint64_t lines_written() const { return lines_written_; }
-  bool write_failed() const { return write_failed_; }
-
- private:
-  void WriteLine(uint64_t now_ns, Wid live_walkers);
-
-  std::FILE* out_;
-  uint64_t interval_ns_;
-  const WalkStats* stats_ = nullptr;
-  uint64_t last_line_ns_ = 0;
-  uint64_t lines_written_ = 0;
-  bool write_failed_ = false;
-};
 
 // Accumulates a bench binary's result series and writes the
 // fm-bench-trajectory-v1 document (the BENCH_*.json format).

@@ -12,16 +12,14 @@
 // WalkSpec::keep_paths is the one reader of walker order.
 //
 // Thread-safety contract: the chunk callbacks above run concurrently on worker
-// threads; a single callback invocation only ever covers a range no other
-// concurrent invocation covers, and `worker` < WalkRunInfo::num_workers is a
-// stable shard key (ParallelChunks pins chunk i to worker i; sample tasks are
-// dynamically scheduled, so per-worker state must be order-independent).
-// OnRunBegin / OnEpisodeBegin / OnStepEnd / OnEpisodeEnd / OnRunEnd are serial
-// and happen-before / happen-after all parallel callbacks of their scope;
-// episode merges belong in OnEpisodeEnd. The serial callbacks may read the
-// run's tally so far through WalkRunInfo::stats — that is how the live views
-// (ProgressReporter below, the fm-telemetry-v1 writer in metrics.h) render
-// the same numbers the run returns. See DESIGN.md "Engine layering".
+// threads, and a single callback invocation only ever covers a range no other
+// concurrent invocation covers. The sample tasks are dynamically scheduled,
+// so an observer's state must not depend on callback order (integer adds, or
+// a lock). OnRunBegin / OnStepEnd / OnRunEnd are serial and happen-before /
+// happen-after all parallel callbacks of their scope, and may read the run's
+// tally so far through WalkRunInfo::stats — that is how ProgressReporter
+// below renders the same numbers the run returns. See DESIGN.md "Engine
+// layering".
 #ifndef SRC_CORE_WALK_OBSERVER_H_
 #define SRC_CORE_WALK_OBSERVER_H_
 
@@ -40,9 +38,7 @@ struct WalkStats;
 // callbacks (the engine updates it between them).
 struct WalkRunInfo {
   uint32_t steps = 0;
-  uint32_t num_workers = 1;  // bounds the chunk callbacks' `worker`
-  uint32_t num_vps = 0;      // bounds OnSampleChunk's `vp`
-  uint64_t episodes = 0;     // episodes the run will execute
+  uint64_t episodes = 0;  // episodes the run will execute
   const WalkStats* stats = nullptr;  // the run's tally so far
 };
 
@@ -53,35 +49,19 @@ class WalkObserver {
   // Serial, once per Run, before any episode.
   virtual void OnRunBegin(const WalkRunInfo& info) { (void)info; }
 
-  // Serial, before the episode's parallel placement. `base_walker` is the
-  // global index of the episode's first walker (chunk callbacks report
-  // episode-local offsets; add base_walker for run-global walker ids).
-  virtual void OnEpisodeBegin(uint64_t episode, Wid walkers, Wid base_walker) {
-    (void)episode;
-    (void)walkers;
-    (void)base_walker;
-  }
-
   // Parallel. positions[i] is the start vertex of episode-local walker
   // begin + i (never kInvalidVid).
-  virtual void OnPlacementChunk(Wid begin, std::span<const Vid> positions,
-                                uint32_t worker) {
+  virtual void OnPlacementChunk(Wid begin, std::span<const Vid> positions) {
     (void)begin;
     (void)positions;
-    (void)worker;
   }
 
-  // Parallel, inside the sample stage, after the kernel moved `vp`'s walker
+  // Parallel, inside the sample stage, after the kernel moved one VP's walker
   // chunk one step. positions are the post-step locations in partition order
   // (kInvalidVid = terminated on this step). Walkers already dead before the
-  // step are not delivered. `step` is 0-based; positions correspond to path
-  // row step + 1.
-  virtual void OnSampleChunk(uint32_t step, uint32_t vp,
-                             std::span<const Vid> positions, uint32_t worker) {
-    (void)step;
-    (void)vp;
+  // step are not delivered.
+  virtual void OnSampleChunk(std::span<const Vid> positions) {
     (void)positions;
-    (void)worker;
   }
 
   // Serial, at the per-step barrier after `step` of `episode` (every stage
@@ -93,8 +73,7 @@ class WalkObserver {
     (void)live_walkers;
   }
 
-  // Serial merge points.
-  virtual void OnEpisodeEnd(uint64_t episode) { (void)episode; }
+  // Serial, once per Run, after the last episode.
   virtual void OnRunEnd() {}
 };
 

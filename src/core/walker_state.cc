@@ -110,10 +110,10 @@ void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
   const Vid n = graph_.num_vertices();
   const Eid m = graph_.num_edges();
   Vid* w_cur = w_cur_;
-  auto notify = [&](uint64_t begin, uint64_t end, uint32_t worker) {
+  auto notify = [&](uint64_t begin, uint64_t end) {
     std::span<const Vid> chunk(w_cur + begin, end - begin);
     for (WalkObserver* observer : observers) {
-      observer->OnPlacementChunk(static_cast<Wid>(begin), chunk, worker);
+      observer->OnPlacementChunk(static_cast<Wid>(begin), chunk);
     }
   };
   if (!spec_.start_vertices.empty()) {
@@ -121,11 +121,11 @@ void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
     // starts at start_vertices[j % size()].
     const auto& starts = spec_.start_vertices;
     pool->ParallelChunks(walkers_,
-                         [&](uint64_t begin, uint64_t end, uint32_t worker) {
+                         [&](uint64_t begin, uint64_t end, uint32_t) {
                            for (Wid j = begin; j < end; ++j) {
                              w_cur[j] = starts[(base_walker + j) % starts.size()];
                            }
-                           notify(begin, end, worker);
+                           notify(begin, end);
                          });
     return;
   }
@@ -143,7 +143,7 @@ void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
   constexpr uint64_t kPlaceBlock = 1 << 16;
   uint64_t num_blocks = (walkers_ + kPlaceBlock - 1) / kPlaceBlock;
   pool->ParallelFor(std::max<uint64_t>(num_blocks, 1), [&](uint64_t block,
-                                                           uint32_t worker) {
+                                                           uint32_t) {
     uint64_t begin = block * kPlaceBlock;
     uint64_t end = std::min<uint64_t>(begin + kPlaceBlock, walkers_);
     XorShiftRng rng(
@@ -152,7 +152,7 @@ void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
       for (Wid j = begin; j < end; ++j) {
         w_cur[j] = static_cast<Vid>(rng.NextBounded(n));
       }
-      notify(begin, end, worker);
+      notify(begin, end);
       return;
     }
     double edges_per_walker =
@@ -169,7 +169,7 @@ void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
       }
       w_cur[j] = v;
     }
-    notify(begin, end, worker);
+    notify(begin, end);
   });
 }
 

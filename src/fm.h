@@ -22,6 +22,7 @@
 #include "src/core/metrics.h"
 #include "src/core/numa.h"
 #include "src/core/profiler.h"
+#include "src/core/walk_observer.h"
 #include "src/gen/dataset_registry.h"
 #include "src/gen/powerlaw_graph.h"
 #include "src/gen/rmat.h"

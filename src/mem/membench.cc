@@ -109,14 +109,12 @@ double MeasurePointerChase(uint64_t* data, uint64_t words, uint64_t accesses,
 
 }  // namespace
 
-namespace {
-
-// Shared measurement core: sets up the buffer, runs a warm-up pass, then times
-// the real pass. When `profile` is non-null, a per-thread counter group brackets
-// only the timed pass, so the counter deltas attribute to exactly the measured
-// accesses.
-double RunMeasurement(AccessPattern pattern, uint64_t working_set_bytes,
-                      const MemBenchConfig& config, MemAccessProfile* profile) {
+// Sets up the buffer, runs a warm-up pass, then times the real pass; a
+// per-thread counter group brackets only the timed pass, so the counter deltas
+// attribute to exactly the measured accesses.
+MemAccessProfile MeasureLoadLatencyProfile(AccessPattern pattern,
+                                           uint64_t working_set_bytes,
+                                           const MemBenchConfig& config) {
   uint64_t words = PrevPowerOfTwo(std::max<uint64_t>(working_set_bytes / 8, 64));
   AlignedBuffer<uint64_t> buffer(words);
   XorShiftRng rng(config.seed);
@@ -125,63 +123,36 @@ double RunMeasurement(AccessPattern pattern, uint64_t working_set_bytes,
   }
   uint64_t accesses = std::max<uint64_t>(config.min_total_accesses, words);
 
-  PerfCounterGroup counters;
-  const PerfCounterGroup* group = nullptr;
-  CounterSample delta;
-  CounterSample* delta_out = nullptr;
-  if (profile != nullptr) {
-    counters = PerfCounterGroup::OpenForThread(0);
-    group = &counters;
-    delta_out = &delta;
-  }
-
-  double ns = 0;
-  uint64_t measured_accesses = 0;
+  const PerfCounterGroup counters = PerfCounterGroup::OpenForThread(0);
+  MemAccessProfile profile;
   switch (pattern) {
     case AccessPattern::kSequential: {
       uint64_t passes = std::max<uint64_t>(1, accesses / words);
       // Warm-up pass, then measure.
       MeasureSequential(buffer.data(), words, 1);
-      ns = MeasureSequential(buffer.data(), words, passes, group, delta_out);
-      measured_accesses = words * passes;
+      profile.ns_per_access = MeasureSequential(buffer.data(), words, passes,
+                                                &counters, &profile.counters);
+      profile.accesses = words * passes;
       break;
     }
     case AccessPattern::kRandom:
       MeasureRandom(buffer.data(), words, words, config.seed);
-      ns = MeasureRandom(buffer.data(), words, accesses, config.seed + 1, group,
-                         delta_out);
-      measured_accesses = accesses / 4 * 4;
+      profile.ns_per_access =
+          MeasureRandom(buffer.data(), words, accesses, config.seed + 1,
+                        &counters, &profile.counters);
+      profile.accesses = accesses / 4 * 4;
       break;
     case AccessPattern::kPointerChase: {
       // Dependent loads are ~10-100x slower; cap the chain length to bound runtime.
       uint64_t chase = std::max<uint64_t>(words / 8, std::min<uint64_t>(accesses / 8, 1 << 22));
-      ns = MeasurePointerChase(buffer.data(), words, chase, config.seed, group,
-                               delta_out);
-      measured_accesses = chase;
+      profile.ns_per_access =
+          MeasurePointerChase(buffer.data(), words, chase, config.seed,
+                              &counters, &profile.counters);
+      profile.accesses = chase;
       break;
     }
   }
-  if (profile != nullptr) {
-    profile->ns_per_access = ns;
-    profile->accesses = measured_accesses;
-    profile->counters = delta;
-    profile->counters_active = counters.active();
-  }
-  return ns;
-}
-
-}  // namespace
-
-double MeasureLoadLatencyNs(AccessPattern pattern, uint64_t working_set_bytes,
-                            const MemBenchConfig& config) {
-  return RunMeasurement(pattern, working_set_bytes, config, nullptr);
-}
-
-MemAccessProfile MeasureLoadLatencyProfile(AccessPattern pattern,
-                                           uint64_t working_set_bytes,
-                                           const MemBenchConfig& config) {
-  MemAccessProfile profile;
-  RunMeasurement(pattern, working_set_bytes, config, &profile);
+  profile.counters_active = counters.active();
   return profile;
 }
 

@@ -25,15 +25,11 @@ struct MemBenchConfig {
   uint64_t seed = 42;
 };
 
-// ns per load for `pattern` over a working set of `working_set_bytes`.
-double MeasureLoadLatencyNs(AccessPattern pattern, uint64_t working_set_bytes,
-                            const MemBenchConfig& config = {});
-
-// Latency measurement plus hardware counters attributed to exactly the timed
-// access loop (buffer setup and the warm-up pass are excluded). The Table 1
-// reproduction uses this to report *measured* LLC-miss rates next to the
-// timings; `counters_active` is false (and counters all-zero) under the noop
-// perf backend.
+// ns per load for `pattern` over a working set of `working_set_bytes`, plus
+// hardware counters attributed to exactly the timed access loop (buffer setup
+// and the warm-up pass are excluded). The Table 1 reproduction uses this to
+// report *measured* LLC-miss rates next to the timings; `counters_active` is
+// false (and counters all-zero) under the noop perf backend.
 struct MemAccessProfile {
   double ns_per_access = 0;
   uint64_t accesses = 0;

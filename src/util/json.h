@@ -1,9 +1,9 @@
 // Shared minimal JSON support: RFC 8259 string escaping used by every JSON
 // emitter in the tree (fm-metrics-v1, fm-bench-trajectory-v1, the Chrome
-// trace-event view), plus the recursive-descent parser the tests and `fmmon`
-// use to read those documents back. One escaping implementation means a path with
-// quotes or control characters cannot round-trip correctly in one schema and
-// corrupt another.
+// trace-event view), plus the recursive-descent parser the tests use to read
+// those documents back. One escaping implementation means a path with quotes
+// or control characters cannot round-trip correctly in one schema and corrupt
+// another.
 #ifndef SRC_UTIL_JSON_H_
 #define SRC_UTIL_JSON_H_
 

@@ -60,16 +60,4 @@ void MappedFile::Unmap() {
   }
 }
 
-void MappedFile::AdviseSequential() const {
-  if (data_ != nullptr) {
-    ::madvise(data_, size_, MADV_SEQUENTIAL);
-  }
-}
-
-void MappedFile::AdviseRandom() const {
-  if (data_ != nullptr) {
-    ::madvise(data_, size_, MADV_RANDOM);
-  }
-}
-
 }  // namespace fm

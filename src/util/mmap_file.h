@@ -30,10 +30,6 @@ class MappedFile {
   size_t size() const { return size_; }
   bool valid() const { return data_ != nullptr; }
 
-  // madvise hints for the expected access pattern.
-  void AdviseSequential() const;
-  void AdviseRandom() const;
-
  private:
   void Unmap();
 

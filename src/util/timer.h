@@ -8,9 +8,9 @@
 namespace fm {
 
 // Steady-clock nanoseconds since an arbitrary epoch: the clock Timer reads,
-// for code that keeps raw timestamps (the progress heartbeat, fm-telemetry-v1
-// lines). The fmlint raw-clock rule allows clock reads only here and in
-// perf_counters.cc, so every duration in the tree comes from this one clock.
+// for code that keeps raw timestamps (the progress heartbeat). The fmlint
+// raw-clock rule allows clock reads only here and in perf_counters.cc, so
+// every duration in the tree comes from this one clock.
 inline uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

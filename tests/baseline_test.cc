@@ -257,6 +257,39 @@ TEST(BaselineEquivalenceTest, DeterministicGraphGivesIdenticalPaths) {
   }
 }
 
+TEST(BaselineEquivalenceTest, SeededStartsPlaceEveryWalker) {
+  // Walker j starts at start_vertices[j % size] in every engine and RNG, so
+  // on a ring (out-degree 1) all three engines walk identical paths.
+  CsrGraph g = RingGraph(100);
+  WalkSpec spec = SmallSpec(500, 7, 3);
+  spec.start_vertices = {42, 0, 99};
+  const PathSet flashmob = FlashMobEngine(g).Run(spec).paths;
+  for (bool mersenne : {true, false}) {
+    BaselineOptions options;
+    options.use_mersenne = mersenne;
+    const WalkResult runs[] = {KnightKingEngine(g, options).Run(spec),
+                               GraphViteEngine(g, options).Run(spec)};
+    for (const WalkResult& r : runs) {
+      ASSERT_EQ(r.paths.num_walkers(), 500u);
+      for (Wid w = 0; w < 500; ++w) {
+        ASSERT_EQ(r.paths.At(w, 0), spec.start_vertices[w % 3])
+            << "walker " << w << " mersenne " << mersenne;
+        for (uint32_t s = 0; s <= 7; ++s) {
+          ASSERT_EQ(r.paths.At(w, s), flashmob.At(w, s));
+        }
+      }
+    }
+  }
+}
+
+TEST(BaselineEquivalenceTest, RejectOutOfRangeSeeds) {
+  CsrGraph g = SkewedGraph(100);
+  WalkSpec spec = SmallSpec(10, 1);
+  spec.start_vertices = {1000};
+  EXPECT_DEATH(RunOnOneThread<KnightKingEngine>(g, spec), "out of range");
+  EXPECT_DEATH(RunOnOneThread<GraphViteEngine>(g, spec), "out of range");
+}
+
 TEST(BaselineInstrumentationTest, KnightKingMissesMoreThanFlashMob) {
   // The headline claim at test scale: on a skewed graph far larger than the
   // simulated caches, FlashMob's partitioned access pattern must produce fewer

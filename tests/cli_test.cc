@@ -1,5 +1,5 @@
-// End-to-end smoke tests of the fmwalk, fmgen and fmmon CLI binaries and of
-// the examples' error handling (paths injected by CMake).
+// End-to-end smoke tests of the fmwalk and fmgen CLI binaries and of the
+// examples' error handling (paths injected by CMake).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -22,9 +22,6 @@
 #endif
 #ifndef FMGEN_PATH
 #error "FMGEN_PATH must be defined by the build"
-#endif
-#ifndef FMMON_PATH
-#error "FMMON_PATH must be defined by the build"
 #endif
 #if !defined(QUICKSTART_PATH) || !defined(DEEPWALK_CORPUS_PATH) || \
     !defined(OUT_OF_CORE_WALK_PATH)
@@ -176,8 +173,15 @@ TEST_F(CliTest, MetricsJsonSmoke) {
   EXPECT_TRUE(doc.Str("backend") == "perf" || doc.Str("backend") == "noop");
   EXPECT_EQ(doc.Num("seed"), 1.0);
   EXPECT_EQ(doc.At("run").Num("total_steps"), 800.0);  // 2*|V| walkers * 4 steps
-  // One step entry per (episode, step), each with per-stage counters.
+  // One step entry per (episode, step), each with per-stage counters, and
+  // one per-step wall-time sample each.
   ASSERT_EQ(doc.At("steps").array.size(), 4u);
+  const fm::json::Value& step_ns = doc.At("run").At("step_ns");
+  EXPECT_EQ(step_ns.Num("count"),
+            static_cast<double>(doc.At("steps").array.size()));
+  EXPECT_LE(step_ns.Num("p50"), step_ns.Num("p90"));
+  EXPECT_LE(step_ns.Num("p90"), step_ns.Num("p99"));
+  EXPECT_LE(step_ns.Num("p99"), step_ns.Num("p999"));
   for (const auto& step : doc.At("steps").array) {
     EXPECT_TRUE(step.Has("scatter_s"));
     EXPECT_TRUE(step.Has("sample_s"));
@@ -194,68 +198,6 @@ TEST_F(CliTest, MetricsJsonSmoke) {
     share += cls.Num("walker_step_share");
   }
   EXPECT_NEAR(share, 1.0, 1e-4);  // %.6g rounding per class
-}
-
-TEST_F(CliTest, TelemetryJsonlAgreesWithMetricsAndFmmonSummarizes) {
-  // A graph big enough that the run spans several 10ms snapshot intervals:
-  // the file must hold >= 2 mid-run lines plus the final cumulative line,
-  // and the final line's counters must equal fm-metrics-v1 exactly (the
-  // single-source-of-truth contract).
-  std::ofstream big(dir_ / "big.txt");
-  for (int v = 0; v < 5000; ++v) {
-    big << v << ' ' << (v + 1) % 5000 << '\n';
-    big << v << ' ' << (v + 13) % 5000 << '\n';
-  }
-  big.close();
-  auto jsonl = dir_ / "telemetry.jsonl";
-  auto metrics = dir_ / "telemetry_metrics.json";
-  int rc = Run("--graph=" + (dir_ / "big.txt").string() +
-               " --steps=40 --rounds=20 --telemetry-jsonl=" + jsonl.string() +
-               " --telemetry-interval-ms=10 --metrics-json=" +
-               metrics.string());
-  ASSERT_EQ(rc, 0);
-
-  std::ifstream in(jsonl);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) {
-      lines.push_back(line);
-    }
-  }
-  ASSERT_GE(lines.size(), 3u) << "expected >= 2 mid-run snapshots + final";
-  for (const std::string& line : lines) {
-    EXPECT_EQ(fm::json::ParseJson(line).Str("schema"), "fm-telemetry-v1");
-  }
-
-  fm::json::Value mdoc = ReadJson(metrics);
-  fm::json::Value last = fm::json::ParseJson(lines.back());
-  EXPECT_EQ(last.At("counters").Num("fm.engine.walker_steps_total"),
-            mdoc.At("run").Num("total_steps"));
-  EXPECT_EQ(last.At("counters").Num("fm.engine.episodes_total"), 1.0);
-  // Counters are cumulative: every snapshot is monotone in every counter.
-  double prev_steps = 0;
-  for (const std::string& line : lines) {
-    double steps = fm::json::ParseJson(line).At("counters").Num(
-        "fm.engine.walker_steps_total");
-    EXPECT_GE(steps, prev_steps);
-    prev_steps = steps;
-  }
-
-  // fmmon --summary over the same file renders percentiles for every
-  // histogram the final snapshot carries.
-  auto summary = dir_ / "summary.txt";
-  int mon_rc = std::system((std::string(FMMON_PATH) + " --summary " +
-                            jsonl.string() + " > " + summary.string() +
-                            " 2>/dev/null")
-                               .c_str());
-  ASSERT_EQ(mon_rc, 0);
-  std::ifstream sin(summary);
-  std::string stext((std::istreambuf_iterator<char>(sin)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_NE(stext.find("p99"), std::string::npos);
-  for (const auto& [name, unused] : last.At("histograms").object) {
-    EXPECT_NE(stext.find(name), std::string::npos) << name;
-  }
 }
 
 TEST_F(CliTest, TraceJsonIsChromeTraceEventsRenderedFromTheRun) {
@@ -329,6 +271,18 @@ TEST_F(CliTest, RejectsBadUsage) {
   EXPECT_NE(Run("--graph=a --no-such-flag"), 0);  // unknown argument
 }
 
+TEST_F(CliTest, TelemetryFlagsAreUnknownArguments) {
+  // The JSONL telemetry stream and its two --telemetry-* flags are gone;
+  // --progress and fm-metrics-v1's run.step_ns render what it carried.
+  const std::string edges = "--graph=" + (dir_ / "edges.txt").string();
+  const fs::path jsonl = dir_ / "t.jsonl";
+  for (const std::string& flag :
+       {"jsonl=" + jsonl.string(), std::string("interval-ms=5")}) {
+    ErrorLines(edges + " --telemetry-" + flag, /*expected_exit=*/2);
+  }
+  EXPECT_FALSE(fs::exists(jsonl));
+}
+
 TEST_F(CliTest, UnusableInputIsAOneLineError) {
   // Inputs the engine would reject with a fatal check: fmwalk must exit 1
   // with one "error: ..." line instead of aborting.
@@ -368,9 +322,11 @@ TEST_F(CliTest, UnusableInputIsAOneLineError) {
       edges + " --stop=1",
       edges + " --stop=1.5",
       edges + " --stop=-0.5",
-      edges + " --telemetry-jsonl=" +
-          (dir_ / "no_such_dir" / "t.jsonl").string(),
-      edges + " --telemetry-jsonl=/dev/full",
+      // A walker count of 0, which the engine would read as one walker per
+      // vertex.
+      "--graph=" + (dir_ / "unweighted.txt").string() + " --rounds=0 --steps=2",
+      "--graph=" + (dir_ / "unweighted.txt").string() +
+          " --walkers=0 --steps=2",
       edges + " --trace-json=" + (dir_ / "no_such_dir" / "t.json").string(),
       edges + " --trace-json=/dev/full",
       edges + " --metrics-json=" + (dir_ / "no_such_dir" / "m.json").string(),
@@ -416,7 +372,6 @@ TEST_F(CliTest, MalformedNumberIsAUsageErrorNamingTheFlag) {
       {"--steps", "abc"},
       {"--p", "x"},
       {"--progress", "soon"},
-      {"--telemetry-interval-ms", "fast"},
       {"--walkers", "99999999999999999999"},
       {"--seed", "-1x"},
       {"--seed", "-1"},

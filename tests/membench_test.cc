@@ -14,10 +14,14 @@ MemBenchConfig FastConfig() {
   return config;
 }
 
+double LatencyNs(AccessPattern pattern, uint64_t working_set_bytes) {
+  return MeasureLoadLatencyProfile(pattern, working_set_bytes, FastConfig())
+      .ns_per_access;
+}
+
 TEST(MemBenchTest, AllLatenciesPositive) {
   for (int p = 0; p < 3; ++p) {
-    double ns = MeasureLoadLatencyNs(static_cast<AccessPattern>(p), 64 * 1024,
-                                     FastConfig());
+    double ns = LatencyNs(static_cast<AccessPattern>(p), 64 * 1024);
     EXPECT_GT(ns, 0.0) << "pattern " << p;
     EXPECT_LT(ns, 10000.0) << "pattern " << p;
   }
@@ -25,19 +29,15 @@ TEST(MemBenchTest, AllLatenciesPositive) {
 
 TEST(MemBenchTest, PointerChaseSlowerThanSequentialAtDram) {
   uint64_t ws = 128ull * 1024 * 1024;  // far beyond any cache
-  double seq =
-      MeasureLoadLatencyNs(AccessPattern::kSequential, ws, FastConfig());
-  double chase =
-      MeasureLoadLatencyNs(AccessPattern::kPointerChase, ws, FastConfig());
+  double seq = LatencyNs(AccessPattern::kSequential, ws);
+  double chase = LatencyNs(AccessPattern::kPointerChase, ws);
   // Paper's gap is ~150x; any healthy machine shows at least 4x.
   EXPECT_GT(chase, seq * 4);
 }
 
 TEST(MemBenchTest, PointerChaseDegradesWithWorkingSet) {
-  double small =
-      MeasureLoadLatencyNs(AccessPattern::kPointerChase, 16 * 1024, FastConfig());
-  double large = MeasureLoadLatencyNs(AccessPattern::kPointerChase,
-                                      256ull * 1024 * 1024, FastConfig());
+  double small = LatencyNs(AccessPattern::kPointerChase, 16 * 1024);
+  double large = LatencyNs(AccessPattern::kPointerChase, 256ull * 1024 * 1024);
   EXPECT_GT(large, small * 2);
 }
 

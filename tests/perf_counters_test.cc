@@ -250,6 +250,9 @@ WalkStats FabricatedStats() {
   stats.times.shuffle_s = 0.25;
   stats.times.other_s = 0.25;
   stats.node2vec = {.proposals = 70, .pre_decided = 40, .checks = 30};
+  for (uint64_t ns : {1000, 1100, 1200, 5000}) {
+    stats.step_ns.Observe(ns);
+  }
   stats.perf_backend = "perf";
   stats.counters.scatter.values[0] = 100;
   stats.counters.sample.values[0] = 800;   // cycles
@@ -294,6 +297,17 @@ TEST(MetricsExportTest, WalkMetricsJsonRoundTrips) {
   EXPECT_EQ(run.At("node2vec").Num("proposals"), 70.0);
   EXPECT_EQ(run.At("node2vec").Num("pre_decided"), 40.0);
   EXPECT_EQ(run.At("node2vec").Num("checks"), 30.0);
+  const json::Value& step_ns = run.At("step_ns");
+  EXPECT_EQ(step_ns.Num("count"), 4.0);
+  EXPECT_EQ(step_ns.Num("sum"), 8300.0);
+  const std::pair<const char*, double> percentiles[] = {
+      {"p50", 50}, {"p90", 90}, {"p99", 99}, {"p999", 99.9}};
+  for (const auto& [key, p] : percentiles) {
+    // %.6g keeps six significant digits.
+    const double want = stats.step_ns.Percentile(p);
+    EXPECT_GT(want, 0.0) << key;
+    EXPECT_NEAR(step_ns.Num(key), want, want * 1e-5) << key;
+  }
 
   const json::Value& counters = doc.At("counters");
   EXPECT_EQ(counters.At("sample").Num("cycles"), 800.0);

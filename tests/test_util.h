@@ -68,13 +68,11 @@ class StreamedVisitOracle : public WalkObserver {
  public:
   explicit StreamedVisitOracle(Vid num_vertices) : counts_(num_vertices, 0) {}
 
-  void OnPlacementChunk(Wid /*begin*/, std::span<const Vid> positions,
-                        uint32_t /*worker*/) override {
+  void OnPlacementChunk(Wid /*begin*/,
+                        std::span<const Vid> positions) override {
     Add(positions);
   }
-  void OnSampleChunk(uint32_t /*step*/, uint32_t /*vp*/,
-                     std::span<const Vid> positions,
-                     uint32_t /*worker*/) override {
+  void OnSampleChunk(std::span<const Vid> positions) override {
     Add(positions);
   }
 

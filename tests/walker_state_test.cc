@@ -19,17 +19,15 @@ namespace {
 // exactly and carry the final row contents.
 class RecordingObserver : public WalkObserver {
  public:
-  void OnPlacementChunk(Wid begin, std::span<const Vid> positions,
-                        uint32_t worker) override {
+  void OnPlacementChunk(Wid begin, std::span<const Vid> positions) override {
     MutexLock lock(mu_);
-    chunks_.push_back({begin, std::vector<Vid>(positions.begin(), positions.end()),
-                       worker});
+    chunks_.push_back(
+        {begin, std::vector<Vid>(positions.begin(), positions.end())});
   }
 
   struct Chunk {
     Wid begin;
     std::vector<Vid> positions;
-    uint32_t worker;
   };
 
   std::vector<Chunk> sorted_chunks() {

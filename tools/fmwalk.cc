@@ -33,13 +33,6 @@
 //                     and per step the scatter (count and scatter passes),
 //                     sample and gather seconds of --profile. Turns on the
 //                     step records; open F in ui.perfetto.dev
-//   --telemetry-jsonl=F       write fm-telemetry-v1 JSON lines to F rendered
-//                     from the run's WalkStats: one when the walk begins, at
-//                     most one per interval at the engine's step barriers, and
-//                     one with the end-of-run values; tail it live with
-//                     `fmmon F` or summarize with `fmmon --summary F`
-//   --telemetry-interval-ms=N line interval for --telemetry-jsonl
-//                     (default 1000)
 //   --progress[=SEC]  live heartbeat to stderr every SEC seconds (default 10):
 //                     episode/step position, live walkers, steps/sec and ETA;
 //                     driven from the engine's per-step barrier (no extra
@@ -49,13 +42,14 @@
 //
 // A malformed number (not the whole value, or out of range) exits 2; a p or q
 // that fails Node2VecParamsUsable (not finite and > 0, or weights 1, 1/p, 1/q
-// spanning more than 2^53), or a stop probability outside [0, 1), exits 1.
+// spanning more than 2^53), a stop probability outside [0, 1), or a walker
+// count of 0 (--rounds=0 without --walkers, or --walkers=0) exits 1.
 // A node2vec run also prints its accept-test tallies (WalkStats::node2vec).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,7 +69,7 @@ struct Args {
   std::string algo = "deepwalk";
   uint32_t steps = 80;
   uint32_t rounds = 10;
-  uint64_t walkers = 0;
+  std::optional<uint64_t> walkers;  // overrides rounds when given
   double p = 1.0;
   double q = 1.0;
   bool weighted = false;
@@ -85,8 +79,6 @@ struct Args {
   std::string pairs_path;
   std::string metrics_path;
   std::string trace_path;
-  std::string telemetry_path;
-  uint32_t telemetry_interval_ms = 1000;
   bool progress = false;
   double progress_interval_s = 10.0;
   bool stats = false;
@@ -108,8 +100,7 @@ int Usage(const char* self) {
                "[--weighted] [--stop=F]\n"
                "  [--seed=N] [--out=paths.txt] [--pairs=pairs.txt] [--stats] "
                "[--profile] [--metrics-json=metrics.json]\n"
-               "  [--trace-json=trace.json] [--telemetry-jsonl=out.jsonl] "
-               "[--telemetry-interval-ms=N] [--progress[=SECONDS]]\n",
+               "  [--trace-json=trace.json] [--progress[=SECONDS]]\n",
                self);
   return 2;
 }
@@ -138,7 +129,7 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(a, "--rounds", &value)) {
       number_ok = ParseNumber(a, value, &args.rounds);
     } else if (ParseFlag(a, "--walkers", &value)) {
-      number_ok = ParseNumber(a, value, &args.walkers);
+      number_ok = ParseNumber(a, value, &args.walkers.emplace());
     } else if (ParseFlag(a, "--p", &value)) {
       number_ok = ParseNumber(a, value, &args.p);
     } else if (ParseFlag(a, "--q", &value)) {
@@ -157,10 +148,6 @@ int main(int argc, char** argv) {
       args.metrics_path = value;
     } else if (ParseFlag(a, "--trace-json", &value)) {
       args.trace_path = value;
-    } else if (ParseFlag(a, "--telemetry-jsonl", &value)) {
-      args.telemetry_path = value;
-    } else if (ParseFlag(a, "--telemetry-interval-ms", &value)) {
-      number_ok = ParseNumber(a, value, &args.telemetry_interval_ms);
     } else if (std::strcmp(a, "--progress") == 0) {
       args.progress = true;
     } else if (ParseFlag(a, "--progress", &value)) {
@@ -201,6 +188,15 @@ int main(int argc, char** argv) {
   }
   if (!(args.stop >= 0 && args.stop < 1)) {
     std::fprintf(stderr, "error: --stop must be in [0, 1)\n");
+    return 1;
+  }
+  // The engine reads num_walkers == 0 as one walker per vertex.
+  if (args.walkers.has_value() && *args.walkers == 0) {
+    std::fprintf(stderr, "error: --walkers must be at least 1\n");
+    return 1;
+  }
+  if (!args.walkers.has_value() && args.rounds == 0) {
+    std::fprintf(stderr, "error: --rounds must be at least 1\n");
     return 1;
   }
 
@@ -257,10 +253,8 @@ int main(int argc, char** argv) {
                          : (args.algo == "mh" ? WalkAlgorithm::kMetropolisHastings
                                               : WalkAlgorithm::kDeepWalk);
     spec.steps = args.steps;
-    spec.num_walkers =
-        args.walkers != 0
-            ? args.walkers
-            : static_cast<Wid>(args.rounds) * sorted.graph.num_vertices();
+    spec.num_walkers = args.walkers.value_or(
+        static_cast<Wid>(args.rounds) * sorted.graph.num_vertices());
     spec.node2vec = {args.p, args.q};
     spec.use_edge_weights = args.weighted;
     spec.stop_probability = args.stop;
@@ -274,42 +268,17 @@ int main(int argc, char** argv) {
                                        !args.metrics_path.empty() ||
                                        !args.trace_path.empty();
     engine_options.collect_counters = !args.metrics_path.empty();
-    // Live views of the run's WalkStats, rendered at the engine's step
-    // barriers: the heartbeat and the fm-telemetry-v1 lines.
+    // The live view of the run's WalkStats, rendered at the engine's step
+    // barriers.
     std::vector<WalkObserver*> observers;
     ProgressReporter progress(args.progress_interval_s);
     if (args.progress) {
       observers.push_back(&progress);
     }
-    auto close_file = [](std::FILE* f) { std::fclose(f); };
-    std::unique_ptr<std::FILE, decltype(close_file)> telemetry_file(
-        nullptr, close_file);
-    if (!args.telemetry_path.empty()) {
-      telemetry_file.reset(std::fopen(args.telemetry_path.c_str(), "w"));
-      if (telemetry_file == nullptr) {
-        return CannotWrite(args.telemetry_path);
-      }
-    }
-    TelemetryJsonlObserver telemetry(telemetry_file.get(),
-                                     args.telemetry_interval_ms);
-    if (telemetry_file != nullptr) {
-      observers.push_back(&telemetry);
-    }
     FlashMobEngine engine(sorted.graph, engine_options);
     const double run_start_s = clock.Elapsed();
     WalkResult result = engine.Run(spec, observers);
     end_phase("run", run_start_s);
-    if (telemetry_file != nullptr) {
-      const bool closed = std::fclose(telemetry_file.release()) == 0;
-      if (telemetry.write_failed() || !closed) {
-        return CannotWrite(args.telemetry_path);
-      }
-      std::fprintf(stderr,
-                   "wrote %llu telemetry lines to %s — summarize with: "
-                   "fmmon --summary %s\n",
-                   static_cast<unsigned long long>(telemetry.lines_written()),
-                   args.telemetry_path.c_str(), args.telemetry_path.c_str());
-    }
     std::fprintf(stderr,
                  "walked %llu steps in %.2fs: %.1f ns/step "
                  "(sample %.2fs, shuffle %.2fs, other %.2fs, "
@@ -328,7 +297,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(n2v.checks));
     }
     // Per-step wall-time spread from the run's own histogram — the one
-    // --telemetry-jsonl renders, so the two can never disagree.
+    // --metrics-json prints as run.step_ns, so the two can never disagree.
     {
       const Log2Histogram& step_ns = result.stats.step_ns;
       if (step_ns.count > 0) {
