@@ -5,8 +5,6 @@
 //  B. Uniform-degree DS fast path vs general CSR indexing (§5.2: regular data
 //     structures for low-degree partitions cut L2/L3 misses by 33%/30% on UK);
 //     measured with the cache simulator.
-//  C. Degree-sorted vertex order vs shuffled labels under the same plan shape (the
-//     §4.1 frequency-grouping premise).
 //  D. Exclusive vs inclusive LLC for FlashMob's access stream (§2.3's architecture
 //     argument), via the cache simulator.
 //  E. Identity tracking (reverse shuffle) vs identity-free walking (this repo's
@@ -73,39 +71,6 @@ int main() {
     }
     std::printf("  paper: regular structures cut L2/L3 misses 33%%/30%% (UK), "
                 "13%%/20%% (FS)\n");
-  }
-
-  PrintHeader("Ablation C: degree-sorted order vs shuffled labels");
-  {
-    PowerLawConfig config;
-    config.degrees.num_vertices = 400000;
-    config.degrees.avg_degree = 16;
-    config.degrees.alpha = 0.85;
-    config.degrees.max_degree = 400000 / 16;
-    CsrGraph sorted_graph = GeneratePowerLawGraph(config);
-    config.shuffle_labels = true;
-    CsrGraph shuffled = GeneratePowerLawGraph(config);
-    // Same uniform plan shape on both; only the vertex order differs, so the gap
-    // is the value of frequency-aware grouping (hot vertices packed together).
-    WalkSpec spec;
-    spec.steps = BenchSteps();
-    spec.num_walkers = static_cast<Wid>(BenchRounds()) * 400000;
-    spec.keep_paths = false;
-    auto run_uniform = [&](const CsrGraph& g) {
-      EngineOptions options;
-      options.count_visits = false;
-      FlashMobEngine engine(g, options);
-      engine.SetPlan(PartitionPlan::BuildUniform(g, 1024, SamplePolicy::kDS));
-      return engine.Run(spec).stats.PerStepNs();
-    };
-    // The shuffled graph violates the engine's sorted-input contract on purpose;
-    // re-sort it with identity *sizes* is not possible via public API, so compare
-    // sorted-input vs DegreeSort(shuffled) == sorted (sanity) and report.
-    double sorted_ns = run_uniform(sorted_graph);
-    double resorted_ns = run_uniform(DegreeSort(shuffled).graph);
-    std::printf("  degree-sorted: %.1f ns/step | resorted-from-shuffled: %.1f "
-                "ns/step (should match)\n",
-                sorted_ns, resorted_ns);
   }
 
   PrintHeader("Ablation D: exclusive vs inclusive LLC (simulated FlashMob stream)");

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/sample_stage.h"
+#include "src/core/walker_state.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -39,22 +40,13 @@ WalkResult GraphViteEngine::RunInstrumented(const WalkSpec& spec,
 template <typename Rng, typename Hook>
 WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
                                     bool single_thread) {
+  const Status spec_status = CheckWalkSpec(spec, graph_);
+  FM_CHECK_MSG(spec_status.ok(), spec_status.message());
+  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
+               "Metropolis-Hastings is not supported by the GraphVite baseline");
   const Vid n = graph_.num_vertices();
   const Eid m = graph_.num_edges();
   const bool node2vec = spec.algorithm == WalkAlgorithm::kNode2Vec;
-  FM_CHECK_MSG(!spec.use_edge_weights || graph_.weighted(),
-               "use_edge_weights requires a weighted graph");
-  FM_CHECK_MSG(!(spec.use_edge_weights && node2vec),
-               "weighted node2vec is not supported");
-  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
-               "Metropolis-Hastings is not supported by the GraphVite baseline");
-  FM_CHECK_MSG(!node2vec || Node2VecParamsUsable(spec.node2vec),
-               "node2vec requires finite p > 0 and q > 0 whose weights "
-               "1, 1/p, 1/q lie within 2^53 of each other");
-  const std::vector<Vid>& starts = spec.start_vertices;
-  for (Vid v : starts) {
-    FM_CHECK_MSG(v < n, "start vertex out of range");
-  }
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -70,23 +62,25 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
       static_cast<double>(walkers) / std::max<double>(1.0, static_cast<double>(m));
   result.stats.episodes = 1;
 
+  // Row 0 is placed as FlashMob places it.
   PathSet paths(walkers, spec.steps);
+  Timer other_timer;
+  PlaceWalkers(graph_, spec, pool, /*episode=*/0, /*base_walker=*/0,
+               paths.Row(0));
+  result.stats.times.other_s = other_timer.Elapsed();
+
   // Live walker-steps per worker (a walker stops stepping once dead).
   std::vector<uint64_t> live_shards(pool->thread_count(), 0);
   const Node2VecThresholds thresholds(spec.node2vec);
   Timer walk_timer;
   // One walker's whole path at a time: every transition depends on the previous
   // one — a graph-wide pointer chase.
-  pool->ParallelChunks(walkers, [&](uint64_t begin, uint64_t end,
-                                    uint32_t worker) {
+  ForEachWalkerRange(pool, walkers, kBaselineRange, [&](Wid begin, Wid end,
+                                                        uint32_t worker) {
     Rng rng(DeriveSeed(spec.seed, 0x6E17ULL ^ begin));
     uint64_t live = 0;
     for (Wid j = begin; j < end; ++j) {
-      // Walker j starts at starts[j % size], else degree-proportionally.
-      Vid v = !starts.empty() ? starts[j % starts.size()]
-              : (m > 0)       ? graph_.VertexOfEdge(rng.NextBounded(m))
-                              : static_cast<Vid>(rng.NextBounded(n));
-      paths.At(j, 0) = v;
+      Vid v = paths.At(j, 0);
       Vid prev = kInvalidVid;
       for (uint32_t step = 0; step < spec.steps; ++step) {
         Vid nxt = kInvalidVid;
@@ -107,10 +101,10 @@ WalkResult GraphViteEngine::RunImpl(const WalkSpec& spec, Hook& hook,
     }
     live_shards[worker] += live;
   });
+  result.stats.times.sample_s = walk_timer.Elapsed();
   for (uint64_t live : live_shards) {
     result.stats.total_steps += live;
   }
-  result.stats.times.sample_s = walk_timer.Elapsed();
 
   if (options_.count_visits) {
     result.visit_counts = paths.VisitCounts(n);  // fmlint:allow(visit-counts-mut) baseline engine fills its own result

@@ -20,7 +20,10 @@
 // draws from its own RNG stream, indexed by the walker's position — never by
 // ring slot (WalkerSeed, src/util/rng.h). Slot assignment varies with depth
 // (early deaths free slots out of order), walker index does not, so walks are
-// bit-identical across interleave depths and thread counts.
+// bit-identical across interleave depths. They are bit-identical across
+// thread counts because nothing a walk draws is keyed by the pool: row 0
+// comes from the one placement (PlaceWalkers, fixed 2^16-walker blocks), and
+// rings run over walker ranges fixed by the walker count (ForEachWalkerRange).
 #ifndef SRC_BASELINE_INTERLEAVE_H_
 #define SRC_BASELINE_INTERLEAVE_H_
 
@@ -40,7 +43,7 @@ namespace fm {
 inline constexpr uint32_t kMaxInterleaveDepth = 64;
 
 // Software-prefetch issue counts by request type. Counting happens in local
-// (stack) instances and is folded in once per chunk, so the hot loops never
+// (stack) instances and is folded in once per range, so the hot loops never
 // touch shared memory for bookkeeping.
 struct InterleaveStats {
   uint64_t offsets = 0;  // CSR offset pairs (the walker's VP cell)

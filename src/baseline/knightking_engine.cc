@@ -7,6 +7,7 @@
 
 #include "src/baseline/interleave.h"
 #include "src/core/sample_stage.h"
+#include "src/core/walker_state.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -23,7 +24,7 @@ namespace {
 // probes, unprefetchable). A first-order walker is a node2vec walker with no
 // predecessor: its first candidate is taken. Walkers map ring index i to
 // global index base + i, and each seeds its own stream from the *global*
-// index, so results are independent of both interleave depth and chunking.
+// index, so results are independent of both interleave depth and ranges.
 // Dead walkers complete at Init without consuming draws, exactly like the
 // sequential loop's skip.
 template <typename Rng, typename Hook>
@@ -178,22 +179,13 @@ WalkResult KnightKingEngine::RunInstrumented(const WalkSpec& spec,
 template <typename Rng, typename Hook>
 WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
                                      bool single_thread) {
+  const Status spec_status = CheckWalkSpec(spec, graph_);
+  FM_CHECK_MSG(spec_status.ok(), spec_status.message());
+  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
+               "Metropolis-Hastings is not supported by the KnightKing baseline");
   const Vid n = graph_.num_vertices();
   const Eid m = graph_.num_edges();
   const bool node2vec = spec.algorithm == WalkAlgorithm::kNode2Vec;
-  FM_CHECK_MSG(!spec.use_edge_weights || graph_.weighted(),
-               "use_edge_weights requires a weighted graph");
-  FM_CHECK_MSG(!(spec.use_edge_weights && node2vec),
-               "weighted node2vec is not supported");
-  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kMetropolisHastings,
-               "Metropolis-Hastings is not supported by the KnightKing baseline");
-  FM_CHECK_MSG(!node2vec || Node2VecParamsUsable(spec.node2vec),
-               "node2vec requires finite p > 0 and q > 0 whose weights "
-               "1, 1/p, 1/q lie within 2^53 of each other");
-  const std::vector<Vid>& starts = spec.start_vertices;
-  for (Vid v : starts) {
-    FM_CHECK_MSG(v < n, "start vertex out of range");
-  }
   Wid walkers = spec.num_walkers != 0 ? spec.num_walkers : n;
 
   ThreadPool single_pool(1);
@@ -221,19 +213,14 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
   last_depth_ = depth;
 
   // Walkers advance in lockstep rounds, each processed one by one within its
-  // thread's contiguous range ("all (active) walkers take turns to each sample and
-  // follow one edge", §1). Paths are rows just like FlashMob's output format.
+  // range ("all (active) walkers take turns to each sample and follow one
+  // edge", §1). Paths are rows just like FlashMob's output format, and row 0
+  // is placed as FlashMob places it.
   PathSet paths(walkers, spec.steps);
-  pool->ParallelChunks(walkers, [&](uint64_t begin, uint64_t end, uint32_t) {
-    Rng rng(DeriveSeed(spec.seed, 0xBA5E ^ begin));
-    Vid* row = paths.Row(0).data();
-    // Walker j starts at starts[j % size], else degree-proportionally.
-    for (Wid j = begin; j < end; ++j) {
-      row[j] = !starts.empty() ? starts[j % starts.size()]
-               : (m > 0)       ? graph_.VertexOfEdge(rng.NextBounded(m))
-                               : static_cast<Vid>(rng.NextBounded(n));
-    }
-  });
+  Timer other_timer;
+  PlaceWalkers(graph_, spec, pool, /*episode=*/0, /*base_walker=*/0,
+               paths.Row(0));
+  result.stats.times.other_s = other_timer.Elapsed();
 
   // Per-worker tallies, folded after the walk: prefetches issued and live
   // walker-steps (dead walkers are skipped, not stepped).
@@ -248,16 +235,16 @@ WalkResult KnightKingEngine::RunImpl(const WalkSpec& spec, Hook& hook,
     Vid* next = paths.Row(step + 1).data();
     const uint64_t step_seed =
         DeriveSeed(spec.seed, 0x55EFULL ^ (static_cast<uint64_t>(step) << 32));
-    pool->ParallelChunks(
-        walkers, [&](uint64_t begin, uint64_t end, uint32_t worker) {
+    ForEachWalkerRange(
+        pool, walkers, kBaselineRange,
+        [&](Wid begin, Wid end, uint32_t worker) {
           if constexpr (kPerWalkerStreams) {
-            // One RNG stream per (step, global walker): walks do not depend on
-            // the chunking or on the ring depth.
+            // One RNG stream per (step, walker): walks depend on neither the
+            // ranges nor the ring depth.
             BaselineRing<Rng, Hook> ring(graph_, alias, spec.node2vec, cur,
                                          prev, next, spec.stop_probability,
-                                         step_seed, static_cast<Wid>(begin),
-                                         hook);
-            RunInterleavedRing(depth, static_cast<Wid>(end - begin), ring);
+                                         step_seed, begin, hook);
+            RunInterleavedRing(depth, end - begin, ring);
             prefetch_shards[worker] += ring.stats;
             live_shards[worker] += ring.live;
             return;

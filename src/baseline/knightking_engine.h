@@ -15,15 +15,21 @@
 
 namespace fm {
 
+// Walkers per task of both baselines (ForEachWalkerRange). Each Mersenne
+// range re-seeds 2.5 KB of generator state per step (about 3 us with its
+// first draw, ~3% of a range's step on fig8's graphs); larger ranges leave
+// pool threads idle on fig1's 25000-walker CI runs.
+inline constexpr Wid kBaselineRange = 1 << 10;
+
 struct BaselineOptions {
   ThreadPool* pool = nullptr;    // nullptr = global
   bool use_mersenne = true;      // KnightKing's RNG (§5.2); false = xorshift*
   bool count_visits = true;
   // Step-interleaving ring depth (src/baseline/interleave.h), honored on the
   // xorshift path only: that path seeds one RNG stream per walker, which makes
-  // walks bit-identical at every depth. The Mersenne path keeps the historical
-  // per-chunk stream (re-seeding a 2.5 KB mt19937_64 state per walker would
-  // dominate the step) and always runs sequentially. 1 disables.
+  // walks bit-identical at every depth. The Mersenne path seeds one stream per
+  // range (re-seeding a 2.5 KB mt19937_64 state per walker would dominate the
+  // step) and always runs sequentially. 1 disables.
   uint32_t interleave_depth = 1;
 };
 

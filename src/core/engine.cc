@@ -144,20 +144,8 @@ WalkResult FlashMobEngine::RunImpl(
   Timer run_timer;
   const Vid n = graph_.num_vertices();
   const Eid m = graph_.num_edges();
-  FM_CHECK_MSG(spec.track_identity || !spec.keep_paths,
-               "keep_paths requires track_identity (paths are per-walker)");
-  FM_CHECK_MSG(!spec.use_edge_weights || graph_.weighted(),
-               "use_edge_weights requires a weighted graph");
-  FM_CHECK_MSG(!(spec.use_edge_weights &&
-                 spec.algorithm != WalkAlgorithm::kDeepWalk),
-               "edge weights are only supported for first-order uniform walks");
-  FM_CHECK_MSG(spec.algorithm != WalkAlgorithm::kNode2Vec ||
-                   Node2VecParamsUsable(spec.node2vec),
-               "node2vec requires finite p > 0 and q > 0 whose weights "
-               "1, 1/p, 1/q lie within 2^53 of each other");
-  for (Vid v : spec.start_vertices) {
-    FM_CHECK_MSG(v < n, "start vertex out of range");
-  }
+  const Status spec_status = CheckWalkSpec(spec, graph_);
+  FM_CHECK_MSG(spec_status.ok(), spec_status.message());
   if (spec.use_edge_weights && alias_tables_ == nullptr) {
     alias_tables_ = std::make_unique<VertexAliasTables>(graph_, *options_.pool);
   }
@@ -244,7 +232,8 @@ WalkResult FlashMobEngine::RunImpl(
     // ---- place: walker storage + initial positions ---------------------------
     other_timer.Start();
     WalkerState state(graph_, spec, w);
-    state.Place(pool, episode, base_walker, observers);
+    PlaceWalkers(graph_, spec, pool, episode, base_walker, {state.cur(), w},
+                 observers);
     if constexpr (Hook::kEnabled) {
       TouchStreaming(hook.sim(), state.cur(), w * sizeof(Vid));
     }

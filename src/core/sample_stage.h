@@ -144,8 +144,7 @@ struct Node2VecThresholds {
 // u = NextDouble() lies on a grid of step 2^-53, so a weight below 2^-53 of
 // the bound is accepted only at u == 0, with probability 2^-53 instead of
 // weight / bound; a walker whose candidates all carry it practically never
-// moves. FlashMobEngine::Run, both baselines and fmwalk refuse parameters
-// that fail it.
+// moves. CheckWalkSpec refuses parameters that fail it.
 inline bool Node2VecParamsUsable(const Node2VecParams& params) {
   if (!(std::isfinite(params.p) && params.p > 0 && std::isfinite(params.q) &&
         params.q > 0)) {

@@ -6,9 +6,12 @@
 #include <vector>
 
 #include "src/sampling/rejection.h"
+#include "src/util/status.h"
 #include "src/util/types.h"
 
 namespace fm {
+
+class CsrGraph;
 
 enum class WalkAlgorithm {
   kDeepWalk,  // first-order, uniform transition probability (Perozzi et al. 2014)
@@ -66,6 +69,13 @@ struct WalkSpec {
   // ablated in bench/ablation_design.
   bool track_identity = true;
 };
+
+// The rules of a walkable spec, stated once for FlashMobEngine, both
+// baselines and fmwalk: edge weights need a weighted graph and DeepWalk,
+// node2vec needs Node2VecParamsUsable, stop_probability lies in [0, 1), every
+// start vertex is below |V|, and keep_paths needs track_identity. A broken
+// rule is InvalidArgument, with a message that names the field.
+Status CheckWalkSpec(const WalkSpec& spec, const CsrGraph& graph);
 
 }  // namespace fm
 

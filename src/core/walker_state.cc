@@ -6,7 +6,6 @@
 #include "src/graph/csr_graph.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace fm {
 
@@ -105,71 +104,59 @@ void WalkerState::AdvanceIdentityFree() {
   }
 }
 
-void WalkerState::Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
-                        std::span<WalkObserver* const> observers) {
-  const Vid n = graph_.num_vertices();
-  const Eid m = graph_.num_edges();
-  Vid* w_cur = w_cur_;
-  auto notify = [&](uint64_t begin, uint64_t end) {
-    std::span<const Vid> chunk(w_cur + begin, end - begin);
-    for (WalkObserver* observer : observers) {
-      observer->OnPlacementChunk(static_cast<Wid>(begin), chunk);
-    }
-  };
-  if (!spec_.start_vertices.empty()) {
-    // Seeded placement: walker j (global index, consistent across episodes)
-    // starts at start_vertices[j % size()].
-    const auto& starts = spec_.start_vertices;
-    pool->ParallelChunks(walkers_,
-                         [&](uint64_t begin, uint64_t end, uint32_t) {
-                           for (Wid j = begin; j < end; ++j) {
-                             w_cur[j] = starts[(base_walker + j) % starts.size()];
-                           }
-                           notify(begin, end);
-                         });
-    return;
-  }
-  // Degree-proportional initial placement ("uniformly sampling among all
-  // edges", §3). Walker j draws a jittered edge position within its own 1/w
-  // slice of the edge array; positions are monotone in j, so one sequential
-  // sweep of the CSR offsets resolves every owner — O(1) per walker, no binary
-  // searches. The aggregate marginal distribution over edges is exactly
-  // uniform.
-  //
-  // Fixed-size blocks (not ParallelChunks) because the RNG stream is seeded by
-  // the block's first walker index: thread-count-dependent chunk boundaries
-  // would re-slice the streams and change every start vertex, breaking the
+void PlaceWalkers(const CsrGraph& graph, const WalkSpec& spec,
+                  ThreadPool* pool, uint64_t episode, Wid base_walker,
+                  std::span<Vid> row,
+                  std::span<WalkObserver* const> observers) {
+  const Vid n = graph.num_vertices();
+  const Eid m = graph.num_edges();
+  const Wid walkers = row.size();
+  const std::vector<Vid>& starts = spec.start_vertices;
+  const double edges_per_walker =
+      static_cast<double>(m) / static_cast<double>(walkers);
+  const Eid* offsets = graph.offsets().data();
+  // Fixed-size blocks, because the RNG stream is seeded by the block's first
+  // walker index: pool-sized chunks would re-slice the streams with the
+  // thread count and change every start vertex, breaking the
   // same-seed-same-walks determinism contract (tests/determinism_test.cc).
-  constexpr uint64_t kPlaceBlock = 1 << 16;
-  uint64_t num_blocks = (walkers_ + kPlaceBlock - 1) / kPlaceBlock;
-  pool->ParallelFor(std::max<uint64_t>(num_blocks, 1), [&](uint64_t block,
-                                                           uint32_t) {
-    uint64_t begin = block * kPlaceBlock;
-    uint64_t end = std::min<uint64_t>(begin + kPlaceBlock, walkers_);
-    XorShiftRng rng(
-        DeriveSeed(spec_.seed, 0x1A17ULL ^ (episode << 20) ^ begin));
-    if (m == 0) {
+  constexpr Wid kPlaceBlock = 1 << 16;
+  ForEachWalkerRange(pool, walkers, kPlaceBlock, [&](Wid begin, Wid end,
+                                                     uint32_t) {
+    XorShiftRng rng(DeriveSeed(spec.seed, 0x1A17ULL ^ (episode << 20) ^ begin));
+    if (!starts.empty()) {
+      // Seeded placement: walker j (global index, consistent across
+      // episodes) starts at start_vertices[j % size()].
       for (Wid j = begin; j < end; ++j) {
-        w_cur[j] = static_cast<Vid>(rng.NextBounded(n));
+        row[j] = starts[(base_walker + j) % starts.size()];
       }
-      notify(begin, end);
-      return;
-    }
-    double edges_per_walker =
-        static_cast<double>(m) / static_cast<double>(walkers_);
-    Eid pos0 = static_cast<Eid>(static_cast<double>(begin) * edges_per_walker);
-    Vid v = graph_.VertexOfEdge(std::min<Eid>(pos0, m - 1));
-    const Eid* offsets = graph_.offsets().data();
-    for (Wid j = begin; j < end; ++j) {
-      Eid pos = static_cast<Eid>(
-          (static_cast<double>(j) + rng.NextDouble()) * edges_per_walker);
-      pos = std::min<Eid>(pos, m - 1);
-      while (offsets[v + 1] <= pos) {
-        ++v;
+    } else if (m == 0) {
+      for (Wid j = begin; j < end; ++j) {
+        row[j] = static_cast<Vid>(rng.NextBounded(n));
       }
-      w_cur[j] = v;
+    } else {
+      // Degree-proportional ("uniformly sampling among all edges", §3).
+      // Walker j draws a jittered edge position within its own 1/w slice of
+      // the edge array; positions are monotone in j, so one sequential sweep
+      // of the CSR offsets resolves every owner — O(1) per walker, no binary
+      // searches. The aggregate marginal distribution over edges is exactly
+      // uniform.
+      Eid pos0 =
+          static_cast<Eid>(static_cast<double>(begin) * edges_per_walker);
+      Vid v = graph.VertexOfEdge(std::min<Eid>(pos0, m - 1));
+      for (Wid j = begin; j < end; ++j) {
+        Eid pos = static_cast<Eid>(
+            (static_cast<double>(j) + rng.NextDouble()) * edges_per_walker);
+        pos = std::min<Eid>(pos, m - 1);
+        while (offsets[v + 1] <= pos) {
+          ++v;
+        }
+        row[j] = v;
+      }
     }
-    notify(begin, end);
+    std::span<const Vid> chunk = row.subspan(begin, end - begin);
+    for (WalkObserver* observer : observers) {
+      observer->OnPlacementChunk(begin, chunk);
+    }
   });
 }
 

@@ -9,28 +9,50 @@
 //                   scratch, with the node2vec predecessor stream riding along.
 // The engine only ever asks for the current row, the scatter aux stream, and
 // the next gather target; which physical buffer backs each is this class's
-// business. Placement (degree-proportional or seeded round-robin) runs on the
-// pool and feeds WalkObserver::OnPlacementChunk inside the parallel loop.
+// business. Initial placement (PlaceWalkers) is a free function, because the
+// KnightKing and GraphVite baselines place their walkers through it too.
 #ifndef SRC_CORE_WALKER_STATE_H_
 #define SRC_CORE_WALKER_STATE_H_
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "src/core/path_set.h"
 #include "src/core/walk_spec.h"
+#include "src/util/thread_pool.h"
 #include "src/util/types.h"
 
 namespace fm {
 
 class CsrGraph;
-class ThreadPool;
 class WalkObserver;
 
 // Walkers per episode under `dram_budget_bytes` (§5.1 "configured at runtime
 // based on DRAM capacity"): bounded by per-walker state bytes, floored at 1024.
 Wid EpisodeCapacity(const WalkSpec& spec, uint64_t dram_budget_bytes,
                     Vid num_vertices);
+
+// Runs body(begin, end, worker) on `pool` for each run of `range` walkers in
+// [0, count). The cut depends on `count` alone, so an RNG stream keyed by
+// `begin` draws the same numbers at every pool size.
+template <typename Body>
+void ForEachWalkerRange(ThreadPool* pool, Wid count, Wid range,
+                        const Body& body) {
+  pool->ParallelFor((count + range - 1) / range, [&](uint64_t r, uint32_t w) {
+    body(r * range, std::min<Wid>((r + 1) * range, count), w);
+  });
+}
+
+// The one initial placement of all three engines. Fills `row` (entry j is
+// walker base_walker + j) round-robin from spec.start_vertices when
+// non-empty, else degree-proportionally ("uniformly sampling among all
+// edges", §3), and calls each observer's OnPlacementChunk per block. The
+// spec must pass CheckWalkSpec.
+void PlaceWalkers(const CsrGraph& graph, const WalkSpec& spec,
+                  ThreadPool* pool, uint64_t episode, Wid base_walker,
+                  std::span<Vid> row,
+                  std::span<WalkObserver* const> observers = {});
 
 class WalkerState {
  public:
@@ -70,14 +92,6 @@ class WalkerState {
   // Identity-free step: the sampled SW (and predecessor stream) becomes the
   // next walker array; no Gather ran.
   void AdvanceIdentityFree();
-
-  // Initial placement into cur(): seeded round-robin over
-  // spec.start_vertices (walker j gets starts[(base_walker + j) % size]) when
-  // non-empty — the caller must have range-validated them — else
-  // degree-proportional ("uniformly sampling among all edges", §3).
-  // Invokes OnPlacementChunk on each observer inside the parallel loop.
-  void Place(ThreadPool* pool, uint64_t episode, Wid base_walker,
-             std::span<WalkObserver* const> observers);
 
   // Moves the episode's path rows out (keep_paths mode only).
   PathSet TakePaths();

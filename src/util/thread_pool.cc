@@ -1,7 +1,5 @@
 #include "src/util/thread_pool.h"
 
-#include <algorithm>
-
 #if defined(__linux__)
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -114,20 +112,6 @@ void ThreadPool::ParallelFor(uint64_t tasks,
     }
     job_ = nullptr;
   }
-}
-
-void ThreadPool::ParallelChunks(
-    uint64_t n, const std::function<void(uint64_t, uint64_t, uint32_t)>& body) {
-  uint32_t workers = thread_count();
-  uint64_t chunk = n / workers;
-  uint64_t rem = n % workers;
-  ParallelFor(workers, [&](uint64_t w, uint32_t worker_index) {
-    uint64_t begin = w * chunk + std::min<uint64_t>(w, rem);
-    uint64_t end = begin + chunk + (w < rem ? 1 : 0);
-    if (begin < end) {
-      body(begin, end, worker_index);
-    }
-  });
 }
 
 std::vector<int32_t> ThreadPool::WorkerSystemTids() const {

@@ -2,8 +2,8 @@
 //
 // FlashMob's sample and shuffle stages both decompose into independent tasks over
 // disjoint array regions (§4.3: "threads work on disjoint array areas, simplifying
-// synchronization and eliminating the needs for locks"), so a simple static/dynamic
-// chunked parallel-for is all the engine needs.
+// synchronization and eliminating the needs for locks"), so a dynamic
+// parallel-for over caller-cut tasks is all the engine needs.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
@@ -33,12 +33,6 @@ class ThreadPool {
   // thread participates as worker 0. Not reentrant.
   void ParallelFor(uint64_t tasks,
                    const std::function<void(uint64_t, uint32_t)>& body);
-
-  // Convenience: splits [0, n) into one contiguous chunk per worker and runs
-  // body(begin, end, worker_index) on each. Chunks differ in size by at most one.
-  void ParallelChunks(
-      uint64_t n,
-      const std::function<void(uint64_t, uint64_t, uint32_t)>& body);
 
   // Returns the global pool (FM_THREADS env var, default hardware concurrency).
   static ThreadPool& Global();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "src/baseline/graphvite_engine.h"
 #include "src/baseline/knightking_engine.h"
 #include "src/core/engine.h"
@@ -142,8 +145,8 @@ TEST(KnightKingTest, InterleavedNode2VecMatchesSequentialExactly) {
 }
 
 TEST(KnightKingTest, MersennePathIgnoresInterleaveDepth) {
-  // The Mersenne path keeps KnightKing's historical per-chunk streams and
-  // always runs sequentially; a requested depth must not change the walk.
+  // The Mersenne path seeds one stream per walker range and always runs
+  // sequentially; a requested depth must not change the walk.
   CsrGraph g = SkewedGraph(600);
   WalkSpec spec = SmallSpec(1200, 5, 31);
   BaselineOptions base;  // use_mersenne = true
@@ -242,17 +245,39 @@ TEST(BaselineEquivalenceTest, AllEnginesAgreeOnVisitDistribution) {
 }
 
 TEST(BaselineEquivalenceTest, DeterministicGraphGivesIdenticalPaths) {
-  // On a ring (out-degree 1) the walk is fully determined by the start vertex, so
-  // visit counts per walker match exactly across engines given the same starts...
-  // starts are seeded differently per engine, so compare structure instead: every
-  // path is the unique ring walk from its start.
+  // On a ring (out-degree 1) a walk is fully determined by its start, and an
+  // unseeded single-episode spec starts every walker at the same vertex in
+  // all three engines (one placement), so every engine and RNG walks
+  // FlashMob's paths walker for walker.
   CsrGraph g = RingGraph(100);
   WalkSpec spec = SmallSpec(500, 7, 3);
-  KnightKingEngine knk(g);
-  WalkResult r = knk.Run(spec);
-  for (Wid w = 0; w < 500; ++w) {
-    for (uint32_t s = 0; s < 7; ++s) {
-      ASSERT_EQ(r.paths.At(w, s + 1), (r.paths.At(w, s) + 1) % 100);
+  const PathSet flashmob = FlashMobEngine(g).Run(spec).paths;
+  for (bool mersenne : {true, false}) {
+    BaselineOptions options;
+    options.use_mersenne = mersenne;
+    const WalkResult runs[] = {KnightKingEngine(g, options).Run(spec),
+                               GraphViteEngine(g, options).Run(spec)};
+    for (const WalkResult& r : runs) {
+      ASSERT_TRUE(r.paths.SameAs(flashmob)) << "mersenne " << mersenne;
+    }
+  }
+}
+
+TEST(BaselineEquivalenceTest, UnseededStartsMatchFlashMob) {
+  // The same check on a skewed graph, across three placement blocks: path
+  // row 0 of each baseline is FlashMob's row 0.
+  CsrGraph g = SkewedGraph(5000);
+  WalkSpec spec = SmallSpec(150001, 2, 3);
+  const WalkResult flashmob = FlashMobEngine(g).Run(spec);
+  ASSERT_EQ(flashmob.stats.episodes, 1u);
+  for (bool mersenne : {true, false}) {
+    BaselineOptions options;
+    options.use_mersenne = mersenne;
+    const WalkResult runs[] = {KnightKingEngine(g, options).Run(spec),
+                               GraphViteEngine(g, options).Run(spec)};
+    for (const WalkResult& r : runs) {
+      ASSERT_TRUE(r.paths.Row(0) == flashmob.paths.Row(0))
+          << "mersenne " << mersenne;
     }
   }
 }
@@ -289,6 +314,96 @@ TEST(BaselineEquivalenceTest, RejectOutOfRangeSeeds) {
   EXPECT_DEATH(RunOnOneThread<KnightKingEngine>(g, spec), "out of range");
   EXPECT_DEATH(RunOnOneThread<GraphViteEngine>(g, spec), "out of range");
 }
+
+TEST(BaselineTimingTest, PlacementIsOtherTimeAsInFlashMob) {
+  // PerStepNs divides the same span in all three engines: placement in
+  // other_s, steps in sample_s.
+  CsrGraph g = SkewedGraph(2000);
+  const WalkSpec spec = SmallSpec(20000, 4);
+  for (bool mersenne : {true, false}) {
+    BaselineOptions options;
+    options.use_mersenne = mersenne;
+    const WalkResult runs[] = {KnightKingEngine(g, options).Run(spec),
+                               GraphViteEngine(g, options).Run(spec)};
+    for (const WalkResult& r : runs) {
+      EXPECT_GT(r.stats.times.other_s, 0) << "mersenne " << mersenne;
+      EXPECT_GT(r.stats.times.sample_s, 0) << "mersenne " << mersenne;
+    }
+  }
+}
+
+// Every baseline walk is a function of its seed: paths and visit counts
+// agree across pools of 1-4 threads, for each engine and RNG (and ring depth)
+// and each walk the baselines take, all with stochastic termination.
+struct BaselineConfig {
+  const char* name;
+  bool graphvite;
+  bool mersenne;
+  uint32_t depth;
+};
+
+const BaselineConfig kBaselineConfigs[] = {
+    {"KnightKingMersenne", false, true, 1},
+    {"KnightKingXorshiftDepth1", false, false, 1},
+    {"KnightKingXorshiftDepth8", false, false, 8},
+    {"GraphViteMersenne", true, true, 1},
+    {"GraphViteXorshift", true, false, 1},
+};
+
+enum class BaselineWalk { kDeepWalk, kNode2Vec, kWeightedDeepWalk };
+
+class BaselineDeterminismTest
+    : public ::testing::TestWithParam<
+          std::tuple<BaselineConfig, BaselineWalk>> {};
+
+TEST_P(BaselineDeterminismTest, SameSeedSameWalksAcrossPoolSizes) {
+  const auto [config, walk] = GetParam();
+  PowerLawConfig graph_config;
+  graph_config.degrees.num_vertices = 3000;
+  graph_config.degrees.avg_degree = 8;
+  graph_config.degrees.alpha = 0.8;
+  graph_config.random_weights = true;
+  const CsrGraph g = GeneratePowerLawGraph(graph_config);
+  // Several walker ranges of each baseline, the last one short.
+  WalkSpec spec = SmallSpec(20011, 6, 3);
+  spec.stop_probability = 0.15;
+  if (walk == BaselineWalk::kNode2Vec) {
+    spec.algorithm = WalkAlgorithm::kNode2Vec;
+    spec.node2vec = {2.0, 0.5};
+  }
+  spec.use_edge_weights = walk == BaselineWalk::kWeightedDeepWalk;
+  auto run = [&](uint32_t threads) {
+    ThreadPool pool(threads);
+    BaselineOptions options;
+    options.pool = &pool;
+    options.use_mersenne = config.mersenne;
+    options.interleave_depth = config.depth;
+    return config.graphvite ? GraphViteEngine(g, options).Run(spec)
+                            : KnightKingEngine(g, options).Run(spec);
+  };
+  const WalkResult reference = run(1);
+  ASSERT_TRUE(reference.paths.ValidAgainst(g));
+  for (uint32_t threads : {2u, 3u, 4u}) {
+    const WalkResult r = run(threads);
+    ASSERT_TRUE(r.paths.SameAs(reference.paths)) << threads << " threads";
+    EXPECT_EQ(r.visit_counts, reference.visit_counts) << threads << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndWalks, BaselineDeterminismTest,
+    ::testing::Combine(::testing::ValuesIn(kBaselineConfigs),
+                       ::testing::Values(BaselineWalk::kDeepWalk,
+                                         BaselineWalk::kNode2Vec,
+                                         BaselineWalk::kWeightedDeepWalk)),
+    [](const ::testing::TestParamInfo<BaselineDeterminismTest::ParamType>&
+           info) {
+      const BaselineWalk walk = std::get<1>(info.param);
+      return std::string(std::get<0>(info.param).name) +
+             (walk == BaselineWalk::kDeepWalk   ? "_DeepWalk"
+              : walk == BaselineWalk::kNode2Vec ? "_Node2Vec"
+                                                : "_WeightedDeepWalk");
+    });
 
 TEST(BaselineInstrumentationTest, KnightKingMissesMoreThanFlashMob) {
   // The headline claim at test scale: on a skewed graph far larger than the

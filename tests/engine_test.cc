@@ -272,6 +272,22 @@ TEST(EngineTest, IdentityFreeRejectsKeepPaths) {
   EXPECT_DEATH(engine.Run(spec), "track_identity");
 }
 
+TEST(EngineTest, RejectsStopProbabilityOutsideTheUnitInterval) {
+  // 1.5 would kill every walker at its first step and NaN would never stop
+  // one. A one-thread pool: a forked death-test child has no pool workers.
+  CsrGraph g = SkewedGraph(500);
+  ThreadPool pool(1);
+  EngineOptions options;
+  options.pool = &pool;
+  FlashMobEngine engine(g, options);
+  for (double stop : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    WalkSpec spec = SmallSpec(100, 2);
+    spec.stop_probability = stop;
+    EXPECT_DEATH(engine.Run(spec), "stop_probability must lie in")
+        << stop;
+  }
+}
+
 TEST(EngineTest, Node2VecFirstStepIsUniformNotPrevBiased) {
   // Regression: the first step must be a uniform first-order step (prev ==
   // kInvalidVid), not biased as if every walker's predecessor were vertex 0.

@@ -1,8 +1,9 @@
 // Randomized end-to-end property tests: random graphs (weights, self-loops,
 // duplicates, dead ends, shuffled labels) x random walk specifications, checked
-// against the engine's global invariants, plus randomized corrupt-CSR cases
-// covering every header field and payload invariant the loaders validate.
-// Each parameter is an independent seed.
+// against the engines' global invariants and against CheckWalkSpec with one
+// rule broken at a time, plus randomized corrupt-CSR cases covering every
+// header field and payload invariant the loaders validate. Each parameter is
+// an independent seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "src/baseline/graphvite_engine.h"
+#include "src/baseline/knightking_engine.h"
 #include "src/core/engine.h"
 #include "src/graph/degree_sort.h"
 #include "src/graph/edge_io.h"
@@ -78,16 +81,37 @@ FuzzCase MakeCase(uint64_t seed) {
   if (rng.NextBounded(3) == 0) {
     c.options.dram_budget_bytes = 1 << 18;  // force multiple episodes
   }
+  if (c.spec.algorithm == WalkAlgorithm::kDeepWalk &&
+      !c.spec.use_edge_weights && rng.NextBounded(5) == 0) {
+    c.spec.algorithm = WalkAlgorithm::kMetropolisHastings;
+  }
   return c;
 }
 
-class FuzzTest : public ::testing::TestWithParam<uint64_t> {};
+// Whether every kept path is a walk on the graph: each step follows an edge
+// (or stays on a dead end), and a Metropolis-Hastings walker may also stay
+// put on a rejected proposal.
+bool PathsValid(const FuzzCase& c, const PathSet& paths) {
+  if (c.spec.algorithm != WalkAlgorithm::kMetropolisHastings) {
+    return paths.ValidAgainst(c.graph);
+  }
+  for (Wid w = 0; w < paths.num_walkers(); ++w) {
+    for (uint32_t s = 0; s < paths.steps(); ++s) {
+      const Vid from = paths.At(w, s);
+      const Vid to = paths.At(w, s + 1);
+      if (from == kInvalidVid) {
+        break;
+      }
+      if (to != kInvalidVid && to != from && !c.graph.HasEdge(from, to)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
-TEST_P(FuzzTest, EngineInvariantsHold) {
-  FuzzCase c = MakeCase(GetParam());
-  FlashMobEngine engine(c.graph, c.options);
-  WalkResult result = engine.Run(c.spec);
-
+// The invariants every engine's run of `c` keeps.
+void ExpectWalkInvariants(const FuzzCase& c, const WalkResult& result) {
   // Step accounting: never more than walkers x steps; exact when nothing dies.
   uint64_t max_steps =
       static_cast<uint64_t>(c.spec.num_walkers) * c.spec.steps;
@@ -107,17 +131,10 @@ TEST_P(FuzzTest, EngineInvariantsHold) {
     EXPECT_EQ(visits, result.stats.total_steps + c.spec.num_walkers);
   }
 
-  // Per-VP accounting matches the total.
-  uint64_t vp_sum = 0;
-  for (uint64_t v : result.stats.vp_walker_steps) {
-    vp_sum += v;
-  }
-  EXPECT_EQ(vp_sum, result.stats.total_steps);
-
   // Paths, when kept, are valid walks and complete.
   if (c.spec.keep_paths) {
     EXPECT_EQ(result.paths.num_walkers(), c.spec.num_walkers);
-    EXPECT_TRUE(result.paths.ValidAgainst(c.graph));
+    EXPECT_TRUE(PathsValid(c, result.paths));
     if (!c.spec.start_vertices.empty()) {
       for (Wid w = 0; w < result.paths.num_walkers(); ++w) {
         ASSERT_NE(std::find(c.spec.start_vertices.begin(),
@@ -126,11 +143,120 @@ TEST_P(FuzzTest, EngineInvariantsHold) {
       }
     }
   }
+}
+
+class FuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FuzzTest, EngineInvariantsHold) {
+  FuzzCase c = MakeCase(GetParam());
+  FlashMobEngine engine(c.graph, c.options);
+  WalkResult result = engine.Run(c.spec);
+  ExpectWalkInvariants(c, result);
+
+  // Per-VP accounting matches the total.
+  uint64_t vp_sum = 0;
+  for (uint64_t v : result.stats.vp_walker_steps) {
+    vp_sum += v;
+  }
+  EXPECT_EQ(vp_sum, result.stats.total_steps);
 
   // Determinism: the same case reruns identically.
   FlashMobEngine engine2(c.graph, c.options);
   WalkResult result2 = engine2.Run(c.spec);
   EXPECT_EQ(result.visit_counts, result2.visit_counts);
+}
+
+// One rule of CheckWalkSpec broken in an otherwise walkable spec, and the
+// field its message must name.
+struct BrokenSpec {
+  WalkSpec spec;
+  const char* field;
+};
+
+// Every way this case's spec can break one rule: a start vertex past |V|;
+// node2vec p or q of 0, -1, NaN, inf or 1e-310; a stop probability of -0.5,
+// 1, 1.5 or NaN; edge weights on an unweighted graph or with node2vec; and
+// keep_paths without track_identity.
+std::vector<BrokenSpec> BreakOneRule(const FuzzCase& c, XorShiftRng& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Vid n = c.graph.num_vertices();
+  std::vector<BrokenSpec> broken;
+  auto add = [&](const char* field, auto&& mutate) {
+    BrokenSpec b{c.spec, field};
+    mutate(b.spec);
+    broken.push_back(std::move(b));
+  };
+  add("start_vertices", [&](WalkSpec& s) {
+    const Vid bad = n + static_cast<Vid>(rng.NextBounded(kInvalidVid - n));
+    s.start_vertices.insert(
+        s.start_vertices.begin() +
+            static_cast<std::ptrdiff_t>(
+                rng.NextBounded(s.start_vertices.size() + 1)),
+        bad);
+  });
+  for (double bad : {0.0, -1.0, nan, inf, 1e-310}) {
+    for (bool on_p : {true, false}) {
+      add("node2vec", [&](WalkSpec& s) {
+        if (s.algorithm != WalkAlgorithm::kNode2Vec) {
+          s.algorithm = WalkAlgorithm::kNode2Vec;
+          s.node2vec = {};
+        }
+        s.use_edge_weights = false;
+        (on_p ? s.node2vec.p : s.node2vec.q) = bad;
+      });
+    }
+  }
+  for (double bad : {-0.5, 1.0, 1.5, nan}) {
+    add("stop_probability", [&](WalkSpec& s) { s.stop_probability = bad; });
+  }
+  add("use_edge_weights", [&](WalkSpec& s) {
+    s.use_edge_weights = true;
+    if (!c.graph.weighted()) {
+      s.algorithm = WalkAlgorithm::kDeepWalk;  // weights on an unweighted graph
+    } else if (s.algorithm != WalkAlgorithm::kNode2Vec) {
+      s.algorithm = WalkAlgorithm::kNode2Vec;  // weights with node2vec
+      s.node2vec = {};
+    }
+  });
+  add("keep_paths", [&](WalkSpec& s) {
+    s.keep_paths = true;
+    s.track_identity = false;
+  });
+  return broken;
+}
+
+TEST_P(FuzzTest, SpecContractRefusesEachBrokenRule) {
+  FuzzCase c = MakeCase(GetParam());
+  ASSERT_TRUE(CheckWalkSpec(c.spec, c.graph).ok())
+      << CheckWalkSpec(c.spec, c.graph).message();
+  XorShiftRng rng(DeriveSeed(0x5BEC, GetParam()));
+  for (const BrokenSpec& b : BreakOneRule(c, rng)) {
+    const Status status = CheckWalkSpec(b.spec, c.graph);
+    ASSERT_FALSE(status.ok()) << b.field;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << b.field;
+    EXPECT_NE(status.message().find(b.field), std::string::npos)
+        << b.field << ": " << status.message();
+  }
+}
+
+TEST_P(FuzzTest, AcceptedSpecsWalkOnTheBaselines) {
+  // Whatever CheckWalkSpec accepts, the baselines walk too (all but
+  // Metropolis-Hastings, which they do not implement), keeping the same
+  // invariants as FlashMob.
+  FuzzCase c = MakeCase(GetParam());
+  ASSERT_TRUE(CheckWalkSpec(c.spec, c.graph).ok());
+  if (c.spec.algorithm == WalkAlgorithm::kMetropolisHastings) {
+    GTEST_SKIP() << "the baselines do not walk Metropolis-Hastings";
+  }
+  for (bool mersenne : {true, false}) {
+    BaselineOptions options;
+    options.use_mersenne = mersenne;
+    options.interleave_depth = 8;
+    SCOPED_TRACE(mersenne ? "Mersenne" : "xorshift");
+    ExpectWalkInvariants(c, KnightKingEngine(c.graph, options).Run(c.spec));
+    ExpectWalkInvariants(c, GraphViteEngine(c.graph, options).Run(c.spec));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range<uint64_t>(0, 24));

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -36,31 +35,6 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   EXPECT_EQ(sum.load(), 4950u);
 }
 
-TEST(ThreadPoolTest, ChunksTileTheRange) {
-  ThreadPool pool(3);
-  const uint64_t n = 1003;  // not divisible by 3
-  std::vector<std::atomic<int>> hits(n);
-  pool.ParallelChunks(n, [&](uint64_t begin, uint64_t end, uint32_t) {
-    ASSERT_LT(begin, end);
-    for (uint64_t i = begin; i < end; ++i) {
-      ++hits[i];
-    }
-  });
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPoolTest, ChunksSmallerThanWorkers) {
-  ThreadPool pool(8);
-  std::atomic<int> calls{0};
-  pool.ParallelChunks(3, [&](uint64_t begin, uint64_t end, uint32_t) {
-    EXPECT_EQ(end, begin + 1);
-    ++calls;
-  });
-  EXPECT_EQ(calls.load(), 3);
-}
-
 TEST(ThreadPoolTest, WorkerIndicesAreInRange) {
   ThreadPool pool(4);
   std::atomic<bool> ok{true};
@@ -87,25 +61,6 @@ TEST(ThreadPoolTest, GlobalPoolIsSingleton) {
 }
 
 // --- edge cases the TSan stress suite relies on being pinned down ------------
-
-TEST(ThreadPoolEdgeTest, ZeroChunksIsNoop) {
-  ThreadPool pool(4);
-  pool.ParallelChunks(0, [&](uint64_t, uint64_t, uint32_t) { FAIL(); });
-}
-
-TEST(ThreadPoolEdgeTest, SingleThreadChunksCoverRangeInOrder) {
-  ThreadPool pool(1);
-  std::vector<uint64_t> seen;
-  pool.ParallelChunks(7, [&](uint64_t begin, uint64_t end, uint32_t worker) {
-    EXPECT_EQ(worker, 0u);
-    for (uint64_t i = begin; i < end; ++i) {
-      seen.push_back(i);
-    }
-  });
-  std::vector<uint64_t> want(7);
-  std::iota(want.begin(), want.end(), 0);
-  EXPECT_EQ(seen, want);  // one chunk, scanned in order — no data races possible
-}
 
 TEST(ThreadPoolEdgeTest, SingleTaskRunsInlineOnCaller) {
   ThreadPool pool(4);
@@ -144,7 +99,6 @@ TEST(ThreadPoolEdgeTest, AlternatingEmptyAndFullJobs) {
     std::atomic<uint64_t> count{0};
     pool.ParallelFor(17, [&](uint64_t, uint32_t) { ++count; });
     ASSERT_EQ(count.load(), 17u);
-    pool.ParallelChunks(0, [&](uint64_t, uint64_t, uint32_t) { FAIL(); });
   }
 }
 

@@ -106,24 +106,25 @@ TEST(TsanStressTest, ParallelForPublishesPlainWrites) {
   }
 }
 
-TEST(TsanStressTest, ParallelChunksWorkerSlotsAreExclusive) {
+TEST(TsanStressTest, ParallelForWorkerSlotsAreExclusive) {
   // Each worker accumulates into its own slot (the per-thread counter-array
-  // pattern of CountAndPrefix). Any cross-worker interference is a race TSan
-  // reports and a checksum failure here.
+  // pattern of CountAndPrefix and the baselines' per-worker shards). Any
+  // cross-worker interference is a race TSan reports and a checksum failure
+  // here.
   for (uint32_t threads : StressThreadCounts()) {
     ThreadPool pool(threads);
     std::vector<uint64_t> per_worker(pool.thread_count(), 0);
-    const uint64_t n = 100003;  // prime: uneven chunk boundaries
+    const uint64_t n = 10007;  // prime: no even split over any pool
     for (int round = 0; round < 20; ++round) {
-      pool.ParallelChunks(n, [&](uint64_t begin, uint64_t end, uint32_t worker) {
-        per_worker[worker] += end - begin;
+      pool.ParallelFor(n, [&](uint64_t task, uint32_t worker) {
+        per_worker[worker] += task + 1;
       });
     }
     uint64_t covered = 0;
     for (uint64_t c : per_worker) {
       covered += c;
     }
-    EXPECT_EQ(covered, 20 * n) << threads << " threads";
+    EXPECT_EQ(covered, 20 * (n * (n + 1) / 2)) << threads << " threads";
   }
 }
 

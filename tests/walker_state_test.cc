@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "src/core/walk_observer.h"
@@ -77,7 +78,8 @@ TEST(WalkerStateTest, SeededPlacementRoundRobinWithBaseOffset) {
   spec.num_walkers = 10;
   spec.steps = 1;
   WalkerState state(g, spec, /*walkers=*/10);
-  state.Place(&pool, /*episode=*/0, /*base_walker=*/5, {});
+  PlaceWalkers(g, spec, &pool, /*episode=*/0, /*base_walker=*/5,
+               {state.cur(), 10});
   for (Wid j = 0; j < 10; ++j) {
     EXPECT_EQ(state.cur()[j], spec.start_vertices[(5 + j) % 3]) << j;
   }
@@ -93,24 +95,53 @@ TEST(WalkerStateTest, DegreeProportionalPlacementIsDeterministic) {
   spec.seed = 77;
   WalkerState a(sorted.graph, spec, 5000);
   WalkerState b(sorted.graph, spec, 5000);
-  a.Place(&pool, 0, 0, {});
-  b.Place(&pool, 0, 0, {});
+  PlaceWalkers(sorted.graph, spec, &pool, 0, 0, {a.cur(), 5000});
+  PlaceWalkers(sorted.graph, spec, &pool, 0, 0, {b.cur(), 5000});
   EXPECT_TRUE(std::equal(a.cur(), a.cur() + 5000, b.cur()));
   // The hub (sorted VID 0) owns half the undirected star's edges.
   Wid hub = static_cast<Wid>(std::count(a.cur(), a.cur() + 5000, Vid{0}));
   EXPECT_NEAR(static_cast<double>(hub) / 5000, 0.5, 0.05);
 }
 
+TEST(WalkerStateTest, WalkerRangesDependOnTheCountAlone) {
+  // Every pool size sees the same ranges, and they tile [0, count): the
+  // property that lets placement and the baselines key streams by `begin`.
+  const Wid count = 10007;  // prime: the last range is short
+  std::vector<std::pair<Wid, Wid>> reference;
+  for (uint32_t threads : {1u, 2u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    Mutex mu;
+    std::vector<std::pair<Wid, Wid>> ranges;
+    ForEachWalkerRange(&pool, count, 1000, [&](Wid begin, Wid end, uint32_t) {
+      MutexLock lock(mu);
+      ranges.emplace_back(begin, end);
+    });
+    std::sort(ranges.begin(), ranges.end());
+    Wid next = 0;
+    for (const auto& [begin, end] : ranges) {
+      ASSERT_EQ(begin, next);
+      ASSERT_LE(end - begin, 1000u);
+      next = end;
+    }
+    EXPECT_EQ(next, count);
+    if (threads == 1) {
+      reference = ranges;
+    }
+    EXPECT_EQ(ranges, reference) << threads << " threads";
+  }
+}
+
 TEST(WalkerStateTest, PlacementChunksTileTheEpisode) {
+  // Three placement blocks, the last one short.
   CsrGraph g = SmallSortedGraph();
   ThreadPool pool(4);
   WalkSpec spec;
-  spec.num_walkers = 1000;
+  spec.num_walkers = 150000;
   spec.steps = 1;
-  WalkerState state(g, spec, 1000);
+  WalkerState state(g, spec, 150000);
   RecordingObserver recorder;
   WalkObserver* observers[] = {&recorder};
-  state.Place(&pool, 0, 0, observers);
+  PlaceWalkers(g, spec, &pool, 0, 0, {state.cur(), 150000}, observers);
   Wid next = 0;
   for (const auto& chunk : recorder.sorted_chunks()) {
     ASSERT_EQ(chunk.begin, next);
@@ -119,7 +150,8 @@ TEST(WalkerStateTest, PlacementChunksTileTheEpisode) {
     }
     next += chunk.positions.size();
   }
-  EXPECT_EQ(next, 1000u);
+  EXPECT_EQ(recorder.sorted_chunks().size(), 3u);
+  EXPECT_EQ(next, 150000u);
 }
 
 TEST(WalkerStateTest, TrackedRotationCyclesThreeBuffers) {
@@ -185,7 +217,7 @@ TEST(WalkerStateTest, TakePathsReturnsPlacedRows) {
   spec.num_walkers = 20;
   spec.steps = 2;
   WalkerState state(g, spec, 20);
-  state.Place(&pool, 0, 0, {});
+  PlaceWalkers(g, spec, &pool, 0, 0, {state.cur(), 20});
   PathSet paths = state.TakePaths();
   ASSERT_EQ(paths.num_walkers(), 20u);
   for (Wid j = 0; j < 20; ++j) {

@@ -13,7 +13,8 @@
 //   --steps=N         walk length                      (default 80)
 //   --rounds=N        walkers = N * |V|                (default 10)
 //   --walkers=N       explicit walker count (overrides --rounds)
-//   --p=F --q=F       node2vec parameters              (default 1, 1)
+//   --p=F --q=F       node2vec parameters, read only by --algo=node2vec
+//                     (default 1, 1)
 //   --weighted        transition probability ~ edge weight (first-order only)
 //   --stop=F          per-step stop probability (PPR-style termination)
 //   --seed=N          RNG seed                         (default 1)
@@ -40,10 +41,10 @@
 //
 // FM_THREADS sets the worker thread count (default: all cores).
 //
-// A malformed number (not the whole value, or out of range) exits 2; a p or q
-// that fails Node2VecParamsUsable (not finite and > 0, or weights 1, 1/p, 1/q
-// spanning more than 2^53), a stop probability outside [0, 1), or a walker
-// count of 0 (--rounds=0 without --walkers, or --walkers=0) exits 1.
+// A malformed number (not the whole value, or out of range) exits 2; a walker
+// count of 0 (--rounds=0 without --walkers, or --walkers=0) exits 1. A spec
+// that fails CheckWalkSpec (src/core/walk_spec.h) exits 1 after the load,
+// with its message as the one error line.
 // A node2vec run also prints its accept-test tallies (WalkStats::node2vec).
 #include <algorithm>
 #include <cstdio>
@@ -53,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/sample_stage.h"
 #include "src/fm.h"
 #include "tools/cli_flags.h"
 
@@ -173,23 +173,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --algo=%s\n", args.algo.c_str());
     return Usage(argv[0]);
   }
-  if (args.weighted && args.algo != "deepwalk") {
-    std::fprintf(stderr, "error: --weighted supports only --algo=deepwalk\n");
-    return 1;
-  }
-  // node2vec's accept test never passes for p or q whose weights it cannot
-  // represent (the walk would hang), and a stop probability outside [0, 1)
-  // means nothing.
-  if (!Node2VecParamsUsable({args.p, args.q})) {
-    std::fprintf(stderr,
-                 "error: --p and --q must be finite and > 0, and 1, 1/p and 1/q "
-                 "must lie within a factor 2^53 of each other\n");
-    return 1;
-  }
-  if (!(args.stop >= 0 && args.stop < 1)) {
-    std::fprintf(stderr, "error: --stop must be in [0, 1)\n");
-    return 1;
-  }
   // The engine reads num_walkers == 0 as one walker per vertex.
   if (args.walkers.has_value() && *args.walkers == 0) {
     std::fprintf(stderr, "error: --walkers must be at least 1\n");
@@ -227,16 +210,31 @@ int main(int argc, char** argv) {
                  raw.weighted() ? " weighted" : "",
                  raw.memory_mapped() ? " (memory-mapped)" : "",
                  end_phase("load", 0));
-    // Inputs the engine would reject with a fatal check.
+    // Inputs the engine would reject with a fatal check: an empty graph, and
+    // a spec that fails CheckWalkSpec (the degree sort keeps |V| and the
+    // weights, so the raw graph answers for the sorted one).
     const std::string& graph_name =
         !args.graph_path.empty() ? args.graph_path : args.csr_path;
     if (raw.num_vertices() == 0) {
       std::fprintf(stderr, "error: %s holds no vertices\n", graph_name.c_str());
       return 1;
     }
-    if (args.weighted && !raw.weighted()) {
-      std::fprintf(stderr, "error: --weighted, but %s has no edge weights\n",
-                   graph_name.c_str());
+    WalkSpec spec;
+    spec.algorithm = args.algo == "node2vec"
+                         ? WalkAlgorithm::kNode2Vec
+                         : (args.algo == "mh" ? WalkAlgorithm::kMetropolisHastings
+                                              : WalkAlgorithm::kDeepWalk);
+    spec.steps = args.steps;
+    spec.num_walkers = args.walkers.value_or(static_cast<Wid>(args.rounds) *
+                                             raw.num_vertices());
+    spec.node2vec = {args.p, args.q};
+    spec.use_edge_weights = args.weighted;
+    spec.stop_probability = args.stop;
+    spec.seed = args.seed;
+    spec.keep_paths = !args.out_path.empty() || !args.pairs_path.empty();
+    const Status spec_status = CheckWalkSpec(spec, raw);
+    if (!spec_status.ok()) {
+      std::fprintf(stderr, "error: %s\n", spec_status.message().c_str());
       return 1;
     }
 
@@ -247,19 +245,6 @@ int main(int argc, char** argv) {
                  end_phase("degree_sort", sort_start_s));
 
     // ---- walk -------------------------------------------------------------------
-    WalkSpec spec;
-    spec.algorithm = args.algo == "node2vec"
-                         ? WalkAlgorithm::kNode2Vec
-                         : (args.algo == "mh" ? WalkAlgorithm::kMetropolisHastings
-                                              : WalkAlgorithm::kDeepWalk);
-    spec.steps = args.steps;
-    spec.num_walkers = args.walkers.value_or(
-        static_cast<Wid>(args.rounds) * sorted.graph.num_vertices());
-    spec.node2vec = {args.p, args.q};
-    spec.use_edge_weights = args.weighted;
-    spec.stop_probability = args.stop;
-    spec.seed = args.seed;
-    spec.keep_paths = !args.out_path.empty() || !args.pairs_path.empty();
 
     EngineOptions engine_options;
     // Only --stats reads the visit counts.
