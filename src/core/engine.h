@@ -11,7 +11,10 @@
 //   reverse  : Gather replays the scatter to produce W_{i+1} (walker order)[§4.3]
 //
 // The W_i rows double as the full path history; walkers are split into episodes
-// sized to the DRAM budget (§5.1). The partition plan comes from the MCKP DP (§4.4)
+// sized to the DRAM budget (§5.1). Runs without path rows scan only the prefix
+// of W that still holds live walkers: tracked runs squeeze the survivors into
+// it once half the scanned slots are dead, and identity-free runs drop SW's
+// dead bin after each step. The partition plan comes from the MCKP DP (§4.4)
 // unless overridden (the Fig 9 ablations inject uniform/manual plans).
 // Visit counts go into one shared |V| array: each VP's sample task counts the
 // positions its walkers step from (VP tasks own disjoint vertex ranges, so no
@@ -56,13 +59,16 @@ struct StepStageRecord {
   double start_s = 0;           // seconds from the Run call to the scatter
   double scatter_s = 0;
   double sample_s = 0;
-  double gather_s = 0;          // 0 in identity-free mode (no reverse shuffle)
+  // 0 in identity-free mode (no reverse shuffle); includes the survivor
+  // squeeze of a step that runs one.
+  double gather_s = 0;
   // Shuffle pass breakdown of scatter_s/gather_s (ShuffleOpStats): pass 1 is
   // the scatter's counting pass, pass 2 the scatter / the gather's replay.
   double scatter_pass1_s = 0;
   double scatter_pass2_s = 0;
   double gather_pass2_s = 0;
   Wid live_walkers = 0;         // walkers the sample stage moved this step
+  Wid scanned = 0;              // W slots the step's scatter scanned
   std::vector<Wid> vp_walkers;  // walkers per VP chunk this step
   // Hardware-counter deltas per stage, summed over all participating threads
   // (EngineOptions::collect_counters; all-zero under the noop backend).
@@ -91,6 +97,10 @@ struct StageCounters {
 // callbacks (WalkRunInfo::stats) while the run is in flight.
 struct WalkStats {
   uint64_t total_steps = 0;  // walker-steps executed
+  // W slots the steps' scatters scanned, dead ones included: total_steps
+  // over slots_scanned is the live share of the shuffle's work. Equal to
+  // total_steps without a stop probability.
+  uint64_t slots_scanned = 0;
   StageTimes times;
   uint32_t episodes = 0;
   // Mean episode size in walkers per edge (the density the plan is sized for).

@@ -138,6 +138,9 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
   AppendKey(&out, "total_steps");
   out += std::to_string(stats.total_steps);
   out += ',';
+  AppendKey(&out, "slots_scanned");
+  out += std::to_string(stats.slots_scanned);
+  out += ',';
   AppendKey(&out, "episodes");
   out += std::to_string(stats.episodes);
   out += ',';
@@ -284,6 +287,9 @@ std::string WalkMetricsJson(const MetricsMeta& meta, const WalkStats& stats,
     out += ',';
     AppendKey(&out, "live_walkers");
     out += std::to_string(rec.live_walkers);
+    out += ',';
+    AppendKey(&out, "scanned");
+    out += std::to_string(rec.scanned);
     out += ',';
     AppendKey(&out, "counters");
     out += '{';

@@ -1,7 +1,9 @@
 #include "src/core/walker_state.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "src/cachesim/mem_hook.h"
 #include "src/core/walk_observer.h"
 #include "src/graph/csr_graph.h"
 #include "src/util/logging.h"
@@ -30,6 +32,7 @@ WalkerState::WalkerState(const CsrGraph& graph, const WalkSpec& spec,
     : graph_(graph),
       spec_(spec),
       walkers_(walkers),
+      width_(walkers),
       node2vec_(spec.algorithm == WalkAlgorithm::kNode2Vec),
       identity_free_(!spec.track_identity) {
   if (spec_.keep_paths) {
@@ -94,15 +97,79 @@ void WalkerState::AdvanceTracked(uint32_t step) {
   }
 }
 
-void WalkerState::AdvanceIdentityFree() {
+void WalkerState::AdvanceIdentityFree(Wid live_prefix) {
   // No reverse shuffle ran: the sampled SW (and, for node2vec, the
   // kernel-updated predecessor stream) simply becomes the next walker array.
+  FM_DCHECK_LE(live_prefix, width_);
   std::swap(rot_a_, sw_);
   w_cur_ = rot_a_.data();
   if (node2vec_) {
     std::swap(rot_b_, sw_prev_);
   }
+  width_ = live_prefix;
 }
+
+namespace {
+
+// Moves row[from, from + count) down to row[to, ...), to <= from.
+template <typename Hook>
+void ShiftLeft(Vid* row, Wid from, Wid to, Wid count, Hook& hook) {
+  if (to == from || count == 0) {
+    return;
+  }
+  std::memmove(row + to, row + from, count * sizeof(Vid));
+  if constexpr (Hook::kEnabled) {
+    for (Wid j = 0; j < count; ++j) {
+      hook.Load(row + from + j, sizeof(Vid));
+      hook.Store(row + to + j, sizeof(Vid));
+    }
+  }
+}
+
+}  // namespace
+
+template <typename Hook>
+void WalkerState::Squeeze(ThreadPool* pool, Hook& hook) {
+  FM_DCHECK(!spec_.keep_paths && !identity_free_);
+  Vid* cur = w_cur_;
+  Vid* prev = node2vec_ ? w_prev_ : nullptr;
+  const Wid ranges = (width_ + kSqueezeRange - 1) / kSqueezeRange;
+  std::vector<Wid> kept(ranges);
+  // Pack each range's survivors at its front, in order. Every slot is
+  // written (out <= j), and only a live walker advances `out`, so the loop
+  // has no data-dependent branch.
+  auto pack = [&](Wid begin, Wid end, uint32_t) {
+    Wid out = begin;
+    for (Wid j = begin; j < end; ++j) {
+      hook.Load(cur + j, sizeof(Vid));
+      const Vid v = cur[j];
+      cur[out] = v;
+      hook.Store(cur + out, sizeof(Vid));
+      if (prev != nullptr) {
+        hook.Load(prev + j, sizeof(Vid));
+        prev[out] = prev[j];
+        hook.Store(prev + out, sizeof(Vid));
+      }
+      out += v != kInvalidVid ? 1 : 0;
+    }
+    kept[begin / kSqueezeRange] = out - begin;
+  };
+  ForEachWalkerRange(pool, width_, kSqueezeRange, pack);
+  // Close the gaps, in range order: a block lands on slots whose walkers
+  // have already moved further left.
+  Wid live = 0;
+  for (Wid r = 0; r < ranges; ++r) {
+    ShiftLeft(cur, r * kSqueezeRange, live, kept[r], hook);
+    if (prev != nullptr) {
+      ShiftLeft(prev, r * kSqueezeRange, live, kept[r], hook);
+    }
+    live += kept[r];
+  }
+  width_ = live;
+}
+
+template void WalkerState::Squeeze(ThreadPool*, NullMemHook&);
+template void WalkerState::Squeeze(ThreadPool*, CacheSimHook&);
 
 void PlaceWalkers(const CsrGraph& graph, const WalkSpec& spec,
                   ThreadPool* pool, uint64_t episode, Wid base_walker,

@@ -9,8 +9,11 @@
 //                   scratch, with the node2vec predecessor stream riding along.
 // The engine only ever asks for the current row, the scatter aux stream, and
 // the next gather target; which physical buffer backs each is this class's
-// business. Initial placement (PlaceWalkers) is a free function, because the
-// KnightKing and GraphVite baselines place their walkers through it too.
+// business. So is the scan width: the prefix of the rows that still holds
+// every live walker, which shrinks as stop-probability walkers die (Squeeze,
+// AdvanceIdentityFree). Initial placement (PlaceWalkers) is a free function,
+// because the KnightKing and GraphVite baselines place their walkers through
+// it too.
 #ifndef SRC_CORE_WALKER_STATE_H_
 #define SRC_CORE_WALKER_STATE_H_
 
@@ -56,11 +59,21 @@ void PlaceWalkers(const CsrGraph& graph, const WalkSpec& spec,
 
 class WalkerState {
  public:
+  // Walkers per pool task of Squeeze's packing pass. The squeezed prefix
+  // does not depend on it.
+  static constexpr Wid kSqueezeRange = 1 << 14;
+
   // `graph` and `spec` must outlive the state. `walkers` is this episode's
   // size (<= EpisodeCapacity).
   WalkerState(const CsrGraph& graph, const WalkSpec& spec, Wid walkers);
 
   Wid size() const { return walkers_; }
+
+  // Slots the next Scatter scans: every live walker of cur() (and, for
+  // node2vec, its predecessor entry) lies in [0, width()). Starts at size();
+  // only Squeeze and AdvanceIdentityFree shrink it, so keep_paths runs scan
+  // their full-width path rows.
+  Wid width() const { return width_; }
 
   // W_i, walker order.
   Vid* cur() { return w_cur_; }
@@ -90,8 +103,22 @@ class WalkerState {
   void AdvanceTracked(uint32_t step);
 
   // Identity-free step: the sampled SW (and predecessor stream) becomes the
-  // next walker array; no Gather ran.
-  void AdvanceIdentityFree();
+  // next walker array; no Gather ran. `live_prefix` is the scatter's VP-chunk
+  // total (vp_offsets()[num_vps]): behind it lies only the dead bin, so it
+  // becomes the width.
+  void AdvanceIdentityFree(Wid live_prefix);
+
+  // Tracked runs without keep_paths, after AdvanceTracked: moves the live
+  // walkers of cur()[0, width()) into a dense prefix in walker order, carries
+  // node2vec's predecessor row along with the same mask, and sets width() to
+  // the live count. Walker order within every VP is kept, so the next scatter
+  // lays each live walker at the same index of the same VP chunk and the walk
+  // does not change. The squeeze runs in place on `pool`: each fixed range of
+  // kSqueezeRange walkers packs its own survivors at its front, then one
+  // left shift per range closes the gaps between them. Every row access goes
+  // through `hook`.
+  template <typename Hook>
+  void Squeeze(ThreadPool* pool, Hook& hook);
 
   // Moves the episode's path rows out (keep_paths mode only).
   PathSet TakePaths();
@@ -100,6 +127,7 @@ class WalkerState {
   const CsrGraph& graph_;
   const WalkSpec& spec_;
   Wid walkers_;
+  Wid width_;
   bool node2vec_;
   bool identity_free_;
 

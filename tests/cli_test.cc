@@ -173,6 +173,8 @@ TEST_F(CliTest, MetricsJsonSmoke) {
   EXPECT_TRUE(doc.Str("backend") == "perf" || doc.Str("backend") == "noop");
   EXPECT_EQ(doc.Num("seed"), 1.0);
   EXPECT_EQ(doc.At("run").Num("total_steps"), 800.0);  // 2*|V| walkers * 4 steps
+  // No walker dies, so every scanned slot is live.
+  EXPECT_EQ(doc.At("run").Num("slots_scanned"), 800.0);
   // One step entry per (episode, step), each with per-stage counters, and
   // one per-step wall-time sample each.
   ASSERT_EQ(doc.At("steps").array.size(), 4u);
@@ -189,6 +191,7 @@ TEST_F(CliTest, MetricsJsonSmoke) {
     EXPECT_TRUE(step.Has("scatter_pass1_s"));
     EXPECT_TRUE(step.Has("scatter_pass2_s"));
     EXPECT_TRUE(step.Has("gather_pass2_s"));
+    EXPECT_EQ(step.Num("scanned"), step.Num("live_walkers"));
     EXPECT_TRUE(step.At("counters").Has("scatter"));
     EXPECT_TRUE(step.At("counters").At("sample").Has("llc_misses"));
   }

@@ -85,6 +85,18 @@ FuzzCase MakeCase(uint64_t seed) {
       !c.spec.use_edge_weights && rng.NextBounded(5) == 0) {
     c.spec.algorithm = WalkAlgorithm::kMetropolisHastings;
   }
+  // Spec corners, drawn after every draw above so the cases those draws made
+  // keep their specs: walks that die off within a few steps, walks of no
+  // steps, and episodes at EpisodeCapacity's 1,024-walker floor.
+  if (rng.NextBounded(4) == 0) {
+    c.spec.stop_probability = 0.4 + 0.55 * rng.NextDouble();
+  }
+  if (rng.NextBounded(6) == 0) {
+    c.spec.steps = 0;
+  }
+  if (rng.NextBounded(5) == 0) {
+    c.options.dram_budget_bytes = 1;
+  }
   return c;
 }
 
@@ -164,6 +176,19 @@ TEST_P(FuzzTest, EngineInvariantsHold) {
   FlashMobEngine engine2(c.graph, c.options);
   WalkResult result2 = engine2.Run(c.spec);
   EXPECT_EQ(result.visit_counts, result2.visit_counts);
+
+  // keep_paths moves the walker rows, not the walks: a tracked case walks the
+  // same with it flipped, as long as both runs fit one episode (the modes
+  // size episodes differently, and episodes seed their walks apart).
+  if (c.spec.track_identity && result.stats.episodes == 1) {
+    WalkSpec flipped = c.spec;
+    flipped.keep_paths = !flipped.keep_paths;
+    WalkResult other = engine2.Run(flipped);
+    if (other.stats.episodes == 1) {
+      EXPECT_EQ(other.visit_counts, result.visit_counts);
+      EXPECT_EQ(other.stats.total_steps, result.stats.total_steps);
+    }
+  }
 }
 
 // One rule of CheckWalkSpec broken in an otherwise walkable spec, and the

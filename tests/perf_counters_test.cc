@@ -244,6 +244,7 @@ TEST_F(FixtureFdTest, StagePerfMonitorSumsThreads) {
 WalkStats FabricatedStats() {
   WalkStats stats;
   stats.total_steps = 1000;
+  stats.slots_scanned = 1500;
   stats.episodes = 2;
   stats.walker_density = 0.125;
   stats.times.sample_s = 0.5;
@@ -267,6 +268,7 @@ WalkStats FabricatedStats() {
   rec.sample_s = 0.02;
   rec.gather_s = 0.03;
   rec.live_walkers = 42;
+  rec.scanned = 64;
   rec.sample_counters.values[3] = 8;
   stats.step_records.push_back(rec);
   return stats;
@@ -292,6 +294,7 @@ TEST(MetricsExportTest, WalkMetricsJsonRoundTrips) {
 
   const json::Value& run = doc.At("run");
   EXPECT_EQ(run.Num("total_steps"), 1000.0);
+  EXPECT_EQ(run.Num("slots_scanned"), 1500.0);
   EXPECT_EQ(run.Num("episodes"), 2.0);
   EXPECT_DOUBLE_EQ(run.At("seconds").Num("sample"), 0.5);
   EXPECT_EQ(run.At("node2vec").Num("proposals"), 70.0);
@@ -323,6 +326,7 @@ TEST(MetricsExportTest, WalkMetricsJsonRoundTrips) {
   EXPECT_EQ(steps.array[0].Num("episode"), 1.0);
   EXPECT_EQ(steps.array[0].Num("step"), 3.0);
   EXPECT_EQ(steps.array[0].Num("live_walkers"), 42.0);
+  EXPECT_EQ(steps.array[0].Num("scanned"), 64.0);
   EXPECT_EQ(steps.array[0].At("counters").At("sample").Num("llc_misses"), 8.0);
   // No plan given: vp_classes must be present and empty, not missing.
   EXPECT_TRUE(doc.At("vp_classes").array.empty());

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "src/cachesim/mem_hook.h"
 #include "src/core/walk_observer.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -200,13 +203,89 @@ TEST(WalkerStateTest, IdentityFreeAdvanceSwapsInSampledRow) {
   spec.keep_paths = false;
   spec.track_identity = false;
   WalkerState state(g, spec, 64);
+  EXPECT_EQ(state.width(), 64u);
   for (Wid j = 0; j < 64; ++j) {
     state.sw()[j] = static_cast<Vid>(j % 4);
   }
-  state.AdvanceIdentityFree();
+  // The scatter's VP chunks ended at slot 48; the dead bin behind them drops
+  // out of the scan.
+  state.AdvanceIdentityFree(48);
+  EXPECT_EQ(state.width(), 48u);
   for (Wid j = 0; j < 64; ++j) {
     ASSERT_EQ(state.cur()[j], static_cast<Vid>(j % 4));
   }
+}
+
+// Fills row[0, width) with walker j at vertex j % 4, or dead where the seeded
+// draw says so.
+void FillWithDeaths(Vid* row, Wid width, double dead_share, uint64_t seed) {
+  XorShiftRng rng(seed);
+  for (Wid j = 0; j < width; ++j) {
+    row[j] = rng.NextDouble() < dead_share ? kInvalidVid
+                                           : static_cast<Vid>(j % 4);
+  }
+}
+
+TEST(WalkerStateTest, SqueezePacksSurvivorsInWalkerOrder) {
+  // A width of 3.5 squeeze ranges, so blocks shift across range boundaries;
+  // a fully dead range and a fully live one sit among mixed ones. The packed
+  // prefix must be the survivors in walker order at every pool size.
+  CsrGraph g = SmallSortedGraph();
+  WalkSpec spec;
+  spec.keep_paths = false;
+  spec.stop_probability = 0.5;
+  const Wid walkers = WalkerState::kSqueezeRange * 7 / 2;
+  spec.num_walkers = walkers;
+  for (uint32_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    WalkerState state(g, spec, walkers);
+    FillWithDeaths(state.cur(), walkers, 0.6, 5);
+    const Wid range = WalkerState::kSqueezeRange;
+    std::fill(state.cur() + range, state.cur() + 2 * range, kInvalidVid);
+    for (Wid j = 2 * range; j < 3 * range; ++j) {
+      state.cur()[j] = static_cast<Vid>(j % 4);
+    }
+    std::vector<Vid> live;
+    std::copy_if(state.cur(), state.cur() + walkers, std::back_inserter(live),
+                 [](Vid v) { return v != kInvalidVid; });
+    NullMemHook hook;
+    state.Squeeze(&pool, hook);
+    ASSERT_EQ(state.width(), live.size()) << threads << " threads";
+    EXPECT_TRUE(std::equal(live.begin(), live.end(), state.cur()))
+        << threads << " threads";
+  }
+}
+
+TEST(WalkerStateTest, SqueezeCarriesNode2VecPredecessorsWithTheMask) {
+  CsrGraph g = SmallSortedGraph();
+  WalkSpec spec;
+  spec.keep_paths = false;
+  spec.algorithm = WalkAlgorithm::kNode2Vec;
+  const Wid walkers = WalkerState::kSqueezeRange * 2 + 100;
+  spec.num_walkers = walkers;
+  ThreadPool pool(3);
+  WalkerState state(g, spec, walkers);
+  Vid* row0 = state.cur();
+  for (Wid j = 0; j < walkers; ++j) {
+    row0[j] = static_cast<Vid>(j);  // predecessor j marks walker j
+  }
+  state.AdvanceTracked(0);
+  ASSERT_EQ(state.scatter_aux(), row0);
+  FillWithDeaths(state.cur(), walkers, 0.5, 9);
+  std::vector<Vid> live_cur;
+  std::vector<Vid> live_prev;
+  for (Wid j = 0; j < walkers; ++j) {
+    if (state.cur()[j] != kInvalidVid) {
+      live_cur.push_back(state.cur()[j]);
+      live_prev.push_back(static_cast<Vid>(j));
+    }
+  }
+  NullMemHook hook;
+  state.Squeeze(&pool, hook);
+  ASSERT_EQ(state.width(), live_cur.size());
+  EXPECT_TRUE(std::equal(live_cur.begin(), live_cur.end(), state.cur()));
+  EXPECT_TRUE(
+      std::equal(live_prev.begin(), live_prev.end(), state.scatter_aux()));
 }
 
 TEST(WalkerStateTest, TakePathsReturnsPlacedRows) {

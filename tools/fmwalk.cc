@@ -264,14 +264,22 @@ int main(int argc, char** argv) {
     const double run_start_s = clock.Elapsed();
     WalkResult result = engine.Run(spec, observers);
     end_phase("run", run_start_s);
+    // Live share: walker-steps per W slot the scatters scanned.
+    const double live_share =
+        result.stats.slots_scanned == 0
+            ? 1.0
+            : static_cast<double>(result.stats.total_steps) /
+                  static_cast<double>(result.stats.slots_scanned);
     std::fprintf(stderr,
                  "walked %llu steps in %.2fs: %.1f ns/step "
                  "(sample %.2fs, shuffle %.2fs, other %.2fs, "
-                 "%u episodes)\n",
+                 "%u episodes, %.1f%% of %llu scanned slots live)\n",
                  static_cast<unsigned long long>(result.stats.total_steps),
                  result.stats.times.Total(), result.stats.PerStepNs(),
                  result.stats.times.sample_s, result.stats.times.shuffle_s,
-                 result.stats.times.other_s, result.stats.episodes);
+                 result.stats.times.other_s, result.stats.episodes,
+                 100.0 * live_share,
+                 static_cast<unsigned long long>(result.stats.slots_scanned));
     if (spec.algorithm == WalkAlgorithm::kNode2Vec) {
       const Node2VecCounts& n2v = result.stats.node2vec;
       std::fprintf(stderr,
@@ -353,9 +361,9 @@ int main(int argc, char** argv) {
                    args.pairs_path.c_str());
     }
     if (args.profile) {
-      std::printf("%3s %4s %10s %10s %10s %12s %12s %12s\n", "ep", "step",
-                  "scatter_ms", "sample_ms", "gather_ms", "live", "min vp",
-                  "max vp");
+      std::printf("%3s %4s %10s %10s %10s %12s %12s %12s %12s\n", "ep",
+                  "step", "scatter_ms", "sample_ms", "gather_ms", "live",
+                  "scanned", "min vp", "max vp");
       for (const StepStageRecord& rec : result.stats.step_records) {
         Wid min_vp = 0;
         Wid max_vp = 0;
@@ -365,12 +373,14 @@ int main(int argc, char** argv) {
           min_vp = *lo;
           max_vp = *hi;
         }
-        std::printf("%3llu %4u %10.3f %10.3f %10.3f %12llu %12llu %12llu\n",
-                    static_cast<unsigned long long>(rec.episode), rec.step,
-                    rec.scatter_s * 1e3, rec.sample_s * 1e3, rec.gather_s * 1e3,
-                    static_cast<unsigned long long>(rec.live_walkers),
-                    static_cast<unsigned long long>(min_vp),
-                    static_cast<unsigned long long>(max_vp));
+        std::printf(
+            "%3llu %4u %10.3f %10.3f %10.3f %12llu %12llu %12llu %12llu\n",
+            static_cast<unsigned long long>(rec.episode), rec.step,
+            rec.scatter_s * 1e3, rec.sample_s * 1e3, rec.gather_s * 1e3,
+            static_cast<unsigned long long>(rec.live_walkers),
+            static_cast<unsigned long long>(rec.scanned),
+            static_cast<unsigned long long>(min_vp),
+            static_cast<unsigned long long>(max_vp));
       }
     }
     if (args.stats) {
